@@ -27,11 +27,16 @@
 #                      printed as a per-phase degradation report; resume a
 #                      killed campaign with
 #                      `python -m repro.population.chaos --resume SWEEP_ID`
+#   make perfbench W=<workload> [SEED=n] [TRACE=1]
+#                      the benchmark of record (perfbench/run.py) on one
+#                      workload: table2, fleet, landscape or chaos; prints
+#                      the end-to-end metrics, or the per-layer ones with
+#                      TRACE=1 (see BENCHMARK.json)
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test regression regression-trend bench bench-refresh bench-burst chaos store-fsck population-smoke chaos-campaign
+.PHONY: test regression regression-trend bench bench-refresh bench-burst chaos store-fsck population-smoke chaos-campaign perfbench
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -66,3 +71,10 @@ population-smoke:
 
 chaos-campaign:
 	$(PYTHON) -m repro.population.chaos
+
+perfbench:
+	@if [ -z "$(W)" ]; then \
+		echo "usage: make perfbench W=table2|fleet|landscape|chaos [SEED=n] [TRACE=1]" >&2; \
+		exit 2; \
+	fi
+	python3 perfbench/run.py --workload $(W) $(if $(SEED),--seed $(SEED)) --trace $(or $(TRACE),0)

@@ -255,7 +255,6 @@ def event_loop_comparison(rounds: int = 5) -> dict:
 def packets_per_sec(count: int = 20_000) -> float:
     """Full UDP rounds through the current stack (encode→deliver→decode)."""
     from repro.netsim.network import Network
-    from repro.netsim.udp import UDPDatagram
 
     sim = Simulator(seed=0)
     network = Network(sim)
@@ -266,7 +265,7 @@ def packets_per_sec(count: int = 20_000) -> float:
     payload = b"x" * 48
     started = time.perf_counter()
     for _ in range(count):
-        sender.send_udp("192.0.2.2", UDPDatagram(5353, 4242, payload))
+        sender.send_udp("192.0.2.2", 5353, 4242, payload)
         sim.run()
     elapsed = time.perf_counter() - started
     assert len(received) == count

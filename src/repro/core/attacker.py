@@ -119,19 +119,6 @@ class Attacker:
         self.stats.packets_injected += 1
         self.network.inject(packet)
 
-    def inject_batch(self, packets: Iterable[IPv4Packet]) -> None:
-        """Put a whole burst of spoofed packets on the wire as one call.
-
-        Event-for-event equivalent to calling :meth:`inject` per packet in
-        order (the network's batch path posts one delivery event per packet
-        with identical sequence numbers); the attack loops use it to hand
-        the simulator an entire spray — e.g. one spoofed fragment per
-        candidate IPID — without per-packet call overhead.
-        """
-        packets = list(packets)
-        self.stats.packets_injected += len(packets)
-        self.network.inject_batch(packets)
-
     def inject_burst(self, packets: Iterable[IPv4Packet]) -> None:
         """Put a whole spray on the wire through the burst engine.
 

@@ -137,7 +137,7 @@ class AssociationRemover:
     batched:
         Opt into batched rounds: one simulator event per interval sends the
         whole burst of spoofed queries (one per active campaign) through
-        :meth:`~repro.netsim.network.Network.transmit_batch`.  Identical
+        :meth:`~repro.core.attacker.Attacker.inject_burst`.  Identical
         server-side effect for campaigns started together; staggered
         starts are folded onto the shared round grid (see module doc).
     """

@@ -11,7 +11,7 @@ honoured, and how IPIDs are assigned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.netsim.datapath import HostDatapath
 from repro.netsim.defrag import DefragmentationCache, ReassemblyPolicy
@@ -21,7 +21,7 @@ from repro.netsim.icmp import ICMPMessage
 from repro.netsim.ipid import GlobalCounterIPID, IPIDAllocator
 from repro.netsim.packet import IPProtocol, IPV4_HEADER_LEN, IPv4Packet
 from repro.netsim.sockets import DatagramHandler, UDPSocket
-from repro.netsim.udp import UDPDatagram, encode_udp
+from repro.netsim.udp import UDP_HEADER_LEN, _UDP_HEADER, udp_checksum_arith
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
     from repro.netsim.network import Network
@@ -179,23 +179,27 @@ class Host:
         """Remove the socket bound to ``port`` (called by socket.close)."""
         self._sockets.pop(port, None)
 
-    def send_udp(self, dst_ip: str, datagram: UDPDatagram) -> None:
-        """Encode, fragment if needed and hand a datagram to the network."""
-        payload = encode_udp(self.ip, dst_ip, datagram)
+    def send_udp(self, dst_ip: str, src_port: int, dst_port: int, payload: bytes) -> None:
+        """Build a UDP datagram, fragment it to the path MTU if needed and
+        hand it to the network.
+
+        The ports must already be range-checked (:meth:`UDPSocket.sendto`
+        does it); the header is packed here with its checksum filled in.
+        """
+        src_ip = self.ip
+        length = UDP_HEADER_LEN + len(payload)
+        header = _UDP_HEADER.pack(
+            src_port,
+            dst_port,
+            length,
+            udp_checksum_arith(src_ip, dst_ip, src_port, dst_port, payload),
+        )
         packet = IPv4Packet.udp(
-            self.ip, dst_ip, payload, self.ipid_allocator.next_ipid(dst_ip)
+            src_ip, dst_ip, header + payload, self.ipid_allocator.next_ipid(dst_ip)
         )
         self.stats.udp_sent += 1
-        self._transmit(packet)
-
-    def path_mtu(self, dst_ip: str) -> int:
-        """The MTU currently used towards ``dst_ip`` (interface MTU if unknown)."""
-        return min(self.interface_mtu, self._pmtu.get(dst_ip, self.interface_mtu))
-
-    def _transmit(self, packet: IPv4Packet) -> None:
-        """Fragment to the path MTU and hand fragments to the network."""
-        mtu = self.path_mtu(packet.dst)
-        if MINIMUM_IPV4_MTU <= mtu and IPV4_HEADER_LEN + len(packet.payload) <= mtu:
+        mtu = self.path_mtu(dst_ip)
+        if MINIMUM_IPV4_MTU <= mtu and IPV4_HEADER_LEN + length <= mtu:
             # Fast path: the packet fits (and the MTU is not so small that
             # the fragmenter would reject it outright) — skip the call.
             self.network.transmit(packet)
@@ -205,6 +209,10 @@ class Host:
             self.stats.packets_fragmented += 1
         for fragment in fragments:
             self.network.transmit(fragment)
+
+    def path_mtu(self, dst_ip: str) -> int:
+        """The MTU currently used towards ``dst_ip`` (interface MTU if unknown)."""
+        return min(self.interface_mtu, self._pmtu.get(dst_ip, self.interface_mtu))
 
     # ----------------------------------------------------------------- ICMP
     def send_icmp(self, dst_ip: str, message: ICMPMessage) -> None:
@@ -246,16 +254,6 @@ class Host:
         network uses.
         """
         self.datapath.deliver(packet)
-
-    def receive_batch(self, packets: Iterable[IPv4Packet]) -> None:
-        """Deliver a burst of packets to this host in order.
-
-        Equivalent to calling :meth:`receive` per packet; the deliver
-        callable is resolved once for the whole burst.
-        """
-        deliver = self.datapath.deliver
-        for packet in packets:
-            deliver(packet)
 
     # ------------------------------------------------------------- utilities
     def bound_ports(self) -> list[int]:

@@ -464,61 +464,18 @@ class Network:
             (simulator._now + pipeline.latency, sequence, deliver, packet),
         )
 
-    def transmit_batch(self, packets: Iterable[IPv4Packet]) -> None:
-        """Deliver a whole burst of packets as one call.
-
-        Event-for-event equivalent to calling :meth:`transmit` once per
-        packet in order (pinned by a property test): the same heap entries
-        with the same sequence numbers, the same loss draws in the same
-        order, the same capture observations and the same counters.  The
-        win is constant-factor only — lookups, bound methods and the
-        simulator handles are hoisted out of the per-packet loop, which is
-        what the spoofed-burst attack loops hand the simulator.
-        """
-        pipelines = self._pipelines
-        compile_pipeline = self._compile_pipeline
-        captures = self._captures
-        rng_random = self._rng.random
-        strict = self.strict_routing
-        simulator = self.simulator
-        queue = simulator._queue
-        now = simulator._now  # constant: no event runs mid-batch
-        for packet in packets:
-            self.packets_transmitted += 1
-            pipeline = pipelines.get((packet.src, packet.dst))
-            if pipeline is None:
-                pipeline = compile_pipeline(packet.src, packet.dst)
-            deliver = pipeline.deliver
-            if deliver is None:
-                if strict:
-                    raise NoRouteError(f"no host at {packet.dst}")
-                self.packets_dropped += 1
-                continue
-            if pipeline.loss_probability > 0 and rng_random() < pipeline.loss_probability:
-                self.packets_dropped += 1
-                continue
-            if pipeline.faults is not None:
-                self._transmit_faulted(pipeline, packet)
-                continue
-            if captures:
-                for capture in captures:
-                    capture.observe(packet, now)
-            sequence = simulator._sequence
-            simulator._sequence = sequence + 1
-            heappush(queue, (now + pipeline.latency, sequence, deliver, packet))
-
     def _transmit_faulted(self, pipeline: DeliveryPipeline, packet: IPv4Packet) -> None:
         """Schedule one packet through a faulted pair's channel.
 
-        The event-for-event-equivalent slow path behind
-        :meth:`transmit` / :meth:`transmit_batch` for links carrying an
-        active fault plan: the channel decides drop / corrupt / delay /
-        duplicate, and each surviving delivery is scheduled as the exact
-        anonymous heap entry the fast path would have pushed (at the link
-        latency plus the fault-assigned extra delay).  Captures observe
-        the surviving deliveries — what actually travels the wire,
-        corrupted bytes and duplicates included — mirroring how the
-        fault-free path only observes packets that passed the loss draw.
+        The event-for-event-equivalent slow path behind :meth:`transmit`
+        for links carrying an active fault plan: the channel decides drop /
+        corrupt / delay / duplicate, and each surviving delivery is
+        scheduled as the exact anonymous heap entry the fast path would have
+        pushed (at the link latency plus the fault-assigned extra delay).
+        Captures observe the surviving deliveries — what actually travels
+        the wire, corrupted bytes and duplicates included — mirroring how
+        the fault-free path only observes packets that passed the loss
+        draw.
         """
         simulator = self.simulator
         if STAGES.enabled:
@@ -556,9 +513,6 @@ class Network:
         :data:`~repro.netsim.burst.MAX_DELIVERY_BURST` packets), whose
         drain verifies UDP checksums in a single vectorised pass — which
         is what makes an injected spray cost one heap push instead of N.
-        Callers that need the per-packet entry shape (anything that mixes
-        bounded ``run(max_events=...)`` stepping with exact event counts)
-        keep using :meth:`transmit_batch`.
         """
         pipelines_get = self._pipelines.get
         compile_pipeline = self._compile_pipeline
@@ -686,13 +640,3 @@ class Network:
         if mark_spoofed:
             packet.metadata.setdefault("spoofed", True)
         self.transmit(packet)
-
-    def inject_batch(
-        self, packets: Iterable[IPv4Packet], mark_spoofed: bool = True
-    ) -> None:
-        """Off-path injection of a whole burst (see :meth:`transmit_batch`)."""
-        packets = list(packets)
-        if mark_spoofed:
-            for packet in packets:
-                packet.metadata.setdefault("spoofed", True)
-        self.transmit_batch(packets)

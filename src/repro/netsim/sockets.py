@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.netsim.udp import UDPDatagram
+from repro.netsim.errors import PacketError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.netsim.host import Host
@@ -52,8 +52,11 @@ class UDPSocket:
 
     def sendto(self, payload: bytes, dst_ip: str, dst_port: int) -> None:
         """Send ``payload`` to ``dst_ip:dst_port`` from this socket's port."""
-        datagram = UDPDatagram(src_port=self.port, dst_port=dst_port, payload=payload)
-        self.host.send_udp(dst_ip, datagram)
+        src_port = self.port
+        if not (0 <= src_port <= 0xFFFF and 0 <= dst_port <= 0xFFFF):
+            bad = src_port if not 0 <= src_port <= 0xFFFF else dst_port
+            raise PacketError(f"UDP port out of range: {bad}")
+        self.host.send_udp(dst_ip, src_port, dst_port, payload)
 
     def deliver(self, payload: bytes, src_ip: str, src_port: int, now: float) -> None:
         """Called by the host when a datagram for this port arrives."""

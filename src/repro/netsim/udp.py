@@ -20,7 +20,7 @@ from repro.netsim.errors import PacketError
 UDP_HEADER_LEN = 8
 
 #: Precompiled codec for the per-datagram hot path.  (The IPv4 pseudo-header
-#: is no longer materialised as bytes: ``udp_checksum`` assembles its word
+#: is never materialised as bytes: ``udp_checksum_arith`` assembles its word
 #: sum arithmetically.)
 _UDP_HEADER = struct.Struct("!HHHH")
 
@@ -52,31 +52,25 @@ def _address_word_sum(address: str) -> int:
 
 
 def udp_checksum(src_ip: str, dst_ip: str, datagram: UDPDatagram) -> int:
-    """Compute the UDP checksum for a datagram between two IPv4 addresses.
-
-    Fast path: rather than materialising pseudo-header + header bytes and
-    summing the concatenation, the word sum is assembled arithmetically —
-    the address word sums are cached, the protocol/length/port words are
-    added directly, and only the payload is reduced from bytes.  Because
-    ``2**16 ≡ 1 (mod 0xFFFF)``, folding is a single modulo; the total is
-    always positive (the nonzero length field contributes twice), so the
-    multiple-of-0xFFFF case folds to ``0xFFFF`` exactly as the word loop
-    does.  Byte-for-byte equivalence with the seed implementation is pinned
-    by the fast-path property tests.
-
-    The result is memoised (bounded LRU): every delivered datagram is
-    checksummed twice — once by the sending host filling the field in and
-    once by the receiving host verifying it.
-    """
-    return _udp_checksum_cached(
+    """Compute the UDP checksum for a datagram between two IPv4 addresses."""
+    return udp_checksum_arith(
         src_ip, dst_ip, datagram.src_port, datagram.dst_port, datagram.payload
     )
 
 
-@lru_cache(maxsize=8192)
-def _udp_checksum_cached(
+def udp_checksum_arith(
     src_ip: str, dst_ip: str, src_port: int, dst_port: int, payload: bytes
 ) -> int:
+    """The UDP checksum from raw header fields (the one implementation).
+
+    Rather than materialising pseudo-header + header bytes and summing the
+    concatenation, the word sum is assembled arithmetically: the address
+    word sums are cached, the protocol/length/port words are added
+    directly, and only the payload is reduced from bytes.  Byte-for-byte
+    equivalence with the seed implementation is pinned by the fast-path
+    property tests.  Deliberately not memoised: sent payloads are fresh
+    and received ones are verified once, so a memo would never hit.
+    """
     length = UDP_HEADER_LEN + len(payload)
     return _fold_checksum(
         _address_word_sum(src_ip)
@@ -109,7 +103,7 @@ def payload_word_sum(payload: bytes) -> int:
 
     Spoofing loops that send many datagrams with the same payload compute
     this once and combine it with cached address sums via
-    :func:`udp_checksum_from_sums`, skipping the per-packet memo lookup.
+    :func:`udp_checksum_from_sums`.
     """
     if len(payload) & 1:
         payload = payload + b"\x00"
@@ -133,27 +127,6 @@ def udp_checksum_from_sums(
     """
     return _fold_checksum(
         src_sum + dst_sum + length + length + src_port + dst_port + payload_sum
-    )
-
-
-def udp_checksum_arith(
-    src_ip: str, dst_ip: str, src_port: int, dst_port: int, payload: bytes
-) -> int:
-    """Uncached arithmetic checksum for the delivery pipeline's verify stage.
-
-    Verification sees a fresh payload per packet during spoofing sweeps, so
-    the memo in :func:`udp_checksum` would pay hashing and eviction for a
-    near-zero hit rate; this variant just computes.
-    """
-    length = UDP_HEADER_LEN + len(payload)
-    return _fold_checksum(
-        _address_word_sum(src_ip)
-        + _address_word_sum(dst_ip)
-        + length
-        + length
-        + src_port
-        + dst_port
-        + payload_word_sum(payload)
     )
 
 

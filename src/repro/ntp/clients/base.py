@@ -30,8 +30,7 @@ from repro.netsim.host import Host
 from repro.netsim.simulator import Simulator
 from repro.ntp.association import Association, AssociationState
 from repro.ntp.clock import SystemClock
-from repro.ntp.errors import NTPPacketError
-from repro.ntp.packet import NTPMode, NTPPacket, NTP_PORT
+from repro.ntp.packet import NTP_PACKET_LEN, NTP_PORT, NTPPacket
 from repro.ntp.timestamps import unix_from_wire
 
 
@@ -125,7 +124,8 @@ class BaseNTPClient:
         self._poll_event = None
         port = NTP_PORT if self.config.act_as_server else 0
         self.socket = host.bind(port, self._on_packet)
-        #: Outstanding polls: server ip -> (poll time, transmit timestamp).
+        #: Outstanding polls: server ip -> (poll time, the poll's 8 transmit
+        #: timestamp bytes, which a genuine response echoes as its origin).
         self._pending: dict[str, tuple] = {}
 
     # ------------------------------------------------------------ overrides
@@ -235,10 +235,10 @@ class BaseNTPClient:
     def _send_poll(self, association: Association) -> None:
         association.polls_sent += 1
         self.stats.polls_sent += 1
-        query = NTPPacket.client_query(self.clock.time(self.simulator.now))
+        wire = NTPPacket.client_query(self.clock.time(self.simulator.now)).encode()
         poll_time = self.simulator.now
-        self._pending[association.server_ip] = (poll_time, query.transmit_timestamp)
-        self.socket.sendto(query.encode(), association.server_ip, NTP_PORT)
+        self._pending[association.server_ip] = (poll_time, wire[40:48])
+        self.socket.sendto(wire, association.server_ip, NTP_PORT)
         self.simulator.schedule(
             self.config.response_timeout,
             lambda ip=association.server_ip, at=poll_time: self._check_timeout(ip, at),
@@ -258,26 +258,28 @@ class BaseNTPClient:
 
     # ------------------------------------------------------------- receive
     def _on_packet(self, payload: bytes, src_ip: str, src_port: int) -> None:
-        try:
-            packet = NTPPacket.decode(payload)
-        except NTPPacketError:
+        # Routes on the mode bits; the guards drop exactly the payloads
+        # NTPPacket.decode() raises on (truncation, mode 0) and the modes
+        # a client ignores.
+        if len(payload) < NTP_PACKET_LEN:
             return
-        if packet.mode is NTPMode.CLIENT:
-            self._serve_time(packet, src_ip, src_port)
+        mode_bits = payload[0] & 0x7
+        if mode_bits == 3:  # NTPMode.CLIENT
+            self._serve_time(payload, src_ip, src_port)
             return
-        if packet.mode is not NTPMode.SERVER:
+        if mode_bits != 4:  # NTPMode.SERVER
             return
         association = self.associations.get(src_ip)
-        if association is None:
-            return
         pending = self._pending.get(src_ip)
-        if pending is None or packet.origin_timestamp != pending[1]:
+        if association is None or pending is None or payload[24:32] != pending[1]:
             # Responses whose origin timestamp does not echo one of our own
             # outstanding queries are discarded (RFC 5905 packet sanity
-            # checks).  This is what makes the server's replies to the
-            # attacker's *spoofed* queries harmless to the client state.
+            # checks), before any decode.  This is what makes the server's
+            # replies to the attacker's *spoofed* queries harmless to the
+            # client state, and cheap to throw away.
             return
-        self._pending.pop(src_ip, None)
+        del self._pending[src_ip]
+        packet = NTPPacket.decode(payload)
         if packet.is_kiss_of_death:
             self.stats.kods_received += 1
             association.record_kod()
@@ -290,18 +292,18 @@ class BaseNTPClient:
         self.stats.responses_received += 1
         self._discipline()
 
-    def _serve_time(self, query: NTPPacket, src_ip: str, src_port: int) -> None:
+    def _serve_time(self, query_wire: bytes, src_ip: str, src_port: int) -> None:
         """Answer a mode 3 query when acting as a server (refid leak)."""
         if not self.config.act_as_server:
             return
         peer = self.system_peer()
-        response = NTPPacket.server_response(
-            query,
-            server_time=self.clock.time(self.simulator.now),
+        response = NTPPacket.server_response_wire(
+            query_wire,
+            self.clock.time(self.simulator.now),
             stratum=3,
             reference_id=peer.server_ip if peer else "",
         )
-        self.socket.sendto(response.encode(), src_ip, src_port)
+        self.socket.sendto(response, src_ip, src_port)
 
     # ----------------------------------------------------------- discipline
     def _selected_offset(self) -> Optional[float]:

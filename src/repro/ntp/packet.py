@@ -7,12 +7,17 @@ stratum-2+ server carries the IPv4 address of its current upstream server,
 which is the information leak the run-time attack's scenario P2 uses to
 discover a victim's associations one at a time (paper section IV-B2b).
 
-Hot-path note: every poll, response and spoofed query in an experiment goes
-through :meth:`NTPPacket.encode`/:meth:`NTPPacket.decode`, so both use one
-precompiled :class:`struct.Struct` covering the whole 48-byte packet — the
-four timestamps are (un)packed as eight 32-bit words in the same operation,
-with no intermediate 8-byte slices — and the packet itself is a slotted
-dataclass.  Decoding truncated or malformed bytes raises the typed
+Hot-path note: the two packets an attack produces by the hundred thousand
+never become packet objects.  Spoofed mode 3 queries are built by
+:meth:`NTPPacket.client_query_wire`, and servers answer them with
+:meth:`NTPPacket.server_response_wire`, which splices a cached header, the
+server timestamp and the query's transmit bytes into the 48 response bytes.
+Clients discard replies that do not echo a pending poll before decoding
+them.  What is still decoded and encoded (client polls, accepted responses,
+Kiss-o'-Death packets) goes through :meth:`NTPPacket.encode`/
+:meth:`NTPPacket.decode`, which use one precompiled :class:`struct.Struct`
+for the whole 48-byte packet; the packet itself is a slotted dataclass.
+Decoding truncated or malformed bytes raises the typed
 :class:`~repro.ntp.errors.NTPPacketError` (a ``ValueError`` subclass), never
 a raw ``struct.error``.
 """
@@ -41,8 +46,8 @@ NTP_PACKET_LEN = 48
 #: The whole 48-byte packet as one precompiled codec: header fields, the
 #: 4-byte reference id, then the four timestamps as eight 32-bit words.
 _NTP_WIRE = struct.Struct("!BBbbII4s8I")
-#: The two 32-bit words of a transmit timestamp (see ``client_query_wire``).
-_TRANSMIT_WORDS = struct.Struct("!II")
+#: The two 32-bit words of one timestamp (see the ``*_wire`` methods).
+_TIMESTAMP_WORDS = struct.Struct("!II")
 #: First 40 bytes of every default mode 3 query: leap 0 / version 4 / mode 3,
 #: stratum 0, poll 6, precision -20, zero root delay/dispersion/refid and
 #: zero reference, origin and receive timestamps.
@@ -96,6 +101,34 @@ def _encode_refid(stratum: int, reference_id: str) -> bytes:
     if stratum <= 1:
         return reference_id.encode("ascii")[:4].ljust(4, b"\x00")
     return ip_to_int(reference_id).to_bytes(4, "big")
+
+
+@lru_cache(maxsize=4096)
+def _server_response_prefix(stratum: int, reference_id: str, poll_byte: int) -> bytes:
+    """First 16 bytes of a mode 4 response (cached, bounded).
+
+    Leap 0 / version 4 / mode 4, the stratum, the query's raw poll byte,
+    precision -20, zero root delay and dispersion, and the reference id.
+    """
+    return struct.pack(
+        "!BBBbII4s", 0x24, stratum, poll_byte, -20, 0, 0, _encode_refid(stratum, reference_id)
+    )
+
+
+def _server_response_wire(
+    query_wire: bytes, server_time: float, stratum: int, reference_id: str
+) -> bytes:
+    ntp_time = server_time + NTP_UNIX_EPOCH_DELTA
+    seconds = int(ntp_time)
+    fraction = int(round((ntp_time - seconds) * (1 << 32))) % (1 << 32)
+    now = _TIMESTAMP_WORDS.pack(seconds & 0xFFFFFFFF, fraction)
+    return (
+        _server_response_prefix(stratum, reference_id, query_wire[2])
+        + now
+        + query_wire[40:48]
+        + now
+        + now
+    )
 
 
 @dataclass(slots=True)
@@ -257,7 +290,7 @@ class NTPPacket:
         ntp_time = transmit_time + NTP_UNIX_EPOCH_DELTA
         seconds = int(ntp_time)
         fraction = int(round((ntp_time - seconds) * (1 << 32))) % (1 << 32)
-        return _CLIENT_QUERY_PREFIX + _TRANSMIT_WORDS.pack(
+        return _CLIENT_QUERY_PREFIX + _TIMESTAMP_WORDS.pack(
             seconds & 0xFFFFFFFF, fraction
         )
 
@@ -269,25 +302,46 @@ class NTPPacket:
         stratum: int = 2,
         reference_id: str = "",
     ) -> "NTPPacket":
-        """Build the mode 4 response to ``query`` at the server's clock time."""
+        """Build the mode 4 response to ``query`` at the server's clock time.
+
+        Servers send :meth:`server_response_wire` instead; this object form
+        is the reference that method is tested against.
+        """
         now = NTPTimestamp.from_unix(server_time)
-        # Direct slot assignment: servers build one of these per answered
-        # query (see the _decode note above).
-        packet = cls.__new__(cls)
-        packet.mode = NTPMode.SERVER
-        packet.leap = 0
-        packet.version = 4
-        packet.stratum = stratum
-        packet.poll = query.poll
-        packet.precision = -20
-        packet.root_delay = 0.0
-        packet.root_dispersion = 0.0
-        packet.reference_id = reference_id
-        packet.reference_timestamp = now
-        packet.origin_timestamp = query.transmit_timestamp
-        packet.receive_timestamp = now
-        packet.transmit_timestamp = now
-        return packet
+        return cls(
+            mode=NTPMode.SERVER,
+            stratum=stratum,
+            poll=query.poll,
+            reference_id=reference_id,
+            reference_timestamp=now,
+            origin_timestamp=query.transmit_timestamp,
+            receive_timestamp=now,
+            transmit_timestamp=now,
+        )
+
+    @classmethod
+    def server_response_wire(
+        cls,
+        query_wire: bytes,
+        server_time: float,
+        stratum: int = 2,
+        reference_id: str = "",
+    ) -> bytes:
+        """The wire bytes of the :meth:`server_response` to a query's bytes.
+
+        Byte-identical to ``server_response(decode(query_wire), ...).encode()``
+        (pinned by the fast-path property tests) without building either
+        packet: the header is cached per (stratum, reference id, poll byte),
+        the server timestamp is packed once for its three slots, and the
+        query's transmit bytes are copied in as the origin timestamp.  The
+        caller guarantees ``query_wire`` is at least 48 bytes long.
+        """
+        if STAGES.enabled:
+            started = perf_counter()
+            wire = _server_response_wire(query_wire, server_time, stratum, reference_id)
+            STAGES.add("ntp_encode", perf_counter() - started)
+            return wire
+        return _server_response_wire(query_wire, server_time, stratum, reference_id)
 
     @classmethod
     def kiss_of_death(cls, query: "NTPPacket", code: str = KissCode.RATE) -> "NTPPacket":

@@ -134,14 +134,12 @@ class NTPServer:
     def _compile_handler(self):
         """Build the per-query handler with the hot handles pre-bound.
 
-        Routes on the mode bits alone; the full decode is deferred until a
-        response is actually built.  A rate-limited spoofing flood — tens
-        of thousands of dropped queries per campaign — never pays for
-        parsing fields the drop path does not read.  The two guard tests
-        reject exactly the payloads NTPPacket.decode() raises on
-        (truncation, invalid mode 0), so the accounting that follows sees
-        the same packets it always did and the deferred decode cannot
-        fail.
+        Routes on the mode bits alone and never decodes an answered query:
+        the response is spliced from the query's bytes by
+        :meth:`NTPPacket.server_response_wire`.  The two guard tests reject
+        exactly the payloads NTPPacket.decode() raises on (truncation,
+        invalid mode 0), so the accounting that follows sees the same
+        packets it always did and the Kiss-o'-Death decode cannot fail.
         """
         stats = self.stats
         simulator = self.simulator
@@ -174,25 +172,29 @@ class NTPServer:
     def _answer_query(
         self, payload: bytes, src_ip: str, src_port: int, decision, now: float
     ) -> None:
-        """The non-drop tail of query handling: decode, KoD or respond."""
+        """The non-drop tail of query handling: KoD or respond."""
         stats = self.stats
-        query = NTPPacket.decode(payload)
         if decision is _KOD:
-            stats.kods_sent += 1
-            kod = NTPPacket.kiss_of_death(query, KissCode.RATE)
-            self.socket.sendto(kod.encode(), src_ip, src_port)
+            self._send_kod(payload, src_ip, src_port)
             return
-        if self.config.respond_probability < 1.0 and self._rng.random() > self.config.respond_probability:
+        config = self.config
+        if config.respond_probability < 1.0 and self._rng.random() > config.respond_probability:
             stats.queries_dropped += 1
             return
-        response = NTPPacket.server_response(
-            query,
-            server_time=self.clock.time(now),
-            stratum=self.config.stratum,
-            reference_id=self.config.upstream_server,
-        )
         stats.responses_sent += 1
-        self.socket.sendto(response.encode(), src_ip, src_port)
+        self.socket.sendto(
+            NTPPacket.server_response_wire(
+                payload, self.clock.time(now), config.stratum, config.upstream_server
+            ),
+            src_ip,
+            src_port,
+        )
+
+    def _send_kod(self, payload: bytes, src_ip: str, src_port: int) -> None:
+        """Answer one query with a RATE Kiss-o'-Death."""
+        self.stats.kods_sent += 1
+        kod = NTPPacket.kiss_of_death(NTPPacket.decode(payload), KissCode.RATE)
+        self.socket.sendto(kod.encode(), src_ip, src_port)
 
     def _on_packet_burst(self, payloads: list, src_ip: str, src_port: int) -> None:
         """Burst twin of :meth:`_on_packet` for N same-source arrivals.
@@ -202,11 +204,11 @@ class NTPServer:
         limiter advances through one
         :meth:`~repro.ntp.rate_limit.RateLimiter.consume_burst` call — its
         decisions for a same-instant burst are always RESPOND × n, then at
-        most one KoD, then drops — and only the queries that actually get
-        an answer are decoded.  Heterogeneous bursts (anything that is not
-        a well-formed mode 3 query) and probabilistic responders (whose
-        per-response RNG draws must happen in per-query order) fall back
-        to the sequential loop.
+        most one KoD, then drops — and answers are spliced from the query
+        bytes without decoding them.  Heterogeneous bursts (anything that
+        is not a well-formed mode 3 query) and probabilistic responders
+        (whose per-response RNG draws must happen in per-query order) fall
+        back to the sequential loop.
         """
         if self.config.respond_probability < 1.0:
             on_packet = self._on_packet
@@ -225,26 +227,21 @@ class NTPServer:
         now = self.simulator._now  # slot read, as in _on_packet
         outcome = self._limiter.consume_burst(src_ip, n, now)
         responds = outcome.responds
-        sendto = self.socket.sendto
         if responds:
+            sendto = self.socket.sendto
+            response_wire = NTPPacket.server_response_wire
+            server_time = self.clock.time(now)
             stratum = self.config.stratum
             reference_id = self.config.upstream_server
-            clock_time = self.clock.time
             for index in range(responds):
-                query = NTPPacket.decode(payloads[index])
-                response = NTPPacket.server_response(
-                    query,
-                    server_time=clock_time(now),
-                    stratum=stratum,
-                    reference_id=reference_id,
-                )
                 stats.responses_sent += 1
-                sendto(response.encode(), src_ip, src_port)
+                sendto(
+                    response_wire(payloads[index], server_time, stratum, reference_id),
+                    src_ip,
+                    src_port,
+                )
         if outcome.kod:
-            query = NTPPacket.decode(payloads[responds])
-            stats.kods_sent += 1
-            kod = NTPPacket.kiss_of_death(query, KissCode.RATE)
-            sendto(kod.encode(), src_ip, src_port)
+            self._send_kod(payloads[responds], src_ip, src_port)
         stats.queries_dropped += outcome.drops
 
     def _handle_config_query(self, src_ip: str, src_port: int) -> None:

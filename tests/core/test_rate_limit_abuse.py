@@ -59,7 +59,7 @@ class TestCampaignMechanics:
 
 class TestBatchedRounds:
     def test_batched_rounds_match_per_campaign_outcomes(self):
-        """Batched mode (one event per round, transmit_batch burst) must
+        """Batched mode (one event per round, inject_burst spray) must
         rate-limit the same servers with the same query volume as the
         default per-campaign scheduling — only the event-loop shape may
         differ."""

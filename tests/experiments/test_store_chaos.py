@@ -51,12 +51,20 @@ def _chaos_store_slow(x: int = 0) -> dict:
 
 
 @scenario("_chaos_kill9_worker")
-def _chaos_kill9_worker() -> None:
+def _chaos_kill9_worker(marker: str = "") -> None:
+    if marker:
+        open(marker, "w").close()
     os.kill(os.getpid(), signal.SIGKILL)
 
 
 @scenario("_chaos_sleep")
-def _chaos_sleep(seconds: float = 0.6, x: int = 0) -> int:
+def _chaos_sleep(seconds: float = 0.6, x: int = 0, after: str = "") -> int:
+    # ``after`` holds the sleep back until the crasher has run, so a slow
+    # worker start cannot let sleeps finish (and the crasher fly alone)
+    # before the crash happens.
+    deadline = time.monotonic() + 30.0
+    while after and not os.path.exists(after) and time.monotonic() < deadline:
+        time.sleep(0.01)
     time.sleep(seconds)
     return x
 
@@ -149,9 +157,11 @@ runner.run_stored(RunStore(root), "chaos", specs, sweep_id="kill")
 class TestWorkerSigkill:
     """kill -9 a worker mid-sweep; probation re-parallelises the drain."""
 
-    def test_worker_kill_does_not_serialise_sweep(self):
-        specs = [RunSpec.make("_chaos_kill9_worker")] + [
-            RunSpec.make("_chaos_sleep", seconds=0.6, x=i) for i in range(8)
+    def test_worker_kill_does_not_serialise_sweep(self, tmp_path):
+        marker = str(tmp_path / "crashed")
+        specs = [RunSpec.make("_chaos_kill9_worker", marker=marker)] + [
+            RunSpec.make("_chaos_sleep", seconds=0.6, x=i, after=marker)
+            for i in range(8)
         ]
         runner = ExperimentRunner(max_workers=4, chunk_size=1, retry=None)
         start = time.monotonic()

@@ -29,9 +29,9 @@ LRU_CACHED_FUNCTIONS = [
     names_module._wire_parts,
     names_module._uncompressed_wire,
     udp_module._address_word_sum,
-    udp_module._udp_checksum_cached,
     packet_module._decode_refid,
     packet_module._encode_refid,
+    packet_module._server_response_prefix,
 ]
 
 

@@ -138,7 +138,7 @@ class TestStrictRouting:
             src="10.0.0.1", dst="172.16.0.1", protocol=IPProtocol.UDP, payload=b""
         )
         with pytest.raises(NoRouteError):
-            net.transmit_batch([packet])
+            net.transmit_burst([packet])
 
 
 class TestPipelineCache:
@@ -205,31 +205,22 @@ class TestBatchedDelivery:
         payload = encode_udp(src, dst, UDPDatagram(4000, 53, b"ping"))
         return IPv4Packet.udp(src, dst, payload, ipid)
 
-    def test_receive_batch_equals_sequential_receive(self):
-        sim, net, a, b = make_net()
-        received = []
-        b.bind(53, lambda payload, ip, port: received.append(payload))
-        packets = [self._query_packet("10.0.0.1", "10.0.0.2", i) for i in range(5)]
-        b.receive_batch(packets)
-        assert received == [b"ping"] * 5
-        assert b.stats.udp_received == 5
-
-    def test_transmit_batch_counts_and_delivers(self):
+    def test_transmit_burst_counts_and_delivers(self):
         sim, net, a, b = make_net()
         received = []
         b.bind(53, lambda payload, ip, port: received.append(payload))
         packets = [self._query_packet("10.0.0.1", "10.0.0.2", i) for i in range(8)]
         packets.append(self._query_packet("10.0.0.1", "172.16.0.1", 99))  # unrouted
-        net.transmit_batch(packets)
+        net.transmit_burst(packets)
         sim.run()
         assert received == [b"ping"] * 8
         assert net.packets_transmitted == 9
         assert net.packets_dropped == 1
 
-    def test_inject_batch_marks_spoofed(self):
+    def test_inject_burst_marks_spoofed(self):
         sim, net, a, b = make_net()
         packets = [self._query_packet("10.0.0.1", "10.0.0.2", i) for i in range(3)]
-        net.inject_batch(packets)
+        net.inject_burst(packets)
         assert all(p.metadata["spoofed"] for p in packets)
 
 

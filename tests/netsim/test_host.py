@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netsim.errors import PortInUseError
+from repro.netsim.errors import PacketError, PortInUseError
 from repro.netsim.host import OSProfile
 from repro.netsim.icmp import frag_needed
 from repro.netsim.network import Network
@@ -41,6 +41,15 @@ class TestUDPDelivery:
         sim.run()
         assert len(socket.inbox) == 1
         assert socket.inbox[0].payload == b"queued"
+
+    def test_sendto_rejects_out_of_range_ports(self):
+        sim, net, sender, receiver = build_pair()
+        with pytest.raises(PacketError, match="70000"):
+            sender.bind(4000).sendto(b"x", "10.0.0.2", 70000)
+        with pytest.raises(PacketError, match="-1"):
+            sender.bind(-1).sendto(b"x", "10.0.0.2", 53)
+        assert sender.stats.udp_sent == 0
+        assert net.packets_transmitted == 0
 
     def test_port_conflict_rejected(self):
         _, _, _, receiver = build_pair()

@@ -1,16 +1,17 @@
-"""Property tests pinning the batched delivery API to the singular one.
+"""Property tests pinning the burst delivery API to the singular one.
 
-``Network.transmit_batch`` must be *event-for-event* equivalent to N
-single ``transmit`` calls under a fixed seed: the same heap entries with
-the same sequence numbers, the same loss draws in the same order, the same
-captures, counters and delivered bytes — including fragmented trains and
-spoofed injections.  The property builds two identically seeded worlds,
-drives one with singular calls and the other with one batch, and compares
-every observable.
+``Network.transmit_burst``/``inject_burst`` must be *logically*
+event-for-event equivalent to N single ``transmit``/``inject`` calls under
+a fixed seed: the same sequence numbers, the same loss draws in the same
+order, the same captures, counters and delivered bytes — including
+fragmented trains and spoofed injections.  The property builds two
+identically seeded worlds, drives one with singular calls and the other
+with bursts, and compares every observable.
 
-A second block pins the spoofed-query crafting fast path (precomputed word
-sums, arithmetic fold) byte-identical to the generic ``encode_udp`` tower
-it replaced.
+A second block pins the send paths that skip the generic ``encode_udp``
+tower (the host's socket send and the spoofed-query crafting fast path,
+both on precomputed word sums and the arithmetic fold) byte-identical to
+it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.netsim.udp import (
     encode_udp,
     payload_word_sum,
     udp_checksum,
-    udp_checksum_arith,
     udp_checksum_from_sums,
 )
 
@@ -149,8 +149,8 @@ class TestTransmitBatchEquivalence:
         sim_a.run()
         state_a = observable_state(sim_a, net_a, recv_a, cap_a, net_a.hosts)
 
-        # World B: the same burst through the batched entry points, split
-        # into one inject_batch (spoofed) per contiguous run to preserve
+        # World B: the same packets through the burst entry points, split
+        # into one inject_burst (spoofed) per contiguous run to preserve
         # ordering exactly as the singular interleaving produced it.
         sim_b, net_b, recv_b, cap_b = build_world(loss)
         pending: list[IPv4Packet] = []
@@ -161,9 +161,9 @@ class TestTransmitBatchEquivalence:
             if not pending:
                 return
             if pending_spoof:
-                net_b.inject_batch(pending)
+                net_b.inject_burst(pending)
             else:
-                net_b.transmit_batch(pending)
+                net_b.transmit_burst(pending)
             pending = []
             pending_spoof = None
 
@@ -178,25 +178,6 @@ class TestTransmitBatchEquivalence:
 
         assert state_a == state_b
 
-    @given(st.lists(sends, min_size=1, max_size=12))
-    @settings(max_examples=30, deadline=None)
-    def test_receive_batch_equivalent_to_sequential_receive(self, plan):
-        sim_a, net_a, recv_a, _ = build_world(0.0)
-        target_a = net_a.host(HOST_IPS[1])
-        sim_b, net_b, recv_b, _ = build_world(0.0)
-        target_b = net_b.host(HOST_IPS[1])
-        packets_a = [p for p, _ in build_packets(plan)]
-        packets_b = [p.copy() for p in packets_a]
-        for packet in packets_a:
-            target_a.receive(packet)
-        target_b.receive_batch(packets_b)
-        assert recv_a == recv_b
-        assert target_a.stats.udp_received == target_b.stats.udp_received
-        assert (
-            target_a.stats.udp_checksum_failures
-            == target_b.stats.udp_checksum_failures
-        )
-
 
 class TestChecksumFastPathsPinned:
     addresses = st.sampled_from(
@@ -207,15 +188,24 @@ class TestChecksumFastPathsPinned:
 
     @given(addresses, addresses, ports, ports, payloads)
     @settings(max_examples=200)
-    def test_arith_checksum_matches_cached(self, src, dst, sport, dport, payload):
-        datagram = UDPDatagram(sport, dport, payload)
-        assert udp_checksum_arith(src, dst, sport, dport, payload) == udp_checksum(
-            src, dst, datagram
+    def test_send_udp_matches_encode_udp(self, src, dst, sport, dport, payload):
+        """A socket send packs the same UDP bytes as the datagram tower."""
+        simulator = Simulator(seed=3)
+        network = Network(simulator)
+        sender = network.add_host("sender", src)
+        if dst != src:
+            network.add_host("receiver", dst)
+        capture = PacketCapture(name="send")
+        network.attach_capture(capture)
+        sender.send_udp(dst, sport, dport, payload)
+        (captured,) = capture.packets
+        assert captured.packet.payload == encode_udp(
+            src, dst, UDPDatagram(sport, dport, payload)
         )
 
     @given(addresses, addresses, ports, ports, payloads)
     @settings(max_examples=200)
-    def test_checksum_from_sums_matches_cached(self, src, dst, sport, dport, payload):
+    def test_checksum_from_sums_matches_udp_checksum(self, src, dst, sport, dport, payload):
         expected = udp_checksum(src, dst, UDPDatagram(sport, dport, payload))
         observed = udp_checksum_from_sums(
             _address_word_sum(src),

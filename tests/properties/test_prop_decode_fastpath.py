@@ -1,14 +1,20 @@
 """Decode fast-path equivalence: the rework must match the seed byte-for-byte.
 
-The decode fast path (PR 2) replaced the seed's eager slice-per-field DNS
-decoder with struct.unpack_from cursors, interned names, lazily materialised
-record sections and a decoded-message cache, and the seed's multi-struct NTP
+The decode fast path replaced the seed's eager slice-per-field DNS decoder
+with struct.unpack_from cursors, interned names, lazily materialised record
+sections and a decoded-message cache, and the seed's multi-struct NTP
 decoder with a single precompiled struct plus unvalidated timestamp
 construction.  These property tests pin the new implementations against
 *verbatim reference copies of the seed implementations* embedded below
 (git 849f001, before the rework), including the name-compression pointer
 edge cases, so any divergence — field values, error class, laziness leaking
 into observable state — fails loudly.
+
+The NTP answer round trip skips packet objects altogether: servers splice
+responses from query bytes, and clients discard replies that echo no
+pending poll before decoding them.  Both are pinned against the
+object-level paths they replaced (``server_response(...).encode()`` and a
+decode-first copy of the client's receive handler).
 """
 
 from __future__ import annotations
@@ -23,9 +29,15 @@ from repro.dns.errors import MessageError, NameError_
 from repro.dns.message import DNSMessage
 from repro.dns.names import decode_name, skip_name
 from repro.dns.records import RRType, a_record, cname_record, ns_record, soa_record, txt_record
+from repro.netsim.network import Network
+from repro.netsim.simulator import Simulator
+from repro.ntp.association import Association
+from repro.ntp.clients.base import BaseNTPClient, NTPClientConfig
+from repro.ntp.clock import SystemClock
 from repro.ntp.errors import NTPPacketError
-from repro.ntp.packet import NTPPacket
-from repro.ntp.timestamps import NTPTimestamp
+from repro.ntp.packet import NTPMode, NTPPacket
+from repro.ntp.timestamps import NTPTimestamp, unix_from_wire
+from repro.perf import STAGES
 
 # ----------------------------------------------------------------- strategies
 octet = st.integers(min_value=0, max_value=255)
@@ -487,3 +499,152 @@ class TestNTPDecodeEquivalence:
     def test_timestamp_wire_round_trip(self, seconds, fraction):
         ts = NTPTimestamp(seconds=seconds, fraction=fraction)
         assert NTPTimestamp.from_bytes(ts.to_bytes()) == ts
+
+
+# ------------------------------------------------------ NTP answer round trip
+#: Reference ids a server can carry: none, an upstream address (stratum 2+)
+#: or a reference clock name (stratum 1).
+refids = st.one_of(
+    st.just(""),
+    ip_addresses,
+    st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=1, max_size=4),
+)
+
+
+class TestServerResponseWire:
+    @given(
+        query_body=ntp_bodies,
+        stratum=st.integers(min_value=1, max_value=15),
+        reference_id=refids,
+        true_time=st.floats(min_value=0, max_value=2**31, allow_nan=False),
+        offset=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        drift_ppm=st.floats(min_value=-500, max_value=500, allow_nan=False),
+    )
+    @settings(max_examples=400)
+    def test_matches_server_response_encode(
+        self, query_body, stratum, reference_id, true_time, offset, drift_ppm
+    ):
+        # Byte 2 of the random body is the poll byte: every signed value.
+        query_wire = _ntp_wire((4 << 3) | 3, 0, query_body)
+        if stratum >= 2 and reference_id.isalpha():
+            reference_id = ""  # a name is no address: neither path encodes it
+        clock = SystemClock(offset=offset, drift_ppm=drift_ppm, created_at=true_time / 2)
+        server_time = clock.time(true_time)
+        expected = NTPPacket.server_response(
+            NTPPacket.decode(query_wire), server_time, stratum, reference_id
+        ).encode()
+        assert (
+            NTPPacket.server_response_wire(query_wire, server_time, stratum, reference_id)
+            == expected
+        )
+
+    def test_timed_as_ntp_encode_when_stages_enabled(self):
+        query_wire = NTPPacket.client_query_wire(1_700_000_000.5)
+        STAGES.reset()
+        STAGES.enable()
+        try:
+            NTPPacket.server_response_wire(query_wire, 1_700_000_001.0)
+            _times, calls = STAGES.merged()
+        finally:
+            STAGES.disable()
+            STAGES.reset()
+        assert calls.get("ntp_encode") == 1
+
+
+SERVER_IPS = ("203.0.113.1", "203.0.113.2")
+UNKNOWN_SERVER = "203.0.113.99"
+
+
+def decode_first_on_packet(client, payload, src_ip, src_port):
+    """The client's receive handler as it was before the pre-decode discard."""
+    try:
+        packet = NTPPacket.decode(payload)
+    except NTPPacketError:
+        return
+    if packet.mode is NTPMode.CLIENT:
+        client._serve_time(payload, src_ip, src_port)
+        return
+    if packet.mode is not NTPMode.SERVER:
+        return
+    association = client.associations.get(src_ip)
+    if association is None:
+        return
+    pending = client._pending.get(src_ip)
+    if pending is None or packet.origin_timestamp != NTPTimestamp.from_bytes(pending[1]):
+        return
+    client._pending.pop(src_ip, None)
+    if packet.is_kiss_of_death:
+        client.stats.kods_received += 1
+        association.record_kod()
+        client._after_failure(association)
+        return
+    now = client.simulator.now
+    transmit = packet.transmit_timestamp
+    offset = unix_from_wire(transmit.seconds, transmit.fraction) - client.clock.time(now)
+    association.record_success(offset)
+    client.stats.responses_received += 1
+    client._discipline()
+
+
+def polling_client():
+    """A client with two associations, each with one poll outstanding."""
+    simulator = Simulator(seed=5)
+    network = Network(simulator)
+    host = network.add_host("victim", "192.0.2.10")
+    config = NTPClientConfig(unreachable_after=2, min_step_samples=1, step_delay=0.0)
+    client = BaseNTPClient(host, simulator, "192.0.2.53", config=config)
+    for server_ip in SERVER_IPS:
+        client.associations[server_ip] = Association(server_ip=server_ip)
+        client._send_poll(client.associations[server_ip])
+    return client
+
+
+def client_state(client):
+    return (
+        client.stats,
+        dict(client._pending),
+        dict(client.associations),
+        client.clock.offset,
+        list(client.clock.adjustments),
+    )
+
+
+#: One delivered reply: (kind, server index, server clock offset, KoD?,
+#: truncation length, random origin bytes).
+replies = st.tuples(
+    st.sampled_from(["match", "mismatch", "unknown", "truncated"]),
+    st.integers(min_value=0, max_value=1),
+    st.floats(min_value=-1000, max_value=1000, allow_nan=False),
+    st.booleans(),
+    st.integers(min_value=0, max_value=47),
+    st.binary(min_size=8, max_size=8),
+)
+
+
+def reply_payload(client, origins, reply):
+    kind, index, offset, kod, cut, random_origin = reply
+    server_ip = SERVER_IPS[index]
+    origin = random_origin if kind == "mismatch" else origins[server_ip]
+    query_wire = bytes(40) + origin
+    if kod:
+        payload = NTPPacket.kiss_of_death(NTPPacket.decode(b"\x23" + query_wire[1:])).encode()
+    else:
+        payload = NTPPacket.server_response_wire(query_wire, client.simulator.now + offset)
+    if kind == "truncated":
+        payload = payload[:cut]
+    return (UNKNOWN_SERVER if kind == "unknown" else server_ip), payload
+
+
+class TestClientPreDecodeDiscard:
+    @given(st.lists(replies, min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_discard_leaves_state_identical_to_decode_first(self, plan):
+        fast = polling_client()
+        reference = polling_client()
+        origins = {ip: pending[1] for ip, pending in fast._pending.items()}
+        assert client_state(fast) == client_state(reference)
+        for reply in plan:
+            src_ip, payload = reply_payload(fast, origins, reply)
+            fast._on_packet(payload, src_ip, 123)
+            decode_first_on_packet(reference, payload, src_ip, 123)
+            assert client_state(fast) == client_state(reference)
