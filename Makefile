@@ -6,8 +6,9 @@
 #   make bench         both of the above, in order — the full pre-merge gate
 #   make bench-refresh re-run benchmarks and rewrite BENCH_netsim.json
 #                      (refuses to overwrite the baseline on regression)
-#   make bench-burst   quick burst-engine microbenchmarks only (delivery
-#                      bursts + bulk rate-limiter accounting, JSON output)
+#   make bench-burst   quick burst-engine microbenchmarks only (spray
+#                      delivery via Network.transmit_spray + bulk
+#                      rate-limiter accounting, JSON output)
 #   make chaos         fault-injection / resilience property suite only
 #                      (the `chaos`-marked tests, which `make test` also runs;
 #                      includes the kill -9 crash-injection harness)
@@ -32,11 +33,16 @@
 #                      workload: table2, fleet, landscape or chaos; prints
 #                      the end-to-end metrics, or the per-layer ones with
 #                      TRACE=1 (see BENCHMARK.json)
+#   make perfbench-ab REV=<git rev> W=<workload> [PAIRS=n] [SEED=n]
+#                      paired A/B of the benchmark of record: this checkout
+#                      against a local worktree of REV, run in alternating
+#                      order; prints per-metric medians, REV's IQR and the
+#                      win count (benchmarks/ab.py)
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test regression regression-trend bench bench-refresh bench-burst chaos store-fsck population-smoke chaos-campaign perfbench
+.PHONY: test regression regression-trend bench bench-refresh bench-burst chaos store-fsck population-smoke chaos-campaign perfbench perfbench-ab
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -78,3 +84,10 @@ perfbench:
 		exit 2; \
 	fi
 	python3 perfbench/run.py --workload $(W) $(if $(SEED),--seed $(SEED)) --trace $(or $(TRACE),0)
+
+perfbench-ab:
+	@if [ -z "$(REV)" ] || [ -z "$(W)" ]; then \
+		echo "usage: make perfbench-ab REV=<git rev> W=table2|fleet|landscape|chaos [PAIRS=n] [SEED=n]" >&2; \
+		exit 2; \
+	fi
+	python3 benchmarks/ab.py $(REV) --workload $(W) --pairs $(or $(PAIRS),10) $(if $(SEED),--seed $(SEED))

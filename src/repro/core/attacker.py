@@ -124,8 +124,7 @@ class Attacker:
 
         Logically equivalent to :meth:`inject` per packet (order, counters,
         loss draws, delivered bytes), but the same-instant spray costs one
-        heap entry and its UDP checksums verify in one vectorised pass —
-        see :meth:`repro.netsim.network.Network.transmit_burst`.
+        heap entry — see :meth:`repro.netsim.network.Network.transmit_burst`.
         """
         packets = list(packets)
         self.stats.packets_injected += len(packets)

@@ -14,32 +14,30 @@ packets (one spoofed query every couple of seconds per server) and harms
 nobody else: the server keeps serving all other clients.
 
 The send loop is a simulator hot path — tens of thousands of spoofed
-queries per campaign — so the packets are crafted without the generic
-UDP-encode tower: the mode 3 wire payload and its checksum word sum are
-memoised per burst instant (every active campaign fires at the same
-simulated time), and the per-server checksum is assembled arithmetically
-from cached address word sums.  The crafted bytes are pinned
-byte-identical to ``encode_udp`` by property tests.
+queries per campaign — so a round is crafted as bytes only, without the
+generic UDP-encode tower and without packet objects: the mode 3 wire
+payload and its checksum word sum are memoised per round instant (every
+active campaign fires at the same simulated time), and each server's
+checksum is assembled arithmetically from cached address word sums.
+The crafted datagrams are pinned byte-identical to ``encode_udp`` by
+property tests.
 
-Two scheduling shapes are supported, both riding the burst engine:
-
-* **per-campaign cohorts** (default): campaigns started by one
-  ``target()`` / ``target_many()`` call form a *cohort* that keeps its own
-  cadence — every ``query_interval`` the whole cohort fires as one burst
-  heap entry (:meth:`repro.netsim.simulator.Simulator.post_burst_entry`)
-  whose flat loop crafts one spoofed query per active member and hands
-  the spray to :meth:`~repro.netsim.network.Network.transmit_burst`.
-  This is *event-for-event equivalent* to the original per-campaign
-  self-rescheduling loop — the cohort entry consumes one sequence number
-  and counts one processed event per member, members fire in start
-  order, and cohorts started at different instants never merge — so the
-  golden fixed-seed results (event counts included) stay bit-identical
-  while a 46-server round costs two heap entries instead of 92.
-* **batched rounds** (``batched=True``): one shared round grid for all
-  campaigns; a campaign started *mid-interval* is folded onto the grid,
-  so its first gap is shorter than ``query_interval`` — faster than
-  per-campaign mode, never slower, but not query-for-query identical,
-  which is why batching stays opt-in.
+Campaigns started by one ``target()`` / ``target_many()`` call form a
+*cohort* that keeps its own cadence: every ``query_interval`` the whole
+cohort fires as one burst heap entry
+(:meth:`repro.netsim.simulator.Simulator.post_burst_entry`) whose flat loop
+crafts one spoofed datagram per active member and hands the round to
+:meth:`~repro.netsim.network.Network.transmit_spray` as one source's spray.
+On a uniform network plan (every server routed, lossless, fault-free, one
+latency) the spray travels as a single heap entry of raw datagrams; any
+other plan, or an attached capture, makes the network materialise the
+spoofed packets and deliver them through its burst path instead.  Either
+way the round is *event-for-event equivalent* to one self-rescheduling
+event per campaign: the cohort entry consumes one sequence number and
+counts one processed event per member, members fire in start order, and
+cohorts started at different instants never merge — so the golden
+fixed-seed results (event counts included) stay bit-identical while a
+46-server round costs two heap entries instead of 92.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.attacker import Attacker
-from repro.netsim.packet import IPProtocol, IPv4Packet
+from repro.netsim.packet import IPv4Packet
 from repro.netsim.simulator import Simulator
 from repro.perf import STAGES, perf_counter
 from repro.netsim.udp import (
@@ -62,7 +60,6 @@ from repro.ntp.packet import NTPPacket, NTP_PORT
 #: UDP length field of a spoofed mode 3 query (8-byte header + 48-byte NTP).
 _QUERY_UDP_LENGTH = UDP_HEADER_LEN + 48
 _PACK_UDP_HEADER = _UDP_HEADER.pack
-_UDP_PROTOCOL = IPProtocol.UDP
 
 
 @dataclass(slots=True)
@@ -134,12 +131,6 @@ class AssociationRemover:
         implementation) so the victim remains limited; the default of 2 s
         keeps the overall attack volume at a fraction of a packet per second
         per server.
-    batched:
-        Opt into batched rounds: one simulator event per interval sends the
-        whole burst of spoofed queries (one per active campaign) through
-        :meth:`~repro.core.attacker.Attacker.inject_burst`.  Identical
-        server-side effect for campaigns started together; staggered
-        starts are folded onto the shared round grid (see module doc).
     """
 
     def __init__(
@@ -148,7 +139,6 @@ class AssociationRemover:
         simulator: Simulator,
         victim_ip: str,
         query_interval: float = 2.0,
-        batched: bool = False,
     ) -> None:
         if query_interval < 0:
             # Validated here because the send loop schedules with an inlined
@@ -158,7 +148,6 @@ class AssociationRemover:
         self.simulator = simulator
         self.victim_ip = victim_ip
         self.query_interval = query_interval
-        self.batched = batched
         self.stats = RemoverStats()
         self.campaigns: dict[str, RemovalCampaign] = {}
         #: Hot-loop handles resolved once (the send loop runs per query).
@@ -170,24 +159,11 @@ class AssociationRemover:
         self._wire_time: Optional[float] = None
         self._wire: bytes = b""
         self._wire_sum = 0
-        self._round_scheduled = False
 
     # -------------------------------------------------------------- control
     def target(self, server_ip: str) -> RemovalCampaign:
         """Start (or return the existing) campaign against one server."""
-        if server_ip in self.campaigns and self.campaigns[server_ip].active:
-            return self.campaigns[server_ip]
-        campaign = self._new_campaign(server_ip)
-        if self.batched:
-            self._send_round_for([campaign])
-            if not self._round_scheduled:
-                self._round_scheduled = True
-                self.simulator.post(self.query_interval, self._send_round)
-        else:
-            cohort = [campaign]
-            self._send_cohort(cohort)
-            self._schedule_cohort(cohort)
-        return campaign
+        return self.target_many([server_ip])[0]
 
     def target_many(self, server_ips: list[str]) -> list[RemovalCampaign]:
         """Start campaigns against a whole list of servers (scenario P1).
@@ -197,8 +173,6 @@ class AssociationRemover:
         one transmit per server (see the module docstring for the
         equivalence argument).
         """
-        if self.batched:
-            return [self.target(ip) for ip in server_ips]
         campaigns: list[RemovalCampaign] = []
         cohort: list[RemovalCampaign] = []
         for server_ip in server_ips:
@@ -297,12 +271,11 @@ class AssociationRemover:
             )
 
     def _send_cohort(self, campaigns: list) -> None:
-        """Craft and inject one spoofed query per campaign as one spray.
+        """Craft one spoofed query datagram per campaign and spray them.
 
-        The flat loop the burst engine buys: the wire memo is refreshed
-        once, the counters bumped once, and the whole spray goes through
-        :meth:`~repro.netsim.network.Network.transmit_burst` — one heap
-        entry, one vectorised checksum verify on delivery.  Craft order is
+        The wire memo is refreshed once, the counters bumped once, and the
+        round goes to :meth:`~repro.netsim.network.Network.transmit_spray`
+        as bytes: ``(victim, servers, datagrams, ipids)``.  Craft order is
         campaign order, so delivery order, loss draws and IPID usage match
         the old query-at-a-time loop exactly.
         """
@@ -312,81 +285,41 @@ class AssociationRemover:
             self._query_payload(now)
         # Inlined _craft_query (which stays the reference implementation,
         # pinned byte-identical to encode_udp by the crafting property
-        # test; a drifting copy here fails the golden determinism test the
-        # moment a checksum stops verifying): one method frame per query is
-        # measurable over tens of thousands of crafts.
+        # test): one method frame per query is measurable over tens of
+        # thousands of crafts.  ``folded`` lies in [0, 0xFFFE], where
+        # ``0xFFFF - folded`` equals the complement with both RFC 768
+        # special cases applied.
         wire = self._wire
         wire_sum = self._wire_sum
-        victim_ip = self.victim_ip
         pack = _PACK_UDP_HEADER
-        new_packet = IPv4Packet.__new__
-        packet_cls = IPv4Packet
-        packets = []
-        append = packets.append
+        destinations = []
+        datagrams = []
+        ipids = []
         for campaign in campaigns:
-            folded = (campaign.base_sum + wire_sum) % 0xFFFF
-            checksum = ~(folded if folded else 0xFFFF) & 0xFFFF
-            payload = (
+            datagrams.append(
                 pack(
                     NTP_PORT,
                     NTP_PORT,
                     _QUERY_UDP_LENGTH,
-                    checksum if checksum else 0xFFFF,
+                    0xFFFF - (campaign.base_sum + wire_sum) % 0xFFFF,
                 )
                 + wire
             )
-            # Inlined IPv4Packet.udp (slot-for-slot): even the fast
-            # constructor's call frame shows up over a whole campaign.
-            packet = new_packet(packet_cls)
-            packet.src = victim_ip
-            packet.dst = campaign.server_ip
-            packet.protocol = _UDP_PROTOCOL
-            packet.payload = payload
-            packet.ipid = campaign.queries_sent & 0xFFFF
-            packet.ttl = 64
-            packet.dont_fragment = False
-            packet.more_fragments = False
-            packet.fragment_offset = 0
-            # The spoofed tag rides the fresh metadata dict directly,
-            # replacing Network.inject's setdefault.
-            packet.metadata = {"spoofed": True}
-            campaign.queries_sent += 1
-            append(packet)
-        count = len(packets)
+            destinations.append(campaign.server_ip)
+            sent = campaign.queries_sent
+            ipids.append(sent & 0xFFFF)
+            campaign.queries_sent = sent + 1
+        count = len(datagrams)
         self.stats.spoofed_queries_sent += count
         stats = self._attacker_stats
         stats.spoofed_ntp_queries_sent += count
         stats.packets_injected += count
-        self._network.transmit_burst(packets)
+        self._network.transmit_spray(
+            self.victim_ip, tuple(destinations), datagrams, ipids
+        )
         if started:
             # Driver-side attribution (see repro.perf.DRIVER_STAGES): the
             # whole craft-and-spray window is codec-free, so the bucket is
             # disjoint from decode/encode and the delivery pipeline (which
             # runs later, at heap-drain time).
-            STAGES.add("campaign_send", perf_counter() - started)
-
-    # ------------------------------------------------------- batched rounds
-    def _send_round(self) -> None:
-        """One batched round: a burst of queries for every active campaign."""
-        active = [c for c in self.campaigns.values() if c.active]
-        if not active:
-            self._round_scheduled = False
-            return
-        self._send_round_for(active)
-        self.simulator.post(self.query_interval, self._send_round)
-
-    def _send_round_for(self, campaigns: list[RemovalCampaign]) -> None:
-        started = perf_counter() if STAGES.enabled else 0.0
-        now = self.simulator.now
-        if now != self._wire_time:
-            self._query_payload(now)
-        packets = []
-        for campaign in campaigns:
-            packets.append(self._craft_query(campaign))
-            campaign.queries_sent += 1
-        count = len(packets)
-        self.stats.spoofed_queries_sent += count
-        self.attacker.stats.spoofed_ntp_queries_sent += count
-        self.attacker.inject_burst(packets)
-        if started:
             STAGES.add("campaign_send", perf_counter() - started)

@@ -136,22 +136,20 @@ class DeliveryPipeline:
     the fault layer has into the hot path — one slot read per packet when
     inactive.
 
-    ``datapath``, ``burst_parse``, ``vector_verify``,
-    ``burst_bookkeeping`` and ``addr_sum`` exist for the burst engine
-    (:mod:`repro.netsim.burst`): a batched transmit needs to know which
-    compiled datapath stands behind ``deliver``, whether this pair may
-    take the pre-parsed burst delivery at all (``burst_parse`` — false for
-    unrouted pairs and for pairs whose scalar path would raise on an
-    unparseable spoofed source), whether the batched checksum pass must
-    run (``vector_verify`` — link profile *and* host OS profile both
-    verify; a trusted or non-verifying pair is parsed without it), whether
-    the pre-parsed delivery performs the defrag bookkeeping sweep (the
-    link profile's ``defrag_bookkeeping``), and the pair's pseudo-header
-    address word sum — all baked once per compiled pair, like the latency,
-    so the per-packet burst scan is attribute reads only.  Like every
-    other compiled field, they go stale if a host's OS profile is mutated
-    afterwards; :meth:`HostDatapath.recompile` invalidates the owning
-    network's pipelines for exactly that reason.
+    ``datapath``, ``burst_parse``, ``verify_base`` and ``burst_bookkeeping``
+    exist for the spray drain (:mod:`repro.netsim.burst`), which delivers
+    raw datagrams without a packet object: it needs the compiled datapath
+    behind ``deliver``, whether this pair may skip the packet at all
+    (``burst_parse`` — false for unrouted pairs and for pairs whose scalar
+    path would raise on an unparseable spoofed source), the pair's
+    pseudo-header address word sum plus the protocol word when the scalar
+    path would verify checksums (``verify_base`` — ``None`` when the link
+    profile or the host OS profile does not verify), and whether delivery
+    performs the defrag bookkeeping sweep (the link profile's
+    ``defrag_bookkeeping``) — all baked once per compiled pair, like the
+    latency.  Like every other compiled field, they go stale if a host's OS
+    profile is mutated afterwards; :meth:`HostDatapath.recompile`
+    invalidates the owning network's pipelines for exactly that reason.
     """
 
     __slots__ = (
@@ -160,9 +158,8 @@ class DeliveryPipeline:
         "deliver",
         "datapath",
         "burst_parse",
-        "vector_verify",
+        "verify_base",
         "burst_bookkeeping",
-        "addr_sum",
         "faults",
     )
 
@@ -173,9 +170,8 @@ class DeliveryPipeline:
         deliver,
         datapath: "Optional[HostDatapath]" = None,
         burst_parse: bool = False,
-        vector_verify: bool = False,
+        verify_base: Optional[int] = None,
         burst_bookkeeping: bool = True,
-        addr_sum: int = 0,
         faults=None,
     ) -> None:
         self.latency = latency
@@ -183,9 +179,8 @@ class DeliveryPipeline:
         self.deliver = deliver
         self.datapath = datapath
         self.burst_parse = burst_parse
-        self.vector_verify = vector_verify
+        self.verify_base = verify_base
         self.burst_bookkeeping = burst_bookkeeping
-        self.addr_sum = addr_sum
         self.faults = faults
 
 
@@ -243,7 +238,7 @@ class HostDatapath:
         """Re-read the host's profile flags (after an explicit mutation).
 
         Also drops the network's compiled pipelines: they bake the
-        combined link+host verify decision for the burst engine, so a
+        combined link+host verify decision for the spray drain, so a
         profile mutation must force them to recompile too.
         """
         self.verify_checksum = self.host.profile.verify_udp_checksum
@@ -409,139 +404,6 @@ class HostDatapath:
             socket.inbox.append(
                 ReceivedDatagram(payload, packet.src, src_port, self.simulator._now)
             )
-
-    # -------------------------------------------------------- burst entries
-    def deliver_parsed(
-        self,
-        packet: IPv4Packet,
-        src_port: int,
-        dst_port: int,
-        bookkeeping: bool = True,
-    ) -> None:
-        """Delivery of a packet the burst engine already parsed and verified.
-
-        Called by :class:`~repro.netsim.burst.DeliveryBurst` for
-        unfragmented UDP packets whose header fields came out of the
-        batched word-sum pass and whose checksum that pass accepted (or
-        that the link/host profile does not verify at all): header unpack,
-        length checks and the scalar checksum arithmetic are all skipped.
-        ``bookkeeping`` carries the link profile's ``defrag_bookkeeping``
-        bit, so trusted links keep skipping the reassembly sweep exactly
-        as :meth:`deliver_trusted` does.  The remaining semantics — tap,
-        stats, port demux, handler/inbox — are exactly those of the
-        profile's scalar path (pinned by the burst property tests).
-        """
-        if STAGES.enabled:
-            return self._deliver_parsed_timed(packet, src_port, dst_port, bookkeeping)
-        host = self.host
-        tap = host.packet_tap
-        if tap is not None:
-            tap(packet)
-        if bookkeeping and self.defrag_buckets:
-            self.defrag.purge_expired(self.simulator._now)
-        self.stats.udp_received += 1
-        socket = self.sockets.get(dst_port)
-        if socket is None or socket.closed:
-            return
-        payload = packet.payload[UDP_HEADER_LEN:]
-        handler = socket.on_datagram
-        if handler is not None:
-            handler(payload, packet.src, src_port)
-        else:
-            socket.inbox.append(
-                ReceivedDatagram(payload, packet.src, src_port, self.simulator._now)
-            )
-
-    def deliver_run(
-        self,
-        packets: list,
-        src_port: int,
-        dst_port: int,
-        bookkeeping: bool = True,
-    ) -> bool:
-        """Hand a consecutive run of pre-verified same-source datagrams to
-        the destination socket's burst handler as one call.
-
-        Returns False — without delivering anything — when the run cannot
-        take the burst shape (no burst handler installed, socket missing or
-        closed, a packet tap that must observe arrivals interleaved with
-        handling); the caller then falls back to per-packet
-        :meth:`deliver_parsed`.  When it returns True the whole run was
-        delivered: observably equivalent to N sequential deliveries
-        *provided* the installed burst handler keeps the socket-level
-        equivalence promise (see
-        :attr:`repro.netsim.sockets.UDPSocket.on_datagram_burst`).
-
-        Deliberately uninstrumented: while ``repro.perf.STAGES`` collection
-        is enabled the delivery bursts skip this handoff and dispatch the
-        run per-packet through the timed twins, so the demux/handler time
-        a one-call burst handler would hide stays attributed (results are
-        identical either way — the two shapes are equivalence-pinned).
-        """
-        if self.host.packet_tap is not None:
-            return False
-        socket = self.sockets.get(dst_port)
-        if socket is None or socket.closed:
-            return False
-        handler = socket.on_datagram_burst
-        if handler is None or socket.on_datagram is None:
-            # No burst handler — or an inbox-mode socket, whose datagrams
-            # must queue individually exactly as per-packet delivery would.
-            return False
-        if bookkeeping and self.defrag_buckets:
-            # Idempotent at a fixed instant: the N-th sweep of a sequential
-            # delivery removes nothing the first did not.
-            self.defrag.purge_expired(self.simulator._now)
-        self.stats.udp_received += len(packets)
-        src_ip = packets[0].src
-        handler([p.payload[UDP_HEADER_LEN:] for p in packets], src_ip, src_port)
-        return True
-
-    def _deliver_parsed_timed(
-        self, packet: IPv4Packet, src_port: int, dst_port: int, bookkeeping: bool
-    ) -> None:
-        """Stage-attributing twin of :meth:`deliver_parsed`.
-
-        The checksum stage is *not* bumped here — the vectorised verify
-        already attributed itself to ``burst_drain`` — so the stage table
-        of an instrumented run reads: ``checksum`` is the scalar verifies
-        still performed packet-by-packet, ``burst_drain`` the batched
-        bookkeeping that replaced the rest.
-        """
-        host = self.host
-        tap = host.packet_tap
-        if tap is not None:
-            tap(packet)
-        t0 = perf_counter()
-        if bookkeeping and self.defrag_buckets:
-            self.defrag.purge_expired(self.simulator._now)
-        t1 = perf_counter()
-        self.t_defrag += t1 - t0
-        self.n_defrag += 1
-        self.stats.udp_received += 1
-        socket = self.sockets.get(dst_port)
-        if socket is None or socket.closed:
-            t2 = perf_counter()
-            self.t_demux += t2 - t1
-            self.n_demux += 1
-            return
-        payload = packet.payload[UDP_HEADER_LEN:]
-        handler = socket.on_datagram
-        if handler is None:
-            socket.inbox.append(
-                ReceivedDatagram(payload, packet.src, src_port, self.simulator._now)
-            )
-            t2 = perf_counter()
-            self.t_demux += t2 - t1
-            self.n_demux += 1
-            return
-        t2 = perf_counter()
-        self.t_demux += t2 - t1
-        self.n_demux += 1
-        handler(payload, packet.src, src_port)
-        t3 = perf_counter()
-        self.t_handler += t3 - t2
-        self.n_handler += 1
 
     # ----------------------------------------------------------- slow paths
     def _reassemble(self, packet: IPv4Packet) -> Optional[IPv4Packet]:

@@ -17,7 +17,7 @@ success against fault regimes while staying bit-for-bit reproducible:
 * :class:`Corruption` — with some probability one bit of the packet
   payload is flipped.  Corrupted packets are **not** silently dropped:
   they travel the normal delivery path and must be caught by the real
-  UDP checksum verify (scalar or batched burst verify), where they count
+  UDP checksum verify on delivery, where they count
   as derived ``udp_checksum_failures`` exactly like any other damaged
   datagram.  On links/hosts that skip verification the corruption is
   delivered — trust means trusting the fabric.
@@ -42,7 +42,7 @@ graceful degradation are the two design rules:
 * **Graceful degradation.**  A component with zero probability (or an
   empty window) is *inert* and is dropped when the plan is attached; a
   plan whose every component is inert compiles to nothing at all, so the
-  link keeps the compiled ``DeliveryPipeline`` / ``DeliveryBurst`` fast
+  link keeps the compiled ``DeliveryPipeline`` / ``SprayDelivery`` fast
   paths and a zero-fault configuration is bit-identical to a fault-free
   one (property-pinned).  An active plan takes the pair off the
   coalesced fast path onto the event-for-event-equivalent slow path:
@@ -148,8 +148,8 @@ class Corruption:
     header) whenever the payload has one, so a single flip is always
     detectable by the RFC 768 checksum — header-only payloads flip
     within the header instead.  Detection is left entirely to the real
-    delivery paths: the scalar verify and the batched burst verify both
-    reject the packet and count a derived ``udp_checksum_failures``;
+    delivery path: the checksum verify rejects the packet and counts a
+    derived ``udp_checksum_failures``;
     non-verifying links and hosts deliver the damage.  Empty payloads
     pass through untouched.
     """

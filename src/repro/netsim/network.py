@@ -15,7 +15,12 @@ model of the paper:
 Delivery runs through pipelines compiled per (src, dst) pair (see
 :mod:`repro.netsim.datapath`): the transmit hot path is one dict hit that
 yields the resolved latency, loss probability and the destination host's
-flat deliver callable, then a single heap push.  Links carry an optional
+flat deliver callable, then a single heap push.  A spoofing round — one
+source spraying one datagram at each of many destinations — goes through
+:meth:`Network.transmit_spray`, which resolves the round's pipelines once
+into a plan cached per (src, destinations) and, when the plan is uniform,
+pushes the round as one heap entry of raw datagrams (see
+:mod:`repro.netsim.burst`).  Links carry an optional
 :class:`~repro.netsim.datapath.LinkProfile` trust level; the default profile
 performs full verification and is what every golden fixed-seed run uses.
 """
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from heapq import heappush
 from typing import Iterable, Optional
 
-from repro.netsim.burst import DeliveryBurst, MAX_DELIVERY_BURST
+from repro.netsim.burst import DeliveryBurst, MAX_DELIVERY_BURST, SprayDelivery
 from repro.netsim.capture import PacketCapture
 from repro.netsim.datapath import (
     DEFAULT_LINK_PROFILE,
@@ -74,6 +79,10 @@ PIPELINE_CACHE_MAX_ENTRIES = 65536
 #: Backwards-compatible alias (the pipeline cache replaced the link cache).
 LINK_CACHE_MAX_ENTRIES = PIPELINE_CACHE_MAX_ENTRIES
 
+#: Bound on the per-(src, destinations) spray-plan cache (clear-on-full,
+#: like the pipeline cache: the source of a spray is spoofed).
+SPRAY_PLAN_CACHE_MAX_ENTRIES = 4096
+
 
 class Network:
     """A set of hosts plus the rules for moving packets between them.
@@ -107,6 +116,14 @@ class Network:
         #: tables): src is whatever the sender claims, so spoofing sweeps
         #: must not grow it unbounded.
         self._pipelines: dict[tuple[str, str], DeliveryPipeline] = {}
+        #: Bumped whenever compiled pipelines go stale (topology edits,
+        #: explicit invalidation) — but not by the cache's clear-on-full,
+        #: which drops pipelines that are still valid.  Spray plans record
+        #: the epoch they were compiled in.
+        self.pipeline_epoch = 0
+        #: Per-(src, destinations) spray plans: ``(epoch, latency, targets)``
+        #: with ``targets`` None for a non-uniform spray (see transmit_spray).
+        self._spray_plans: dict[tuple, tuple] = {}
         #: Per-directed-pair fault channels.  Owned here — NOT in the
         #: pipeline cache — so Gilbert–Elliott chain state and the
         #: channel RNG position survive pipeline invalidation (topology
@@ -147,7 +164,7 @@ class Network:
         )
         self._hosts[ip] = host
         # A cached "unrouted" pipeline for this address is now stale.
-        self._pipelines.clear()
+        self.invalidate_pipelines()
         return host
 
     def host(self, ip: str) -> Host:
@@ -170,7 +187,7 @@ class Network:
         if link.latency < 0:
             raise SimulationError(f"negative link latency: {link.latency}")
         self._links[frozenset((ip_a, ip_b))] = link
-        self._pipelines.clear()
+        self.invalidate_pipelines()
 
     def link_between(self, ip_a: str, ip_b: str) -> Link:
         """The link used between two addresses (default if not overridden)."""
@@ -353,22 +370,19 @@ class Network:
                 raise SimulationError(f"negative link latency: {link.latency}")
             profile = link.profile or DEFAULT_LINK_PROFILE
             # Would this pair's scalar path verify checksums at all?  Only
-            # then does the burst engine need a pseudo-header sum — and
+            # then does the spray drain need a pseudo-header sum — and
             # ``src`` is whatever the sender claims, so a syntactically
             # invalid spoofed source cannot bake one; such pairs keep the
-            # scalar verify path (which reports the same failure it always
-            # did, at delivery time rather than here).
-            vector_verify = profile.verify_checksum and host.datapath.verify_checksum
+            # scalar path (which reports the same failure it always did,
+            # at delivery time rather than here).
             burst_parse = True
-            addr_sum = 0
-            if vector_verify:
+            verify_base = None
+            if profile.verify_checksum and host.datapath.verify_checksum:
                 try:
-                    addr_sum = _address_word_sum(src) + _address_word_sum(dst)
+                    verify_base = (
+                        _address_word_sum(src) + _address_word_sum(dst) + 17
+                    )
                 except AddressError:
-                    # The scalar path raises on this source at delivery
-                    # time (when a checksummed packet arrives); keep the
-                    # pair off the pre-parsed path so it still does.
-                    vector_verify = False
                     burst_parse = False
             channel = None
             plan = link.faults
@@ -397,9 +411,8 @@ class Network:
                 compile_deliver(host.datapath, profile),
                 datapath=host.datapath,
                 burst_parse=burst_parse,
-                vector_verify=vector_verify,
+                verify_base=verify_base,
                 burst_bookkeeping=profile.defrag_bookkeeping,
-                addr_sum=addr_sum,
                 faults=channel,
             )
         if len(self._pipelines) >= PIPELINE_CACHE_MAX_ENTRIES:
@@ -408,8 +421,10 @@ class Network:
         return pipeline
 
     def invalidate_pipelines(self) -> None:
-        """Drop every compiled pipeline (they recompile on next transmit)."""
+        """Drop every compiled pipeline (they recompile on next transmit)
+        and retire every spray plan built from them."""
         self._pipelines.clear()
+        self.pipeline_epoch += 1
 
     # ------------------------------------------------------------- captures
     def attach_capture(self, capture: PacketCapture) -> None:
@@ -510,9 +525,8 @@ class Network:
         The heap-entry *shape* differs — consecutive packets delivered at
         the same instant are pushed as one
         :class:`~repro.netsim.burst.DeliveryBurst` entry (capped at
-        :data:`~repro.netsim.burst.MAX_DELIVERY_BURST` packets), whose
-        drain verifies UDP checksums in a single vectorised pass — which
-        is what makes an injected spray cost one heap push instead of N.
+        :data:`~repro.netsim.burst.MAX_DELIVERY_BURST` packets) — which is
+        what makes a fragment spray cost one heap push instead of N.
         """
         pipelines_get = self._pipelines.get
         compile_pipeline = self._compile_pipeline
@@ -553,10 +567,9 @@ class Network:
                     # Faulted pair: the channel's deliveries feed the same
                     # grouping, so a corrupted copy landing at the group's
                     # instant enters the DeliveryBurst and is rejected by
-                    # the *batched* checksum verify (falling back to the
-                    # scalar path, which counts the derived failure);
-                    # jittered/duplicated deliveries at other instants
-                    # split the group exactly as a latency change would.
+                    # the scalar verify on delivery; jittered/duplicated
+                    # deliveries at other instants split the group exactly
+                    # as a latency change would.
                     if STAGES.enabled:
                         t0 = perf_counter()
                         deliveries = pipeline.faults.process(packet, now)
@@ -618,6 +631,100 @@ class Network:
         simulator._sequence = sequence + count
         simulator.bursts_posted += 1
         heappush(simulator._queue, (deliver_at, sequence, DeliveryBurst(group), _BURST))
+
+    def transmit_spray(
+        self, src: str, destinations: tuple, datagrams: list, ipids: list
+    ) -> None:
+        """Off-path injection of one source's datagram spray.
+
+        ``datagrams[i]`` is a complete UDP datagram (header included) sent
+        from ``src`` to ``destinations[i]`` in IPv4 packet ``ipids[i]``;
+        ``destinations`` must be a tuple (it keys the plan cache).
+        Event-for-event equivalent to :meth:`inject` of the same packets in
+        order (pinned by a property test).  A *uniform* plan — every pair
+        routed, lossless and fault-free at one latency, at most
+        :data:`~repro.netsim.burst.MAX_DELIVERY_BURST` datagrams — with no
+        capture attached pushes the whole spray as one
+        :class:`~repro.netsim.burst.SprayDelivery` heap entry that consumes
+        one sequence number per datagram; no packet object is built unless
+        a destination needs one at delivery.  Anything else materialises
+        the spoofed-tagged packets and takes :meth:`transmit_burst`, so loss
+        draws, fault channels and captures behave exactly as for packets.
+        """
+        if not datagrams:
+            return
+        plan = self._spray_plans.get((src, destinations))
+        if plan is None or plan[0] != self.pipeline_epoch:
+            plan = self._compile_spray_plan(src, destinations)
+        _epoch, latency, targets = plan
+        if targets is None or self._captures:
+            self.inject_burst(
+                IPv4Packet.udp(src, dst, datagram, ipid)
+                for dst, datagram, ipid in zip(destinations, datagrams, ipids)
+            )
+            return
+        count = len(datagrams)
+        self.packets_transmitted += count
+        simulator = self.simulator
+        sequence = simulator._sequence
+        simulator._sequence = sequence + count
+        simulator.bursts_posted += 1
+        heappush(
+            simulator._queue,
+            (
+                simulator._now + latency,
+                sequence,
+                SprayDelivery(src, targets, datagrams, ipids),
+                _BURST,
+            ),
+        )
+
+    def _compile_spray_plan(self, src: str, destinations: tuple) -> tuple:
+        """Resolve a spray's pipelines into ``(epoch, latency, targets)``.
+
+        ``targets`` holds one :class:`~repro.netsim.burst.SprayDelivery`
+        target per destination, or is None when the spray is not uniform
+        (the first disqualifying pair stops the scan; the fallback compiles
+        the remaining pipelines in send order, as it always did).
+        """
+        targets: Optional[list] = []
+        latency = 0.0
+        if len(destinations) > MAX_DELIVERY_BURST:
+            targets = None
+        else:
+            for dst in destinations:
+                pipeline = self._pipelines.get((src, dst))
+                if pipeline is None:
+                    try:
+                        pipeline = self._compile_pipeline(src, dst)
+                    except SimulationError:
+                        # Raised again, at this datagram, by the fallback.
+                        targets = None
+                        break
+                if (
+                    pipeline.deliver is None
+                    or pipeline.loss_probability > 0
+                    or pipeline.faults is not None
+                    or (targets and pipeline.latency != latency)
+                ):
+                    targets = None
+                    break
+                latency = pipeline.latency
+                targets.append(
+                    (
+                        dst,
+                        pipeline.deliver,
+                        pipeline.datapath if pipeline.burst_parse else None,
+                        pipeline.verify_base,
+                        pipeline.burst_bookkeeping,
+                    )
+                )
+        plan = (self.pipeline_epoch, latency, None if targets is None else tuple(targets))
+        plans = self._spray_plans
+        if len(plans) >= SPRAY_PLAN_CACHE_MAX_ENTRIES:
+            plans.clear()
+        plans[(src, destinations)] = plan
+        return plan
 
     def inject_burst(
         self, packets: Iterable[IPv4Packet], mark_spoofed: bool = True

@@ -87,8 +87,9 @@ class CallbackBurst:
     to ``events_processed`` and :meth:`Simulator.post_burst` consumed that
     many sequence numbers, which keeps :meth:`Simulator.pending` exact.
 
-    Specialised bursts (the network's vectorised
-    :class:`~repro.netsim.burst.DeliveryBurst`, the association remover's
+    Specialised bursts (the network's
+    :class:`~repro.netsim.burst.DeliveryBurst` and
+    :class:`~repro.netsim.burst.SprayDelivery`, the association remover's
     cohort rounds) implement the same two-member protocol — ``count`` plus
     ``run()`` — with a flat loop body of their own.
     """

@@ -13,11 +13,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 #: Signature of a datagram handler: (payload, source_ip, source_port).
 DatagramHandler = Callable[[bytes, str, int], None]
 
-#: Signature of an opt-in burst handler: (payloads, source_ip, source_port).
-#: Installed alongside ``on_datagram``; the delivery-burst engine hands a
-#: consecutive run of verified same-source datagrams to it as one call.
-DatagramBurstHandler = Callable[[list, str, int], None]
-
 
 @dataclass
 class ReceivedDatagram:
@@ -41,12 +36,6 @@ class UDPSocket:
     host: "Host"
     port: int
     on_datagram: Optional[DatagramHandler] = None
-    #: Opt-in: when set, the burst engine may deliver a consecutive run of
-    #: verified same-source datagrams as one ``handler(payloads, src, port)``
-    #: call instead of N ``on_datagram`` calls.  Installers promise the two
-    #: shapes are observably equivalent (the NTP server keeps that promise
-    #: with :meth:`repro.ntp.rate_limit.RateLimiter.consume_burst`).
-    on_datagram_burst: Optional[DatagramBurstHandler] = None
     inbox: list[ReceivedDatagram] = field(default_factory=list)
     closed: bool = False
 

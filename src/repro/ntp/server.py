@@ -86,24 +86,17 @@ class NTPServer:
         #: The per-query handler, compiled once as a closure over the hot
         #: handles (stats block, simulator, limiter): a rate-limited
         #: spoofing flood runs it tens of thousands of times per campaign,
-        #: and the ``self`` attribute chases are measurable there.  Both
-        #: delivery shapes (per-query and burst) use the same compiled
-        #: limiter view; a caller that swaps ``rate_limiter`` afterwards
-        #: must call :meth:`recompile`.
-        self._limiter = self.rate_limiter
+        #: and the ``self`` attribute chases are measurable there.  A
+        #: caller that swaps ``rate_limiter`` afterwards must call
+        #: :meth:`recompile`.
         self._handler = self._compile_handler()
         self.socket = host.bind(NTP_PORT, self._handler)
-        # Burst arrivals (N same-source queries at one instant, the shape a
-        # spoofed flood produces) are absorbed through the rate limiter's
-        # closed-form bulk accounting instead of N handler calls.
-        self.socket.on_datagram_burst = self._on_packet_burst
 
     def recompile(self) -> None:
         """Re-bind the compiled handler's hot handles (after swapping
-        ``rate_limiter``), keeping the per-query and burst paths on one
-        limiter.  Mirrors :meth:`repro.netsim.datapath.HostDatapath.recompile`.
+        ``rate_limiter``).  Mirrors
+        :meth:`repro.netsim.datapath.HostDatapath.recompile`.
         """
-        self._limiter = self.rate_limiter
         self._handler = self._compile_handler()
         self.socket.on_datagram = self._handler
 
@@ -143,7 +136,7 @@ class NTPServer:
         """
         stats = self.stats
         simulator = self.simulator
-        check = self._limiter.check
+        check = self.rate_limiter.check
         answer = self._answer_query
         config_query = self._handle_config_query
 
@@ -164,10 +157,6 @@ class NTPServer:
             answer(payload, src_ip, src_port, decision, now)
 
         return on_packet
-
-    def _on_packet(self, payload: bytes, src_ip: str, src_port: int) -> None:
-        """Sequential per-query entry (the burst fallback shares it too)."""
-        self._handler(payload, src_ip, src_port)
 
     def _answer_query(
         self, payload: bytes, src_ip: str, src_port: int, decision, now: float
@@ -195,54 +184,6 @@ class NTPServer:
         self.stats.kods_sent += 1
         kod = NTPPacket.kiss_of_death(NTPPacket.decode(payload), KissCode.RATE)
         self.socket.sendto(kod.encode(), src_ip, src_port)
-
-    def _on_packet_burst(self, payloads: list, src_ip: str, src_port: int) -> None:
-        """Burst twin of :meth:`_on_packet` for N same-source arrivals.
-
-        Observably equivalent to calling :meth:`_on_packet` once per
-        payload in order (pinned by the server burst tests): the rate
-        limiter advances through one
-        :meth:`~repro.ntp.rate_limit.RateLimiter.consume_burst` call — its
-        decisions for a same-instant burst are always RESPOND × n, then at
-        most one KoD, then drops — and answers are spliced from the query
-        bytes without decoding them.  Heterogeneous bursts (anything that
-        is not a well-formed mode 3 query) and probabilistic responders
-        (whose per-response RNG draws must happen in per-query order) fall
-        back to the sequential loop.
-        """
-        if self.config.respond_probability < 1.0:
-            on_packet = self._on_packet
-            for payload in payloads:
-                on_packet(payload, src_ip, src_port)
-            return
-        for payload in payloads:
-            if len(payload) < NTP_PACKET_LEN or (payload[0] & 0x7) != 3:
-                on_packet = self._on_packet
-                for item in payloads:
-                    on_packet(item, src_ip, src_port)
-                return
-        n = len(payloads)
-        stats = self.stats
-        stats.queries_received += n
-        now = self.simulator._now  # slot read, as in _on_packet
-        outcome = self._limiter.consume_burst(src_ip, n, now)
-        responds = outcome.responds
-        if responds:
-            sendto = self.socket.sendto
-            response_wire = NTPPacket.server_response_wire
-            server_time = self.clock.time(now)
-            stratum = self.config.stratum
-            reference_id = self.config.upstream_server
-            for index in range(responds):
-                stats.responses_sent += 1
-                sendto(
-                    response_wire(payloads[index], server_time, stratum, reference_id),
-                    src_ip,
-                    src_port,
-                )
-        if outcome.kod:
-            self._send_kod(payloads[responds], src_ip, src_port)
-        stats.queries_dropped += outcome.drops
 
     def _handle_config_query(self, src_ip: str, src_port: int) -> None:
         """Answer a mode 6/7 configuration query when the interface is open.

@@ -47,8 +47,8 @@ PIPELINE_STAGES = ("defrag", "checksum", "demux", "handler")
 #: Event-dispatch stages split out of the old ``dispatch_other`` remainder
 #: by the burst-execution engine: ``heap`` is the measured heap-pop share
 #: of the simulator drain (a lower bound — pushes happen inside callbacks),
-#: ``burst_drain`` the delivery-burst bookkeeping (grouping plus the
-#: vectorised checksum verify; see :mod:`repro.netsim.burst`), and
+#: ``burst_drain`` the spray drain's own work (header unpack, checksum
+#: fold, stats and demux; see :mod:`repro.netsim.burst`), and
 #: ``faults`` the per-packet fault-channel decisions on faulted links
 #: (zero on every fault-free run; see :mod:`repro.netsim.faults`).
 DISPATCH_STAGES = ("heap", "burst_drain", "faults")

@@ -58,37 +58,7 @@ class TestCampaignMechanics:
 
 
 class TestBatchedRounds:
-    def test_batched_rounds_match_per_campaign_outcomes(self):
-        """Batched mode (one event per round, inject_burst spray) must
-        rate-limit the same servers with the same query volume as the
-        default per-campaign scheduling — only the event-loop shape may
-        differ."""
-        from repro.testbed import TestbedConfig, build_testbed
-
-        def run(batched: bool):
-            testbed = build_testbed(TestbedConfig(pool_size=24, seed=7))
-            victim_ip = "192.0.2.150"
-            remover = AssociationRemover(
-                testbed.attacker,
-                testbed.simulator,
-                victim_ip,
-                query_interval=2.0,
-                batched=batched,
-            )
-            targets = testbed.pool.addresses[:6]
-            remover.target_many(targets)
-            testbed.run_for(120)
-            limited = sorted(
-                ip
-                for ip in targets
-                if testbed.pool.servers[ip].is_rate_limiting(victim_ip)
-            )
-            per_campaign = sorted(
-                remover.campaigns[ip].queries_sent for ip in targets
-            )
-            return limited, per_campaign, remover.stats.spoofed_queries_sent
-
-        assert run(batched=False) == run(batched=True)
+    """Cohort rounds: each interval, one batched spray for every member."""
 
     def test_batched_round_stops_when_all_campaigns_stop(self, small_testbed):
         remover = AssociationRemover(
@@ -96,7 +66,6 @@ class TestBatchedRounds:
             small_testbed.simulator,
             "192.0.2.150",
             query_interval=2.0,
-            batched=True,
         )
         remover.target_many(small_testbed.pool.addresses[:3])
         small_testbed.run_for(20)
@@ -111,7 +80,6 @@ class TestBatchedRounds:
             small_testbed.simulator,
             "192.0.2.150",
             query_interval=2.0,
-            batched=True,
         )
         first = small_testbed.pool.addresses[0]
         remover.target(first)

@@ -1,0 +1,56 @@
+"""Paired A/B verdicts of ``benchmarks/ab.py`` (the comparison, not the runs)."""
+
+from __future__ import annotations
+
+import os
+import sys
+
+BENCHMARKS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "benchmarks",
+)
+sys.path.insert(0, BENCHMARKS_DIR)
+
+import ab  # noqa: E402
+
+BETTER = {"wall_s": "lower", "client_h_per_s": "higher"}
+
+
+def runs(name: str, values: list[float]) -> list[dict]:
+    return [{name: value} for value in values]
+
+
+class TestCompare:
+    def test_clear_gain_on_a_higher_is_better_metric(self):
+        a = runs("client_h_per_s", [10.0, 10.4, 9.9, 10.2, 10.1])
+        b = runs("client_h_per_s", [7.0, 7.2, 6.9, 7.1, 7.3])
+        row = ab.compare(a, b, BETTER)["client_h_per_s"]
+        assert row["wins"] == 5 and row["pairs"] == 5
+        assert row["a_median"] == 10.1 and row["b_median"] == 7.1
+        assert abs(row["b_iqr"] - 0.2) < 1e-9
+        assert row["gain"]
+
+    def test_lower_is_better_counts_wins_the_other_way(self):
+        a = runs("wall_s", [3.0, 3.1, 2.9, 3.2])
+        b = runs("wall_s", [4.0, 4.2, 4.1, 4.3])
+        row = ab.compare(a, b, BETTER)["wall_s"]
+        assert row["wins"] == 4
+        assert row["gain"]
+
+    def test_one_lost_pair_in_five_is_not_a_gain(self):
+        a = runs("wall_s", [3.0, 3.0, 3.0, 3.0, 5.0])
+        b = runs("wall_s", [4.0, 4.0, 4.0, 4.0, 4.0])
+        row = ab.compare(a, b, BETTER)["wall_s"]
+        assert row["wins"] == 4
+        assert not row["gain"]
+
+    def test_difference_inside_the_iqr_is_not_a_gain(self):
+        a = runs("wall_s", [3.9, 3.9, 3.9, 3.9])
+        b = runs("wall_s", [4.0, 3.95, 4.5, 3.92])
+        row = ab.compare(a, b, BETTER)["wall_s"]
+        assert row["wins"] == 4
+        assert row["b_iqr"] > 0.1
+        assert not row["gain"]
+
+    def test_single_pair_has_zero_iqr(self):
+        assert ab.quartiles([2.5]) == (2.5, 2.5)

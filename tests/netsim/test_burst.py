@@ -1,4 +1,4 @@
-"""Unit tests for the burst engine: simulator entries, delivery, handlers."""
+"""Unit tests for the burst engine: simulator entries and burst delivery."""
 
 from __future__ import annotations
 
@@ -6,11 +6,9 @@ import pytest
 
 from repro.netsim.errors import SimulationError
 from repro.netsim.network import Network
-from repro.netsim.packet import IPProtocol, IPv4Packet
+from repro.netsim.packet import IPv4Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.udp import UDPDatagram, encode_udp
-from repro.ntp.packet import NTPPacket, NTP_PORT
-from repro.ntp.server import NTPServer, NTPServerConfig
 
 
 class TestPostBurst:
@@ -213,212 +211,3 @@ class TestTransmitBurstDelivery:
         for index, packet in enumerate(packets):
             if index != 2:
                 assert network.host(packet.dst).stats.udp_received == 1
-
-
-def build_server(rate_limiting: bool = True, respond_probability: float = 1.0):
-    sim = Simulator(seed=9)
-    network = Network(sim)
-    host = network.add_host("server", "203.0.113.5")
-    config = NTPServerConfig(
-        rate_limiting=rate_limiting,
-        send_kod=True,
-        average_interval=8.0,
-        burst_tolerance=16.0,
-        respond_probability=respond_probability,
-    )
-    server = NTPServer(host, sim, config=config)
-    return sim, network, server
-
-
-def query_payloads(sim, n):
-    wire = NTPPacket.client_query_wire(sim.now)
-    return [wire for _ in range(n)]
-
-
-class TestServerBurstHandler:
-    def test_burst_equivalent_to_sequential(self):
-        sim_a, _, server_a = build_server()
-        sim_b, _, server_b = build_server()
-        src = "192.0.2.77"
-        payloads = query_payloads(sim_a, 7)
-        for payload in payloads:
-            server_a._on_packet(payload, src, 123)
-        server_b._on_packet_burst(list(payloads), src, 123)
-        for name in (
-            "queries_received",
-            "responses_sent",
-            "kods_sent",
-            "queries_dropped",
-        ):
-            assert getattr(server_a.stats, name) == getattr(server_b.stats, name), name
-        state_a = server_a.rate_limiter.sources[src]
-        state_b = server_b.rate_limiter.sources[src]
-        assert (state_a.score, state_a.last_seen, state_a.kod_sent, state_a.drops) == (
-            state_b.score,
-            state_b.last_seen,
-            state_b.kod_sent,
-            state_b.drops,
-        )
-        # The same responses went on the wire in the same order.
-        assert sim_a.pending() == sim_b.pending()
-
-    def test_heterogeneous_burst_falls_back_to_sequential(self):
-        sim, _, server = build_server()
-        src = "192.0.2.78"
-        payloads = query_payloads(sim, 3) + [b"\x06" + b"\x00" * 47]  # mode 6
-        server._on_packet_burst(payloads, src, 123)
-        assert server.stats.queries_received == 3  # mode 6 not counted
-
-    def test_probabilistic_responder_falls_back(self):
-        sim_a, _, server_a = build_server(respond_probability=0.5)
-        sim_b, _, server_b = build_server(respond_probability=0.5)
-        src = "192.0.2.79"
-        payloads = query_payloads(sim_a, 10)
-        for payload in payloads:
-            server_a._on_packet(payload, src, 123)
-        server_b._on_packet_burst(list(payloads), src, 123)
-        # Identically seeded worlds: the fallback must consume the RNG in
-        # the same per-query order, so the outcomes match exactly.
-        assert server_a.stats.responses_sent == server_b.stats.responses_sent
-        assert server_a.stats.queries_dropped == server_b.stats.queries_dropped
-
-
-class TestInboxModeSocketKeepsPerPacketDelivery:
-    def test_burst_handler_not_used_when_on_datagram_is_none(self):
-        """An inbox-mode socket (no on_datagram) must queue datagrams
-        individually even when a burst handler is installed — delivery
-        semantics cannot depend on heap-entry shape."""
-        sim = Simulator(seed=8)
-        network = Network(sim)
-        network.add_host("sender", "192.0.2.60")
-        receiver = network.add_host("receiver", "203.0.113.20")
-        socket = receiver.bind(4000)  # inbox mode
-        socket.on_datagram_burst = lambda payloads, src, port: (_ for _ in ()).throw(
-            AssertionError("burst handler must not fire for inbox sockets")
-        )
-        payload = encode_udp(
-            "192.0.2.60", "203.0.113.20", UDPDatagram(5000, 4000, b"q" * 20)
-        )
-        packets = [
-            IPv4Packet.udp("192.0.2.60", "203.0.113.20", payload, i) for i in range(6)
-        ]
-        network.transmit_burst(packets)
-        sim.run()
-        assert len(socket.inbox) == 6
-
-
-class TestFloodThroughBurstEngine:
-    def test_same_destination_flood_uses_burst_handler(self):
-        """End to end: a spoofed same-(src,dst) flood reaches the server's
-        burst handler via run detection and produces the exact outcomes of
-        singular delivery."""
-
-        def run_flood(use_burst: bool):
-            sim = Simulator(seed=5)
-            network = Network(sim)
-            network.add_host("victim", "192.0.2.50")
-            host = network.add_host("server", "203.0.113.9")
-            server = NTPServer(
-                host,
-                sim,
-                config=NTPServerConfig(
-                    rate_limiting=True, send_kod=True, burst_tolerance=24.0
-                ),
-            )
-            wire = NTPPacket.client_query_wire(sim.now)
-            payload = encode_udp(
-                "192.0.2.50", "203.0.113.9", UDPDatagram(NTP_PORT, NTP_PORT, wire)
-            )
-            packets = [
-                IPv4Packet.udp("192.0.2.50", "203.0.113.9", payload, i)
-                for i in range(20)
-            ]
-            if use_burst:
-                network.transmit_burst(packets)
-            else:
-                for packet in packets:
-                    network.transmit(packet)
-            sim.run()
-            return (
-                server.stats.queries_received,
-                server.stats.responses_sent,
-                server.stats.kods_sent,
-                server.stats.queries_dropped,
-                server.rate_limiter.queries_dropped,
-                host.stats.udp_received,
-                sim.events_processed,
-            )
-
-        assert run_flood(True) == run_flood(False)
-
-    def test_trusted_link_flood_still_takes_burst_handler(self):
-        """Trusted links parse without the checksum pass — they must not
-        fall off the burst engine (a trusted packet is the *cheapest* to
-        pre-parse), and they must keep skipping the defrag sweep exactly
-        like deliver_trusted."""
-
-        def run_flood(use_burst: bool):
-            sim = Simulator(seed=6)
-            network = Network(sim)
-            network.add_host("victim", "192.0.2.50")
-            host = network.add_host("server", "203.0.113.9")
-            network.trust_link("192.0.2.50", "203.0.113.9")
-            server = NTPServer(
-                host,
-                sim,
-                config=NTPServerConfig(
-                    rate_limiting=True, send_kod=True, burst_tolerance=24.0
-                ),
-            )
-            burst_calls = []
-            inner = server.socket.on_datagram_burst
-
-            def counting_burst(payloads, src_ip, src_port):
-                burst_calls.append(len(payloads))
-                inner(payloads, src_ip, src_port)
-
-            server.socket.on_datagram_burst = counting_burst
-            # A pending reassembly bucket: the trusted path must NOT sweep
-            # it on unfragmented arrivals (deliver_trusted semantics).
-            fragment = IPv4Packet(
-                src="192.0.2.50",
-                dst="203.0.113.9",
-                protocol=IPProtocol.UDP,
-                payload=b"\x00" * 16,
-                ipid=999,
-                more_fragments=True,
-            )
-            host.defrag.add_fragment(fragment, sim.now)
-            wire = NTPPacket.client_query_wire(sim.now)
-            payload = encode_udp(
-                "192.0.2.50", "203.0.113.9", UDPDatagram(NTP_PORT, NTP_PORT, wire)
-            )
-            packets = [
-                IPv4Packet.udp("192.0.2.50", "203.0.113.9", payload, i)
-                for i in range(12)
-            ]
-            if use_burst:
-                network.transmit_burst(packets)
-            else:
-                for packet in packets:
-                    network.transmit(packet)
-            sim.advance(40.0)  # well past the reassembly timeout
-            return (
-                server.stats.queries_received,
-                server.stats.responses_sent,
-                server.stats.kods_sent,
-                server.stats.queries_dropped,
-                host.stats.udp_received,
-                len(host.defrag._buckets),  # trusted: bucket never swept
-                burst_calls,
-            )
-
-        burst_outcome = run_flood(True)
-        singular_outcome = run_flood(False)
-        # The burst path used the burst handler exactly once, for all 12.
-        assert burst_outcome[-1] == [12]
-        assert singular_outcome[-1] == []
-        # Everything else — including the unswept reassembly bucket — is
-        # identical to singular trusted delivery.
-        assert burst_outcome[:-1] == singular_outcome[:-1]
-        assert burst_outcome[-2] == 1  # the stale bucket survived

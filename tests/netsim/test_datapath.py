@@ -10,7 +10,12 @@ from repro.netsim.datapath import (
     UNROUTED_PIPELINE,
 )
 from repro.netsim.errors import NetSimError, NoRouteError
-from repro.netsim.network import Link, Network, PIPELINE_CACHE_MAX_ENTRIES
+from repro.netsim.network import (
+    Link,
+    Network,
+    PIPELINE_CACHE_MAX_ENTRIES,
+    SPRAY_PLAN_CACHE_MAX_ENTRIES,
+)
 from repro.netsim.packet import IPProtocol, IPv4Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.udp import UDPDatagram, encode_udp
@@ -186,6 +191,13 @@ class TestPipelineCache:
         for index in range(limit + 10):
             net._compile_pipeline(f"src-{index}", "10.0.0.2")
         assert len(net._pipelines) <= limit
+
+    def test_spray_plan_cache_bounded(self):
+        _, net, _, _ = make_net()
+        # A spoofing sweep over unique claimed sources, one plan each.
+        for index in range(SPRAY_PLAN_CACHE_MAX_ENTRIES + 10):
+            net._compile_spray_plan(f"src-{index}", ("10.0.0.2",))
+        assert len(net._spray_plans) <= SPRAY_PLAN_CACHE_MAX_ENTRIES
 
     def test_unrouted_pipeline_is_shared(self):
         _, net, _, _ = make_net()

@@ -217,30 +217,57 @@ class TestChecksumFastPathsPinned:
         )
         assert observed == expected
 
-    @given(st.floats(min_value=0.0, max_value=4_000_000.0, allow_nan=False))
+    @given(
+        st.floats(min_value=0.0, max_value=4_000_000.0, allow_nan=False),
+        st.lists(addresses, min_size=1, max_size=5, unique=True),
+        st.integers(min_value=0, max_value=0x1FFFF),
+    )
     @settings(max_examples=100)
-    def test_spoofed_query_crafting_matches_encode_udp(self, now):
-        """The remover's crafted spoofed query is byte-identical to the
-        generic UDP encode tower it replaced."""
+    def test_spoofed_query_crafting_matches_encode_udp(self, now, servers, sent):
+        """The remover's crafted spoofed queries — the reference
+        ``_craft_query`` packet and the datagrams ``_send_cohort`` hands to
+        ``transmit_spray`` — are byte-identical to the generic UDP encode
+        tower they replaced."""
+        from types import SimpleNamespace
+
+        from repro.core.attacker import AttackerStats
+        from repro.core.rate_limit_abuse import AssociationRemover, RemovalCampaign
         from repro.ntp.packet import NTPPacket, NTP_PORT
 
-        victim, server = "192.0.2.101", "203.0.113.7"
+        victim = "192.0.2.101"
         wire = NTPPacket.client_query_wire(now)
-        reference = encode_udp(
-            victim, server, UDPDatagram(NTP_PORT, NTP_PORT, wire)
-        )
+        references = [
+            encode_udp(victim, server, UDPDatagram(NTP_PORT, NTP_PORT, wire))
+            for server in servers
+        ]
 
-        from repro.core import rate_limit_abuse as rla
+        class RecordingNetwork:
+            def __init__(self):
+                self.sprays = []
 
-        remover = object.__new__(rla.AssociationRemover)
-        remover.victim_ip = victim
-        remover._wire_time = None
-        remover._wire = b""
-        remover._wire_sum = 0
+            def transmit_spray(self, *spray):
+                self.sprays.append(spray)
+
+        network = RecordingNetwork()
+        simulator = Simulator()
+        simulator.advance(now)
+        attacker = SimpleNamespace(network=network, stats=AttackerStats())
+        remover = AssociationRemover(attacker, simulator, victim)
+        campaigns = []
+        for server in servers:
+            campaign = RemovalCampaign(server_ip=server, victim_ip=victim, started_at=0.0)
+            campaign.queries_sent = sent
+            campaigns.append(campaign)
         remover._query_payload(now)
-        campaign = rla.RemovalCampaign(
-            server_ip=server, victim_ip=victim, started_at=0.0
-        )
-        packet = remover._craft_query(campaign)
-        assert packet.payload == reference
-        assert packet.src == victim and packet.dst == server
+        for campaign, reference in zip(campaigns, references):
+            packet = remover._craft_query(campaign)
+            assert packet.payload == reference
+            assert packet.src == victim and packet.dst == campaign.server_ip
+
+        remover._send_cohort(campaigns)
+        ((src, destinations, datagrams, ipids),) = network.sprays
+        assert src == victim
+        assert destinations == tuple(servers)
+        assert datagrams == references
+        assert ipids == [sent & 0xFFFF] * len(servers)
+        assert [c.queries_sent for c in campaigns] == [sent + 1] * len(servers)

@@ -1,6 +1,6 @@
 """Property tests pinning the burst engine to the singular paths.
 
-Three pinned equivalences:
+Four pinned equivalences:
 
 * ``Network.transmit_burst`` must be *logically* event-for-event
   equivalent to N single ``transmit`` calls under a fixed seed — same
@@ -8,31 +8,39 @@ Three pinned equivalences:
   draws, captures and counters — even though the heap-entry shape differs
   (same-instant groups coalesce into one burst entry).  The property
   reuses the worlds of ``test_prop_batch_delivery``.
+* ``Network.transmit_spray`` must be event-for-event equivalent to
+  injecting the same packets one by one — on the uniform spray path and on
+  every fallback trigger (lossy, faulted, unrouted or mixed-latency pairs,
+  an attached capture, a tap, topology edits between rounds) — and must
+  conserve datagrams: every transmitted, undropped copy is either
+  received or counted as a checksum failure.
 * ``RateLimiter.consume_burst(source, n, now)`` must match ``n``
   sequential ``consume()`` calls bit-for-bit: decisions in order, final
   bucket state, and every aggregate counter, across token levels, refill
   boundaries and fractional rates.
-* The burst checksum verify (both the flat arithmetic pass and the numpy
-  stacked pass) must accept/reject exactly the packets the scalar
-  word-sum fold accepts/rejects, byte-for-byte.
+* The spray drain's whole-datagram checksum fold must accept/reject
+  exactly the datagrams the scalar ``HostDatapath.deliver`` verify
+  accepts/rejects, byte-for-byte.
 """
 
 from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.burst import DeliveryBurst
-from repro.netsim.packet import IPv4Packet
+from repro.netsim.burst import SprayDelivery
+from repro.netsim.capture import PacketCapture
+from repro.netsim.faults import Corruption, Duplication, GilbertElliott, ReorderJitter
+from repro.netsim.packet import IPProtocol, IPv4Packet
 from repro.netsim.simulator import Simulator
-from repro.netsim.network import Network
-from repro.netsim.udp import UDPDatagram, encode_udp, udp_checksum_arith
+from repro.netsim.network import Link, Network
+from repro.netsim.udp import UDPDatagram, encode_udp
 from repro.ntp.rate_limit import RateLimitDecision, RateLimiter
 
 from tests.properties.test_prop_batch_delivery import (
-    HOST_IPS,
     build_packets,
     build_world,
     observable_state,
@@ -226,84 +234,312 @@ class TestConsumeTimesClosedForm:
         assert math.isclose(state_a.score, state_b.score, rel_tol=1e-9, abs_tol=1e-6)
 
 
-# ---------------------------------------------------------- burst checksums
-def burst_world(count: int, corrupt_mask: int, payload_seed: int):
-    """A star topology: one sender, ``count`` receivers, crafted packets."""
-    simulator = Simulator(seed=3)
-    network = Network(simulator)
-    src = "10.9.9.1"
-    network.add_host("sender", src)
-    items = []
-    for index in range(count):
-        dst = f"10.9.10.{index + 1}"
-        network.add_host(f"r{index}", dst)
-        body = bytes(
-            (payload_seed + index * 7 + offset) & 0xFF
-            for offset in range((payload_seed + index) % 64)
-        )
-        checksum_src = "9.9.9.9" if corrupt_mask & (1 << index) else src
-        payload = encode_udp(checksum_src, dst, UDPDatagram(4000, 53, body))
-        packet = IPv4Packet.udp(src, dst, payload, index & 0xFFFF)
-        items.append((network.pipeline_for(src, dst), packet))
-    return items
+# ------------------------------------------------------------------ sprays
+SPRAY_SRC = "192.0.2.150"  # the spoofed victim: no host behind it
+SPRAY_DSTS = ("10.7.0.1", "10.7.0.2", "10.7.0.3", "10.7.0.4", "10.7.0.5", "10.7.0.6")
+UNROUTED_DST = "10.7.9.9"
+SPRAY_PORT = 123
+
+#: Fallback triggers: a capture forces the materialised path for every
+#: spray, the others for sprays that touch their pair (unrouted pairs come
+#: from the destinations themselves).
+TRIGGERS = ("lossy", "faulted", "mixed", "capture")
+#: Destination-level configurations every world carries, because they keep
+#: the spray entry but change how its drain delivers: an inbox-mode socket,
+#: a packet tap, a trusted link, and expired reassembly buckets that the
+#: next arrival sweeps (except across the trusted link, which skips it).
+INBOX_DST, TAP_DST, TRUSTED_DST, SWEPT_DST = (
+    SPRAY_DSTS[0],
+    SPRAY_DSTS[4],
+    SPRAY_DSTS[5],
+    SPRAY_DSTS[1],
+)
 
 
-class TestBurstChecksumPinnedToScalar:
-    @given(
-        st.integers(min_value=2, max_value=12),
-        st.integers(min_value=0, max_value=0xFFF),
-        st.integers(min_value=0, max_value=255),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_flat_pass_matches_scalar_word_sum(self, count, corrupt_mask, seed):
-        items = burst_world(count, corrupt_mask, seed)
-        parsed = DeliveryBurst._vector_verify(items)
-        if parsed is None:
-            # Nothing verified (e.g. every checksum corrupted): treated as
-            # all-scalar dispatch, i.e. an all-None parsed list.
-            parsed = [None] * len(items)
-        for (pipeline, packet), info in zip(items, parsed):
-            data = packet.payload
-            src_port = int.from_bytes(data[0:2], "big")
-            dst_port = int.from_bytes(data[2:4], "big")
-            checksum = int.from_bytes(data[6:8], "big")
-            expected_ok = checksum == 0 or checksum == udp_checksum_arith(
-                packet.src, packet.dst, src_port, dst_port, data[8:]
-            )
-            if expected_ok:
-                assert info == (src_port, dst_port)
+class SprayWorld:
+    """Six NTP-port receivers behind one spoofed source, plus the triggers."""
+
+    def __init__(self, triggers) -> None:
+        self.simulator = simulator = Simulator(seed=21)
+        self.network = network = Network(simulator, default_latency=0.01)
+        self.received: list = []
+        self.tapped: list = []
+        self.inboxes: list = []
+        for ip in SPRAY_DSTS:
+            if ip == INBOX_DST:
+                self.inboxes.append(network.add_host(f"s-{ip}", ip).bind(SPRAY_PORT))
             else:
-                assert info is None
-
-    @given(
-        st.integers(min_value=2, max_value=10),
-        st.integers(min_value=0, max_value=0x3FF),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_stacked_pass_matches_flat_pass(self, count, corrupt_mask):
-        """The numpy stacked pass and the flat big-int pass are one fold.
-
-        Uniform-size bursts only (the stacked pass's precondition); the
-        threshold is bypassed by calling the passes directly.
-        """
-        simulator = Simulator(seed=4)
-        network = Network(simulator)
-        src = "10.8.8.1"
-        network.add_host("sender", src)
-        items = []
-        for index in range(count):
-            dst = f"10.8.9.{index + 1}"
-            network.add_host(f"r{index}", dst)
-            body = bytes((index * 13 + offset) & 0xFF for offset in range(40))
-            checksum_src = "9.9.9.9" if corrupt_mask & (1 << index) else src
-            payload = encode_udp(checksum_src, dst, UDPDatagram(123, 123, body))
-            items.append(
-                (network.pipeline_for(src, dst), IPv4Packet.udp(src, dst, payload, index))
+                self.add_receiver(ip)
+        network.host(TAP_DST).packet_tap = lambda packet: self.tapped.append(
+            (
+                simulator.now,
+                packet.src,
+                packet.dst,
+                packet.payload,
+                packet.ipid,
+                packet.metadata.get("spoofed"),
             )
-        stacked = DeliveryBurst._verify_stacked(items)
-        flat = DeliveryBurst._verify_flat(items)
-        assert stacked is not None
-        if flat is None:  # nothing verified: the flat pass signals it as None
-            assert all(info is None for info in stacked)
+        )
+        network.trust_link(SPRAY_SRC, TRUSTED_DST)
+        for ip in (SWEPT_DST, TRUSTED_DST):
+            network.host(ip).defrag.add_fragment(
+                IPv4Packet(
+                    src=SPRAY_SRC,
+                    dst=ip,
+                    protocol=IPProtocol.UDP,
+                    payload=b"\x00" * 16,
+                    ipid=999,
+                    more_fragments=True,
+                ),
+                simulator.now,
+            )
+        simulator.run_for(40.0)  # past the reassembly timeout
+        if "lossy" in triggers:
+            network.set_link(SPRAY_SRC, SPRAY_DSTS[2], Link(loss_probability=0.4))
+        if "faulted" in triggers:
+            network.set_link_faults(
+                SPRAY_SRC,
+                SPRAY_DSTS[2],
+                GilbertElliott(p_enter_bad=0.3, p_exit_bad=0.4, loss_bad=0.6),
+                Corruption(0.3),
+                Duplication(0.3, max_delay=0.002),
+                ReorderJitter(0.3, max_delay=0.003),
+            )
+        if "mixed" in triggers:
+            network.set_link(SPRAY_SRC, SPRAY_DSTS[3], Link(latency=0.5))
+        self.capture = None
+        if "capture" in triggers:
+            self.capture = PacketCapture(name="spray")
+            network.attach_capture(self.capture)
+
+    def add_receiver(self, ip: str) -> None:
+        simulator = self.simulator
+        self.network.add_host(f"s-{ip}", ip).bind(
+            SPRAY_PORT,
+            lambda payload, src, port, _ip=ip: self.received.append(
+                (simulator.now, _ip, payload, src, port)
+            ),
+        )
+
+    def edit(self, edit) -> None:
+        """A topology edit between rounds (each must retire cached plans)."""
+        network = self.network
+        if edit == "set_link":
+            latency = network.link_between(SPRAY_SRC, SPRAY_DSTS[3]).latency
+            network.set_link(
+                SPRAY_SRC, SPRAY_DSTS[3], Link(latency=0.02 if latency == 0.01 else 0.01)
+            )
+        elif edit == "add_host" and not network.has_host(UNROUTED_DST):
+            self.add_receiver(UNROUTED_DST)
+        elif edit == "invalidate":
+            network.invalidate_pipelines()
+
+    def send_round(self, specs, first_index: int, use_spray: bool) -> None:
+        destinations, datagrams, ipids = [], [], []
+        for offset, (dst_i, size, kind) in enumerate(specs):
+            index = first_index + offset
+            dst = UNROUTED_DST if dst_i == len(SPRAY_DSTS) else SPRAY_DSTS[dst_i]
+            body = bytes((index * 31 + b) & 0xFF for b in range(size))
+            checksum_src = "9.9.9.9" if kind == "corrupt" else SPRAY_SRC
+            datagram = encode_udp(
+                checksum_src, dst, UDPDatagram(SPRAY_PORT, SPRAY_PORT, body)
+            )
+            if kind == "zero":  # "not checksummed"
+                datagram = datagram[:6] + b"\x00\x00" + datagram[8:]
+            destinations.append(dst)
+            datagrams.append(datagram)
+            ipids.append(index & 0xFFFF)
+        network = self.network
+        if use_spray:
+            network.transmit_spray(SPRAY_SRC, tuple(destinations), datagrams, ipids)
         else:
-            assert stacked == flat
+            for dst, datagram, ipid in zip(destinations, datagrams, ipids):
+                network.inject(IPv4Packet.udp(SPRAY_SRC, dst, datagram, ipid))
+
+    def takes_spray_entry(self) -> bool:
+        return any(isinstance(entry[2], SprayDelivery) for entry in self.simulator._queue)
+
+    def state(self) -> dict:
+        simulator, network = self.simulator, self.network
+        return {
+            "received": list(self.received),
+            "tapped": list(self.tapped),
+            "inbox": [
+                (d.payload, d.src_ip, d.src_port, d.received_at)
+                for socket in self.inboxes
+                for d in socket.inbox
+            ],
+            "captured": None
+            if self.capture is None
+            else [
+                (
+                    c.time,
+                    c.packet.src,
+                    c.packet.dst,
+                    c.packet.payload,
+                    c.packet.ipid,
+                    c.packet.metadata.get("spoofed"),
+                )
+                for c in self.capture.packets
+            ],
+            "now": simulator.now,
+            "sequence": simulator._sequence,
+            "events_processed": simulator.events_processed,
+            "transmitted": network.packets_transmitted,
+            "dropped": network.packets_dropped,
+            "loss_rng": network._rng.bit_generator.state,
+            "host_stats": [
+                (
+                    host.ip,
+                    host.stats.udp_received,
+                    host.stats.udp_checksum_failures,
+                    len(host.defrag._buckets),
+                    host.defrag.stats.buckets_expired,
+                )
+                for host in network.hosts()
+            ],
+            "faults": {
+                pair: stats.to_document()
+                for pair, stats in network.per_pair_fault_stats().items()
+            },
+        }
+
+
+def run_spray_rounds(triggers, rounds, use_spray: bool) -> SprayWorld:
+    world = SprayWorld(triggers)
+    index = 0
+    for specs, edit in rounds:
+        world.edit(edit)
+        world.send_round(specs, index, use_spray)
+        index += len(specs)
+        world.simulator.run_for(1.0)
+    world.simulator.run()
+    return world
+
+
+#: One datagram of a round: (destination index — the last is unrouted,
+#: body length — odd and even, checksum kind).
+spray_datagrams = st.tuples(
+    st.integers(min_value=0, max_value=len(SPRAY_DSTS)),
+    st.integers(min_value=0, max_value=61),
+    st.sampled_from(["ok", "ok", "corrupt", "zero"]),
+)
+#: Rounds, each preceded by an optional topology edit.
+spray_rounds = st.lists(
+    st.tuples(
+        st.lists(spray_datagrams, min_size=1, max_size=10),
+        st.sampled_from([None, None, "set_link", "add_host", "invalidate"]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestTransmitSprayEquivalence:
+    @given(st.sets(st.sampled_from(TRIGGERS)), spray_rounds)
+    @settings(max_examples=120, deadline=None)
+    def test_spray_is_event_for_event_equivalent_to_injects(self, triggers, rounds):
+        sprayed = run_spray_rounds(triggers, rounds, use_spray=True)
+        injected = run_spray_rounds(triggers, rounds, use_spray=False)
+        assert sprayed.state() == injected.state()
+
+    @given(st.sets(st.sampled_from(TRIGGERS)), spray_rounds)
+    @settings(max_examples=60, deadline=None)
+    def test_spray_conserves_datagrams(self, triggers, rounds):
+        """Σ(udp_received + udp_checksum_failures) == transmitted − dropped
+        (+ fault duplicates, the only way one send arrives twice)."""
+        world = run_spray_rounds(triggers, rounds, use_spray=True)
+        network = world.network
+        arrived = sum(
+            host.stats.udp_received + host.stats.udp_checksum_failures
+            for host in network.hosts()
+        )
+        assert arrived == (
+            network.packets_transmitted
+            - network.packets_dropped
+            + network.fault_stats().duplicated
+        )
+
+    @pytest.mark.parametrize(
+        "trigger, takes_spray",
+        [
+            (None, True),
+            ("lossy", False),
+            ("faulted", False),
+            ("mixed", False),
+            ("capture", False),
+            ("unrouted", False),
+        ],
+    )
+    def test_plan_picks_the_path(self, trigger, takes_spray):
+        world = SprayWorld({trigger})
+        specs = [(i, 48, "ok") for i in range(len(SPRAY_DSTS))]
+        if trigger == "unrouted":
+            specs.append((len(SPRAY_DSTS), 48, "ok"))
+        world.send_round(specs, 0, use_spray=True)
+        assert world.takes_spray_entry() == takes_spray
+
+    def test_topology_edits_retire_cached_plans(self):
+        world = SprayWorld(set())
+        specs = [(3, 48, "ok"), (len(SPRAY_DSTS), 48, "ok")]
+        world.send_round(specs, 0, use_spray=True)
+        assert not world.takes_spray_entry()  # unrouted: fallback
+        world.simulator.run()
+        world.edit("add_host")
+        world.send_round(specs, 2, use_spray=True)
+        assert world.takes_spray_entry()  # the same spray, now uniform
+        world.simulator.run()
+        assert [entry[1] for entry in world.received] == [SPRAY_DSTS[3]] * 2 + [
+            UNROUTED_DST
+        ]
+        world.edit("set_link")  # SPRAY_DSTS[3] now slower than UNROUTED_DST
+        world.send_round(specs, 4, use_spray=True)
+        assert not world.takes_spray_entry()
+
+
+# ------------------------------------------------------------ spray checksum
+class TestSprayChecksumPinnedToScalar:
+    @given(
+        st.sampled_from(["10.0.0.1", "192.0.2.150", "255.255.255.254"]),
+        st.integers(min_value=0, max_value=0xFFFF),
+        st.binary(max_size=64),
+        st.one_of(
+            st.none(),
+            st.sampled_from([0, 0xFFFF]),
+            st.integers(min_value=0, max_value=0xFFFF),
+        ),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=8 * 72 - 1)),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_whole_datagram_fold_matches_scalar_verdict(
+        self, src, sport, body, checksum, flip, cut
+    ):
+        """Random, bit-flipped and truncated datagrams, checksum fields 0
+        and 0xFFFF, odd lengths: the spray drain and the scalar deliver
+        accept, reject and hand over exactly the same datagrams."""
+        dst = "203.0.113.7"
+        datagram = bytearray(encode_udp(src, dst, UDPDatagram(sport, SPRAY_PORT, body)))
+        if checksum is not None:
+            datagram[6:8] = checksum.to_bytes(2, "big")
+        if flip is not None:
+            datagram[(flip // 8) % len(datagram)] ^= 1 << (flip % 8)
+        if cut is not None:
+            del datagram[cut:]
+        datagram = bytes(datagram)
+
+        def verdict(use_spray: bool):
+            simulator = Simulator(seed=1)
+            network = Network(simulator)
+            host = network.add_host("receiver", dst)
+            handed = []
+            host.bind(SPRAY_PORT, lambda *args: handed.append(args))
+            if use_spray:
+                network.transmit_spray(src, (dst,), [datagram], [7])
+                assert isinstance(simulator._queue[0][2], SprayDelivery)
+            else:
+                network.inject(IPv4Packet.udp(src, dst, datagram, 7))
+            simulator.run()
+            return host.stats.udp_received, host.stats.udp_checksum_failures, handed
+
+        assert verdict(True) == verdict(False)
