@@ -25,13 +25,11 @@ See ``EXPERIMENTS.md`` at the repository root for the full guide.
 
 from repro.experiments.runner import (
     ERROR_KINDS,
-    CheckpointError,
     ExperimentRunner,
     RetryPolicy,
     RunOutcome,
     RunSpec,
     SweepCancelled,
-    load_checkpoint,
     make_grid,
     outcomes_table,
     write_bench_json,
@@ -49,7 +47,6 @@ from repro.experiments.store import (
 from repro.experiments.warmup import warm_worker_caches
 
 __all__ = [
-    "CheckpointError",
     "ERROR_KINDS",
     "ExperimentRunner",
     "FsckReport",
@@ -63,7 +60,6 @@ __all__ = [
     "SweepCancelled",
     "SweepWriter",
     "get_scenario",
-    "load_checkpoint",
     "make_grid",
     "outcomes_table",
     "repair_segment",

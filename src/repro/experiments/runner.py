@@ -24,17 +24,17 @@ thread that raises inside the running scenario.  Failed runs can be
 retried with exponential backoff and *deterministic* jitter
 (:class:`RetryPolicy` — the jitter is a pure function of the run label and
 attempt number, so resumed sweeps pace identically); every failure carries
-a typed ``error_kind`` on its :class:`RunOutcome`.  Sweeps can be
-*checkpointed* to an append-only JSONL file — or written through the
-durable run store of :mod:`repro.experiments.store` (manifests + fsynced
-segments) via :meth:`ExperimentRunner.run_stored` — and later
-:meth:`resumed <ExperimentRunner.resume>`: finished specs are skipped and
-the combined outcome list is identical to an uninterrupted run (scenarios
-are pure functions of their spec, so re-executing the unfinished tail
-reproduces exactly what the interrupted run would have produced).
-Cancellation is graceful: SIGINT or a sweep-wide deadline raises
-:class:`SweepCancelled` *after* every finished outcome has been flushed
-and fsynced, so a resume continues from the cancellation point.
+a typed ``error_kind`` on its :class:`RunOutcome`.  Sweeps are made
+durable by writing through the run store of :mod:`repro.experiments.store`
+(manifests + fsynced segments) via :meth:`ExperimentRunner.run_stored`,
+and later :meth:`resumed <ExperimentRunner.resume_stored>`: finished specs
+are skipped and the combined outcome list is identical to an
+uninterrupted run (scenarios are pure functions of their spec, so
+re-executing the unfinished tail reproduces exactly what the interrupted
+run would have produced).  Cancellation is graceful: SIGINT or a
+sweep-wide deadline raises :class:`SweepCancelled` *after* every finished
+outcome has been flushed and fsynced, so a resume continues from the
+cancellation point.
 """
 
 from __future__ import annotations
@@ -49,17 +49,11 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from repro.experiments.store import (
-    RepairEvent,
-    outcome_document,
-    repair_segment,
-    scan_records,
-    spec_document,
-)
+from repro.experiments.store import RepairEvent, RunStore, SweepWriter
 from repro.measurement.report import format_table
 from repro.perf import (
     DISPATCH_STAGES,
@@ -89,16 +83,11 @@ ERROR_KINDS = ("scenario-error", "timeout", "worker-crash")
 _logger = logging.getLogger(__name__)
 
 
-class CheckpointError(RuntimeError):
-    """A sweep checkpoint could not be written, read, or matched to specs."""
-
-
 class SweepCancelled(RuntimeError):
     """A sweep stopped early — gracefully — on SIGINT or a sweep deadline.
 
     Every outcome that finished before the cancellation was already
-    flushed (and fsynced) to the checkpoint / run store, so
-    :meth:`ExperimentRunner.resume` or
+    flushed (and fsynced) to the run store, so
     :meth:`ExperimentRunner.resume_stored` continues exactly from the
     cancellation point.  The finished outcomes ride on the exception as
     ``outcomes`` (``{spec index: RunOutcome}``).
@@ -114,7 +103,7 @@ class SweepCancelled(RuntimeError):
         cause = "SIGINT" if reason == "interrupt" else "its sweep deadline"
         super().__init__(
             f"sweep cancelled by {cause} after {self.completed}/{total} runs; "
-            "finished outcomes are flushed — resume() continues from them"
+            "finished outcomes are flushed — resume_stored() continues from them"
         )
 
 
@@ -237,9 +226,7 @@ def make_grid(scenario: str, **axes: Iterable[Any]) -> list[RunSpec]:
     ]
 
 
-def _execute_chunk(
-    specs: tuple[RunSpec, ...], pack_tenants: int = 0
-) -> list[RunOutcome]:
+def _execute_chunk(specs: tuple[RunSpec, ...]) -> list[RunOutcome]:
     """Run a contiguous slice of the grid in one worker task.
 
     Chunked submission amortises the per-task overhead of the process pool
@@ -247,69 +234,11 @@ def _execute_chunk(
     :func:`repro.experiments.warmup.warm_worker_caches` pool initializer —
     means a worker pays the import/intern/memo warm-up once, not once per
     scenario.  Top-level, hence picklable.
-
-    With ``pack_tenants`` > 1, consecutive same-scenario specs (up to that
-    many per batch) whose scenario registered a tenant pack (see
-    :func:`repro.experiments.scenarios.get_tenant_pack`) execute as one
-    multi-tenant batch behind this worker's warmed caches instead of one
-    at a time.  Scenarios are pure functions of their specs, so results
-    are identical either way; packing only changes per-run wall-time
-    attribution (spread evenly over the pack), so it is skipped while
-    stage-stats collection is on.
     """
     from repro.experiments.warmup import warm_worker_caches
 
     warm_worker_caches()
-    if pack_tenants > 1 and not os.environ.get(STAGE_STATS_ENV):
-        return _execute_packed(specs, pack_tenants)
     return [_execute(spec) for spec in specs]
-
-
-def _execute_packed(
-    specs: tuple[RunSpec, ...], limit: int
-) -> list[RunOutcome]:
-    """Chunk execution with multi-tenant packing of same-scenario runs.
-
-    Falls back to :func:`_execute` per spec whenever a scenario has no
-    registered pack, the pack raises, or it returns the wrong number of
-    results — packing is an optimisation, never a semantic change.
-    """
-    from repro.experiments.scenarios import get_tenant_pack
-
-    outcomes: list[RunOutcome] = []
-    index = 0
-    while index < len(specs):
-        scenario = specs[index].scenario
-        group = [specs[index]]
-        index += 1
-        while (
-            index < len(specs)
-            and specs[index].scenario == scenario
-            and len(group) < limit
-        ):
-            group.append(specs[index])
-            index += 1
-        pack = get_tenant_pack(scenario) if len(group) > 1 else None
-        if pack is None:
-            outcomes.extend(_execute(spec) for spec in group)
-            continue
-        started = time.perf_counter()
-        try:
-            results = pack([spec.kwargs() for spec in group])
-            if len(results) != len(group):
-                raise RuntimeError(
-                    f"tenant pack for {scenario!r} returned "
-                    f"{len(results)} results for {len(group)} specs"
-                )
-        except Exception:  # noqa: BLE001 - packs are best-effort
-            outcomes.extend(_execute(spec) for spec in group)
-            continue
-        share = (time.perf_counter() - started) / len(group)
-        outcomes.extend(
-            RunOutcome(spec=spec, result=result, wall_time=share)
-            for spec, result in zip(group, results)
-        )
-    return outcomes
 
 
 def _execute(spec: RunSpec) -> RunOutcome:
@@ -457,124 +386,8 @@ class _Watchdog:
                 _raise_async_exc(self._armed_tid, _RunTimeoutInterrupt)
 
 
-# --------------------------------------------------------------- checkpoints
-#: The JSON shape a spec takes inside a checkpoint line / store record
-#: (shared with :mod:`repro.experiments.store`).
-_spec_document = spec_document
-
-
-def _json_normalise(value: Any) -> Any:
-    """Round-trip through JSON (tuples → lists etc.) for spec comparison."""
-    return json.loads(json.dumps(value))
-
-
-class _CheckpointWriter:
-    """Append-only JSONL sink for completed outcomes.
-
-    One line per finished run, flushed and fsynced immediately so a killed
-    sweep loses at most the line being written (a torn final line, which
-    the loader tolerates).  Lines are written in *completion* order and
-    carry the spec index, so declaration order is reconstructed on load.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        try:
-            self._repair_damage(path)
-            self._handle = open(path, "a", encoding="utf-8")
-        except OSError as exc:
-            raise CheckpointError(f"cannot open checkpoint {path!r}: {exc}") from exc
-
-    @staticmethod
-    def _repair_damage(path: str) -> list[RepairEvent]:
-        """Rewrite the checkpoint without its damaged lines before appending.
-
-        Generalises the old torn-tail-only truncation: a partial final
-        line from a kill mid-write, undecodable records mid-file and
-        NUL-padded truncation holes are all dropped (the affected runs
-        simply re-execute), via :func:`repro.experiments.store.repair_segment`
-        — valid lines survive byte-for-byte.  Appending without the repair
-        would concatenate the next entry onto a fragment and corrupt it.
-        Every dropped line is reported through a logged warning.
-        """
-        events = repair_segment(path)
-        for event in events:
-            _logger.warning("checkpoint %s: dropped damaged line — %s", path, event)
-        return events
-
-    def append(self, index: int, outcome: RunOutcome) -> None:
-        entry = outcome_document(index, outcome)
-        try:
-            line = json.dumps(entry)
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"outcome of {outcome.spec.label} is not JSON-serialisable "
-                f"(checkpointed sweeps need JSON-safe scenario results): {exc}"
-            ) from exc
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        self._handle.close()
-
-
-def load_checkpoint(
-    path: str,
-    specs: Sequence[RunSpec],
-    repairs: Optional[list[RepairEvent]] = None,
-) -> dict[int, RunOutcome]:
-    """Read a checkpoint back into ``{spec index: RunOutcome}``.
-
-    Validates every record against the sweep it claims to belong to — the
-    index must be in range and the recorded spec must equal ``specs[index]``
-    (a mismatch means the checkpoint came from a different grid and raises
-    :class:`CheckpointError` rather than silently skipping wrong runs).
-
-    Damage is survivable *and reported*, not silently dropped: a torn
-    final line (kill mid-write), undecodable records anywhere in the file
-    (disk corruption) and NUL-padded truncation holes are each logged as a
-    warning and appended to ``repairs`` when a list is passed — the
-    affected runs simply re-execute on resume.  JSON floats round-trip
-    exactly, so reloaded results compare bit-identical to freshly
-    executed ones.
-    """
-    done: dict[int, RunOutcome] = {}
-    if not os.path.exists(path):
-        return done
-    expected = [_json_normalise(_spec_document(spec)) for spec in specs]
-    records, events = scan_records(path)
-    for event in events:
-        _logger.warning("checkpoint %s: skipped damaged line — %s", path, event)
-    if repairs is not None:
-        repairs.extend(events)
-    for entry in records:
-        index = entry.get("index")
-        if not isinstance(index, int) or not 0 <= index < len(specs):
-            raise CheckpointError(
-                f"checkpoint {path!r}: index {index!r} out of range for a "
-                f"sweep of {len(specs)} specs"
-            )
-        if entry.get("spec") != expected[index]:
-            raise CheckpointError(
-                f"checkpoint {path!r}: recorded spec {entry.get('spec')!r} "
-                f"does not match {specs[index].label} — this checkpoint "
-                "belongs to a different sweep"
-            )
-        done[index] = RunOutcome(
-            spec=specs[index],
-            result=entry.get("result"),
-            wall_time=entry.get("wall_time", 0.0),
-            error=entry.get("error"),
-            stage_stats=entry.get("stage_stats"),
-            error_kind=entry.get("error_kind"),
-            attempts=entry.get("attempts", 1),
-        )
-    return done
-
-
 class _ProgressTracker:
-    """Throttled completed/total emission shared by run() and the writer."""
+    """Throttled completed/total emission for one sweep."""
 
     def __init__(
         self,
@@ -681,21 +494,15 @@ class ExperimentRunner:
         a kind in ``retry_on`` re-execute (scenarios are pure functions of
         their spec, so a retry that succeeds is indistinguishable from a
         first-try success apart from ``RunOutcome.attempts``).
-    probation_width:
-        How many isolated single-worker pools re-run crash suspects
-        concurrently (the K of the K-way probation tier).  Defaults to
-        ``min(2, max_workers)``.  Suspects must run isolated for
-        definitive culprit attribution, but probation runs *alongside*
-        the main pool — a crash no longer serialises the sweep.
     sweep_timeout:
         Wall-clock budget in seconds for the whole sweep.  On expiry the
         sweep cancels gracefully: pools are killed, every finished
         outcome is already flushed, and :class:`SweepCancelled` carries
-        the partial results (``resume()`` continues from them).  SIGINT
-        (``KeyboardInterrupt``) cancels the same way.
+        the partial results (``resume_stored()`` continues from them).
+        SIGINT (``KeyboardInterrupt``) cancels the same way.
     on_progress:
-        ``callback(completed, total)`` invoked as runs finish (also on
-        runs replayed from a checkpoint).  Throttled by
+        ``callback(completed, total)`` invoked as runs finish (a resumed
+        sweep counts from the outcomes it already recorded).  Throttled by
         ``progress_interval`` seconds (``0`` emits on every completion); a
         final emission is guaranteed.
     """
@@ -707,11 +514,9 @@ class ExperimentRunner:
         chunk_size: Optional[int] = None,
         run_timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
-        probation_width: Optional[int] = None,
         sweep_timeout: Optional[float] = None,
         on_progress: Optional[Callable[[int, int], None]] = None,
         progress_interval: float = 0.0,
-        tenants_per_worker: Optional[int] = None,
     ) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
@@ -719,16 +524,8 @@ class ExperimentRunner:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if tenants_per_worker is not None and tenants_per_worker < 1:
-            raise ValueError(
-                f"tenants_per_worker must be >= 1, got {tenants_per_worker}"
-            )
         if run_timeout is not None and run_timeout <= 0:
             raise ValueError(f"run_timeout must be > 0, got {run_timeout}")
-        if probation_width is not None and probation_width < 1:
-            raise ValueError(
-                f"probation_width must be >= 1, got {probation_width}"
-            )
         if sweep_timeout is not None and sweep_timeout <= 0:
             raise ValueError(f"sweep_timeout must be > 0, got {sweep_timeout}")
         if progress_interval < 0:
@@ -738,19 +535,15 @@ class ExperimentRunner:
         self.chunk_size = chunk_size
         self.run_timeout = run_timeout
         self.retry = retry
-        self.probation_width = (
-            probation_width if probation_width is not None else min(2, max_workers)
-        )
+        #: How many isolated single-worker pools re-run crash suspects
+        #: concurrently (the K of the K-way probation tier).  Suspects must
+        #: run isolated for definitive culprit attribution, but probation
+        #: runs *alongside* the main pool — a crash does not serialise the
+        #: sweep.
+        self.probation_width = min(2, max_workers)
         self.sweep_timeout = sweep_timeout
         self.on_progress = on_progress
         self.progress_interval = progress_interval
-        #: Multi-tenant worker mode: pack up to this many consecutive
-        #: same-scenario runs into one in-worker batch (scenarios that
-        #: registered a tenant pack only; see
-        #: :func:`repro.experiments.scenarios.tenant_pack`).  ``None`` or
-        #: ``1`` disables packing.  Pool mode only — serial runs are
-        #: already one process behind warm caches.
-        self.tenants_per_worker = tenants_per_worker
         #: "serial" or "processes[N] chunks[M]" — how the last sweep ran.
         self.last_execution_mode: str = "serial"
         #: Crash/timeout/probation counters from the last pool sweep (see
@@ -761,49 +554,17 @@ class ExperimentRunner:
         self._watchdog: Optional[_Watchdog] = None
 
     # ------------------------------------------------------------- execution
-    def run(
-        self, specs: Sequence[RunSpec], checkpoint: Optional[str] = None
-    ) -> list[RunOutcome]:
+    def run(self, specs: Sequence[RunSpec]) -> list[RunOutcome]:
         """Execute all specs, returning outcomes in declaration order.
 
-        With ``checkpoint`` set, every completed outcome is appended to
-        that JSONL file as it finishes; an existing non-empty checkpoint is
-        refused (use :meth:`resume` to continue it, or delete the file to
-        start over).
+        Nothing is persisted; :meth:`run_stored` is the durable variant.
         """
-        specs = list(specs)
-        if (
-            checkpoint is not None
-            and os.path.exists(checkpoint)
-            and os.path.getsize(checkpoint) > 0
-        ):
-            raise CheckpointError(
-                f"checkpoint {checkpoint!r} already holds outcomes; call "
-                "resume() to continue the sweep, or remove the file to restart"
-            )
-        writer = _CheckpointWriter(checkpoint) if checkpoint is not None else None
-        return self._run(specs, writer, {})
-
-    def resume(
-        self, specs: Sequence[RunSpec], checkpoint: str
-    ) -> list[RunOutcome]:
-        """Continue a checkpointed sweep, skipping already-finished specs.
-
-        Outcomes recorded in the checkpoint are loaded back (validated
-        against ``specs``); only the unfinished tail executes, appending to
-        the same file.  Because scenarios are pure functions of their
-        specs, the returned list is identical to what an uninterrupted
-        :meth:`run` would have produced.  A missing or empty checkpoint
-        degrades to a plain run.
-        """
-        specs = list(specs)
-        done = load_checkpoint(checkpoint, specs)
-        return self._run(specs, _CheckpointWriter(checkpoint), done)
+        return self._run(list(specs), None, {})
 
     # ------------------------------------------------------ store write-through
     def run_stored(
         self,
-        store: Any,
+        store: RunStore,
         name: str,
         specs: Sequence[RunSpec],
         *,
@@ -846,7 +607,7 @@ class ExperimentRunner:
 
     def resume_stored(
         self,
-        store: Any,
+        store: RunStore,
         sweep_id: str,
         specs: Optional[Sequence[RunSpec]] = None,
         *,
@@ -878,10 +639,10 @@ class ExperimentRunner:
 
     def _run_through_store(
         self,
-        store: Any,
+        store: RunStore,
         sweep_id: str,
         specs: list[RunSpec],
-        writer: Any,
+        writer: SweepWriter,
         done: dict[int, RunOutcome],
         finish: bool = True,
     ) -> list[RunOutcome]:
@@ -900,7 +661,7 @@ class ExperimentRunner:
     def _run(
         self,
         specs: list[RunSpec],
-        writer: Optional[Any],
+        writer: Optional[SweepWriter],
         done: dict[int, RunOutcome],
     ) -> list[RunOutcome]:
         previous_env = os.environ.get(STAGE_STATS_ENV)
@@ -929,7 +690,7 @@ class ExperimentRunner:
                     self._run_pool(remaining, results, writer, progress, deadline)
             except KeyboardInterrupt:
                 # Graceful cancellation: every finished outcome is already
-                # flushed and fsynced; resume() continues from them.
+                # flushed and fsynced; resume_stored() continues from them.
                 raise SweepCancelled("interrupt", results, len(specs)) from None
             except _SweepDeadlineReached:
                 raise SweepCancelled("deadline", results, len(specs)) from None
@@ -949,7 +710,7 @@ class ExperimentRunner:
         index: int,
         outcome: RunOutcome,
         results: dict[int, RunOutcome],
-        writer: Optional[_CheckpointWriter],
+        writer: Optional[SweepWriter],
         progress: _ProgressTracker,
     ) -> None:
         results[index] = outcome
@@ -1011,7 +772,7 @@ class ExperimentRunner:
         self,
         remaining: list[tuple[int, RunSpec]],
         results: dict[int, RunOutcome],
-        writer: Optional[_CheckpointWriter],
+        writer: Optional[SweepWriter],
         progress: _ProgressTracker,
         deadline: Optional[float] = None,
     ) -> None:
@@ -1040,7 +801,7 @@ class ExperimentRunner:
         kind: str,
         requeue: "deque[_Chunk]",
         results: dict[int, RunOutcome],
-        writer: Optional[_CheckpointWriter],
+        writer: Optional[SweepWriter],
         progress: _ProgressTracker,
     ) -> None:
         """Retry a definitively-failed chunk, or materialise typed outcomes."""
@@ -1070,7 +831,7 @@ class ExperimentRunner:
         self,
         remaining: list[tuple[int, RunSpec]],
         results: dict[int, RunOutcome],
-        writer: Optional[_CheckpointWriter],
+        writer: Optional[SweepWriter],
         progress: _ProgressTracker,
         deadline: Optional[float] = None,
     ) -> None:
@@ -1082,24 +843,9 @@ class ExperimentRunner:
         size = self.chunk_size
         if size is None:
             size = max(1, -(-len(specs) // (4 * self.max_workers)))
-            pack = self._pack_limit()
-            if pack > 1:
-                # Chunks sized in whole packs so each worker batch fills its
-                # multi-tenant groups instead of leaving ragged singletons.
-                size = -(-size // pack) * pack
         return [
             tuple(specs[start : start + size]) for start in range(0, len(specs), size)
         ]
-
-    def _pack_limit(self) -> int:
-        """Tenants per in-worker batch (0/1 = multi-tenant packing off)."""
-        if self.tenants_per_worker is None or self.collect_stage_stats:
-            return 0
-        return self.tenants_per_worker
-
-    def run_grid(self, scenario: str, **axes: Iterable[Any]) -> list[RunOutcome]:
-        """Declare and execute a cross-product grid in one call."""
-        return self.run(make_grid(scenario, **axes))
 
 
 class _PoolEngine:
@@ -1129,7 +875,7 @@ class _PoolEngine:
         runner: ExperimentRunner,
         remaining: list[tuple[int, RunSpec]],
         results: dict[int, RunOutcome],
-        writer: Optional[_CheckpointWriter],
+        writer: Optional[SweepWriter],
         progress: _ProgressTracker,
         deadline: Optional[float],
     ) -> None:
@@ -1240,9 +986,7 @@ class _PoolEngine:
         """Submit one chunk; False means the pool is already broken."""
         try:
             future = self.pool.submit(
-                _execute_chunk,
-                tuple(spec for _, spec in chunk.items),
-                self.runner._pack_limit(),
+                _execute_chunk, tuple(spec for _, spec in chunk.items)
             )
         except BrokenProcessPool:
             self.recovery["worker_crashes"] += 1

@@ -14,19 +14,9 @@ the :func:`scenario` decorator.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 SCENARIOS: dict[str, Callable[..., Any]] = {}
-
-#: Multi-tenant batch executors: scenario name -> callable taking a list of
-#: parameter dicts and returning one result per dict, in order.  Registered
-#: only for scenarios that benefit from sharing a worker's warmed caches
-#: across several small simulations (see ``ExperimentRunner``'s
-#: ``tenants_per_worker``).  Packs must be semantically identical to
-#: running the scenario per-dict — the runner falls back to per-spec
-#: execution on any pack failure.
-TENANT_PACKS: dict[str, Callable[[list[dict[str, Any]]], list[Any]]] = {}
-
 
 def scenario(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Register a scenario function under ``name``."""
@@ -47,34 +37,6 @@ def get_scenario(name: str) -> Callable[..., Any]:
     except KeyError:
         known = ", ".join(sorted(SCENARIOS)) or "(none)"
         raise KeyError(f"unknown scenario {name!r}; registered: {known}") from None
-
-
-def tenant_pack(
-    name: str,
-) -> Callable[
-    [Callable[[list[dict[str, Any]]], list[Any]]],
-    Callable[[list[dict[str, Any]]], list[Any]],
-]:
-    """Register a multi-tenant batch executor for scenario ``name``."""
-
-    def register(
-        func: Callable[[list[dict[str, Any]]], list[Any]]
-    ) -> Callable[[list[dict[str, Any]]], list[Any]]:
-        if name not in SCENARIOS:
-            raise ValueError(f"tenant pack for unregistered scenario {name!r}")
-        if name in TENANT_PACKS:
-            raise ValueError(f"tenant pack for {name!r} already registered")
-        TENANT_PACKS[name] = func
-        return func
-
-    return register
-
-
-def get_tenant_pack(
-    name: str,
-) -> Optional[Callable[[list[dict[str, Any]]], list[Any]]]:
-    """The batch executor for ``name``, or ``None`` when it runs per-spec."""
-    return TENANT_PACKS.get(name)
 
 
 # --------------------------------------------------------------------- table2
@@ -342,19 +304,6 @@ def population_fleet(
     return run_fleet(spec, seed=seed, detail_limit=detail_limit)
 
 
-@tenant_pack("population_fleet")
-def population_fleet_pack(param_sets: list[dict[str, Any]]) -> list[Any]:
-    """Multi-tenant worker mode: several small fleets, one process.
-
-    Each tenant still builds its own simulator (runs stay pure functions
-    of their parameters), but the pack shares the worker's warmed codec /
-    intern / memo caches and the memoised spec parse across tenants —
-    the per-simulation setup cost a landscape of small cells otherwise
-    pays once per pool task.
-    """
-    return [population_fleet(**params) for params in param_sets]
-
-
 @scenario("population_landscape")
 def population_landscape(
     spec_json: str = "",
@@ -384,12 +333,6 @@ def population_landscape(
     result["axis_y"] = axis_y
     result["y"] = y
     return result
-
-
-@tenant_pack("population_landscape")
-def population_landscape_pack(param_sets: list[dict[str, Any]]) -> list[Any]:
-    """Landscape cells are small fleets — pack them like fleets."""
-    return [population_landscape(**params) for params in param_sets]
 
 
 @scenario("population_chaos")
@@ -422,9 +365,3 @@ def population_chaos(
     )
     result["checkpoint"] = checkpoint
     return result
-
-
-@tenant_pack("population_chaos")
-def population_chaos_pack(param_sets: list[dict[str, Any]]) -> list[Any]:
-    """Checkpoint prefixes are independent fleets — pack them like fleets."""
-    return [population_chaos(**params) for params in param_sets]

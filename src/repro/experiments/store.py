@@ -304,8 +304,7 @@ def spec_from_document(document: dict[str, Any]) -> Any:
 
 
 def outcome_document(index: int, outcome: Any) -> dict[str, Any]:
-    """The JSON record shape of one finished run (checkpoint- and
-    store-compatible)."""
+    """The JSON record shape of one finished run in a sweep segment."""
     entry = {
         "index": index,
         "spec": spec_document(outcome.spec),
@@ -536,11 +535,13 @@ class RunStore:
     ) -> dict[int, Any]:
         """Outcome records as ``{spec index: RunOutcome}``, validated.
 
-        Semantics match :func:`repro.experiments.runner.load_checkpoint`:
-        indices must be in range, recorded specs must equal the declared
+        Indices must be in range, recorded specs must equal the declared
         ones (a mismatch means the records belong to a different sweep and
-        raises), later records win over earlier ones (retries, resumes).
-        ``specs=None`` uses the manifest's spec list.
+        raises :class:`StoreError`), and later records win over earlier
+        ones (retries, resumes).  ``specs=None`` uses the manifest's spec
+        list.  This is what
+        :meth:`repro.experiments.runner.ExperimentRunner.resume_stored`
+        skips on resume.
         """
         from repro.experiments.runner import RunOutcome
 
@@ -730,9 +731,8 @@ class SweepWriter:
     Opens a *new* segment (next index) rather than appending to the last
     one, so a resume never writes after a possibly-damaged tail.  Rolls to
     a fresh segment when the current one crosses the store's
-    ``segment_bytes``.  Implements the runner's checkpoint-writer protocol
-    (``append(index, outcome)`` / ``close()``) so sweeps write through the
-    store exactly as they would through a plain checkpoint file.
+    ``segment_bytes``.  The runner appends each finished outcome through
+    ``append(index, outcome)`` and calls ``close()`` when the sweep ends.
     """
 
     def __init__(self, store: RunStore, sweep_id: str) -> None:
@@ -774,7 +774,7 @@ class SweepWriter:
         os.fsync(self._handle.fileno())
 
     def append(self, index: int, outcome: Any) -> None:
-        """Checkpoint-writer protocol: append one finished run outcome."""
+        """Append one finished run outcome (the runner's per-run record)."""
         self.append_record(outcome_document(index, outcome))
 
     def append_aggregate(

@@ -476,18 +476,14 @@ class Simulator:
         Returns the number of events processed by this call (burst entries
         count each of their members).
         """
-        if self.strict:
-            # Strict runs take one generic guarded loop (monotonicity per
-            # pop, burst atomicity per entry, full accounting on exit) —
-            # semantically identical to the fast loops, just slower.
-            return self._run_strict(until, max_events)
-        if STAGES.enabled:
-            # Attribution runs route through the instrumented twin; the hot
-            # loops below stay free of timing code.
-            return self._run_timed(until, max_events)
+        if self.strict or STAGES.enabled or max_events is not None:
+            # Strict, stage-attributing and event-capped runs share one
+            # checked loop; the two hot loops below stay free of guards
+            # and timing code.
+            return self._run_guarded(until, max_events)
         queue = self._queue
         processed = 0
-        if until is None and max_events is None:
+        if until is None:
             # Hot path used by the experiment drivers: no bound checks inside
             # the loop, just pop-skip-dispatch.  The live/processed counters
             # are accumulated locally and reconciled when the loop exits (a
@@ -520,76 +516,39 @@ class Simulator:
             finally:
                 self.events_processed += processed
             return processed
-        # Bounded paths: same pop-skip-dispatch loop with head checks, again
-        # reconciling the processed counter on exit.  Dispatch is inlined
-        # (rather than delegating to step()) so bounded runs — every
-        # ``run_for`` during warmup and attacks — do not materialise an
-        # Event object per anonymous entry just to drop it.  The until-only
-        # shape (what run_for uses, hundreds of thousands of events per
-        # experiment) gets its own loop without the max_events check, and
-        # drains contiguous equal-timestamp runs through a coalesced inner
-        # loop: entries at the head's exact time already passed the bound,
-        # so only the first event of each instant pays the head peek and
-        # until comparison.  Cancelled events popped inside the coalesced
-        # run are skipped without counting (their cancellation is already
-        # in ``_cancelled``), keeping pending() exact.
+        # Bounded path: the same pop-skip-dispatch loop with a head check,
+        # again reconciling the processed counter on exit.  Dispatch is
+        # inlined (rather than delegating to step()) so bounded runs — every
+        # ``run_for`` during warmup and attacks, hundreds of thousands of
+        # events per experiment — do not materialise an Event object per
+        # anonymous entry just to drop it.  Contiguous equal-timestamp runs
+        # drain through a coalesced inner loop: entries at the head's exact
+        # time already passed the bound, so only the first event of each
+        # instant pays the head peek and until comparison.  Cancelled events
+        # popped inside the coalesced run are skipped without counting
+        # (their cancellation is already in ``_cancelled``), keeping
+        # pending() exact.
         try:
-            if max_events is None:
-                while queue:
-                    head = queue[0]
-                    if head[3] is _EVENT and head[2].cancelled:
-                        heappop(queue)
-                        continue
-                    if head[0] > until:
-                        if until > self._now:
-                            self._now = until
-                        break
-                    time_, _sequence, target, arg = heappop(queue)
-                    self._now = time_
-                    while True:
-                        if arg is _EVENT:
-                            if not target.cancelled:
-                                target._sim = None  # late cancel() is a no-op
-                                if target.args:
-                                    target.callback(*target.args)
-                                else:
-                                    target.callback()
-                                processed += 1
-                        elif arg is _NO_ARG:
-                            target()
-                            processed += 1
-                        elif arg is _BURST:
-                            target.run()
-                            processed += target.count
-                        else:
-                            target(arg)
-                            processed += 1
-                        if not queue or queue[0][0] != time_:
-                            break
-                        _time, _sequence, target, arg = heappop(queue)
-            else:
-                # Bursts are atomic: a burst entry never splits across the
-                # max_events bound, so ``processed`` may overshoot it by the
-                # tail of the last burst.
-                while queue:
-                    if processed >= max_events:
-                        break
-                    head = queue[0]
-                    if head[3] is _EVENT and head[2].cancelled:
-                        heappop(queue)
-                        continue
-                    if until is not None and head[0] > until:
-                        self._now = max(self._now, until)
-                        break
-                    time_, _sequence, target, arg = heappop(queue)
-                    self._now = time_
+            while queue:
+                head = queue[0]
+                if head[3] is _EVENT and head[2].cancelled:
+                    heappop(queue)
+                    continue
+                if head[0] > until:
+                    if until > self._now:
+                        self._now = until
+                    break
+                time_, _sequence, target, arg = heappop(queue)
+                self._now = time_
+                while True:
                     if arg is _EVENT:
-                        target._sim = None  # executed: late cancel() is a no-op
-                        if target.args:
-                            target.callback(*target.args)
-                        else:
-                            target.callback()
-                        processed += 1
+                        if not target.cancelled:
+                            target._sim = None  # late cancel() is a no-op
+                            if target.args:
+                                target.callback(*target.args)
+                            else:
+                                target.callback()
+                            processed += 1
                     elif arg is _NO_ARG:
                         target()
                         processed += 1
@@ -599,25 +558,36 @@ class Simulator:
                     else:
                         target(arg)
                         processed += 1
+                    if not queue or queue[0][0] != time_:
+                        break
+                    _time, _sequence, target, arg = heappop(queue)
         finally:
             self.events_processed += processed
-        if until is not None and not queue:
+        if not queue:
             self._now = max(self._now, until)
         return processed
 
-    def _run_timed(
+    def _run_guarded(
         self, until: Optional[float], max_events: Optional[int]
     ) -> int:
-        """The stage-attributing twin of :meth:`run`.
+        """The checked loop of :meth:`run`: strict, timed or event-capped.
 
-        Only runs while ``repro.perf.STAGES`` collection is enabled.  Times
-        every heap pop into the ``heap`` stage (a lower bound on event-loop
-        heap work: pushes happen inside callbacks and are not attributed).
-        Dispatch semantics are identical to the uninstrumented loops —
-        timing never feeds the simulation — so instrumented runs stay
-        bit-identical.
+        Dispatch semantics are identical to the hot loops.  While
+        ``repro.perf.STAGES`` collection is enabled it times every heap pop
+        into the ``heap`` stage (a lower bound on event-loop heap work:
+        pushes happen inside callbacks and are not attributed); timing never
+        feeds the simulation, so instrumented runs stay bit-identical.  With
+        ``strict`` it asserts heap monotonicity on every pop and burst
+        atomicity on every burst entry, then runs the full
+        :meth:`check_invariants` accounting sweep when the loop exits
+        cleanly; guards raise
+        :class:`~repro.netsim.errors.InvariantViolation`.  Bursts are
+        atomic: a burst entry never splits across the ``max_events`` bound,
+        so the count may overshoot it by the tail of the last burst.
         """
         queue = self._queue
+        strict = self.strict
+        timed = STAGES.enabled
         processed = 0
         pops = 0
         t_heap = 0.0
@@ -633,63 +603,14 @@ class Simulator:
                     if until > self._now:
                         self._now = until
                     break
-                t0 = perf_counter()
-                time_, _sequence, target, arg = heappop(queue)
-                t_heap += perf_counter() - t0
-                pops += 1
-                self._now = time_
-                if arg is _EVENT:
-                    target._sim = None  # executed: late cancel() is a no-op
-                    if target.args:
-                        target.callback(*target.args)
-                    else:
-                        target.callback()
-                    processed += 1
-                elif arg is _NO_ARG:
-                    target()
-                    processed += 1
-                elif arg is _BURST:
-                    target.run()
-                    processed += target.count
+                if timed:
+                    t0 = perf_counter()
+                    time_, _sequence, target, arg = heappop(queue)
+                    t_heap += perf_counter() - t0
+                    pops += 1
                 else:
-                    target(arg)
-                    processed += 1
-        finally:
-            self.events_processed += processed
-            if pops:
-                STAGES.add_many("heap", t_heap, pops)
-        if until is not None and not queue:
-            self._now = max(self._now, until)
-        return processed
-
-    def _run_strict(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> int:
-        """The invariant-guarded twin of :meth:`run` (``strict=True``).
-
-        One generic bounded loop — dispatch semantics identical to the fast
-        loops — that additionally asserts heap monotonicity on every pop
-        and burst atomicity on every burst entry, then runs the full
-        :meth:`check_invariants` accounting sweep when the loop exits
-        cleanly.  Guards raise
-        :class:`~repro.netsim.errors.InvariantViolation`.
-        """
-        queue = self._queue
-        processed = 0
-        try:
-            while queue:
-                if max_events is not None and processed >= max_events:
-                    break
-                head = queue[0]
-                if head[3] is _EVENT and head[2].cancelled:
-                    heappop(queue)
-                    continue
-                if until is not None and head[0] > until:
-                    if until > self._now:
-                        self._now = until
-                    break
-                time_, _sequence, target, arg = heappop(queue)
-                if time_ < self._now:
+                    time_, _sequence, target, arg = heappop(queue)
+                if strict and time_ < self._now:
                     raise InvariantViolation(
                         f"heap monotonicity broken: popped t={time_} "
                         f"behind clock t={self._now}"
@@ -707,12 +628,12 @@ class Simulator:
                     processed += 1
                 elif arg is _BURST:
                     count = target.count
-                    if count <= 0:
+                    if strict and count <= 0:
                         raise InvariantViolation(
                             f"burst entry with non-positive count {count}"
                         )
                     target.run()
-                    if target.count != count:
+                    if strict and target.count != count:
                         raise InvariantViolation(
                             "burst atomicity broken: count changed from "
                             f"{count} to {target.count} during run()"
@@ -723,9 +644,12 @@ class Simulator:
                     processed += 1
         finally:
             self.events_processed += processed
+            if pops:
+                STAGES.add_many("heap", t_heap, pops)
         if until is not None and not queue:
             self._now = max(self._now, until)
-        self.check_invariants()
+        if strict:
+            self.check_invariants()
         return processed
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> int:

@@ -15,9 +15,7 @@ between the netsim core and the experiment data plane:
   producing concrete per-client manifests from named RNG streams, so
   generation is deterministic and order-independent.
 * :mod:`repro.population.fleet` — runs a whole fleet (thousands of
-  clients sharing one network/heap) through the run-time attack, and a
-  multi-tenant pack that lets :class:`~repro.experiments.runner.
-  ExperimentRunner` batch several small fleets into one worker process.
+  clients sharing one network/heap) through the run-time attack.
 * :mod:`repro.population.aggregate` — constant-memory streaming
   aggregation (success counts, fixed-bin shift histograms, per-type
   breakdowns) folded into run-store records.

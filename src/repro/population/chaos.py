@@ -698,7 +698,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     store = RunStore(args.store)
-    runner = ExperimentRunner(max_workers=args.workers, tenants_per_worker=3)
+    runner = ExperimentRunner(max_workers=args.workers)
     if args.resume:
         campaign = resume_chaos_campaign(store, args.resume, runner=runner)
     else:

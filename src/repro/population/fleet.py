@@ -56,10 +56,9 @@ _SCENARIOS = {
 def spec_from_json(text: str) -> PopulationSpec:
     """Parse (and cache) a canonical spec-JSON string.
 
-    Worker processes receive specs as JSON run-spec parameters; a
-    multi-tenant pack re-parsing the same landscape base spec for every
-    tenant would waste the warmed caches, so the parse is memoised on the
-    exact string.
+    Worker processes receive specs as JSON run-spec parameters; every
+    cell of a landscape or campaign chunk carries the same base spec, so
+    the parse is memoised on the exact string.
     """
     return PopulationSpec.from_json(text)
 

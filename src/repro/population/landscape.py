@@ -218,7 +218,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     store = RunStore(args.store)
-    runner = ExperimentRunner(max_workers=args.workers, tenants_per_worker=3)
+    runner = ExperimentRunner(max_workers=args.workers)
     grid = sweep_landscape(
         store,
         "population-smoke",

@@ -1,4 +1,4 @@
-"""Resilience tests: timeouts, retries, crash recovery, checkpointed sweeps.
+"""Resilience tests: timeouts, retries, crash recovery, resumable stored sweeps.
 
 Marked ``chaos`` alongside the fault-model property suite — ``make chaos``
 runs both.  Worker-killing tests rely on the ``fork`` start method (the
@@ -15,13 +15,12 @@ import time
 import pytest
 
 from repro.experiments import (
-    CheckpointError,
     ERROR_KINDS,
     ExperimentRunner,
     RetryPolicy,
     RunSpec,
+    RunStore,
     SweepCancelled,
-    load_checkpoint,
     make_grid,
     scenario,
 )
@@ -86,6 +85,23 @@ def _test_res_interrupt_once(marker: str = "") -> int:
             handle.write("1")
         raise KeyboardInterrupt
     return 1
+
+
+def _kill_sweep(store: RunStore, sweep_id: str, keep: int, torn: bool = False) -> None:
+    """Cut a stored sweep back to what a kill -9 leaves behind.
+
+    The sweep's one segment keeps its first ``keep`` records (completion
+    order) plus, with ``torn``, half of the next line — a kill mid-write.
+    Sweeps cut this way are run with ``finish=False``, so their manifest
+    still says ``running``, as a killed sweep's would.
+    """
+    (segment,) = store._segment_paths(sweep_id)
+    with open(segment, "rb") as handle:
+        lines = handle.readlines()
+    with open(segment, "wb") as handle:
+        handle.writelines(lines[:keep])
+        if torn:
+            handle.write(lines[keep][: len(lines[keep]) // 2])
 
 
 class TestRetryPolicy:
@@ -261,14 +277,19 @@ class TestProgress:
 
 
 class TestCheckpointing:
+    """Sweeps checkpoint through the run store; resume_stored continues them."""
+
     def grid(self):
         return make_grid("_test_res_square", x=list(range(6)))
 
     def test_checkpoint_lines_written_per_outcome(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
+        store = RunStore(str(tmp_path))
         specs = self.grid()
-        outcomes = ExperimentRunner(max_workers=1).run(specs, checkpoint=path)
-        with open(path) as handle:
+        outcomes = ExperimentRunner(max_workers=1).run_stored(
+            store, "t", specs, sweep_id="s"
+        )
+        (segment,) = store._segment_paths("s")
+        with open(segment) as handle:
             lines = [json.loads(line) for line in handle if line.strip()]
         assert len(lines) == len(specs)
         assert {entry["index"] for entry in lines} == set(range(len(specs)))
@@ -284,86 +305,60 @@ class TestCheckpointing:
             }
         assert [o.result for o in outcomes] == [x * x for x in range(6)]
 
-    def test_run_refuses_existing_checkpoint(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        specs = self.grid()
-        ExperimentRunner(max_workers=1).run(specs, checkpoint=path)
-        with pytest.raises(CheckpointError):
-            ExperimentRunner(max_workers=1).run(specs, checkpoint=path)
-
     def test_killed_then_resumed_equals_uninterrupted(self, tmp_path):
         specs = self.grid()
         uninterrupted = ExperimentRunner(max_workers=1).run(specs)
 
-        # Simulate a sweep killed partway: keep the first 3 checkpoint
-        # lines (plus a torn partial line from the kill mid-write).
-        full_path = str(tmp_path / "full.jsonl")
-        ExperimentRunner(max_workers=1).run(specs, checkpoint=full_path)
-        with open(full_path) as handle:
-            lines = handle.readlines()
-        partial_path = str(tmp_path / "partial.jsonl")
-        with open(partial_path, "w") as handle:
-            handle.writelines(lines[:3])
-            handle.write(lines[3][: len(lines[3]) // 2])  # torn tail
+        # Simulate a sweep killed partway: keep the first 3 records plus a
+        # torn partial line from the kill mid-write.
+        store = RunStore(str(tmp_path))
+        ExperimentRunner(max_workers=1).run_stored(
+            store, "t", specs, sweep_id="s", finish=False
+        )
+        _kill_sweep(store, "s", keep=3, torn=True)
 
-        executed = []
         seen = []
         runner = ExperimentRunner(
             max_workers=1, on_progress=lambda done, total: seen.append((done, total))
         )
-        resumed = runner.resume(specs, checkpoint=partial_path)
+        resumed = runner.resume_stored(store, "s")
         assert [(o.spec, o.result, o.error, o.error_kind) for o in resumed] == [
             (o.spec, o.result, o.error, o.error_kind) for o in uninterrupted
         ]
         # Only the unfinished tail re-executed: 3 new completions on top of
         # the 3 replayed, ending at the full total.
         assert seen == [(4, 6), (5, 6), (6, 6)]
-        # And the checkpoint now covers the whole sweep: a second resume
+        assert store.manifest("s")["status"] == "complete"
+        # And the store now covers the whole sweep: a second resume
         # replays everything without executing anything.
-        again = ExperimentRunner(max_workers=1).resume(specs, checkpoint=partial_path)
+        seen.clear()
+        again = runner.resume_stored(store, "s")
         assert [o.result for o in again] == [o.result for o in uninterrupted]
-
-    def test_resume_of_missing_checkpoint_degrades_to_run(self, tmp_path):
-        path = str(tmp_path / "fresh.jsonl")
-        outcomes = ExperimentRunner(max_workers=1).resume(
-            self.grid(), checkpoint=path
-        )
-        assert [o.result for o in outcomes] == [x * x for x in range(6)]
-        assert os.path.exists(path)
-
-    def test_checkpoint_spec_mismatch_rejected(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        ExperimentRunner(max_workers=1).run(self.grid(), checkpoint=path)
-        other = make_grid("_test_res_square", x=[99, 98, 97, 96, 95, 94])
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path, other)
-        with pytest.raises(CheckpointError):
-            ExperimentRunner(max_workers=1).resume(other, checkpoint=path)
-
-    def test_checkpoint_index_out_of_range_rejected(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        ExperimentRunner(max_workers=1).run(self.grid(), checkpoint=path)
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path, self.grid()[:2])
+        assert seen == [(6, 6)]
 
     def test_failures_checkpoint_and_replay(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
+        store = RunStore(str(tmp_path))
         specs = [RunSpec.make("_test_res_fail"), RunSpec.make("_test_res_square", x=3)]
-        first = ExperimentRunner(max_workers=1).run(specs, checkpoint=path)
-        replayed = ExperimentRunner(max_workers=1).resume(specs, checkpoint=path)
+        first = ExperimentRunner(max_workers=1).run_stored(
+            store, "t", specs, sweep_id="s"
+        )
+        replayed = ExperimentRunner(max_workers=1).resume_stored(store, "s")
         assert replayed[0].error == first[0].error
         assert replayed[0].error_kind == "scenario-error"
         assert replayed[1].result == 9
 
     def test_pool_mode_checkpoint_resume(self, tmp_path):
-        """Checkpoints work under process fan-out, not just serially."""
-        path = str(tmp_path / "sweep.jsonl")
+        """Stored sweeps resume under process fan-out, not just serially."""
         specs = make_grid(
             "table3_probabilities", trials=[10_000], m_max=[2, 3, 4, 5]
         )
         uninterrupted = ExperimentRunner(max_workers=2).run(specs)
-        ExperimentRunner(max_workers=2).run(specs, checkpoint=path)
-        resumed = ExperimentRunner(max_workers=2).resume(specs, checkpoint=path)
+        store = RunStore(str(tmp_path))
+        ExperimentRunner(max_workers=2).run_stored(
+            store, "t", specs, sweep_id="s", finish=False
+        )
+        _kill_sweep(store, "s", keep=2)
+        resumed = ExperimentRunner(max_workers=2).resume_stored(store, "s")
         assert [o.result for o in resumed] == [o.result for o in uninterrupted]
 
 
@@ -403,11 +398,12 @@ class TestSerialWatchdog:
 
 
 class TestGracefulCancellation:
-    """SIGINT / sweep deadline flush finished outcomes; resume() continues."""
+    """SIGINT / sweep deadline flush finished outcomes; resume_stored()
+    continues."""
 
     def test_interrupt_flushes_partial_results(self, tmp_path):
         marker = str(tmp_path / "interrupted")
-        path = str(tmp_path / "sweep.jsonl")
+        store = RunStore(str(tmp_path / "store"))
         specs = [
             RunSpec.make("_test_res_square", x=2),
             RunSpec.make("_test_res_interrupt_once", marker=marker),
@@ -415,32 +411,37 @@ class TestGracefulCancellation:
         ]
         runner = ExperimentRunner(max_workers=1)
         with pytest.raises(SweepCancelled) as excinfo:
-            runner.run(specs, checkpoint=path)
+            runner.run_stored(store, "t", specs, sweep_id="s")
         cancelled = excinfo.value
         assert cancelled.reason == "interrupt"
         assert cancelled.completed == 1 and cancelled.total == 3
         assert cancelled.outcomes[0].result == 4
-        # the flushed checkpoint resumes past the interruption point
-        resumed = ExperimentRunner(max_workers=1).resume(specs, checkpoint=path)
+        assert store.manifest("s")["status"] == "cancelled"
+        # the flushed sweep resumes past the interruption point
+        resumed = ExperimentRunner(max_workers=1).resume_stored(store, "s")
         assert [o.result for o in resumed] == [4, 1, 25]
+        assert store.manifest("s")["status"] == "complete"
 
     def test_sweep_deadline_cancels_serial_sweep(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
+        store = RunStore(str(tmp_path))
         specs = [
             RunSpec.make("_test_res_sleep", seconds=0.2, x=i) for i in range(10)
         ]
         runner = ExperimentRunner(max_workers=1, sweep_timeout=0.5)
         start = time.monotonic()
         with pytest.raises(SweepCancelled) as excinfo:
-            runner.run(specs, checkpoint=path)
+            runner.run_stored(store, "t", specs, sweep_id="s")
         elapsed = time.monotonic() - start
         assert elapsed < 5.0
         cancelled = excinfo.value
         assert cancelled.reason == "deadline"
         assert 1 <= cancelled.completed < 10
+        assert store.manifest("s")["status"] == "cancelled"
+        assert sorted(store.load_outcomes("s")) == sorted(cancelled.outcomes)
         # every finished outcome is on disk; a resume completes the sweep
-        resumed = ExperimentRunner(max_workers=1).resume(specs, checkpoint=path)
+        resumed = ExperimentRunner(max_workers=1).resume_stored(store, "s")
         assert [o.result for o in resumed] == list(range(10))
+        assert store.manifest("s")["status"] == "complete"
 
     def test_sweep_deadline_cancels_pool_sweep(self):
         specs = [
@@ -530,16 +531,12 @@ class TestProbationEngine:
             return ExperimentRunner(max_workers=2, chunk_size=1, retry=None)
 
         uninterrupted = runner().run(specs)
-        full_path = str(tmp_path / "full.jsonl")
-        runner().run(specs, checkpoint=full_path)
-        with open(full_path) as handle:
-            lines = handle.readlines()
+        store = RunStore(str(tmp_path))
+        runner().run_stored(store, "t", specs, sweep_id="s", finish=False)
         # keep only the first two finished outcomes — the sweep dies while
         # the crash chunk is still in quarantine/probation
-        partial_path = str(tmp_path / "partial.jsonl")
-        with open(partial_path, "w") as handle:
-            handle.writelines(lines[:2])
-        resumed = runner().resume(specs, checkpoint=partial_path)
+        _kill_sweep(store, "s", keep=2)
+        resumed = runner().resume_stored(store, "s")
         assert [(o.spec, o.result, o.error_kind) for o in resumed] == [
             (o.spec, o.result, o.error_kind) for o in uninterrupted
         ]

@@ -1,11 +1,9 @@
-"""Fleet simulation and its engine integration (scenarios, tenant packs)."""
+"""Fleet simulation and its engine integration (scenarios, pool runs)."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.experiments.runner import ExperimentRunner, RunSpec, _execute_chunk
-from repro.experiments.scenarios import get_scenario, get_tenant_pack
+from repro.experiments.runner import ExperimentRunner, RunSpec
+from repro.experiments.scenarios import get_scenario
 from repro.population.fleet import run_fleet, spec_from_json
 from repro.population.spec import ChurnSpec, PopulationSpec
 
@@ -66,51 +64,16 @@ class TestEngineIntegration:
         scenario = get_scenario("population_fleet")
         assert scenario(spec_json=spec.to_json(), seed=4) == run_fleet(spec, seed=4)
 
-    def test_tenant_pack_matches_per_spec_execution(self):
-        # The multi-tenant worker path is an optimisation, never a
-        # semantic change: packed outcomes must equal per-spec outcomes.
-        spec_json = _small_spec().to_json()
-        specs = tuple(
-            RunSpec.make("population_fleet", spec_json=spec_json, seed=seed)
-            for seed in range(3)
-        )
-        packed = _execute_chunk(specs, pack_tenants=3)
-        plain = _execute_chunk(specs)
-        assert [outcome.result for outcome in packed] == [
-            outcome.result for outcome in plain
-        ]
-        assert all(outcome.ok for outcome in packed)
-        assert all(outcome.wall_time > 0 for outcome in packed)
-
-    def test_tenant_pack_registered_for_population_scenarios(self):
-        assert get_tenant_pack("population_fleet") is not None
-        assert get_tenant_pack("population_landscape") is not None
-        assert get_tenant_pack("no_such_scenario") is None
-
-    def test_pool_run_with_tenants_per_worker(self):
+    def test_pool_run_matches_serial(self):
         spec_json = _small_spec(size=3).to_json()
         specs = [
             RunSpec.make("population_fleet", spec_json=spec_json, seed=seed)
             for seed in range(4)
         ]
         serial = ExperimentRunner(max_workers=1).run(specs)
-        packed_runner = ExperimentRunner(max_workers=2, tenants_per_worker=2)
-        packed = packed_runner.run(specs)
-        assert packed_runner.last_execution_mode.startswith("processes")
-        assert [outcome.result for outcome in packed] == [
+        pool_runner = ExperimentRunner(max_workers=2)
+        pooled = pool_runner.run(specs)
+        assert pool_runner.last_execution_mode.startswith("processes")
+        assert [outcome.result for outcome in pooled] == [
             outcome.result for outcome in serial
         ]
-
-    def test_stage_stats_disable_packing(self):
-        runner = ExperimentRunner(
-            max_workers=2, tenants_per_worker=4, collect_stage_stats=True
-        )
-        assert runner._pack_limit() == 0
-        assert ExperimentRunner(max_workers=2)._pack_limit() == 0
-        assert (
-            ExperimentRunner(max_workers=2, tenants_per_worker=4)._pack_limit() == 4
-        )
-
-    def test_tenants_per_worker_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentRunner(tenants_per_worker=0)

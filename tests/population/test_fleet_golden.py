@@ -10,8 +10,13 @@ rather than a parallel implementation that can silently drift.
 
 from __future__ import annotations
 
+import pytest
+
+import repro.population.fleet
 from repro.experiments.scenarios import get_scenario
+from repro.population.chaos import run_chaos_checkpoint, smoke_plan
 from repro.population.fleet import run_fleet
+from repro.population.landscape import smoke_spec
 from repro.population.spec import PopulationSpec
 
 #: The pinned golden numbers for (ntpd, P1, seed 5, pool 48, warmup 1500 s)
@@ -51,3 +56,42 @@ class TestGoldenBitIdentity:
         assert client["shift"] == single["shift"]
         assert document["events_processed"] == single["events_processed"]
         assert document["packets_transmitted"] == single["packets_transmitted"]
+
+
+def _strict_testbeds(monkeypatch) -> list:
+    """Make every fleet testbed built from here on run a strict simulator."""
+    build = repro.population.fleet.build_testbed
+    built = []
+
+    def build_strict(*args, **kwargs):
+        testbed = build(*args, **kwargs)
+        testbed.simulator.strict = True
+        built.append(testbed)
+        return testbed
+
+    monkeypatch.setattr(repro.population.fleet, "build_testbed", build_strict)
+    return built
+
+
+class TestStrictModeBitIdentity:
+    """The realistic fleet paths under the simulator's invariant guards.
+
+    Strict runs take the guarded loop (heap monotonicity per pop, burst
+    atomicity, full event accounting on every loop exit); the documents
+    must equal the unguarded ones field for field.
+    """
+
+    def test_degenerate_fleet_identical_under_strict_mode(self, monkeypatch):
+        plain = run_fleet(DEGENERATE, seed=5)
+        built = _strict_testbeds(monkeypatch)
+        strict = run_fleet(DEGENERATE, seed=5)
+        assert len(built) == 1 and built[0].simulator.strict
+        assert strict == plain
+        assert strict["events_processed"] == GOLDEN["events_processed"]
+
+    def test_chaos_smoke_checkpoint_identical_under_strict_mode(self, monkeypatch):
+        plain = run_chaos_checkpoint(smoke_spec(), smoke_plan(), seed=0)
+        built = _strict_testbeds(monkeypatch)
+        strict = run_chaos_checkpoint(smoke_spec(), smoke_plan(), seed=0)
+        assert len(built) == 1 and built[0].simulator.strict
+        assert strict == plain

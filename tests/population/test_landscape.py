@@ -84,7 +84,7 @@ class TestSweepLandscape:
             "pool_rate_limit_fraction",
             (0.0, 0.5, 1.0),
             seed=1,
-            runner=ExperimentRunner(max_workers=1, tenants_per_worker=3),
+            runner=ExperimentRunner(max_workers=1),
         )
         assert grid["kind"] == "landscape-grid"
         assert len(grid["cells"]) == 9
