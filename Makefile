@@ -1,23 +1,23 @@
 # Single-entry developer / CI targets.
 #
 #   make test          tier-1 test suite (the hard gate every PR must keep green)
-#   make regression    fresh benchmark run diffed against the committed
-#                      BENCH_netsim.json (fails on >20% throughput regression)
-#   make bench         both of the above, in order — the full pre-merge gate
-#   make bench-refresh re-run benchmarks and rewrite BENCH_netsim.json
-#                      (refuses to overwrite the baseline on regression)
-#   make bench-burst   quick burst-engine microbenchmarks only (spray
-#                      delivery via Network.transmit_spray + bulk
-#                      rate-limiter accounting, JSON output)
+#   make regression [REV=<git rev>] [PAIRS=n]
+#                      the perf gate: a paired A/B of the benchmark of record
+#                      (benchmarks/ab.py) on all four workloads, this checkout
+#                      against REV (default HEAD~1), PAIRS pairs each (default
+#                      5, ~17 min in all); fails when a metric's median is
+#                      worse than REV's by more than its BENCHMARK.json bound,
+#                      or REV's runs spread too widely to tell
+#   make bench         test, then regression — the full pre-merge gate
+#   make bench-burst   quick delivery microbenchmarks only (spray delivery
+#                      via Network.transmit_spray against singular
+#                      transmit, JSON output)
 #   make chaos         fault-injection / resilience property suite only
 #                      (the `chaos`-marked tests, which `make test` also runs;
 #                      includes the kill -9 crash-injection harness)
-#   make regression-trend  regression gate in trend-aware mode: compares
-#                      against the rolling .bench_history/ window and
-#                      records the fresh sample when it passes
 #   make store-fsck    validate every run store in the repo (experiment
-#                      sweeps under runs/ plus the bench history) — scans
-#                      segments for torn/corrupt records; STORE=dir for one
+#                      sweeps under runs/) — scans segments for
+#                      torn/corrupt records; STORE=dir for one
 #   make population-smoke  small population landscape end-to-end: a 3×3
 #                      grid of heterogeneous mini-fleets through the
 #                      durable experiment engine, printed as a
@@ -42,7 +42,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test regression regression-trend bench bench-refresh bench-burst chaos store-fsck population-smoke chaos-campaign perfbench perfbench-ab
+.PHONY: test regression bench bench-burst chaos store-fsck population-smoke chaos-campaign perfbench perfbench-ab
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -50,24 +50,22 @@ test:
 chaos:
 	$(PYTHON) -m pytest -m chaos -q
 
+regression: REV ?= HEAD~1
+regression: PAIRS ?= 5
 regression:
-	$(PYTHON) benchmarks/check_regression.py
-
-regression-trend:
-	$(PYTHON) benchmarks/check_regression.py --history
+	@status=0; for w in table2 fleet landscape chaos; do \
+		echo "== $$w: this checkout vs $(REV), $(PAIRS) pairs" >&2; \
+		python3 benchmarks/ab.py $(REV) --workload $$w --pairs $(PAIRS) || status=1; \
+	done; exit $$status
 
 store-fsck:
 	@if [ -n "$(STORE)" ]; then \
 		$(PYTHON) -m repro.experiments.store fsck "$(STORE)"; \
 	else \
-		$(PYTHON) -m repro.experiments.store fsck runs --allow-missing && \
-		$(PYTHON) -m repro.experiments.store fsck .bench_history --allow-missing; \
+		$(PYTHON) -m repro.experiments.store fsck runs --allow-missing; \
 	fi
 
 bench: test regression
-
-bench-refresh:
-	$(PYTHON) benchmarks/run_benchmarks.py
 
 bench-burst:
 	$(PYTHON) benchmarks/bench_micro_netsim.py

@@ -12,6 +12,16 @@ and how many pairs A won::
 
 A metric counts as a gain when A wins at least nine pairs in ten and the
 medians differ by more than REV's IQR (the rule a claimed gain must pass).
+
+It is also the repository's regression gate (``make regression``).  Each
+metric gets a verdict against the ``bound`` ``BENCHMARK.json`` declares
+for it: ``regressed`` when A's median is worse than REV's by more than the
+bound, ``unresolved`` when REV's own IQR/median exceeds the bound (the runs
+spread too widely to tell) unless every A run beats every REV run, else
+``ok``.  The exit status is 1 when any metric is not ``ok``.
+
+Every run also records its child CPU seconds (``cpu_s``, not gated): a
+whole-machine slow phase shows as wall time rising while CPU time does not.
 Every run must print ``"correct": true``; a run that does not aborts the
 comparison.  The worktree is created without network access and removed
 on exit.  The last line of standard output is the comparison as JSON.
@@ -22,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -34,8 +45,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIN_SHARE = 0.9
 
 
+def child_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(tree: str, args: argparse.Namespace, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``; returns its metric values."""
+    """One ``perfbench/run.py`` run in ``tree``: its metric values plus ``cpu_s``."""
     command = [
         sys.executable,
         "perfbench/run.py",
@@ -47,6 +63,7 @@ def run_once(tree: str, args: argparse.Namespace, seconds: float) -> dict:
     if args.seed is not None:
         command += ["--seed", str(args.seed)]
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    cpu_before = child_cpu_s()
     process = subprocess.run(
         command, cwd=tree, env=env, capture_output=True, text=True, check=False
     )
@@ -56,7 +73,9 @@ def run_once(tree: str, args: argparse.Namespace, seconds: float) -> dict:
     result = json.loads(lines[-1])
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"incorrect run in {tree}: {lines[-2]}")
-    return {name: entry["value"] for name, entry in result["metrics"].items()}
+    values = {name: entry["value"] for name, entry in result["metrics"].items()}
+    values["cpu_s"] = child_cpu_s() - cpu_before
+    return values
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -66,13 +85,36 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def compare(a_runs: list[dict], b_runs: list[dict], better: dict) -> dict:
-    """Per-metric medians, REV's IQR and A's pair wins."""
+def verdict(a: list[float], b: list[float], higher: bool, bound: float) -> str:
+    """``regressed``, ``unresolved`` or ``ok`` for one metric (see module doc).
+
+    A spread wider than the bound still reads ``ok`` when every run of A
+    is better than every run of REV.
+    """
+    a_median, b_median = statistics.median(a), statistics.median(b)
+    worse = b_median - a_median if higher else a_median - b_median
+    if worse > bound * abs(b_median):
+        return "regressed"
+    q1, q3 = quartiles(b)
+    if q3 - q1 > bound * abs(b_median):
+        clear_win = min(a) > max(b) if higher else max(a) < min(b)
+        return "ok" if clear_win else "unresolved"
+    return "ok"
+
+
+def compare(a_runs: list[dict], b_runs: list[dict], declared: dict) -> dict:
+    """Per-metric medians, REV's IQR, A's pair wins and the gate's verdict.
+
+    ``declared`` maps each compared metric to its ``better`` direction and
+    ``bound``; run entries it does not name (``cpu_s``) are not compared.
+    """
     report = {}
     for name in a_runs[0]:
+        if name not in declared:
+            continue
         a = [run[name] for run in a_runs]
         b = [run[name] for run in b_runs]
-        higher = better.get(name, "lower") == "higher"
+        higher = declared[name]["better"] == "higher"
         wins = sum(1 for x, y in zip(a, b) if (x > y if higher else x < y))
         a_median, b_median = statistics.median(a), statistics.median(b)
         q1, q3 = quartiles(b)
@@ -88,6 +130,7 @@ def compare(a_runs: list[dict], b_runs: list[dict], better: dict) -> dict:
             "gain": gained
             and wins >= WIN_SHARE * len(a)
             and abs(a_median - b_median) > iqr,
+            "verdict": verdict(a, b, higher, declared[name]["bound"]),
         }
     return report
 
@@ -101,10 +144,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    # Run length and metric directions are the benchmark's own.
+    # Run length, metric directions and bounds are the benchmark's own.
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
-        declared = json.load(handle)
-    better = {entry["name"]: entry["better"] for entry in declared["end_to_end"]}
+        benchmark = json.load(handle)
+    declared = {entry["name"]: entry for entry in benchmark["end_to_end"]}
 
     workdir = tempfile.mkdtemp(prefix="perfbench-ab-")
     tree = os.path.join(workdir, "rev")
@@ -120,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         for pair in range(args.pairs):
             order = ((ROOT, a_runs), (tree, b_runs))
             for side, runs in order if pair % 2 == 0 else order[::-1]:
-                runs.append(run_once(side, args, declared["run_seconds"]))
+                runs.append(run_once(side, args, benchmark["run_seconds"]))
             print(
                 f"pair {pair + 1}/{args.pairs}: "
                 + ", ".join(
@@ -135,14 +178,15 @@ def main(argv: list[str] | None = None) -> int:
         )
         shutil.rmtree(workdir, ignore_errors=True)
 
-    report = compare(a_runs, b_runs, better)
+    report = compare(a_runs, b_runs, declared)
     for name, row in report.items():
         ratio = "n/a" if row["ratio"] is None else f"x{row['ratio']:.3f}"
         print(
             f"{name:32s} A {row['a_median']:.4g}  B {row['b_median']:.4g}  "
             f"{ratio}  B IQR {row['b_iqr']:.3g}  wins {row['wins']}/{row['pairs']}"
-            + ("  GAIN" if row["gain"] else "")
+            f"  {row['verdict']}" + ("  GAIN" if row["gain"] else "")
         )
+    failing = sorted(name for name, row in report.items() if row["verdict"] != "ok")
     print(
         json.dumps(
             {
@@ -152,10 +196,11 @@ def main(argv: list[str] | None = None) -> int:
                 "metrics": report,
                 "a_runs": a_runs,
                 "b_runs": b_runs,
+                "failing": failing,
             }
         )
     )
-    return 0
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":

@@ -14,11 +14,7 @@ scenario × seed).  This package provides:
 * :mod:`repro.experiments.store` — a durable, append-only run store
   (:class:`~repro.experiments.store.RunStore`): atomically-committed sweep
   manifests, fsynced JSONL segments, torn-record repair, ``fsck`` and
-  compaction, and the metric-history API behind the trend-aware
-  regression gate.
-* :func:`~repro.experiments.runner.write_bench_json` — persists
-  machine-readable timings to ``BENCH_netsim.json`` so successive PRs have a
-  performance trajectory to compare against.
+  compaction, and the query APIs the sweep reports read.
 
 See ``EXPERIMENTS.md`` at the repository root for the full guide.
 """
@@ -32,7 +28,6 @@ from repro.experiments.runner import (
     SweepCancelled,
     make_grid,
     outcomes_table,
-    write_bench_json,
 )
 from repro.experiments.scenarios import SCENARIOS, get_scenario, scenario
 from repro.experiments.store import (
@@ -66,5 +61,4 @@ __all__ = [
     "scan_records",
     "scenario",
     "warm_worker_caches",
-    "write_bench_json",
 ]

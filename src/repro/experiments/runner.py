@@ -39,10 +39,8 @@ cancellation point.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
-import platform
 import random
 import threading
 import time
@@ -55,17 +53,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.experiments.store import RepairEvent, RunStore, SweepWriter
 from repro.measurement.report import format_table
-from repro.perf import (
-    DISPATCH_STAGES,
-    DRIVER_STAGES,
-    PIPELINE_STAGES,
-    STAGE_STATS_ENV,
-    STAGES,
-    stage_shares,
-)
-
-#: Default file the benchmark harness persists timings to (repo root).
-BENCH_JSON_FILENAME = "BENCH_netsim.json"
+from repro.perf import STAGE_STATS_ENV, STAGES
 
 #: The typed error taxonomy carried by ``RunOutcome.error_kind``:
 #:
@@ -1219,85 +1207,3 @@ def outcomes_table(
     headers = [header for header, _ in columns]
     rows = [[extract(outcome) for _, extract in columns] for outcome in outcomes]
     return format_table(headers, rows, title=title)
-
-
-def timings_summary(outcomes: Sequence[RunOutcome]) -> dict[str, Any]:
-    """Machine-readable wall-clock summary of a sweep (for the bench JSON).
-
-    When the sweep ran with stage-stats collection, the summary also carries
-    ``stage_time_shares``: the sweep-wide decode/encode seconds, the named
-    delivery-pipeline stages (``defrag``, ``checksum``, ``demux``,
-    ``handler``) and their shares of total wall time, with the remainder
-    attributed to ``dispatch_other`` (event-loop dispatch, transmit,
-    scheduling, scenario logic).  This is the field future PRs read to find
-    the next bottleneck.
-    """
-    summary: dict[str, Any] = {
-        "runs": [
-            {
-                "label": outcome.spec.label,
-                "wall_time_seconds": round(outcome.wall_time, 6),
-                "ok": outcome.ok,
-            }
-            for outcome in outcomes
-        ],
-        "total_wall_time_seconds": round(
-            sum(outcome.wall_time for outcome in outcomes), 6
-        ),
-    }
-    staged = [outcome for outcome in outcomes if outcome.stage_stats]
-    if staged:
-        total_wall = sum(outcome.wall_time for outcome in staged)
-        decode = sum(outcome.stage_stats["decode_seconds"] for outcome in staged)
-        encode = sum(outcome.stage_stats["encode_seconds"] for outcome in staged)
-        stages: dict[str, dict[str, Any]] = {}
-        for outcome in staged:
-            for name, stats in outcome.stage_stats["stages"].items():
-                merged = stages.setdefault(name, {"seconds": 0.0, "calls": 0})
-                merged["seconds"] = round(merged["seconds"] + stats["seconds"], 6)
-                merged["calls"] += stats["calls"]
-        pipeline = {
-            name: stages[name]["seconds"]
-            for name in PIPELINE_STAGES + DISPATCH_STAGES + DRIVER_STAGES
-            if name in stages
-        }
-        summary["stage_time_shares"] = {
-            "stages": stages,
-            **stage_shares(decode, encode, total_wall, pipeline),
-        }
-    return summary
-
-
-def write_bench_json(
-    path: str,
-    microbenchmarks: Optional[dict[str, Any]] = None,
-    experiments: Optional[dict[str, Any]] = None,
-    extra: Optional[dict[str, Any]] = None,
-) -> dict[str, Any]:
-    """Write (or update) the machine-readable benchmark timings file.
-
-    The file keeps one top-level document; sections passed as ``None`` are
-    preserved from the existing file so microbenchmarks and end-to-end
-    sweeps can be refreshed independently.
-    """
-    document: dict[str, Any] = {}
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            document = {}
-    document["schema"] = "repro-bench/1"
-    document["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    document["python"] = platform.python_version()
-    document["cpu_count"] = os.cpu_count()
-    if microbenchmarks is not None:
-        document["microbenchmarks"] = microbenchmarks
-    if experiments is not None:
-        document["experiments"] = experiments
-    if extra:
-        document.update(extra)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return document

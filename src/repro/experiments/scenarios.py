@@ -48,26 +48,12 @@ def table2_runtime_attack(
     pool_size: int = 48,
     warmup_seconds: float = 1500.0,
     max_duration_hours: float = 3.0,
-    trusted_fabric: bool = False,
 ) -> dict[str, Any]:
     """One cell of Table II: run-time attack against one client model.
 
     Mirrors the original ``bench_table2_runtime_attack.run_scenario`` step
     for step (same construction order, same seed handling) so that a fixed
     seed yields results bit-identical to the pre-engine benchmark.
-
-    ``trusted_fabric`` is the ROADMAP's "lab-internal fabric" variant:
-    :meth:`~repro.netsim.network.Network.trust_link` is applied to every
-    link between the victim client and its upstream pool servers (and the
-    victim↔resolver path) before the attack runs — the links an
-    experimenter operating a closed lab testbed vouches for.  Trusted
-    links skip UDP checksum verification and unfragmented-packet defrag
-    bookkeeping on delivery; for the well-formed traffic of this scenario
-    that changes *no* simulation outcome (asserted by
-    ``tests/experiments/test_trusted_fabric.py``, which pins the variant's
-    results to the golden run), only the per-packet verification work — so
-    the wall-clock delta against the default profile is exactly what trust
-    buys end-to-end.
     """
     from repro.core.run_time import RunTimeAttack, RunTimeScenario
     from repro.ntp.clients import ChronyClient, NtpdClient, SystemdTimesyncdClient
@@ -89,17 +75,6 @@ def table2_runtime_attack(
 
     testbed = build_testbed(TestbedConfig(pool_size=pool_size, seed=seed))
     victim = testbed.add_client(client_models[client])
-    if trusted_fabric:
-        # Victim↔upstream NTP paths and the victim's resolver path are
-        # trusted; attacker-facing paths keep the default
-        # full-verification profile (trust is the experimenter's, not the
-        # attacker's).  Spoofed queries claiming the victim's address ride
-        # the same trusted victim↔server pairs — on a closed fabric the
-        # *path* is vouched for, whichever end crafted the packet.
-        victim_ip = victim.host.ip
-        for server_ip in testbed.pool.addresses:
-            testbed.network.trust_link(victim_ip, server_ip)
-        testbed.network.trust_link(victim_ip, testbed.resolver.ip)
     victim.start()
     testbed.run_for(warmup_seconds)
     run_time_attack = RunTimeAttack(
@@ -113,7 +88,7 @@ def table2_runtime_attack(
     )
     result = run_time_attack.run()
     return {
-        "label": f"{client}+trusted-fabric" if trusted_fabric else client,
+        "label": client,
         "scenario": scenario_enum.value,
         "seed": seed,
         "success": result.success,
@@ -122,12 +97,6 @@ def table2_runtime_attack(
         "events_processed": testbed.simulator.events_processed,
         "packets_transmitted": testbed.network.packets_transmitted,
     }
-
-
-@scenario("table2_trusted_fabric")
-def table2_trusted_fabric(**params: Any) -> dict[str, Any]:
-    """Named alias: :func:`table2_runtime_attack` on the lab-internal fabric."""
-    return table2_runtime_attack(trusted_fabric=True, **params)
 
 
 # --------------------------------------------------------------------- table3

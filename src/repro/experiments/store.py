@@ -40,10 +40,8 @@ Durability contract:
   data loss.
 
 The runner writes through this store via
-:meth:`repro.experiments.runner.ExperimentRunner.run_stored`;
-``benchmarks/check_regression.py --history`` reads metric history out of it
-for the trend-aware gate, and :mod:`repro.measurement.report` renders
-sweep/trend reports from its query APIs.
+:meth:`repro.experiments.runner.ExperimentRunner.run_stored`, and
+:mod:`repro.measurement.report` renders sweep reports from its query APIs.
 
 Run ``python -m repro.experiments.store fsck <root>`` (also: ``compact``,
 ``report``) for the command-line surface; ``make store-fsck`` wraps it.
@@ -73,64 +71,6 @@ DEFAULT_SEGMENT_BYTES = 8 * 1024 * 1024
 
 class StoreError(RuntimeError):
     """The run store is missing, corrupt beyond repair, or misused."""
-
-
-# --------------------------------------------------------------- metric types
-@dataclass(frozen=True)
-class MetricType:
-    """Schema for one named metric: unit and comparison direction.
-
-    Replaces the old convention where a metric was "whatever dotted name
-    holds a float" and every consumer hard-coded which direction is an
-    improvement.  The regression gate reads ``higher_is_better`` instead of
-    assuming throughput semantics, so latency-style metrics (seconds per
-    run) gate correctly the moment they are registered.
-    """
-
-    name: str
-    unit: str = ""
-    higher_is_better: bool = True
-    description: str = ""
-
-    def to_document(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "unit": self.unit,
-            "higher_is_better": self.higher_is_better,
-            "description": self.description,
-        }
-
-
-#: Process-wide registry of metric schemas, keyed by metric name.
-METRIC_TYPES: dict[str, MetricType] = {}
-
-
-def register_metric(
-    name: str,
-    unit: str = "",
-    higher_is_better: bool = True,
-    description: str = "",
-) -> MetricType:
-    """Register (or redefine) the schema for a named metric."""
-    metric = MetricType(
-        name=name,
-        unit=unit,
-        higher_is_better=higher_is_better,
-        description=description,
-    )
-    METRIC_TYPES[name] = metric
-    return metric
-
-
-def metric_type(name: str) -> MetricType:
-    """The registered schema for ``name``.
-
-    Unregistered names fall back to throughput semantics
-    (``higher_is_better=True``, no unit) — the behaviour every consumer
-    hard-coded before metric types existed — so the gate stays safe on
-    metrics recorded by older harness versions.
-    """
-    return METRIC_TYPES.get(name) or MetricType(name=name)
 
 
 # ----------------------------------------------------------------- primitives
@@ -595,24 +535,6 @@ class RunStore:
             for record in self.records(sweep_id, repairs=repairs)
             if "index" not in record and record.get("kind") == kind
         ]
-
-    def metric_history(
-        self, sweep_id: str, metric: str, limit: Optional[int] = None
-    ) -> list[float]:
-        """Numeric values of ``record["metrics"][metric]`` in append order.
-
-        The trend-aware regression gate reads its rolling window through
-        this (most recent last; ``limit`` keeps the tail).
-        """
-        values = [
-            float(value)
-            for record in self.records(sweep_id)
-            for value in [(record.get("metrics") or {}).get(metric)]
-            if isinstance(value, (int, float)) and not isinstance(value, bool)
-        ]
-        if limit is not None and limit >= 0:
-            values = values[len(values) - limit :] if limit else []
-        return values
 
     # ------------------------------------------------------- fsck/compaction
     def fsck(self, repair: bool = False) -> FsckReport:

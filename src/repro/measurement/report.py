@@ -1,16 +1,14 @@
 """Reporting layer for benchmarks and durable sweep outputs.
 
 Pure formatting: every function takes plain documents (a sweep manifest,
-its records, a metric history) and returns text.  Nothing here reads the
-filesystem or imports :mod:`repro.experiments.store` — the store's CLI
-imports *this* module to render ``report`` output, keeping the layering
-acyclic.
+its records) and returns text.  Nothing here reads the filesystem or
+imports :mod:`repro.experiments.store` — the store's CLI imports *this*
+module to render ``report`` output, keeping the layering acyclic.
 """
 
 from __future__ import annotations
 
-import statistics
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 
 def format_percentage(value: float, decimals: int = 2) -> str:
@@ -191,39 +189,3 @@ def degradation_report(campaign: Mapping[str, Any]) -> str:
         rows.append(row)
     title = f"chaos campaign {campaign.get('name', '')}".strip()
     return format_table(headers, rows, title=title)
-
-
-def trend_report(
-    history: Mapping[str, Sequence[float]],
-    fresh: Optional[Mapping[str, float]] = None,
-) -> str:
-    """Summarise per-metric history windows (and optionally a fresh run).
-
-    ``history`` maps metric name → ordered samples (oldest first).  The
-    spread column is the population standard deviation as a fraction of
-    the median — the quantity the trend-aware regression gate widens its
-    noise band by.
-    """
-    rows = []
-    for name in sorted(history):
-        values = [float(v) for v in history[name]]
-        if not values:
-            continue
-        median = statistics.median(values)
-        spread = (
-            statistics.pstdev(values) / median
-            if len(values) > 1 and median > 0
-            else 0.0
-        )
-        row = [name, len(values), f"{median:,.0f}", f"{spread:.1%}"]
-        if fresh is not None:
-            value = fresh.get(name)
-            if isinstance(value, (int, float)) and median > 0:
-                row.append(f"{value:,.0f} ({(value - median) / median:+.1%})")
-            else:
-                row.append("—")
-        rows.append(row)
-    headers = ["metric", "n", "median", "spread"]
-    if fresh is not None:
-        headers.append("fresh (vs median)")
-    return format_table(headers, rows, title="metric history")

@@ -34,7 +34,7 @@ from repro.netsim.ipid import (
 )
 from repro.netsim.udp import UDPDatagram, encode_udp, decode_udp, udp_checksum
 from repro.netsim.icmp import ICMPMessage, ICMPType, frag_needed
-from repro.netsim.datapath import DeliveryPipeline, HostDatapath, LinkProfile
+from repro.netsim.datapath import DeliveryPipeline, HostDatapath
 from repro.netsim.faults import (
     Corruption,
     Duplication,
@@ -79,7 +79,6 @@ __all__ = [
     "frag_needed",
     "DeliveryPipeline",
     "HostDatapath",
-    "LinkProfile",
     "Corruption",
     "Duplication",
     "FaultChannel",

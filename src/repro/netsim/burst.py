@@ -12,9 +12,10 @@ one burst heap entry (the event-loop side lives in
   pushed by :meth:`repro.netsim.network.Network.transmit_spray` when the
   round's plan is *uniform* (every pair routed, lossless, fault-free, one
   latency) and no capture is attached.  The spray carries bytes only — no
-  packet objects — and its drain makes one pass per datagram: unpack the
-  UDP header, verify the RFC 768 checksum from that datagram's own bytes,
-  bump the host stats, demux, call the handler.  A destination with a
+  packet objects — and its drain makes one pass per datagram: sweep the
+  host's expired reassembly buckets when it holds any, unpack the UDP
+  header, verify the RFC 768 checksum from that datagram's own bytes, bump
+  the host stats, demux, call the handler.  A destination with a
   packet tap installed, or a pair whose scalar path must see a packet
   (``burst_parse`` false), gets a materialised packet through
   ``pipeline.deliver`` instead.
@@ -75,12 +76,11 @@ class SprayDelivery:
     """One source's datagram spray, delivered at one instant.
 
     ``targets`` is the cached spray plan's per-destination tuple
-    ``(dst, deliver, datapath, verify_base, bookkeeping)``: ``datapath`` is
-    ``None`` for pairs that must be delivered as packets, ``verify_base`` is
-    ``None`` for pairs that do not verify checksums (trusted links,
-    non-verifying hosts), and ``bookkeeping`` is the link profile's
-    defrag-sweep bit.  ``datagrams[i]`` and ``ipids[i]`` belong to
-    ``targets[i]``; the IPIDs are only read when a packet is materialised.
+    ``(dst, deliver, datapath, verify_base)``: ``datapath`` is ``None`` for
+    pairs that must be delivered as packets, and ``verify_base`` is ``None``
+    for pairs whose host does not verify checksums.  ``datagrams[i]`` and
+    ``ipids[i]`` belong to ``targets[i]``; the IPIDs are only read when a
+    packet is materialised.
     """
 
     __slots__ = ("src", "targets", "datagrams", "ipids", "count")
@@ -101,7 +101,7 @@ class SprayDelivery:
             t_handler = 0.0  # handler calls, reported as ``handler``
             t_elsewhere = 0.0  # materialised deliveries time themselves
             handled = 0
-        for (dst, deliver, datapath, verify_base, bookkeeping), datagram, ipid in zip(
+        for (dst, deliver, datapath, verify_base), datagram, ipid in zip(
             self.targets, self.datagrams, self.ipids
         ):
             if datapath is None or datapath.host.packet_tap is not None:
@@ -116,7 +116,7 @@ class SprayDelivery:
                 continue
             # HostDatapath.deliver for an unfragmented UDP datagram, minus
             # the packet: same checks, counters and order.
-            if bookkeeping and datapath.defrag_buckets:
+            if datapath.defrag_buckets:
                 datapath.defrag.purge_expired(datapath.simulator._now)
             stats = datapath.stats
             size = len(datagram)

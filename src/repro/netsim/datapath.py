@@ -18,15 +18,9 @@ link and cached:
 * :class:`DeliveryPipeline` — one per (src, dst) pair, compiled and cached
   by :class:`~repro.netsim.network.Network`.  It carries the resolved link
   latency, loss probability and the destination's bound deliver callable,
-  so the transmit hot path is a single dict hit plus a heap push.
-* :class:`LinkProfile` — opt-in *trust levels* per link.  The default
-  profile performs full verification.  A ``trusted`` link (e.g. a loopback
-  or lab-internal path the experimenter vouches for) skips UDP checksum
-  verification and defragmentation bookkeeping for unfragmented packets.
-  Trust is **off by default** — the golden fixed-seed results are produced
-  entirely on default-profile links — and never changes which packets are
-  delivered for well-formed traffic, only how much verification work the
-  simulator performs per packet.
+  so the transmit hot path is a single dict hit plus a heap push.  Whether
+  a delivery verifies the UDP checksum is the destination host's
+  ``OSProfile`` decision.
 
 Stage attribution: while ``repro.perf.STAGES`` collection is enabled,
 delivery routes through an instrumented twin that accumulates per-stage
@@ -66,59 +60,6 @@ _ICMP = IPProtocol.ICMP
 _UNPACK_UDP_HEADER = _UDP_HEADER.unpack_from
 
 
-class LinkProfile:
-    """Per-link trust level controlling which verification stages run.
-
-    ``verify_checksum``
-        Verify the UDP checksum of delivered datagrams (on top of the
-        receiving host's own ``OSProfile.verify_udp_checksum`` flag — a
-        host that skips verification keeps skipping it on any link).
-    ``defrag_bookkeeping``
-        Consult the defragmentation cache for *unfragmented* packets
-        (purging expired reassembly buckets on every arrival, as real
-        kernels do).  Fragmented packets always go through full
-        reassembly regardless of trust — trust cannot change what gets
-        delivered, only how much per-packet verification work runs.
-    """
-
-    __slots__ = ("name", "verify_checksum", "defrag_bookkeeping")
-
-    def __init__(
-        self,
-        name: str = "default",
-        verify_checksum: bool = True,
-        defrag_bookkeeping: bool = True,
-    ) -> None:
-        self.name = name
-        self.verify_checksum = verify_checksum
-        self.defrag_bookkeeping = defrag_bookkeeping
-
-    @classmethod
-    def default(cls) -> "LinkProfile":
-        """Full verification (the only profile the golden runs use)."""
-        return DEFAULT_LINK_PROFILE
-
-    @classmethod
-    def trusted(cls) -> "LinkProfile":
-        """Skip checksum verification and unfragmented-packet defrag work."""
-        return TRUSTED_LINK_PROFILE
-
-    @property
-    def is_default(self) -> bool:
-        """True when every verification stage is enabled."""
-        return self.verify_checksum and self.defrag_bookkeeping
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<LinkProfile {self.name!r}>"
-
-
-#: Shared singletons: links reference profiles, they never mutate them.
-DEFAULT_LINK_PROFILE = LinkProfile("default")
-TRUSTED_LINK_PROFILE = LinkProfile(
-    "trusted", verify_checksum=False, defrag_bookkeeping=False
-)
-
-
 class DeliveryPipeline:
     """The compiled delivery plan for one (src, dst) address pair.
 
@@ -136,20 +77,18 @@ class DeliveryPipeline:
     the fault layer has into the hot path — one slot read per packet when
     inactive.
 
-    ``datapath``, ``burst_parse``, ``verify_base`` and ``burst_bookkeeping``
-    exist for the spray drain (:mod:`repro.netsim.burst`), which delivers
-    raw datagrams without a packet object: it needs the compiled datapath
-    behind ``deliver``, whether this pair may skip the packet at all
-    (``burst_parse`` — false for unrouted pairs and for pairs whose scalar
-    path would raise on an unparseable spoofed source), the pair's
-    pseudo-header address word sum plus the protocol word when the scalar
-    path would verify checksums (``verify_base`` — ``None`` when the link
-    profile or the host OS profile does not verify), and whether delivery
-    performs the defrag bookkeeping sweep (the link profile's
-    ``defrag_bookkeeping``) — all baked once per compiled pair, like the
-    latency.  Like every other compiled field, they go stale if a host's OS
-    profile is mutated afterwards; :meth:`HostDatapath.recompile`
-    invalidates the owning network's pipelines for exactly that reason.
+    ``datapath``, ``burst_parse`` and ``verify_base`` exist for the spray
+    drain (:mod:`repro.netsim.burst`), which delivers raw datagrams without
+    a packet object: it needs the compiled datapath behind ``deliver``,
+    whether this pair may skip the packet at all (``burst_parse`` — false
+    for unrouted pairs and for pairs whose scalar path would raise on an
+    unparseable spoofed source), and the pair's pseudo-header address word
+    sum plus the protocol word when the scalar path would verify checksums
+    (``verify_base`` — ``None`` when the host OS profile does not verify) —
+    all baked once per compiled pair, like the latency.  Like every other
+    compiled field, they go stale if a host's OS profile is mutated
+    afterwards; :meth:`HostDatapath.recompile` invalidates the owning
+    network's pipelines for exactly that reason.
     """
 
     __slots__ = (
@@ -159,7 +98,6 @@ class DeliveryPipeline:
         "datapath",
         "burst_parse",
         "verify_base",
-        "burst_bookkeeping",
         "faults",
     )
 
@@ -171,7 +109,6 @@ class DeliveryPipeline:
         datapath: "Optional[HostDatapath]" = None,
         burst_parse: bool = False,
         verify_base: Optional[int] = None,
-        burst_bookkeeping: bool = True,
         faults=None,
     ) -> None:
         self.latency = latency
@@ -180,7 +117,6 @@ class DeliveryPipeline:
         self.datapath = datapath
         self.burst_parse = burst_parse
         self.verify_base = verify_base
-        self.burst_bookkeeping = burst_bookkeeping
         self.faults = faults
 
 
@@ -237,17 +173,17 @@ class HostDatapath:
     def recompile(self) -> None:
         """Re-read the host's profile flags (after an explicit mutation).
 
-        Also drops the network's compiled pipelines: they bake the
-        combined link+host verify decision for the spray drain, so a
-        profile mutation must force them to recompile too.
+        Also drops the network's compiled pipelines: they bake the host's
+        verify decision for the spray drain, so a profile mutation must
+        force them to recompile too.
         """
         self.verify_checksum = self.host.profile.verify_udp_checksum
         self.drops_fragments = self.host.profile.drops_fragments
         self.host.network.invalidate_pipelines()
 
-    # ----------------------------------------------------------- fast paths
+    # ------------------------------------------------------------ fast path
     def deliver(self, packet: IPv4Packet) -> None:
-        """Full-verification delivery: the default-profile compiled chain.
+        """The compiled receive chain, flat.
 
         Byte-for-byte and counter-for-counter equivalent to the
         pre-refactor ``Host.receive`` → ``DefragmentationCache`` →
@@ -255,7 +191,7 @@ class HostDatapath:
         determinism test), flattened into one frame.
         """
         if STAGES.enabled:
-            return self._deliver_timed(packet, self.verify_checksum, True)
+            return self._deliver_timed(packet)
         host = self.host
         tap = host.packet_tap
         if tap is not None:
@@ -287,10 +223,10 @@ class HostDatapath:
             # pay hashing and eviction for a ~0% hit rate; the extra call
             # frames of udp_checksum_arith cost ~6% of a Table II run on
             # this path.  Mirrors udp_checksum_arith / _fold_checksum word
-            # for word — drift is caught by test_prop_batch_delivery
-            # (arith-vs-cached property) and test_datapath's
-            # instrumented-vs-uninstrumented counter comparison (the timed
-            # twin calls udp_checksum_arith instead).
+            # for word — drift is caught by test_prop_checksum's
+            # TestDeliverVerifyPinnedToArith, which pins this path and the
+            # timed twin (it calls udp_checksum_arith instead) to the same
+            # accept/reject verdict.
             padded = payload + b"\x00" if (size - UDP_HEADER_LEN) & 1 else payload
             folded = (
                 _address_word_sum(packet.src)
@@ -304,93 +240,6 @@ class HostDatapath:
             ) % 0xFFFF
             expected = ~(folded if folded else 0xFFFF) & 0xFFFF
             if (expected if expected else 0xFFFF) != checksum:
-                stats.udp_checksum_failures += 1
-                return
-        stats.udp_received += 1
-        socket = self.sockets.get(dst_port)
-        if socket is None or socket.closed:
-            return
-        handler = socket.on_datagram
-        if handler is not None:
-            handler(payload, packet.src, src_port)
-        else:
-            socket.inbox.append(
-                ReceivedDatagram(payload, packet.src, src_port, self.simulator._now)
-            )
-
-    def deliver_trusted(self, packet: IPv4Packet) -> None:
-        """Trusted-link delivery: no checksum verify, no unfragmented
-        defrag bookkeeping.  Fragmented packets still reassemble fully."""
-        if STAGES.enabled:
-            return self._deliver_timed(packet, False, False)
-        host = self.host
-        tap = host.packet_tap
-        if tap is not None:
-            tap(packet)
-        if packet.protocol is not _UDP:
-            return self._deliver_other(packet)
-        if packet.more_fragments or packet.fragment_offset:
-            packet = self._reassemble(packet)
-            if packet is None:
-                return
-        stats = self.stats
-        data = packet.payload
-        size = len(data)
-        if size < UDP_HEADER_LEN:
-            stats.udp_checksum_failures += 1
-            return
-        src_port, dst_port, length, _checksum = _UNPACK_UDP_HEADER(data)
-        if length != size:
-            stats.udp_checksum_failures += 1
-            return
-        payload = data[UDP_HEADER_LEN:]
-        stats.udp_received += 1
-        socket = self.sockets.get(dst_port)
-        if socket is None or socket.closed:
-            return
-        handler = socket.on_datagram
-        if handler is not None:
-            handler(payload, packet.src, src_port)
-        else:
-            socket.inbox.append(
-                ReceivedDatagram(payload, packet.src, src_port, self.simulator._now)
-            )
-
-    def deliver_flex(self, packet: IPv4Packet, verify: bool, bookkeeping: bool) -> None:
-        """Generic delivery for mixed link profiles (one stage trusted,
-        the other not).  Exotic configurations only; not a hot path — but
-        it still honours the collection switch: timing runs only while
-        stage collection is enabled, like the canonical paths."""
-        verify = verify and self.verify_checksum
-        if STAGES.enabled:
-            return self._deliver_timed(packet, verify, bookkeeping)
-        host = self.host
-        tap = host.packet_tap
-        if tap is not None:
-            tap(packet)
-        if packet.protocol is not _UDP:
-            return self._deliver_other(packet)
-        if packet.more_fragments or packet.fragment_offset:
-            packet = self._reassemble(packet)
-            if packet is None:
-                return
-        elif bookkeeping and self.defrag_buckets:
-            self.defrag.purge_expired(self.simulator._now)
-        stats = self.stats
-        data = packet.payload
-        size = len(data)
-        if size < UDP_HEADER_LEN:
-            stats.udp_checksum_failures += 1
-            return
-        src_port, dst_port, length, checksum = _UNPACK_UDP_HEADER(data)
-        if length != size:
-            stats.udp_checksum_failures += 1
-            return
-        payload = data[UDP_HEADER_LEN:]
-        if checksum and verify:
-            if checksum != udp_checksum_arith(
-                packet.src, packet.dst, src_port, dst_port, payload
-            ):
                 stats.udp_checksum_failures += 1
                 return
         stats.udp_received += 1
@@ -426,13 +275,13 @@ class HostDatapath:
         self.defrag.add_fragment(packet, self.simulator._now)
 
     # -------------------------------------------------------- instrumented
-    def _deliver_timed(self, packet: IPv4Packet, verify: bool, bookkeeping: bool) -> None:
-        """The stage-attributing twin of the fast paths.
+    def _deliver_timed(self, packet: IPv4Packet) -> None:
+        """The stage-attributing twin of :meth:`deliver`.
 
         Accumulates per-stage wall time into slots (merged into
         ``STAGES`` snapshots via :meth:`collect_into`).  Only runs while
         stage collection is enabled; headline throughput numbers are
-        measured on the uninstrumented paths.
+        measured on the uninstrumented path.
         """
         host = self.host
         tap = host.packet_tap
@@ -449,7 +298,7 @@ class HostDatapath:
             if packet is None:
                 return
         else:
-            if bookkeeping and self.defrag_buckets:
+            if self.defrag_buckets:
                 self.defrag.purge_expired(self.simulator._now)
             t1 = perf_counter()
             self.t_defrag += t1 - t0
@@ -463,7 +312,7 @@ class HostDatapath:
             ok = length == size
         if ok:
             payload = data[UDP_HEADER_LEN:]
-            if checksum and verify:
+            if checksum and self.verify_checksum:
                 ok = checksum == udp_checksum_arith(
                     packet.src, packet.dst, src_port, dst_port, payload
                 )
@@ -517,23 +366,3 @@ class HostDatapath:
         """Zero the per-stage accumulators."""
         self.t_defrag = self.t_checksum = self.t_demux = self.t_handler = 0.0
         self.n_defrag = self.n_checksum = self.n_demux = self.n_handler = 0
-
-
-def compile_deliver(datapath: HostDatapath, profile: LinkProfile):
-    """Pick the delivery entry point for one link profile.
-
-    The two canonical profiles get the dedicated flat paths; mixed
-    profiles (one stage trusted, the other not) fall back to the generic
-    flexible path via a small binding closure.
-    """
-    if profile.verify_checksum and profile.defrag_bookkeeping:
-        return datapath.deliver
-    if not profile.verify_checksum and not profile.defrag_bookkeeping:
-        return datapath.deliver_trusted
-    verify = profile.verify_checksum
-    bookkeeping = profile.defrag_bookkeeping
-
-    def deliver_mixed(packet: IPv4Packet) -> None:
-        datapath.deliver_flex(packet, verify, bookkeeping)
-
-    return deliver_mixed

@@ -20,9 +20,8 @@ source spraying one datagram at each of many destinations — goes through
 :meth:`Network.transmit_spray`, which resolves the round's pipelines once
 into a plan cached per (src, destinations) and, when the plan is uniform,
 pushes the round as one heap entry of raw datagrams (see
-:mod:`repro.netsim.burst`).  Links carry an optional
-:class:`~repro.netsim.datapath.LinkProfile` trust level; the default profile
-performs full verification and is what every golden fixed-seed run uses.
+:mod:`repro.netsim.burst`).  Whether a delivery verifies the UDP checksum
+is the receiving host's ``OSProfile`` decision.
 """
 
 from __future__ import annotations
@@ -33,13 +32,7 @@ from typing import Iterable, Optional
 
 from repro.netsim.burst import DeliveryBurst, MAX_DELIVERY_BURST, SprayDelivery
 from repro.netsim.capture import PacketCapture
-from repro.netsim.datapath import (
-    DEFAULT_LINK_PROFILE,
-    DeliveryPipeline,
-    LinkProfile,
-    UNROUTED_PIPELINE,
-    compile_deliver,
-)
+from repro.netsim.datapath import DeliveryPipeline, UNROUTED_PIPELINE
 from repro.netsim.errors import AddressError, NoRouteError, SimulationError
 from repro.netsim.faults import FaultChannel, FaultPlan, FaultStats
 from repro.netsim.host import Host, OSProfile
@@ -63,9 +56,6 @@ class Link:
     latency: float = 0.01
     loss_probability: float = 0.0
     mtu: int = 1500
-    #: Optional trust level; ``None`` means the default (full verification)
-    #: profile.  See :class:`repro.netsim.datapath.LinkProfile`.
-    profile: Optional[LinkProfile] = None
     #: Optional fault plan; ``None`` (or an inert plan, normalised to
     #: ``None`` by :meth:`Network.set_link_faults`) keeps the exact
     #: fault-free fast paths.  See :mod:`repro.netsim.faults`.
@@ -193,33 +183,13 @@ class Network:
         """The link used between two addresses (default if not overridden)."""
         return self._links.get(frozenset((ip_a, ip_b)), self.default_link)
 
-    def trust_link(self, ip_a: str, ip_b: str) -> None:
-        """Mark the link between two addresses as trusted (opt-in fast path).
-
-        Keeps the current latency/loss/MTU and swaps the profile for
-        :meth:`LinkProfile.trusted`, which skips UDP checksum verification
-        and unfragmented-packet defrag bookkeeping on delivery.
-        """
-        current = self.link_between(ip_a, ip_b)
-        self.set_link(
-            ip_a,
-            ip_b,
-            Link(
-                latency=current.latency,
-                loss_probability=current.loss_probability,
-                mtu=current.mtu,
-                profile=LinkProfile.trusted(),
-                faults=current.faults,
-            ),
-        )
-
     # --------------------------------------------------------------- faults
     def set_link_faults(self, ip_a: str, ip_b: str, *components) -> FaultPlan:
         """Attach fault components to the link between two addresses.
 
         Accepts either loose components (composed into a
         :class:`~repro.netsim.faults.FaultPlan` here) or one pre-built
-        plan.  Keeps the link's latency/loss/MTU/profile and swaps in the
+        plan.  Keeps the link's latency/loss/MTU and swaps in the
         plan; an inert plan (every component zero-rate — including the
         empty call, which clears faults) is normalised to ``None`` so the
         link keeps the exact fault-free fast paths.  Replacing an active
@@ -238,7 +208,6 @@ class Network:
                 latency=current.latency,
                 loss_probability=current.loss_probability,
                 mtu=current.mtu,
-                profile=current.profile,
                 faults=None if plan.is_inert else plan,
             ),
         )
@@ -360,7 +329,7 @@ class Network:
         return pipeline
 
     def _compile_pipeline(self, src: str, dst: str) -> DeliveryPipeline:
-        """Resolve host, link and trust profile into one cached pipeline."""
+        """Resolve host and link into one cached pipeline."""
         host = self._hosts.get(dst)
         if host is None:
             pipeline = UNROUTED_PIPELINE
@@ -368,7 +337,6 @@ class Network:
             link = self.link_between(src, dst)
             if link.latency < 0:
                 raise SimulationError(f"negative link latency: {link.latency}")
-            profile = link.profile or DEFAULT_LINK_PROFILE
             # Would this pair's scalar path verify checksums at all?  Only
             # then does the spray drain need a pseudo-header sum — and
             # ``src`` is whatever the sender claims, so a syntactically
@@ -377,7 +345,7 @@ class Network:
             # at delivery time rather than here).
             burst_parse = True
             verify_base = None
-            if profile.verify_checksum and host.datapath.verify_checksum:
+            if host.datapath.verify_checksum:
                 try:
                     verify_base = (
                         _address_word_sum(src) + _address_word_sum(dst) + 17
@@ -408,11 +376,10 @@ class Network:
             pipeline = DeliveryPipeline(
                 link.latency,
                 link.loss_probability,
-                compile_deliver(host.datapath, profile),
+                host.datapath.deliver,
                 datapath=host.datapath,
                 burst_parse=burst_parse,
                 verify_base=verify_base,
-                burst_bookkeeping=profile.defrag_bookkeeping,
                 faults=channel,
             )
         if len(self._pipelines) >= PIPELINE_CACHE_MAX_ENTRIES:
@@ -716,7 +683,6 @@ class Network:
                         pipeline.deliver,
                         pipeline.datapath if pipeline.burst_parse else None,
                         pipeline.verify_base,
-                        pipeline.burst_bookkeeping,
                     )
                 )
         plan = (self.pipeline_epoch, latency, None if targets is None else tuple(targets))

@@ -19,7 +19,7 @@ coexist:
   ``Event`` allocation entirely and exist for the per-packet delivery path,
   which schedules millions of events per experiment and never cancels one.
 * ``(time, sequence, burst, _BURST)`` — *burst* entries created by
-  :meth:`Simulator.post_burst` (or pushed directly by the network's
+  :meth:`Simulator.post_burst_entry` (or pushed directly by the network's
   batched transmit path).  One heap entry stands for ``burst.count``
   logical events firing at the same instant: the entry consumes ``count``
   contiguous sequence numbers at creation and counts ``count`` towards
@@ -76,35 +76,6 @@ _NO_ARG = object()
 #: mirroring its inlined ``post``), so the sentinel is shared, not private
 #: to the loop.
 _BURST = object()
-
-
-class CallbackBurst:
-    """N same-instant calls of one callback, packed into one heap entry.
-
-    The generic burst shape behind :meth:`Simulator.post_burst`: ``run``
-    invokes ``callback(arg)`` for every argument in order.  ``count`` is
-    the number of logical events the entry stands for — the drain adds it
-    to ``events_processed`` and :meth:`Simulator.post_burst` consumed that
-    many sequence numbers, which keeps :meth:`Simulator.pending` exact.
-
-    Specialised bursts (the network's
-    :class:`~repro.netsim.burst.DeliveryBurst` and
-    :class:`~repro.netsim.burst.SprayDelivery`, the association remover's
-    cohort rounds) implement the same two-member protocol — ``count`` plus
-    ``run()`` — with a flat loop body of their own.
-    """
-
-    __slots__ = ("callback", "args", "count")
-
-    def __init__(self, callback: Callable[..., None], args) -> None:
-        self.callback = callback
-        self.args = args
-        self.count = len(args)
-
-    def run(self) -> None:
-        callback = self.callback
-        for arg in self.args:
-            callback(arg)
 
 
 class Event:
@@ -204,8 +175,8 @@ class Simulator:
         self._seed = seed
         self._spawned = 0
         self.events_processed = 0
-        #: Burst heap entries created so far (post_burst / post_burst_entry
-        #: / the network's batched transmit).  ``events_processed`` already
+        #: Burst heap entries created so far (post_burst_entry / the
+        #: network's batched transmit).  ``events_processed`` already
         #: counts burst members individually; this counter exposes how much
         #: coalescing the run actually achieved.
         self.bursts_posted = 0
@@ -309,42 +280,19 @@ class Simulator:
         self._sequence = sequence + 1
         heappush(self._queue, (self._now + delay, sequence, callback, arg))
 
-    def post_burst(self, delay: float, callback: Callable[..., None], args) -> None:
-        """Schedule ``callback(arg)`` for every ``arg`` at one future instant.
-
-        Event-for-event equivalent to ``post(delay, callback, arg)`` per
-        argument — same contiguous sequence-number block, same execution
-        order, same ``events_processed`` / :meth:`pending` accounting — but
-        the whole burst costs one heap push and one pop.  Like :meth:`post`,
-        burst members cannot be cancelled or labelled.  An empty ``args``
-        schedules nothing; a single argument degrades to :meth:`post`
-        (identical entry, cheaper dispatch).
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        count = len(args)
-        if count == 0:
-            return
-        sequence = self._sequence
-        if count == 1:
-            self._sequence = sequence + 1
-            heappush(self._queue, (self._now + delay, sequence, callback, args[0]))
-            return
-        self._sequence = sequence + count
-        self.bursts_posted += 1
-        heappush(
-            self._queue,
-            (self._now + delay, sequence, CallbackBurst(callback, args), _BURST),
-        )
-
     def post_burst_entry(self, delay: float, burst) -> None:
         """Schedule a pre-built burst object (``count`` + ``run()`` protocol).
 
         The entry consumes ``burst.count`` sequence numbers and counts that
         many events when drained; ``burst.run()`` must therefore perform
-        exactly ``count`` logical events' worth of work.  Used by callers
-        that want a flat loop body instead of per-member callbacks (the
-        network's delivery bursts, the association remover's rounds).
+        exactly ``count`` logical events' worth of work, in a flat loop body
+        of its own (the network's delivery bursts, the association
+        remover's rounds).  That keeps it event-for-event equivalent to
+        ``count`` singular :meth:`post` calls — same contiguous
+        sequence-number block, same execution order, same
+        ``events_processed`` / :meth:`pending` accounting — for one heap
+        push and one pop.  Like :meth:`post`, burst members cannot be
+        cancelled or labelled; a ``count`` of zero schedules nothing.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")

@@ -21,11 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - pinned by the numpy-absent suite
-    np = None  # type: ignore[assignment]
-
 
 class RateLimitDecision(Enum):
     """What the server should do with one incoming query."""
@@ -40,29 +35,6 @@ class RateLimitDecision(Enum):
 _RESPOND = RateLimitDecision.RESPOND
 _KOD = RateLimitDecision.KOD
 _DROP = RateLimitDecision.DROP
-
-
-@dataclass(slots=True)
-class BurstOutcome:
-    """Decision summary for N same-instant queries from one source.
-
-    With a non-negative query cost the accumulated score is monotone
-    within a same-instant burst, so the per-arrival decisions are always
-    front-loaded: arrival ``k`` (0-based) gets ``RESPOND`` for
-    ``k < responds``, ``KOD`` for ``k == responds`` when ``kod`` is true,
-    and ``DROP`` otherwise.  ``drops`` counts the ``DROP`` decisions
-    (``n - responds``, minus one when a KoD was issued), mirroring what a
-    server's per-query loop would have tallied.
-    """
-
-    responds: int
-    kod: bool
-    drops: int
-
-    @property
-    def denied(self) -> int:
-        """Arrivals denied service (KoD included — it is not an answer)."""
-        return self.drops + (1 if self.kod else 0)
 
 
 @dataclass(slots=True)
@@ -137,182 +109,6 @@ class RateLimiter:
             self.kods_sent += 1
             return _KOD
         return _DROP
-
-    #: Alias used by the burst engine's property tests and docs: one
-    #: ``consume`` is one accounted query, ``consume_burst(n)`` is n of them.
-    consume = check
-
-    def consume_burst(self, source_ip: str, n: int, now: float) -> BurstOutcome:
-        """Account for ``n`` same-instant queries from one source at once.
-
-        Exactly equivalent to ``n`` sequential :meth:`check` calls at the
-        same ``now`` (property-pinned): same decisions in the same order,
-        same final bucket state bit-for-bit, same aggregate counters.  The
-        bucket *drain* is fast-forwarded in closed form — arrivals after
-        the first have zero elapsed time, so one subtraction covers the
-        whole burst — but the admit count deliberately comes from a tight
-        accumulation loop rather than ``(tolerance - score) / cost``:
-        :meth:`check` builds the score by repeated float addition, and a
-        closed-form multiplication rounds differently right at the
-        tolerance boundary, which would make switching a flow from
-        per-query to burst accounting observable.  The loop is pure float
-        adds with none of check's per-call dict/enum/state machinery, which
-        is where the bulk win comes from (see the
-        ``limiter_burst_ops_per_sec`` microbenchmark).
-
-        Requires a non-negative ``average_interval`` (a negative cost makes
-        in-burst decisions non-monotone, which :class:`BurstOutcome` cannot
-        represent).
-        """
-        if n <= 0:
-            return BurstOutcome(0, False, 0)
-        cost = self.average_interval
-        if cost < 0.0:
-            raise ValueError(
-                f"consume_burst requires average_interval >= 0, got {cost}"
-            )
-        self.queries_seen += n
-        if not self.enabled:
-            return BurstOutcome(n, False, 0)
-        sources = self.sources
-        state = sources.get(source_ip)
-        if state is None:
-            state = sources[source_ip] = _SourceState(last_seen=now)
-        # Closed-form drain fast-forward: only the first arrival sees a
-        # non-zero elapsed time, so the whole burst drains once.
-        elapsed = now - state.last_seen
-        score = state.score
-        if elapsed > 0.0:
-            score -= elapsed
-            if score < 0.0:
-                score = 0.0
-        tolerance = self.burst_tolerance
-        responds = 0
-        for _ in range(n):
-            score += cost
-            if score <= tolerance:
-                responds += 1
-        state.score = score
-        state.last_seen = now
-        denied = n - responds
-        if denied == 0:
-            return BurstOutcome(n, False, 0)
-        state.drops += denied
-        self.queries_dropped += denied
-        kod = False
-        if self.send_kod and not state.kod_sent:
-            state.kod_sent = True
-            self.kods_sent += 1
-            kod = True
-        return BurstOutcome(responds, kod, denied - (1 if kod else 0))
-
-    def consume_times(self, source_ip: str, times) -> list[RateLimitDecision]:
-        """Fast-forward one source through a whole arrival schedule at once.
-
-        The mixed-interval closed form: the score recurrence
-        ``s_k = max(s_{k-1} - dt_k, 0) + cost`` linearises under the
-        substitution ``v_k = s_k + t_k - (k+1)·cost`` to a plain running
-        maximum ``v_k = max(v_{k-1}, t_k - k·cost)``, so an arbitrary
-        arrival schedule costs three numpy vector ops instead of a Python
-        loop per query.  Decisions come back in arrival order, and the
-        bucket state, KoD latch and aggregate counters advance exactly as
-        if every arrival had been :meth:`check`-ed.
-
-        Float caveat (why the live simulation splice uses
-        :meth:`consume_burst` instead): the vectorised algebra rounds
-        differently from per-call accumulation within a few ulps of the
-        tolerance boundary.  Decisions are identical whenever no
-        accumulated score lands that close to ``burst_tolerance`` — exact
-        on integer-valued schedules — which makes this the *planning and
-        measurement* fast path (scan predictions, population analytics),
-        not a drop-in for the per-packet path.
-
-        ``times`` must be non-decreasing and ``average_interval``
-        non-negative.  Without numpy installed a pure-python twin of the
-        running-max algebra runs instead — same float operations in the
-        same order, so the two backends are bit-identical (pinned by the
-        numpy-absent suite).
-        """
-        if np is not None:
-            times = np.asarray(times, dtype=np.float64)
-            n = int(times.size)
-        else:
-            times = [float(value) for value in times]
-            n = len(times)
-        if n == 0:
-            return []
-        cost = self.average_interval
-        if cost < 0.0:
-            raise ValueError(
-                f"consume_times requires average_interval >= 0, got {cost}"
-            )
-        if n > 1:
-            if np is not None:
-                if bool(np.any(np.diff(times) < 0.0)):
-                    raise ValueError(
-                        "consume_times requires non-decreasing arrival times"
-                    )
-            elif any(b < a for a, b in zip(times, times[1:])):
-                raise ValueError("consume_times requires non-decreasing arrival times")
-        self.queries_seen += n
-        if not self.enabled:
-            return [RateLimitDecision.RESPOND] * n
-        sources = self.sources
-        state = sources.get(source_ip)
-        if state is None:
-            state = sources[source_ip] = _SourceState(last_seen=float(times[0]))
-        # check() never drains on non-positive elapsed time, so a first
-        # arrival before last_seen behaves as if last_seen were that
-        # arrival's own time.
-        anchor = min(state.last_seen, float(times[0]))
-        seed = state.score + anchor
-        tolerance = self.burst_tolerance
-        if np is not None:
-            k = np.arange(n, dtype=np.float64)
-            # v_k = max(v_init, max_{j<=k}(t_j - j·cost)); the j-term
-            # encodes a bucket that drained to empty just before arrival j,
-            # the seed term the bucket carried over from the previous state.
-            v = np.maximum.accumulate(np.maximum(times - k * cost, seed))
-            scores = v - times + (k + 1.0) * cost
-            denied_mask = (scores > tolerance).tolist()
-            denied = sum(denied_mask)
-            last_score = float(scores[-1])
-        else:
-            # Pure-python twin: identical IEEE op sequence per element
-            # (t - k·cost, running max, (v - t) + (k+1)·cost), so scores
-            # match the vectorised backend bit-for-bit.
-            denied_mask = []
-            denied = 0
-            v = seed
-            last_score = 0.0
-            for index, t in enumerate(times):
-                candidate = t - index * cost
-                if candidate > v:
-                    v = candidate
-                last_score = (v - t) + (index + 1.0) * cost
-                is_denied = last_score > tolerance
-                denied_mask.append(is_denied)
-                if is_denied:
-                    denied += 1
-        state.score = last_score
-        state.last_seen = float(times[-1])
-        if denied == 0:
-            return [RateLimitDecision.RESPOND] * n
-        state.drops += denied
-        self.queries_dropped += denied
-        decisions: list[RateLimitDecision] = []
-        kod_available = self.send_kod and not state.kod_sent
-        for is_denied in denied_mask:
-            if not is_denied:
-                decisions.append(RateLimitDecision.RESPOND)
-            elif kod_available:
-                kod_available = False
-                state.kod_sent = True
-                self.kods_sent += 1
-                decisions.append(RateLimitDecision.KOD)
-            else:
-                decisions.append(RateLimitDecision.DROP)
-        return decisions
 
     def is_limited(self, source_ip: str, now: float) -> bool:
         """True when ``source_ip`` would currently be denied service."""

@@ -13,7 +13,10 @@ sys.path.insert(0, BENCHMARKS_DIR)
 
 import ab  # noqa: E402
 
-BETTER = {"wall_s": "lower", "client_h_per_s": "higher"}
+DECLARED = {
+    "wall_s": {"better": "lower", "bound": 0.25},
+    "client_h_per_s": {"better": "higher", "bound": 0.25},
+}
 
 
 def runs(name: str, values: list[float]) -> list[dict]:
@@ -24,7 +27,7 @@ class TestCompare:
     def test_clear_gain_on_a_higher_is_better_metric(self):
         a = runs("client_h_per_s", [10.0, 10.4, 9.9, 10.2, 10.1])
         b = runs("client_h_per_s", [7.0, 7.2, 6.9, 7.1, 7.3])
-        row = ab.compare(a, b, BETTER)["client_h_per_s"]
+        row = ab.compare(a, b, DECLARED)["client_h_per_s"]
         assert row["wins"] == 5 and row["pairs"] == 5
         assert row["a_median"] == 10.1 and row["b_median"] == 7.1
         assert abs(row["b_iqr"] - 0.2) < 1e-9
@@ -33,24 +36,61 @@ class TestCompare:
     def test_lower_is_better_counts_wins_the_other_way(self):
         a = runs("wall_s", [3.0, 3.1, 2.9, 3.2])
         b = runs("wall_s", [4.0, 4.2, 4.1, 4.3])
-        row = ab.compare(a, b, BETTER)["wall_s"]
+        row = ab.compare(a, b, DECLARED)["wall_s"]
         assert row["wins"] == 4
         assert row["gain"]
 
     def test_one_lost_pair_in_five_is_not_a_gain(self):
         a = runs("wall_s", [3.0, 3.0, 3.0, 3.0, 5.0])
         b = runs("wall_s", [4.0, 4.0, 4.0, 4.0, 4.0])
-        row = ab.compare(a, b, BETTER)["wall_s"]
+        row = ab.compare(a, b, DECLARED)["wall_s"]
         assert row["wins"] == 4
         assert not row["gain"]
 
     def test_difference_inside_the_iqr_is_not_a_gain(self):
         a = runs("wall_s", [3.9, 3.9, 3.9, 3.9])
         b = runs("wall_s", [4.0, 3.95, 4.5, 3.92])
-        row = ab.compare(a, b, BETTER)["wall_s"]
+        row = ab.compare(a, b, DECLARED)["wall_s"]
         assert row["wins"] == 4
         assert row["b_iqr"] > 0.1
         assert not row["gain"]
 
     def test_single_pair_has_zero_iqr(self):
         assert ab.quartiles([2.5]) == (2.5, 2.5)
+
+
+class TestGate:
+    """``make regression`` fails on any verdict other than ``ok``."""
+
+    def test_slowdown_past_the_bound_regresses(self):
+        a = runs("wall_s", [5.2, 5.3, 5.1])
+        b = runs("wall_s", [4.0, 4.1, 4.0])
+        assert ab.compare(a, b, DECLARED)["wall_s"]["verdict"] == "regressed"
+
+    def test_slowdown_inside_the_bound_is_ok(self):
+        a = runs("wall_s", [4.9, 4.8, 5.0])
+        b = runs("wall_s", [4.0, 4.1, 4.0])
+        assert ab.compare(a, b, DECLARED)["wall_s"]["verdict"] == "ok"
+
+    def test_higher_is_better_regresses_downwards(self):
+        a = runs("client_h_per_s", [7.0, 7.1, 7.2])
+        b = runs("client_h_per_s", [10.0, 10.1, 9.9])
+        row = ab.compare(a, b, DECLARED)["client_h_per_s"]
+        assert row["verdict"] == "regressed"
+        a = runs("client_h_per_s", [13.0, 13.1, 13.2])
+        assert ab.compare(a, b, DECLARED)["client_h_per_s"]["verdict"] == "ok"
+
+    def test_wide_rev_spread_is_unresolved(self):
+        a = runs("wall_s", [4.0, 4.0, 4.0])
+        b = runs("wall_s", [2.0, 4.0, 6.0])
+        assert ab.compare(a, b, DECLARED)["wall_s"]["verdict"] == "unresolved"
+
+    def test_wide_rev_spread_with_every_run_better_is_ok(self):
+        a = runs("wall_s", [1.0, 1.1, 1.2])
+        b = runs("wall_s", [2.0, 4.0, 6.0])
+        assert ab.compare(a, b, DECLARED)["wall_s"]["verdict"] == "ok"
+
+    def test_undeclared_entries_are_not_compared(self):
+        a = [{"wall_s": 4.0, "cpu_s": 9.0}]
+        b = [{"wall_s": 4.0, "cpu_s": 3.0}]
+        assert set(ab.compare(a, b, DECLARED)) == {"wall_s"}

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.experiments import (
@@ -13,9 +11,7 @@ from repro.experiments import (
     make_grid,
     outcomes_table,
     scenario,
-    write_bench_json,
 )
-from repro.experiments.runner import timings_summary
 
 # Register tiny scenarios for these tests.  Registration is module-global,
 # so names are prefixed to avoid clashing with real scenarios.
@@ -172,37 +168,3 @@ class TestReporting:
         assert "squares" in table
         assert "x^2" in table
         assert "9" in table
-
-    def test_timings_summary_shape(self):
-        outcomes = ExperimentRunner(max_workers=1).run([RunSpec.make("_test_square")])
-        summary = timings_summary(outcomes)
-        assert summary["runs"][0]["ok"] is True
-        assert summary["total_wall_time_seconds"] >= 0
-
-
-class TestBenchJson:
-    def test_write_creates_document(self, tmp_path):
-        path = tmp_path / "BENCH_netsim.json"
-        document = write_bench_json(
-            str(path), microbenchmarks={"events_per_sec": 1000}
-        )
-        on_disk = json.loads(path.read_text())
-        assert on_disk["schema"] == "repro-bench/1"
-        assert on_disk["microbenchmarks"] == {"events_per_sec": 1000}
-        assert document == on_disk
-
-    def test_sections_update_independently(self, tmp_path):
-        path = str(tmp_path / "bench.json")
-        write_bench_json(path, microbenchmarks={"a": 1})
-        write_bench_json(path, experiments={"b": 2})
-        on_disk = json.loads(open(path).read())
-        # The microbenchmarks section written first must survive the second
-        # call, which only refreshed the experiments section.
-        assert on_disk["microbenchmarks"] == {"a": 1}
-        assert on_disk["experiments"] == {"b": 2}
-
-    def test_corrupt_existing_file_is_replaced(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text("{not json")
-        write_bench_json(str(path), microbenchmarks={"a": 1})
-        assert json.loads(path.read_text())["microbenchmarks"] == {"a": 1}

@@ -221,15 +221,6 @@ class TestLoadOutcomes:
         writer.close()
         assert store.load_outcomes("s") == {}
 
-    def test_metric_history_excludes_non_numeric_and_bools(self, tmp_path):
-        store = RunStore(str(tmp_path))
-        writer = store.begin_sweep("t", sweep_id="s")
-        for value in (1.0, True, "nope", 3, None):
-            writer.append_record({"metrics": {"m": value}})
-        writer.close()
-        assert store.metric_history("s", "m") == [1.0, 3.0]
-        assert store.metric_history("s", "m", limit=1) == [3.0]
-
 
 class TestFsckCompaction:
     def _stored_sweep(self, tmp_path, n: int = 4) -> RunStore:
@@ -293,7 +284,9 @@ class TestFsckCompaction:
         assert {i: o.result for i, o in after.items()} == {
             i: o.result for i, o in before.items()
         }
-        assert store.metric_history("s", "m") == [1.0]
+        assert store.kind_records("s", "bench-sample") == [
+            {"kind": "bench-sample", "metrics": {"m": 1.0}}
+        ]
 
 
 class TestRunnerIntegration:

@@ -93,22 +93,3 @@ class TestSweepReport:
 
         text = sweep_report(self.MANIFEST, [])
         assert "0 recorded" in text
-
-
-class TestTrendReport:
-    def test_history_summary_with_fresh_column(self):
-        from repro.measurement.report import trend_report
-
-        text = trend_report(
-            {"a.metric": [100.0, 102.0, 98.0]}, fresh={"a.metric": 101.0}
-        )
-        assert "a.metric" in text
-        assert "fresh (vs median)" in text
-        assert "+1.0%" in text
-
-    def test_history_only(self):
-        from repro.measurement.report import trend_report
-
-        text = trend_report({"a": [1.0, 2.0, 3.0]})
-        assert "median" in text and "spread" in text
-        assert "fresh" not in text

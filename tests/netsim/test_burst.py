@@ -11,19 +11,34 @@ from repro.netsim.simulator import Simulator
 from repro.netsim.udp import UDPDatagram, encode_udp
 
 
+class Calls:
+    """A test-local burst: ``callback(arg)`` for every ``arg``, in order."""
+
+    def __init__(self, callback, args) -> None:
+        self.callback = callback
+        self.args = args
+        self.count = len(args)
+
+    def run(self) -> None:
+        for arg in self.args:
+            self.callback(arg)
+
+
 class TestPostBurst:
+    """``Simulator.post_burst_entry``: one heap entry, ``count`` events."""
+
     def test_burst_members_fire_in_order_with_neighbours(self):
         sim = Simulator()
         order = []
         sim.post(1.0, order.append, "before")
-        sim.post_burst(1.0, order.append, ["b1", "b2", "b3"])
+        sim.post_burst_entry(1.0, Calls(order.append, ["b1", "b2", "b3"]))
         sim.post(1.0, order.append, "after")
         sim.run()
         assert order == ["before", "b1", "b2", "b3", "after"]
 
     def test_burst_consumes_one_sequence_number_per_member(self):
         sim = Simulator()
-        sim.post_burst(1.0, lambda _: None, [1, 2, 3, 4])
+        sim.post_burst_entry(1.0, Calls(lambda _: None, [1, 2, 3, 4]))
         assert sim.pending() == 4
         sim.run()
         assert sim.pending() == 0
@@ -32,15 +47,16 @@ class TestPostBurst:
 
     def test_empty_burst_schedules_nothing(self):
         sim = Simulator()
-        sim.post_burst(1.0, lambda _: None, [])
+        sim.post_burst_entry(1.0, Calls(lambda _: None, []))
         assert sim.pending() == 0
+        assert sim.bursts_posted == 0
         assert sim.run() == 0
 
-    def test_single_member_degrades_to_post(self):
+    def test_single_member_burst_is_one_event(self):
         sim = Simulator()
         fired = []
-        sim.post_burst(1.0, fired.append, ["only"])
-        assert sim.bursts_posted == 0  # plain anonymous entry
+        sim.post_burst_entry(1.0, Calls(fired.append, ["only"]))
+        assert sim.pending() == 1
         sim.run()
         assert fired == ["only"]
         assert sim.events_processed == 1
@@ -48,12 +64,12 @@ class TestPostBurst:
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
-            sim.post_burst(-0.5, lambda _: None, [1])
+            sim.post_burst_entry(-0.5, Calls(lambda _: None, [1]))
 
     def test_burst_is_atomic_under_max_events(self):
         sim = Simulator()
         fired = []
-        sim.post_burst(1.0, fired.append, [1, 2, 3])
+        sim.post_burst_entry(1.0, Calls(fired.append, [1, 2, 3]))
         processed = sim.run(max_events=1)
         # Bursts never split: the entry drains whole and counts 3.
         assert processed == 3
@@ -62,7 +78,7 @@ class TestPostBurst:
     def test_step_executes_whole_burst(self):
         sim = Simulator()
         fired = []
-        sim.post_burst(2.0, fired.append, ["x", "y"])
+        sim.post_burst_entry(2.0, Calls(fired.append, ["x", "y"]))
         event = sim.step()
         assert fired == ["x", "y"]
         assert event is not None and event.time == 2.0
@@ -77,7 +93,7 @@ class TestPostBurst:
             if tag == "a":
                 sim.post(0.0, fired.append, "child-of-a")
 
-        sim.post_burst(1.0, member, ["a", "b"])
+        sim.post_burst_entry(1.0, Calls(member, ["a", "b"]))
         sim.run()
         # The child fires after the rest of the burst (it got a later
         # sequence number), exactly as N singular posts would order it.
@@ -86,7 +102,7 @@ class TestPostBurst:
     def test_run_until_respects_burst_time(self):
         sim = Simulator()
         fired = []
-        sim.post_burst(5.0, fired.append, [1, 2])
+        sim.post_burst_entry(5.0, Calls(fired.append, [1, 2]))
         sim.run(until=2.0)
         assert fired == []
         assert sim.now == 2.0

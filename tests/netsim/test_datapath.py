@@ -1,15 +1,11 @@
-"""Tests for the compiled delivery pipelines, link trust profiles,
+"""Tests for the compiled delivery pipelines, checksum verification,
 batched delivery, strict routing and pipeline stage attribution."""
 
 import pytest
 
-from repro.netsim.datapath import (
-    DEFAULT_LINK_PROFILE,
-    LinkProfile,
-    TRUSTED_LINK_PROFILE,
-    UNROUTED_PIPELINE,
-)
+from repro.netsim.datapath import UNROUTED_PIPELINE
 from repro.netsim.errors import NetSimError, NoRouteError
+from repro.netsim.host import OSProfile
 from repro.netsim.network import (
     Link,
     Network,
@@ -37,19 +33,7 @@ def corrupted_packet(src: str, dst: str) -> IPv4Packet:
     return IPv4Packet(src=src, dst=dst, protocol=IPProtocol.UDP, payload=payload)
 
 
-class TestLinkProfiles:
-    def test_default_profile_verifies_everything(self):
-        profile = LinkProfile.default()
-        assert profile.is_default
-        assert profile.verify_checksum and profile.defrag_bookkeeping
-        assert profile is DEFAULT_LINK_PROFILE  # shared singleton
-
-    def test_trusted_profile_skips_verification_stages(self):
-        profile = LinkProfile.trusted()
-        assert not profile.is_default
-        assert not profile.verify_checksum and not profile.defrag_bookkeeping
-        assert profile is TRUSTED_LINK_PROFILE
-
+class TestChecksumVerification:
     def test_default_link_drops_bad_checksum(self):
         sim, net, a, b = make_net()
         received = []
@@ -59,55 +43,32 @@ class TestLinkProfiles:
         assert received == []
         assert b.stats.udp_checksum_failures == 1
 
-    def test_trusted_link_skips_checksum_verification(self):
-        sim, net, a, b = make_net()
-        net.set_link(
-            "10.0.0.1", "10.0.0.2", Link(latency=0.01, profile=LinkProfile.trusted())
-        )
+    def test_non_verifying_host_skips_verify(self):
+        sim, net, a, _ = make_net()
+        c = net.add_host("c", "10.0.0.3", profile=OSProfile(verify_udp_checksum=False))
         received = []
-        b.bind(53, lambda payload, ip, port: received.append(payload))
-        net.inject(corrupted_packet("10.0.0.1", "10.0.0.2"))
+        c.bind(53, lambda payload, ip, port: received.append(payload))
+        net.inject(corrupted_packet("10.0.0.1", "10.0.0.3"))
         sim.run()
-        # Delivered despite the bad checksum: trust disabled verification.
+        # Delivered despite the bad checksum: the host does not verify.
         assert received == [b"forged"]
-        assert b.stats.udp_checksum_failures == 0
+        assert c.stats.udp_checksum_failures == 0
 
-    def test_trust_link_helper_keeps_latency(self):
-        sim, net, a, b = make_net()
-        net.set_link("10.0.0.1", "10.0.0.2", Link(latency=0.5))
-        net.trust_link("10.0.0.1", "10.0.0.2")
-        link = net.link_between("10.0.0.1", "10.0.0.2")
-        assert link.latency == 0.5
-        assert link.profile is TRUSTED_LINK_PROFILE
-
-    def test_trusted_link_still_reassembles_fragments(self):
-        sim, net, a, b = make_net()
-        net.trust_link("10.0.0.1", "10.0.0.2")
+    def test_non_verifying_host_reassembles(self):
+        sim, net, a, _ = make_net()
+        c = net.add_host("c", "10.0.0.3", profile=OSProfile(verify_udp_checksum=False))
         received = []
-        b.bind(53, lambda payload, ip, port: received.append(payload))
+        c.bind(53, lambda payload, ip, port: received.append(payload))
         from repro.netsim.icmp import frag_needed
 
         message = frag_needed(296)
-        message.metadata["about_destination"] = "10.0.0.2"
+        message.metadata["about_destination"] = "10.0.0.3"
         a._handle_icmp(message, "10.0.0.99")
         payload = bytes(range(256)) * 4
-        a.bind(0).sendto(payload, "10.0.0.2", 53)
+        a.bind(0).sendto(payload, "10.0.0.3", 53)
         sim.run()
         assert received == [payload]
-        assert b.defrag.stats.packets_reassembled == 1
-
-    def test_mixed_profile_verify_only(self):
-        sim, net, a, b = make_net()
-        profile = LinkProfile("verify-only", verify_checksum=True, defrag_bookkeeping=False)
-        net.set_link("10.0.0.1", "10.0.0.2", Link(latency=0.01, profile=profile))
-        received = []
-        b.bind(53, lambda payload, ip, port: received.append(payload))
-        net.inject(corrupted_packet("10.0.0.1", "10.0.0.2"))
-        a.bind(4000).sendto(b"good", "10.0.0.2", 53)
-        sim.run()
-        # Checksum stage still active, bad packet dropped, good delivered.
-        assert received == [b"good"]
-        assert b.stats.udp_checksum_failures == 1
+        assert c.defrag.stats.packets_reassembled == 1
 
 
 class TestStrictRouting:
@@ -284,20 +245,6 @@ class TestStageAttribution:
             STAGES.disable()
             STAGES.reset()
         assert "checksum" in snapshot["stages"], snapshot["stages"]
-
-    def test_mixed_profile_does_not_accumulate_while_disabled(self):
-        STAGES.reset()
-        sim, net, a, b = make_net()
-        profile = LinkProfile("verify-only", verify_checksum=True, defrag_bookkeeping=False)
-        net.set_link("10.0.0.1", "10.0.0.2", Link(latency=0.01, profile=profile))
-        received = []
-        b.bind(53, lambda payload, ip, port: received.append(payload))
-        a.bind(4000).sendto(b"x", "10.0.0.2", 53)
-        sim.run()
-        assert received == [b"x"]
-        times, _ = STAGES.merged()
-        assert "checksum" not in times  # collection was off the whole time
-        STAGES.reset()
 
     def test_stage_attribution_survives_gc_before_snapshot(self):
         """Host/datapath pairs are reference cycles; a cyclic-GC pass

@@ -20,7 +20,7 @@ from repro.population.landscape import smoke_spec
 from repro.population.spec import PopulationSpec
 
 #: The pinned golden numbers for (ntpd, P1, seed 5, pool 48, warmup 1500 s)
-#: — the same cell every benchmark and the trusted-fabric suite pin.
+#: — the same cell every benchmark and the determinism suite pin.
 GOLDEN = {
     "success": True,
     "minutes": 15.5,

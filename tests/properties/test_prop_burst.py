@@ -1,6 +1,6 @@
 """Property tests pinning the burst engine to the singular paths.
 
-Four pinned equivalences:
+Three pinned equivalences:
 
 * ``Network.transmit_burst`` must be *logically* event-for-event
   equivalent to N single ``transmit`` calls under a fixed seed — same
@@ -14,18 +14,12 @@ Four pinned equivalences:
   an attached capture, a tap, topology edits between rounds) — and must
   conserve datagrams: every transmitted, undropped copy is either
   received or counted as a checksum failure.
-* ``RateLimiter.consume_burst(source, n, now)`` must match ``n``
-  sequential ``consume()`` calls bit-for-bit: decisions in order, final
-  bucket state, and every aggregate counter, across token levels, refill
-  boundaries and fractional rates.
 * The spray drain's whole-datagram checksum fold must accept/reject
   exactly the datagrams the scalar ``HostDatapath.deliver`` verify
   accepts/rejects, byte-for-byte.
 """
 
 from __future__ import annotations
-
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -35,10 +29,10 @@ from repro.netsim.burst import SprayDelivery
 from repro.netsim.capture import PacketCapture
 from repro.netsim.faults import Corruption, Duplication, GilbertElliott, ReorderJitter
 from repro.netsim.packet import IPProtocol, IPv4Packet
+from repro.netsim.host import OSProfile
 from repro.netsim.simulator import Simulator
 from repro.netsim.network import Link, Network
 from repro.netsim.udp import UDPDatagram, encode_udp
-from repro.ntp.rate_limit import RateLimitDecision, RateLimiter
 
 from tests.properties.test_prop_batch_delivery import (
     build_packets,
@@ -92,148 +86,6 @@ class TestTransmitBurstEquivalence:
         assert state_a == state_b
 
 
-# ------------------------------------------------------------- rate limiter
-def limiter_pair(average_interval, burst_tolerance, send_kod, enabled):
-    return (
-        RateLimiter(
-            average_interval=average_interval,
-            burst_tolerance=burst_tolerance,
-            send_kod=send_kod,
-            enabled=enabled,
-        ),
-        RateLimiter(
-            average_interval=average_interval,
-            burst_tolerance=burst_tolerance,
-            send_kod=send_kod,
-            enabled=enabled,
-        ),
-    )
-
-
-def limiter_state(limiter: RateLimiter, source: str):
-    state = limiter.sources.get(source)
-    return (
-        limiter.queries_seen,
-        limiter.queries_dropped,
-        limiter.kods_sent,
-        None
-        if state is None
-        else (state.last_seen, state.score, state.kod_sent, state.drops),
-    )
-
-
-#: Rates chosen to exercise integer buckets, fractional accumulation that
-#: rounds at the tolerance boundary, and the zero-cost edge.
-rates = st.sampled_from([8.0, 2.0, 0.1, 1.0 / 3.0, 0.0, 7.77])
-tolerances = st.sampled_from([100.0, 10.0, 1.0, 0.3, 0.0])
-#: Arrival plan: (gap seconds before the burst, burst size).
-bursts = st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
-        st.integers(min_value=1, max_value=40),
-    ),
-    min_size=1,
-    max_size=12,
-)
-
-
-class TestConsumeBurstPinnedToSequential:
-    @given(rates, tolerances, st.booleans(), st.booleans(), bursts)
-    @settings(max_examples=200, deadline=None)
-    def test_consume_burst_matches_n_sequential_consumes(
-        self, rate, tolerance, send_kod, enabled, plan
-    ):
-        source = "192.0.2.200"
-        bulk, sequential = limiter_pair(rate, tolerance, send_kod, enabled)
-        now = 0.0
-        for gap, n in plan:
-            now += gap
-            outcome = bulk.consume_burst(source, n, now)
-            decisions = [sequential.consume(source, now) for _ in range(n)]
-
-            # Decision layout: RESPOND × responds, then at most one KOD,
-            # then DROPs — and the counts must match exactly.
-            expected = [RateLimitDecision.RESPOND] * outcome.responds
-            if outcome.kod:
-                expected.append(RateLimitDecision.KOD)
-            expected.extend([RateLimitDecision.DROP] * outcome.drops)
-            assert decisions == expected
-
-            # Bucket state and aggregate counters must match bit-for-bit:
-            # switching a flow from per-query to burst accounting must not
-            # perturb any later decision.
-            assert limiter_state(bulk, source) == limiter_state(sequential, source)
-
-    @given(rates, tolerances, bursts)
-    @settings(max_examples=100, deadline=None)
-    def test_consume_burst_interleaves_with_checks(self, rate, tolerance, plan):
-        """Bursts and singular checks mix freely on one limiter."""
-        source = "203.0.113.77"
-        bulk, sequential = limiter_pair(rate, tolerance, True, True)
-        now = 0.0
-        for index, (gap, n) in enumerate(plan):
-            now += gap
-            if index % 2 == 0:
-                bulk.consume_burst(source, n, now)
-                for _ in range(n):
-                    sequential.consume(source, now)
-            else:
-                for _ in range(n):
-                    bulk.consume(source, now)
-                sequential.consume_burst(source, n, now)
-            assert limiter_state(bulk, source) == limiter_state(sequential, source)
-
-
-class TestConsumeTimesClosedForm:
-    @given(
-        st.sampled_from([8.0, 2.0, 1.0, 0.0]),
-        st.sampled_from([100.0, 10.0, 3.0]),
-        st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=40),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_integer_schedules_match_sequential_exactly(self, rate, tolerance, gaps):
-        """On integer-valued schedules the vectorised algebra is exact."""
-        source = "198.51.100.44"
-        closed, sequential = limiter_pair(rate, tolerance, True, True)
-        times = []
-        now = 0.0
-        for gap in gaps:
-            now += gap
-            times.append(now)
-        decisions = closed.consume_times(source, times)
-        expected = [sequential.consume(source, t) for t in times]
-        assert decisions == expected
-        assert limiter_state(closed, source)[:3] == limiter_state(sequential, source)[:3]
-        state_a = closed.sources[source]
-        state_b = sequential.sources[source]
-        assert state_a.last_seen == state_b.last_seen
-        assert math.isclose(state_a.score, state_b.score, abs_tol=1e-9)
-
-    @given(
-        st.lists(
-            st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_float_schedules_track_sequential_scores(self, gaps):
-        """Scores agree to float tolerance on arbitrary schedules."""
-        source = "198.51.100.45"
-        closed, sequential = limiter_pair(7.77, 40.0, True, True)
-        times = []
-        now = 0.0
-        for gap in gaps:
-            now += gap
-            times.append(now)
-        closed.consume_times(source, times)
-        for t in times:
-            sequential.consume(source, t)
-        state_a = closed.sources[source]
-        state_b = sequential.sources[source]
-        assert math.isclose(state_a.score, state_b.score, rel_tol=1e-9, abs_tol=1e-6)
-
-
 # ------------------------------------------------------------------ sprays
 SPRAY_SRC = "192.0.2.150"  # the spoofed victim: no host behind it
 SPRAY_DSTS = ("10.7.0.1", "10.7.0.2", "10.7.0.3", "10.7.0.4", "10.7.0.5", "10.7.0.6")
@@ -246,9 +98,10 @@ SPRAY_PORT = 123
 TRIGGERS = ("lossy", "faulted", "mixed", "capture")
 #: Destination-level configurations every world carries, because they keep
 #: the spray entry but change how its drain delivers: an inbox-mode socket,
-#: a packet tap, a trusted link, and expired reassembly buckets that the
-#: next arrival sweeps (except across the trusted link, which skips it).
-INBOX_DST, TAP_DST, TRUSTED_DST, SWEPT_DST = (
+#: a packet tap, a host that does not verify checksums (the drain's
+#: ``verify_base is None`` branch), and expired reassembly buckets that the
+#: next arrival sweeps.
+INBOX_DST, TAP_DST, UNVERIFIED_DST, SWEPT_DST = (
     SPRAY_DSTS[0],
     SPRAY_DSTS[4],
     SPRAY_DSTS[5],
@@ -268,6 +121,8 @@ class SprayWorld:
         for ip in SPRAY_DSTS:
             if ip == INBOX_DST:
                 self.inboxes.append(network.add_host(f"s-{ip}", ip).bind(SPRAY_PORT))
+            elif ip == UNVERIFIED_DST:
+                self.add_receiver(ip, OSProfile(verify_udp_checksum=False))
             else:
                 self.add_receiver(ip)
         network.host(TAP_DST).packet_tap = lambda packet: self.tapped.append(
@@ -280,8 +135,7 @@ class SprayWorld:
                 packet.metadata.get("spoofed"),
             )
         )
-        network.trust_link(SPRAY_SRC, TRUSTED_DST)
-        for ip in (SWEPT_DST, TRUSTED_DST):
+        for ip in (SWEPT_DST, UNVERIFIED_DST):
             network.host(ip).defrag.add_fragment(
                 IPv4Packet(
                     src=SPRAY_SRC,
@@ -312,9 +166,9 @@ class SprayWorld:
             self.capture = PacketCapture(name="spray")
             network.attach_capture(self.capture)
 
-    def add_receiver(self, ip: str) -> None:
+    def add_receiver(self, ip: str, profile: OSProfile | None = None) -> None:
         simulator = self.simulator
-        self.network.add_host(f"s-{ip}", ip).bind(
+        self.network.add_host(f"s-{ip}", ip, profile=profile).bind(
             SPRAY_PORT,
             lambda payload, src, port, _ip=ip: self.received.append(
                 (simulator.now, _ip, payload, src, port)

@@ -10,6 +10,11 @@ from repro.netsim.checksum import (
     ones_complement_sum,
     verify_checksum,
 )
+from repro.netsim.network import Network
+from repro.netsim.packet import IPv4Packet
+from repro.netsim.simulator import Simulator
+from repro.netsim.udp import UDPDatagram, encode_udp, udp_checksum_arith
+from repro.perf import STAGES
 
 payloads = st.binary(min_size=0, max_size=512)
 words = st.integers(min_value=0, max_value=0xFFFF)
@@ -69,3 +74,71 @@ class TestChecksumFixProperties:
     def test_identical_fragments_unchanged(self, original):
         crafted = craft_matching_fragment(original, original, adjustable_offsets=[0])
         assert crafted == original
+
+
+class TestDeliverVerifyPinnedToArith:
+    """``HostDatapath.deliver`` inlines the RFC 768 verify for speed; this
+    pins it, and the timed twin that calls ``udp_checksum_arith``, to one
+    verdict: accept exactly when the length field matches and the checksum
+    field is 0 ("not computed") or equals ``udp_checksum_arith``.  Odd
+    lengths, single-bit flips and checksum fields 0 and 0xFFFF included."""
+
+    @given(
+        st.sampled_from(["10.0.0.1", "192.0.2.150", "255.255.255.254"]),
+        st.integers(min_value=0, max_value=0xFFFF),
+        st.binary(max_size=65),
+        st.one_of(
+            st.none(),
+            st.sampled_from([0, 0xFFFF]),
+            st.integers(min_value=0, max_value=0xFFFF),
+        ),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=8 * 75 - 1)),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_deliver_and_timed_twin_accept_exactly_the_arith_matches(
+        self, src, sport, body, checksum, flip, sums_to_zero
+    ):
+        dst = "203.0.113.7"
+        if sums_to_zero:
+            # Append the checksum of (body + a zero word) as that word: the
+            # word sum then folds to zero, whose checksum RFC 768 sends as
+            # 0xFFFF — the edge a 1-in-65535 random payload never hits.
+            body += b"\x00" * (len(body) & 1)
+            word = udp_checksum_arith(src, dst, sport, 123, body + b"\x00\x00")
+            body += word.to_bytes(2, "big")
+            assert udp_checksum_arith(src, dst, sport, 123, body) == 0xFFFF
+        datagram = bytearray(encode_udp(src, dst, UDPDatagram(sport, 123, body)))
+        if checksum is not None:
+            datagram[6:8] = checksum.to_bytes(2, "big")
+        if flip is not None:
+            datagram[(flip // 8) % len(datagram)] ^= 1 << (flip % 8)
+        datagram = bytes(datagram)
+        src_port = int.from_bytes(datagram[0:2], "big")
+        dst_port = int.from_bytes(datagram[2:4], "big")
+        length = int.from_bytes(datagram[4:6], "big")
+        field = int.from_bytes(datagram[6:8], "big")
+        expected = length == len(datagram) and (
+            field == 0
+            or field == udp_checksum_arith(src, dst, src_port, dst_port, datagram[8:])
+        )
+
+        def accepted(timed: bool) -> bool:
+            simulator = Simulator(seed=1)
+            network = Network(simulator)
+            host = network.add_host("receiver", dst)
+            STAGES.reset()
+            if timed:
+                STAGES.enable()
+            try:
+                network.inject(IPv4Packet.udp(src, dst, datagram, 7))
+                simulator.run()
+            finally:
+                STAGES.disable()
+                STAGES.reset()
+            stats = host.stats
+            assert stats.udp_received + stats.udp_checksum_failures == 1
+            return stats.udp_received == 1
+
+        assert accepted(False) == expected
+        assert accepted(True) == expected

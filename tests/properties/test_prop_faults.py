@@ -222,10 +222,10 @@ class TestConservationLaws:
         assert result["delivered"] == 32
 
 
-class TestTrustedFabricInteraction:
-    def test_trusted_link_delivers_corruption(self):
-        """Trust means trusting the fabric: no verify, damage delivered."""
-        from repro.netsim import Network, PacketCapture, Simulator
+class TestUnverifiedHost:
+    def test_unverified_host_gets_corruption(self):
+        """A host that skips checksum verification receives the damage."""
+        from repro.netsim import Network, OSProfile, PacketCapture, Simulator
 
         simulator = Simulator(seed=3, strict=True)
         network = Network(simulator)
@@ -236,7 +236,10 @@ class TestTrustedFabricInteraction:
             53, on_datagram=lambda payload, src, port: delivered.append(payload)
         )
         network.set_link_faults("10.0.0.1", "10.0.0.2", Corruption(1.0))
-        network.trust_link("10.0.0.1", "10.0.0.2")  # must keep the faults
+        # Switching verification off recompiles the pipelines; it must keep
+        # the link's faults.
+        receiver.profile = OSProfile(verify_udp_checksum=False)
+        receiver.datapath.recompile()
         capture = PacketCapture()
         network.attach_capture(capture)
         source = network.host("10.0.0.1").bind(0)
