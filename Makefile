@@ -38,11 +38,16 @@
 #                      against a local worktree of REV, run in alternating
 #                      order; prints per-metric medians, REV's IQR and the
 #                      win count (benchmarks/ab.py)
+#   make reach         reach probe: runs every production surface (examples,
+#                      paper benchmarks, perfbench workloads, smoke CLIs,
+#                      store fsck/report) under a profiler and lists each
+#                      src/repro function none of them called, with its
+#                      line count (benchmarks/reach.py, several minutes)
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test regression bench bench-burst chaos store-fsck population-smoke chaos-campaign perfbench perfbench-ab
+.PHONY: test regression bench bench-burst chaos store-fsck population-smoke chaos-campaign perfbench perfbench-ab reach
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -89,3 +94,6 @@ perfbench-ab:
 		exit 2; \
 	fi
 	python3 benchmarks/ab.py $(REV) --workload $(W) --pairs $(or $(PAIRS),10) $(if $(SEED),--seed $(SEED))
+
+reach:
+	python3 benchmarks/reach.py

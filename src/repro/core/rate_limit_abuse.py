@@ -318,7 +318,7 @@ class AssociationRemover:
             self.victim_ip, tuple(destinations), datagrams, ipids
         )
         if started:
-            # Driver-side attribution (see repro.perf.DRIVER_STAGES): the
+            # Driver-side attribution (the ``campaign_send`` stage): the
             # whole craft-and-spray window is codec-free, so the bucket is
             # disjoint from decode/encode and the delivery pipeline (which
             # runs later, at heap-drain time).

@@ -84,12 +84,6 @@ class AuthoritativeNameserver:
         """The address this nameserver answers on."""
         return self.host.ip
 
-    def add_zone(self, zone: Zone, key: Optional[ZoneSigningKey] = None) -> None:
-        """Register an additional zone (optionally with its signing key)."""
-        self.zones.append(zone)
-        if key is not None:
-            self.signing_keys[zone.origin] = key
-
     def zone_for(self, name: str) -> Optional[Zone]:
         """The most specific zone containing ``name``, if any."""
         name = normalize_name(name)

@@ -53,7 +53,6 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.experiments.store import RepairEvent, RunStore, SweepWriter
 from repro.measurement.report import format_table
-from repro.perf import STAGE_STATS_ENV, STAGES
 
 #: The typed error taxonomy carried by ``RunOutcome.error_kind``:
 #:
@@ -187,9 +186,6 @@ class RunOutcome:
     result: Any = None
     wall_time: float = 0.0
     error: Optional[str] = None
-    #: Per-stage decode/encode wall-time snapshot (see :mod:`repro.perf`);
-    #: populated only when stage-stats collection is enabled.
-    stage_stats: Optional[dict] = None
     #: One of :data:`ERROR_KINDS` when ``error`` is set, ``None`` otherwise.
     error_kind: Optional[str] = None
     #: Which execution attempt produced this outcome (1 = first try).
@@ -230,19 +226,9 @@ def _execute_chunk(specs: tuple[RunSpec, ...]) -> list[RunOutcome]:
 
 
 def _execute(spec: RunSpec) -> RunOutcome:
-    """Run one spec (in the current process).  Top-level, hence picklable.
-
-    Stage-stats collection is keyed off the ``REPRO_STAGE_STATS`` environment
-    variable (not a parameter) so the same picklable function works in
-    worker processes — the runner sets the variable before creating the
-    pool and workers inherit it.
-    """
+    """Run one spec (in the current process).  Top-level, hence picklable."""
     from repro.experiments.scenarios import get_scenario
 
-    collect_stages = bool(os.environ.get(STAGE_STATS_ENV))
-    if collect_stages:
-        STAGES.reset()
-        STAGES.enable()
     started = time.perf_counter()
     try:
         result = get_scenario(spec.scenario)(**spec.kwargs())
@@ -253,16 +239,7 @@ def _execute(spec: RunSpec) -> RunOutcome:
             error=f"{type(exc).__name__}: {exc}",
             error_kind="scenario-error",
         )
-    finally:
-        if collect_stages:
-            STAGES.disable()
-    wall_time = time.perf_counter() - started
-    return RunOutcome(
-        spec=spec,
-        result=result,
-        wall_time=wall_time,
-        stage_stats=STAGES.snapshot(wall_time) if collect_stages else None,
-    )
+    return RunOutcome(spec=spec, result=result, wall_time=time.perf_counter() - started)
 
 
 # ------------------------------------------------------------ serial watchdog
@@ -452,13 +429,6 @@ class ExperimentRunner:
         uses a ``ProcessPoolExecutor``; if the pool cannot be created or a
         submission fails to pickle, the runner falls back to serial
         execution rather than failing the sweep.
-    collect_stage_stats:
-        When true, each run collects the per-stage decode/encode and
-        delivery-pipeline wall-time counters of :mod:`repro.perf` and
-        attaches a snapshot to its :class:`RunOutcome` (``stage_stats``),
-        at the cost of a few ``perf_counter`` calls per codec operation and
-        delivered packet.  Timing never feeds the simulation, so results
-        remain bit-identical.
     chunk_size:
         Scenarios per worker task when fanning out across processes.
         ``None`` (the default) picks ``ceil(len(specs) / (4 * workers))``
@@ -498,7 +468,6 @@ class ExperimentRunner:
     def __init__(
         self,
         max_workers: Optional[int] = None,
-        collect_stage_stats: bool = False,
         chunk_size: Optional[int] = None,
         run_timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
@@ -519,7 +488,6 @@ class ExperimentRunner:
         if progress_interval < 0:
             raise ValueError(f"progress_interval must be >= 0, got {progress_interval}")
         self.max_workers = max_workers
-        self.collect_stage_stats = collect_stage_stats
         self.chunk_size = chunk_size
         self.run_timeout = run_timeout
         self.retry = retry
@@ -652,11 +620,6 @@ class ExperimentRunner:
         writer: Optional[SweepWriter],
         done: dict[int, RunOutcome],
     ) -> list[RunOutcome]:
-        previous_env = os.environ.get(STAGE_STATS_ENV)
-        if self.collect_stage_stats:
-            # Workers inherit the environment, so this propagates through
-            # the process pool as well as the serial path.
-            os.environ[STAGE_STATS_ENV] = "1"
         deadline = None
         if self.sweep_timeout is not None:
             deadline = time.monotonic() + self.sweep_timeout
@@ -687,11 +650,6 @@ class ExperimentRunner:
         finally:
             if writer is not None:
                 writer.close()
-            if self.collect_stage_stats:
-                if previous_env is None:
-                    os.environ.pop(STAGE_STATS_ENV, None)
-                else:
-                    os.environ[STAGE_STATS_ENV] = previous_env
 
     def _record(
         self,

@@ -245,7 +245,7 @@ def spec_from_document(document: dict[str, Any]) -> Any:
 
 def outcome_document(index: int, outcome: Any) -> dict[str, Any]:
     """The JSON record shape of one finished run in a sweep segment."""
-    entry = {
+    return {
         "index": index,
         "spec": spec_document(outcome.spec),
         "result": outcome.result,
@@ -254,9 +254,6 @@ def outcome_document(index: int, outcome: Any) -> dict[str, Any]:
         "error_kind": outcome.error_kind,
         "attempts": outcome.attempts,
     }
-    if outcome.stage_stats is not None:
-        entry["stage_stats"] = outcome.stage_stats
-    return entry
 
 
 # -------------------------------------------------------------------- reports
@@ -512,7 +509,6 @@ class RunStore:
                 result=entry.get("result"),
                 wall_time=entry.get("wall_time", 0.0),
                 error=entry.get("error"),
-                stage_stats=entry.get("stage_stats"),
                 error_kind=entry.get("error_kind"),
                 attempts=entry.get("attempts", 1),
             )

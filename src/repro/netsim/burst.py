@@ -34,9 +34,11 @@ fixed-seed golden determinism test.
 
 Stage attribution: while ``repro.perf.STAGES`` collection is enabled the
 spray drain runs the same loop with timers: handler calls are attributed
-to the ``handler`` stage, materialised deliveries to the datapath's own
-stages, and the rest of the pass (header unpack, checksum, stats, demux)
-to ``burst_drain``.
+to the ``handler`` stage, materialised deliveries to the stages of the
+timed datapath twin they route through (``defrag``, ``checksum``,
+``demux``, ``handler``), and the rest of the pass (header unpack,
+checksum, stats, demux) to ``burst_drain``.  These are the buckets the
+benchmark's traced pass reads through ``STAGES.merged()``.
 """
 
 from __future__ import annotations

@@ -24,10 +24,9 @@ link and cached:
 
 Stage attribution: while ``repro.perf.STAGES`` collection is enabled,
 delivery routes through an instrumented twin that accumulates per-stage
-wall time (``defrag``, ``checksum``, ``demux``, ``handler``) into slots on
-the datapath, which registers itself with the process-wide counters so
-snapshots can merge them.  Timing never feeds the simulation, so
-instrumented runs remain bit-identical.
+wall time (``defrag``, ``checksum``, ``demux``, ``handler``) into the
+slots ``STAGES`` keeps for these four stages.  Timing never feeds the
+simulation, so instrumented runs remain bit-identical.
 
 Private-attribute access: the flat paths read ``Simulator._now``,
 ``DefragmentationCache._buckets`` and ``Host._sockets`` directly.  These
@@ -136,7 +135,6 @@ class HostDatapath:
     """
 
     __slots__ = (
-        "__weakref__",  # STAGES holds datapaths by weak reference
         "host",
         "simulator",
         "defrag",
@@ -145,16 +143,6 @@ class HostDatapath:
         "stats",
         "verify_checksum",
         "drops_fragments",
-        # Per-stage wall-time accumulators, merged into repro.perf.STAGES
-        # snapshots while collection is enabled.
-        "t_defrag",
-        "t_checksum",
-        "t_demux",
-        "t_handler",
-        "n_defrag",
-        "n_checksum",
-        "n_demux",
-        "n_handler",
     )
 
     def __init__(self, host: "Host") -> None:
@@ -166,9 +154,6 @@ class HostDatapath:
         self.stats = host.stats
         self.verify_checksum = host.profile.verify_udp_checksum
         self.drops_fragments = host.profile.drops_fragments
-        self.t_defrag = self.t_checksum = self.t_demux = self.t_handler = 0.0
-        self.n_defrag = self.n_checksum = self.n_demux = self.n_handler = 0
-        STAGES.attach(self)
 
     def recompile(self) -> None:
         """Re-read the host's profile flags (after an explicit mutation).
@@ -278,11 +263,11 @@ class HostDatapath:
     def _deliver_timed(self, packet: IPv4Packet) -> None:
         """The stage-attributing twin of :meth:`deliver`.
 
-        Accumulates per-stage wall time into slots (merged into
-        ``STAGES`` snapshots via :meth:`collect_into`).  Only runs while
-        stage collection is enabled; headline throughput numbers are
-        measured on the uninstrumented path.
+        Accumulates per-stage wall time into the ``STAGES`` delivery-stage
+        slots.  Only runs while stage collection is enabled; headline
+        throughput numbers are measured on the uninstrumented path.
         """
+        stages = STAGES
         host = self.host
         tap = host.packet_tap
         if tap is not None:
@@ -293,16 +278,16 @@ class HostDatapath:
         if packet.more_fragments or packet.fragment_offset:
             packet = self._reassemble(packet)
             t1 = perf_counter()
-            self.t_defrag += t1 - t0
-            self.n_defrag += 1
+            stages.t_defrag += t1 - t0
+            stages.n_defrag += 1
             if packet is None:
                 return
         else:
             if self.defrag_buckets:
                 self.defrag.purge_expired(self.simulator._now)
             t1 = perf_counter()
-            self.t_defrag += t1 - t0
-            self.n_defrag += 1
+            stages.t_defrag += t1 - t0
+            stages.n_defrag += 1
         stats = self.stats
         data = packet.payload
         size = len(data)
@@ -317,8 +302,8 @@ class HostDatapath:
                     packet.src, packet.dst, src_port, dst_port, payload
                 )
         t2 = perf_counter()
-        self.t_checksum += t2 - t1
-        self.n_checksum += 1
+        stages.t_checksum += t2 - t1
+        stages.n_checksum += 1
         if not ok:
             stats.udp_checksum_failures += 1
             return
@@ -326,8 +311,8 @@ class HostDatapath:
         socket = self.sockets.get(dst_port)
         if socket is None or socket.closed:
             t3 = perf_counter()
-            self.t_demux += t3 - t2
-            self.n_demux += 1
+            stages.t_demux += t3 - t2
+            stages.n_demux += 1
             return
         handler = socket.on_datagram
         if handler is None:
@@ -335,34 +320,13 @@ class HostDatapath:
                 ReceivedDatagram(payload, packet.src, src_port, self.simulator._now)
             )
             t3 = perf_counter()
-            self.t_demux += t3 - t2
-            self.n_demux += 1
+            stages.t_demux += t3 - t2
+            stages.n_demux += 1
             return
         t3 = perf_counter()
-        self.t_demux += t3 - t2
-        self.n_demux += 1
+        stages.t_demux += t3 - t2
+        stages.n_demux += 1
         handler(payload, packet.src, src_port)
         t4 = perf_counter()
-        self.t_handler += t4 - t3
-        self.n_handler += 1
-
-    # ----------------------------------------------------------- reporting
-    def collect_into(self, times: dict, calls: dict) -> None:
-        """Merge this datapath's stage accumulators into counter dicts."""
-        if self.n_defrag:
-            times["defrag"] = times.get("defrag", 0.0) + self.t_defrag
-            calls["defrag"] = calls.get("defrag", 0) + self.n_defrag
-        if self.n_checksum:
-            times["checksum"] = times.get("checksum", 0.0) + self.t_checksum
-            calls["checksum"] = calls.get("checksum", 0) + self.n_checksum
-        if self.n_demux:
-            times["demux"] = times.get("demux", 0.0) + self.t_demux
-            calls["demux"] = calls.get("demux", 0) + self.n_demux
-        if self.n_handler:
-            times["handler"] = times.get("handler", 0.0) + self.t_handler
-            calls["handler"] = calls.get("handler", 0) + self.n_handler
-
-    def reset_stage_counters(self) -> None:
-        """Zero the per-stage accumulators."""
-        self.t_defrag = self.t_checksum = self.t_demux = self.t_handler = 0.0
-        self.n_defrag = self.n_checksum = self.n_demux = self.n_handler = 0
+        stages.t_handler += t4 - t3
+        stages.n_handler += 1

@@ -41,9 +41,9 @@ is allocated atomically.  All randomness in the simulation flows through
 the simulator's seeded ``numpy.random.Generator`` so runs are reproducible
 bit-for-bit.
 
-The bounded loops additionally drain contiguous *equal-timestamp* runs
-through a coalesced inner loop: once the head event at time ``t`` passed
-the ``until`` bound, every further entry at exactly ``t`` is popped and
+The hot loop of :meth:`Simulator.run` drains contiguous *equal-timestamp*
+runs through a coalesced inner loop: once the head event at time ``t``
+passed the ``until`` bound, every further entry at exactly ``t`` is popped and
 dispatched without re-checking the bound or re-writing the clock.
 Cancelled events popped inside a coalesced run are skipped without
 touching ``events_processed`` (their cancellation was already counted by
@@ -60,6 +60,7 @@ size.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import inf
 from typing import Callable, Optional
 
 import numpy as np
@@ -418,6 +419,8 @@ class Simulator:
         until:
             Stop once the clock would pass this absolute time.  Events at a
             later time remain queued; the clock is advanced to ``until``.
+            ``None`` runs until the queue is empty and leaves the clock at
+            the last event.
         max_events:
             Safety valve for tests: stop after this many events.
 
@@ -426,65 +429,34 @@ class Simulator:
         """
         if self.strict or STAGES.enabled or max_events is not None:
             # Strict, stage-attributing and event-capped runs share one
-            # checked loop; the two hot loops below stay free of guards
-            # and timing code.
+            # checked loop; the hot loop below stays free of guards and
+            # timing code.
             return self._run_guarded(until, max_events)
         queue = self._queue
         processed = 0
-        if until is None:
-            # Hot path used by the experiment drivers: no bound checks inside
-            # the loop, just pop-skip-dispatch.  The live/processed counters
-            # are accumulated locally and reconciled when the loop exits (a
-            # callback reading them mid-run would see the values as of the
-            # last run()/step() boundary).
-            try:
-                while queue:
-                    time_, _sequence, target, arg = heappop(queue)
-                    if arg is _EVENT:
-                        if target.cancelled:
-                            continue
-                        target._sim = None  # executed: late cancel() is a no-op
-                        self._now = time_
-                        if target.args:
-                            target.callback(*target.args)
-                        else:
-                            target.callback()
-                        processed += 1
-                        continue
-                    self._now = time_
-                    if arg is _NO_ARG:
-                        target()
-                        processed += 1
-                    elif arg is _BURST:
-                        target.run()
-                        processed += target.count
-                    else:
-                        target(arg)
-                        processed += 1
-            finally:
-                self.events_processed += processed
-            return processed
-        # Bounded path: the same pop-skip-dispatch loop with a head check,
-        # again reconciling the processed counter on exit.  Dispatch is
-        # inlined (rather than delegating to step()) so bounded runs — every
-        # ``run_for`` during warmup and attacks, hundreds of thousands of
-        # events per experiment — do not materialise an Event object per
-        # anonymous entry just to drop it.  Contiguous equal-timestamp runs
-        # drain through a coalesced inner loop: entries at the head's exact
-        # time already passed the bound, so only the first event of each
-        # instant pays the head peek and until comparison.  Cancelled events
-        # popped inside the coalesced run are skipped without counting
-        # (their cancellation is already in ``_cancelled``), keeping
-        # pending() exact.
+        bound = inf if until is None else until
+        # The hot loop: pop-skip-dispatch with a head check against the
+        # bound, reconciling the processed counter on exit (a callback
+        # reading it mid-run sees the value as of the last run()/step()
+        # boundary).  Dispatch is inlined (rather than delegating to step())
+        # so runs — every ``run_for`` during warmup and attacks, hundreds of
+        # thousands of events per experiment — do not materialise an Event
+        # object per anonymous entry just to drop it.  Contiguous
+        # equal-timestamp runs drain through a coalesced inner loop: entries
+        # at the head's exact time already passed the bound, so only the
+        # first event of each instant pays the head peek and bound
+        # comparison.  Cancelled events popped inside the coalesced run are
+        # skipped without counting (their cancellation is already in
+        # ``_cancelled``), keeping pending() exact.
         try:
             while queue:
                 head = queue[0]
                 if head[3] is _EVENT and head[2].cancelled:
                     heappop(queue)
                     continue
-                if head[0] > until:
-                    if until > self._now:
-                        self._now = until
+                if head[0] > bound:
+                    if bound > self._now:
+                        self._now = bound
                     break
                 time_, _sequence, target, arg = heappop(queue)
                 self._now = time_
@@ -511,7 +483,7 @@ class Simulator:
                     _time, _sequence, target, arg = heappop(queue)
         finally:
             self.events_processed += processed
-        if not queue:
+        if until is not None and not queue:
             self._now = max(self._now, until)
         return processed
 
@@ -520,7 +492,7 @@ class Simulator:
     ) -> int:
         """The checked loop of :meth:`run`: strict, timed or event-capped.
 
-        Dispatch semantics are identical to the hot loops.  While
+        Dispatch semantics are identical to the hot loop.  While
         ``repro.perf.STAGES`` collection is enabled it times every heap pop
         into the ``heap`` stage (a lower bound on event-loop heap work:
         pushes happen inside callbacks and are not attributed); timing never

@@ -160,18 +160,6 @@ class NTPPacket:
         """The kiss code, for Kiss-o'-Death packets."""
         return self.reference_id if self.is_kiss_of_death else ""
 
-    @property
-    def refid_as_address(self) -> str:
-        """Interpret the reference id as an IPv4 address (stratum >= 2).
-
-        For stratum 2 and above the reference id identifies the server's
-        current synchronisation source — the leak exploited by attack
-        scenario P2.
-        """
-        if self.stratum >= 2 and len(self.reference_id) == 4 and not self.reference_id.isalpha():
-            return self.reference_id
-        return self.reference_id
-
     # -------------------------------------------------------------- encoding
     def _encode_refid(self) -> bytes:
         # Stratum 0 (kiss codes) and stratum 1 (reference clock names) carry

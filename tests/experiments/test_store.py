@@ -214,6 +214,21 @@ class TestLoadOutcomes:
         with pytest.raises(StoreError, match="different sweep"):
             store.load_outcomes("s")
 
+    def test_unknown_outcome_keys_are_ignored(self, tmp_path):
+        """Outcome records carrying keys the loader no longer knows (fields
+        an older version wrote) still load; the extra keys are dropped."""
+        store = RunStore(str(tmp_path))
+        specs = _specs(1)
+        writer = store.begin_sweep("t", specs, sweep_id="s")
+        outcome = ExperimentRunner(max_workers=1).run(specs)[0]
+        document = outcome_document(0, outcome)
+        document["retired_block"] = {"stages": {}, "decode_seconds": 0.0}
+        writer.append_record(document)
+        writer.close()
+        done = store.load_outcomes("s")
+        assert done[0].result == 0 and done[0].ok
+        assert not hasattr(done[0], "retired_block")
+
     def test_metric_samples_ignored_by_outcome_loader(self, tmp_path):
         store = RunStore(str(tmp_path))
         writer = store.begin_sweep("t", _specs(1), sweep_id="s")
