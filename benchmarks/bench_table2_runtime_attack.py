@@ -5,12 +5,12 @@ The paper's lab measurements: ntpd/P2 47 min, ntpd/P1 17 min, "openntpd"/P1
 systemd-timesyncd, see DESIGN.md), chrony/P1 57 min.  The benchmark replays
 the same experiment — a synchronised client, a directly poisoned resolver,
 and the rate-limit-abuse association removal — with the default client models
-and reports the measured durations.  Absolute values depend on the documented
-model parameters; the ordering (P1 < P2 < chrony < slowest SNTP failover) is
-the reproduced shape.
+and reports the measured durations over seeds 0–9.  Absolute values depend on
+the documented model parameters; the ordering (P1 < P2 < chrony < slowest
+SNTP failover) is the reproduced shape, and it must hold for every seed.
 
-Since the experiment-engine port, the four scenarios are declared as a
-:class:`repro.experiments.RunSpec` sweep and executed by
+Since the experiment-engine port, the four scenarios per seed are declared
+as a :class:`repro.experiments.RunSpec` sweep and executed by
 :class:`repro.experiments.ExperimentRunner` — in parallel worker processes
 when the machine has the cores for it.  Each run builds its own simulator
 from its own seed, so the results are bit-identical to the sequential
@@ -34,63 +34,85 @@ PAPER_TABLE2 = {
     ("chrony", "P1"): 57.0,
 }
 
-SPECS = [
-    RunSpec.make("table2_runtime_attack", client=client, attack=attack, seed=5)
-    for client, attack in (
-        ("ntpd", "P2"),
-        ("ntpd", "P1"),
-        ("openntpd*", "P1"),
-        ("chrony", "P1"),
-    )
-]
+#: The seeds the durations benchmark sweeps; the ordering must hold on each.
+SEEDS = range(10)
 
 
-def run_table2(max_workers: int | None = None):
-    """Execute the Table II sweep and return the result rows."""
+def table2_specs(seeds) -> list[RunSpec]:
+    """The four Table II cells for each seed, seed-major."""
+    return [
+        RunSpec.make("table2_runtime_attack", client=client, attack=attack, seed=seed)
+        for seed in seeds
+        for client, attack in PAPER_TABLE2
+    ]
+
+
+SPECS = table2_specs([5])
+
+
+def run_table2(max_workers: int | None = None, specs: list[RunSpec] = SPECS):
+    """Execute a Table II sweep (seed 5 by default) and return the result rows."""
     runner = ExperimentRunner(max_workers=max_workers or os.cpu_count())
-    outcomes = runner.run(SPECS)
+    outcomes = runner.run(specs)
     failures = [outcome for outcome in outcomes if not outcome.ok]
     assert not failures, failures
     return [outcome.result for outcome in outcomes]
 
 
+def _span(values) -> str:
+    """``low–high`` to one decimal, or one value when they round alike."""
+    low, high = f"{min(values):.1f}", f"{max(values):.1f}"
+    return low if low == high else f"{low}–{high}"
+
+
 def test_table2_runtime_attack_durations(run_once):
-    rows = run_once(run_table2)
+    rows = run_once(run_table2, specs=table2_specs(SEEDS))
+    cells: dict[tuple[str, str], list[dict]] = {}
+    for r in rows:
+        cells.setdefault((r["label"], r["scenario"]), []).append(r)
     print()
     print(
         format_table(
             ["Client", "Scenario", "Success", "Measured (min)", "Paper (min)", "Shift (s)"],
             [
                 [
-                    r["label"],
-                    r["scenario"],
-                    r["success"],
-                    None if r["minutes"] is None else round(r["minutes"], 1),
-                    PAPER_TABLE2[(r["label"], r["scenario"])],
-                    round(r["shift"], 1),
+                    label,
+                    scenario,
+                    f"{sum(r['success'] for r in runs)}/{len(runs)}",
+                    _span([r["minutes"] for r in runs if r["minutes"] is not None]),
+                    PAPER_TABLE2[(label, scenario)],
+                    _span([r["shift"] for r in runs]),
                 ]
-                for r in rows
+                for (label, scenario), runs in cells.items()
             ],
-            title="Table II — run-time attack duration",
+            title=(
+                "Table II — run-time attack duration, "
+                f"seeds {min(SEEDS)}–{max(SEEDS)}"
+            ),
         )
     )
-    results = {(r["label"], r["scenario"]): r for r in rows}
-    # Every attack succeeds and applies the -500 s shift.
-    for row in rows:
-        assert row["success"], row
-        assert row["shift"] == pytest.approx(-500.0, abs=5.0)
-    # Shape: P1 against ntpd is the fastest, P2 is markedly slower, chrony is
-    # slower than ntpd/P2, and the SNTP sequential-failover row is slowest.
-    ntpd_p1 = results[("ntpd", "P1")]["minutes"]
-    ntpd_p2 = results[("ntpd", "P2")]["minutes"]
-    chrony = results[("chrony", "P1")]["minutes"]
-    slowest = results[("openntpd*", "P1")]["minutes"]
-    assert ntpd_p1 < ntpd_p2 < chrony < slowest
-    # Durations are in the tens-of-minutes regime the paper reports.
-    assert 5 <= ntpd_p1 <= 35
-    assert 20 <= ntpd_p2 <= 70
-    assert 30 <= chrony <= 90
-    assert 45 <= slowest <= 120
+    assert sorted({r["seed"] for r in rows}) == list(SEEDS)
+    for seed in SEEDS:
+        results = {
+            (r["label"], r["scenario"]): r for r in rows if r["seed"] == seed
+        }
+        # Every attack succeeds and applies the -500 s shift.
+        for row in results.values():
+            assert row["success"], row
+            assert row["shift"] == pytest.approx(-500.0, abs=5.0)
+        # Shape: P1 against ntpd is the fastest, P2 is markedly slower,
+        # chrony is slower than ntpd/P2, and the SNTP sequential-failover row
+        # is slowest.
+        ntpd_p1 = results[("ntpd", "P1")]["minutes"]
+        ntpd_p2 = results[("ntpd", "P2")]["minutes"]
+        chrony = results[("chrony", "P1")]["minutes"]
+        slowest = results[("openntpd*", "P1")]["minutes"]
+        assert ntpd_p1 < ntpd_p2 < chrony < slowest, seed
+        # Durations are in the tens-of-minutes regime the paper reports.
+        assert 5 <= ntpd_p1 <= 35, seed
+        assert 20 <= ntpd_p2 <= 70, seed
+        assert 30 <= chrony <= 90, seed
+        assert 45 <= slowest <= 120, seed
 
 
 def test_table2_parallel_matches_serial():

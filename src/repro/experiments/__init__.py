@@ -22,7 +22,6 @@ See ``EXPERIMENTS.md`` at the repository root for the full guide.
 from repro.experiments.runner import (
     ERROR_KINDS,
     ExperimentRunner,
-    RetryPolicy,
     RunOutcome,
     RunSpec,
     SweepCancelled,
@@ -46,7 +45,6 @@ __all__ = [
     "ExperimentRunner",
     "FsckReport",
     "RepairEvent",
-    "RetryPolicy",
     "RunOutcome",
     "RunSpec",
     "RunStore",

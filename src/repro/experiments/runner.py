@@ -20,28 +20,23 @@ culprit definitively without serialising the rest of the sweep (the main
 pool keeps draining untouched chunks at full width alongside probation).
 Per-run timeouts are enforced in both modes: a stalled pool is killed and
 its innocent chunks requeued, and serial runs are preempted by a watchdog
-thread that raises inside the running scenario.  Failed runs can be
-retried with exponential backoff and *deterministic* jitter
-(:class:`RetryPolicy` — the jitter is a pure function of the run label and
-attempt number, so resumed sweeps pace identically); every failure carries
-a typed ``error_kind`` on its :class:`RunOutcome`.  Sweeps are made
-durable by writing through the run store of :mod:`repro.experiments.store`
+thread that raises inside the running scenario.  Every failure carries a
+typed ``error_kind`` on its :class:`RunOutcome`.  Sweeps are made durable
+by writing through the run store of :mod:`repro.experiments.store`
 (manifests + fsynced segments) via :meth:`ExperimentRunner.run_stored`,
 and later :meth:`resumed <ExperimentRunner.resume_stored>`: finished specs
 are skipped and the combined outcome list is identical to an
 uninterrupted run (scenarios are pure functions of their spec, so
 re-executing the unfinished tail reproduces exactly what the interrupted
-run would have produced).  Cancellation is graceful: SIGINT or a
-sweep-wide deadline raises :class:`SweepCancelled` *after* every finished
-outcome has been flushed and fsynced, so a resume continues from the
-cancellation point.
+run would have produced).  Cancellation is graceful: SIGINT raises
+:class:`SweepCancelled` *after* every finished outcome has been flushed
+and fsynced, so a resume continues from the cancellation point.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import random
 import threading
 import time
 from collections import deque
@@ -56,10 +51,9 @@ from repro.measurement.report import format_table
 
 #: The typed error taxonomy carried by ``RunOutcome.error_kind``:
 #:
-#: * ``scenario-error`` — the scenario function raised; deterministic for a
-#:   deterministic scenario, so not retried by default.
+#: * ``scenario-error`` — the scenario function raised.
 #: * ``timeout`` — the run (or its chunk — see ``run_timeout``) exceeded its
-#:   deadline and the worker was killed.
+#:   deadline and was preempted (serial) or its worker killed (pool).
 #: * ``worker-crash`` — the worker process died (OOM kill, segfault,
 #:   ``BrokenProcessPool``); every chunk in flight at the moment of the
 #:   crash is attributed this kind because the pool cannot say which task
@@ -71,7 +65,7 @@ _logger = logging.getLogger(__name__)
 
 
 class SweepCancelled(RuntimeError):
-    """A sweep stopped early — gracefully — on SIGINT or a sweep deadline.
+    """A sweep stopped early — gracefully — on SIGINT.
 
     Every outcome that finished before the cancellation was already
     flushed (and fsynced) to the run store, so
@@ -80,74 +74,14 @@ class SweepCancelled(RuntimeError):
     ``outcomes`` (``{spec index: RunOutcome}``).
     """
 
-    def __init__(
-        self, reason: str, results: dict[int, "RunOutcome"], total: int
-    ) -> None:
-        self.reason = reason  # "interrupt" or "deadline"
+    def __init__(self, results: dict[int, "RunOutcome"], total: int) -> None:
         self.outcomes = {index: results[index] for index in sorted(results)}
         self.completed = len(results)
         self.total = total
-        cause = "SIGINT" if reason == "interrupt" else "its sweep deadline"
         super().__init__(
-            f"sweep cancelled by {cause} after {self.completed}/{total} runs; "
+            f"sweep cancelled by SIGINT after {self.completed}/{total} runs; "
             "finished outcomes are flushed — resume_stored() continues from them"
         )
-
-
-class _SweepDeadlineReached(Exception):
-    """Internal: the sweep-wide deadline expired (converted to
-    :class:`SweepCancelled` by :meth:`ExperimentRunner._run`)."""
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry failed runs with exponential backoff and deterministic jitter.
-
-    ``delay(label, attempt)`` is a pure function — the jitter comes from a
-    :class:`random.Random` seeded with the run label and attempt number,
-    not from global randomness — so a resumed sweep backs off exactly like
-    the uninterrupted one would have.  ``retry_on`` selects which
-    :data:`ERROR_KINDS` are worth re-executing; the default retries the
-    transient kinds (crashes, timeouts) and not deterministic scenario
-    errors, which would fail identically every time.
-    """
-
-    max_attempts: int = 3
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    jitter_fraction: float = 0.1
-    retry_on: tuple[str, ...] = ("worker-crash", "timeout")
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ValueError("backoff bounds must be >= 0")
-        if not 0.0 <= self.jitter_fraction <= 1.0:
-            raise ValueError(
-                f"jitter_fraction must be in [0, 1], got {self.jitter_fraction}"
-            )
-        for kind in self.retry_on:
-            if kind not in ERROR_KINDS:
-                raise ValueError(
-                    f"unknown error kind {kind!r}; expected one of {ERROR_KINDS}"
-                )
-
-    def should_retry(self, error_kind: Optional[str], attempt: int) -> bool:
-        """Whether a failure of ``error_kind`` on ``attempt`` gets another go."""
-        return attempt < self.max_attempts and error_kind in self.retry_on
-
-    def delay(self, label: str, attempt: int) -> float:
-        """Backoff before re-running ``label`` after failed ``attempt``."""
-        backoff = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
-        )
-        if self.jitter_fraction <= 0.0 or backoff <= 0.0:
-            return backoff
-        unit = random.Random(f"{label}#{attempt}").random()
-        return backoff * (1.0 + self.jitter_fraction * (2.0 * unit - 1.0))
 
 
 @dataclass(frozen=True)
@@ -188,8 +122,6 @@ class RunOutcome:
     error: Optional[str] = None
     #: One of :data:`ERROR_KINDS` when ``error`` is set, ``None`` otherwise.
     error_kind: Optional[str] = None
-    #: Which execution attempt produced this outcome (1 = first try).
-    attempts: int = 1
 
     @property
     def ok(self) -> bool:
@@ -351,57 +283,9 @@ class _Watchdog:
                 _raise_async_exc(self._armed_tid, _RunTimeoutInterrupt)
 
 
-class _ProgressTracker:
-    """Throttled completed/total emission for one sweep."""
-
-    def __init__(
-        self,
-        callback: Optional[Callable[[int, int], None]],
-        interval: float,
-        total: int,
-        completed: int,
-    ) -> None:
-        self.callback = callback
-        self.interval = interval
-        self.total = total
-        self.completed = completed
-        self._last_time = time.monotonic()
-        self._last_reported = -1
-
-    def advance(self, count: int = 1) -> None:
-        self.completed += count
-        if self.callback is None:
-            return
-        now = time.monotonic()
-        if (
-            self.interval <= 0.0
-            or now - self._last_time >= self.interval
-            or self.completed >= self.total
-        ):
-            self._last_time = now
-            self._last_reported = self.completed
-            self.callback(self.completed, self.total)
-
-    def finish(self) -> None:
-        """Guarantee a final emission even when the throttle swallowed it."""
-        if self.callback is not None and self._last_reported != self.completed:
-            self._last_reported = self.completed
-            self.callback(self.completed, self.total)
-
-
-@dataclass(frozen=True)
-class _Chunk:
-    """A contiguous slice of the grid scheduled as one pool task."""
-
-    items: tuple[tuple[int, RunSpec], ...]  # (declaration index, spec)
-    attempt: int = 1
-
-    @property
-    def label(self) -> str:
-        first = self.items[0][1].label
-        if len(self.items) == 1:
-            return first
-        return f"{first} (+{len(self.items) - 1} more)"
+#: A contiguous slice of the grid scheduled as one pool task:
+#: ``(declaration index, spec)`` pairs.
+_Chunk = tuple[tuple[int, RunSpec], ...]
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -428,78 +312,46 @@ class ExperimentRunner:
         at all).  ``None`` uses ``os.cpu_count()``.  Anything larger than 1
         uses a ``ProcessPoolExecutor``; if the pool cannot be created or a
         submission fails to pickle, the runner falls back to serial
-        execution rather than failing the sweep.
-    chunk_size:
-        Scenarios per worker task when fanning out across processes.
-        ``None`` (the default) picks ``ceil(len(specs) / (4 * workers))``
-        — large enough to amortise dispatch, small enough to load-balance
-        a heterogeneous grid.  ``1`` reproduces the old task-per-scenario
-        submission.  Each chunk runs against that worker's warmed caches
-        (see :mod:`repro.experiments.warmup`).
+        execution rather than failing the sweep.  Pool sweeps submit the
+        grid in contiguous chunks of ``ceil(len(specs) / (4 * workers))``
+        scenarios — large enough to amortise dispatch, small enough to
+        load-balance a heterogeneous grid — each run against that
+        worker's warmed caches (see :mod:`repro.experiments.warmup`).
     run_timeout:
         Per-run wall-clock budget in seconds, enforced in *both* modes.
         In process mode a chunk of ``k`` runs gets ``k × run_timeout``,
-        and on expiry the pool is killed, the stalled chunk fails (or
-        retries) with kind ``"timeout"``, the other in-flight chunks are
-        requeued unharmed and a fresh pool takes over; pass
-        ``chunk_size=1`` for strict per-run deadlines.  In serial mode a
-        watchdog thread preempts the running scenario by raising inside
-        it (see :class:`_Watchdog`) — CPU-bound scenarios are interrupted
-        at the next bytecode boundary; a run blocked in one long C call
-        observes the interrupt when the call returns.
-    retry:
-        A :class:`RetryPolicy`; ``None`` disables retries.  Failed runs of
-        a kind in ``retry_on`` re-execute (scenarios are pure functions of
-        their spec, so a retry that succeeds is indistinguishable from a
-        first-try success apart from ``RunOutcome.attempts``).
-    sweep_timeout:
-        Wall-clock budget in seconds for the whole sweep.  On expiry the
-        sweep cancels gracefully: pools are killed, every finished
-        outcome is already flushed, and :class:`SweepCancelled` carries
-        the partial results (``resume_stored()`` continues from them).
-        SIGINT (``KeyboardInterrupt``) cancels the same way.
-    on_progress:
-        ``callback(completed, total)`` invoked as runs finish (a resumed
-        sweep counts from the outcomes it already recorded).  Throttled by
-        ``progress_interval`` seconds (``0`` emits on every completion); a
-        final emission is guaranteed.
+        and on expiry the pool is killed, the stalled chunk fails with
+        kind ``"timeout"``, the other in-flight chunks are requeued
+        unharmed and a fresh pool takes over.  In serial mode a watchdog
+        thread preempts the running scenario by raising inside it (see
+        :class:`_Watchdog`) — CPU-bound scenarios are interrupted at the
+        next bytecode boundary; a run blocked in one long C call observes
+        the interrupt when the call returns.
+
+    SIGINT (``KeyboardInterrupt``) cancels a sweep gracefully: every
+    finished outcome is already flushed, and :class:`SweepCancelled`
+    carries the partial results (``resume_stored()`` continues from them).
     """
 
     def __init__(
         self,
         max_workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         run_timeout: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
-        sweep_timeout: Optional[float] = None,
-        on_progress: Optional[Callable[[int, int], None]] = None,
-        progress_interval: float = 0.0,
     ) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if run_timeout is not None and run_timeout <= 0:
             raise ValueError(f"run_timeout must be > 0, got {run_timeout}")
-        if sweep_timeout is not None and sweep_timeout <= 0:
-            raise ValueError(f"sweep_timeout must be > 0, got {sweep_timeout}")
-        if progress_interval < 0:
-            raise ValueError(f"progress_interval must be >= 0, got {progress_interval}")
         self.max_workers = max_workers
-        self.chunk_size = chunk_size
         self.run_timeout = run_timeout
-        self.retry = retry
         #: How many isolated single-worker pools re-run crash suspects
         #: concurrently (the K of the K-way probation tier).  Suspects must
         #: run isolated for definitive culprit attribution, but probation
         #: runs *alongside* the main pool — a crash does not serialise the
         #: sweep.
         self.probation_width = min(2, max_workers)
-        self.sweep_timeout = sweep_timeout
-        self.on_progress = on_progress
-        self.progress_interval = progress_interval
         #: "serial" or "processes[N] chunks[M]" — how the last sweep ran.
         self.last_execution_mode: str = "serial"
         #: Crash/timeout/probation counters from the last pool sweep (see
@@ -620,9 +472,6 @@ class ExperimentRunner:
         writer: Optional[SweepWriter],
         done: dict[int, RunOutcome],
     ) -> list[RunOutcome]:
-        deadline = None
-        if self.sweep_timeout is not None:
-            deadline = time.monotonic() + self.sweep_timeout
         try:
             results: dict[int, RunOutcome] = dict(done)
             remaining = [
@@ -630,22 +479,16 @@ class ExperimentRunner:
                 for index, spec in enumerate(specs)
                 if index not in results
             ]
-            progress = _ProgressTracker(
-                self.on_progress, self.progress_interval, len(specs), len(results)
-            )
             try:
                 if self.max_workers == 1 or len(remaining) <= 1:
                     self.last_execution_mode = "serial"
-                    self._run_serial(remaining, results, writer, progress, deadline)
+                    self._run_serial(remaining, results, writer)
                 else:
-                    self._run_pool(remaining, results, writer, progress, deadline)
+                    _PoolEngine(self, remaining, results, writer).run()
             except KeyboardInterrupt:
                 # Graceful cancellation: every finished outcome is already
                 # flushed and fsynced; resume_stored() continues from them.
-                raise SweepCancelled("interrupt", results, len(specs)) from None
-            except _SweepDeadlineReached:
-                raise SweepCancelled("deadline", results, len(specs)) from None
-            progress.finish()
+                raise SweepCancelled(results, len(specs)) from None
             return [results[index] for index in range(len(specs))]
         finally:
             if writer is not None:
@@ -657,12 +500,10 @@ class ExperimentRunner:
         outcome: RunOutcome,
         results: dict[int, RunOutcome],
         writer: Optional[SweepWriter],
-        progress: _ProgressTracker,
     ) -> None:
         results[index] = outcome
         if writer is not None:
             writer.append(index, outcome)
-        progress.advance()
 
     def _execute_serial(self, spec: RunSpec) -> RunOutcome:
         """One in-process run, pre-empted by the watchdog at ``run_timeout``.
@@ -699,33 +540,14 @@ class ExperimentRunner:
             )
         return outcome
 
-    def _execute_with_retry(self, spec: RunSpec) -> RunOutcome:
-        """Serial execution with the retry policy applied in-process."""
-        attempt = 1
-        while True:
-            outcome = self._execute_serial(spec)
-            outcome.attempts = attempt
-            if (
-                outcome.ok
-                or self.retry is None
-                or not self.retry.should_retry(outcome.error_kind, attempt)
-            ):
-                return outcome
-            time.sleep(self.retry.delay(spec.label, attempt))
-            attempt += 1
-
     def _run_serial(
         self,
         remaining: list[tuple[int, RunSpec]],
         results: dict[int, RunOutcome],
         writer: Optional[SweepWriter],
-        progress: _ProgressTracker,
-        deadline: Optional[float] = None,
     ) -> None:
         for index, spec in remaining:
-            if deadline is not None and time.monotonic() >= deadline:
-                raise _SweepDeadlineReached
-            self._record(index, self._execute_with_retry(spec), results, writer, progress)
+            self._record(index, self._execute_serial(spec), results, writer)
 
     # ------------------------------------------------------------- pool engine
     def _make_pool(self) -> ProcessPoolExecutor:
@@ -741,54 +563,10 @@ class ExperimentRunner:
 
         return ProcessPoolExecutor(max_workers=1, initializer=warm_worker_caches)
 
-    def _handle_chunk_failure(
-        self,
-        chunk: _Chunk,
-        kind: str,
-        requeue: "deque[_Chunk]",
-        results: dict[int, RunOutcome],
-        writer: Optional[SweepWriter],
-        progress: _ProgressTracker,
-    ) -> None:
-        """Retry a definitively-failed chunk, or materialise typed outcomes."""
-        if self.retry is not None and self.retry.should_retry(kind, chunk.attempt):
-            time.sleep(self.retry.delay(chunk.label, chunk.attempt))
-            requeue.append(_Chunk(chunk.items, chunk.attempt + 1))
-            return
-        if kind == "timeout":
-            message = (
-                f"run exceeded its {self.run_timeout}s deadline "
-                "(worker killed, pool respawned)"
-            )
-        else:
-            message = "worker process died (pool respawned)"
-        for index, spec in chunk.items:
-            self._record(
-                index,
-                RunOutcome(
-                    spec=spec, error=message, error_kind=kind, attempts=chunk.attempt
-                ),
-                results,
-                writer,
-                progress,
-            )
-
-    def _run_pool(
-        self,
-        remaining: list[tuple[int, RunSpec]],
-        results: dict[int, RunOutcome],
-        writer: Optional[SweepWriter],
-        progress: _ProgressTracker,
-        deadline: Optional[float] = None,
-    ) -> None:
-        """Drain the sweep through the K-way probation pool engine."""
-        _PoolEngine(self, remaining, results, writer, progress, deadline).run()
-
     def _chunk(self, specs: list) -> list[tuple]:
-        """Slice the grid into contiguous worker tasks (see ``chunk_size``)."""
-        size = self.chunk_size
-        if size is None:
-            size = max(1, -(-len(specs) // (4 * self.max_workers)))
+        """Slice the grid into contiguous worker tasks of
+        ``ceil(len(specs) / (4 * max_workers))`` specs each."""
+        size = max(1, -(-len(specs) // (4 * self.max_workers)))
         return [
             tuple(specs[start : start + size]) for start in range(0, len(specs), size)
         ]
@@ -802,18 +580,17 @@ class _PoolEngine:
     suspect.  The **probation tier** re-runs suspects, each in its own
     isolated single-worker pool (up to ``probation_width`` at once) so a
     repeat crash has exactly one suspect — the definitive culprit fails
-    (or retries) with kind ``"worker-crash"`` — while the respawned main
-    pool keeps draining the rest of the sweep at full width.  Innocent
-    bystanders complete in probation and their pool is reused for the
-    next suspect.  **Serial drain** in the driver is the last resort
-    when no pool can start at all.
+    with kind ``"worker-crash"`` — while the respawned main pool keeps
+    draining the rest of the sweep at full width.  Innocent bystanders
+    complete in probation and their pool is reused for the next suspect.
+    **Serial drain** in the driver is the last resort when no pool can
+    start at all.
 
     Per-run deadlines are enforced in both tiers (a stalled worker holds
     its pool hostage — ``ProcessPoolExecutor`` cannot cancel a running
     task — so the owning pool is killed; for the main pool, innocent
-    siblings requeue at the front of ``pending`` at their current
-    attempt).  Recovery statistics land in
-    :attr:`ExperimentRunner.last_recovery`.
+    siblings requeue at the front of ``pending``).  Recovery statistics
+    land in :attr:`ExperimentRunner.last_recovery`.
     """
 
     def __init__(
@@ -822,17 +599,11 @@ class _PoolEngine:
         remaining: list[tuple[int, RunSpec]],
         results: dict[int, RunOutcome],
         writer: Optional[SweepWriter],
-        progress: _ProgressTracker,
-        deadline: Optional[float],
     ) -> None:
         self.runner = runner
         self.results = results
         self.writer = writer
-        self.progress = progress
-        self.deadline = deadline
-        self.pending: deque[_Chunk] = deque(
-            _Chunk(tuple(slice_)) for slice_ in runner._chunk(remaining)
-        )
+        self.pending: deque[_Chunk] = deque(runner._chunk(remaining))
         self.quarantine: deque[_Chunk] = deque()
         self.main_flight: dict[Any, tuple[_Chunk, Optional[float]]] = {}
         self.probation: dict[
@@ -855,11 +626,9 @@ class _PoolEngine:
             self.pool = runner._make_pool()
         except Exception:  # pool creation failure: degrade gracefully
             runner.last_execution_mode = "serial (process pool unavailable)"
-            leftovers = [item for chunk in self.pending for item in chunk.items]
+            leftovers = [item for chunk in self.pending for item in chunk]
             self.pending.clear()
-            runner._run_serial(
-                leftovers, self.results, self.writer, self.progress, self.deadline
-            )
+            runner._run_serial(leftovers, self.results, self.writer)
             return
         runner.last_execution_mode = (
             f"processes[{runner.max_workers}] chunks[{len(self.pending)}]"
@@ -877,7 +646,6 @@ class _PoolEngine:
     # --------------------------------------------------------------- drain loop
     def _drain(self) -> None:
         while self.pending or self.quarantine or self.main_flight or self.probation:
-            self._check_sweep_deadline()
             self._fill_probation()
             if not self._fill_main():
                 if not self._recover_main(innocents_to="quarantine"):
@@ -894,7 +662,6 @@ class _PoolEngine:
                 futures, timeout=self._wait_timeout(), return_when=FIRST_COMPLETED
             )
             if not completed:
-                self._check_sweep_deadline()
                 if not self._deadline_sweep():
                     return
                 continue
@@ -931,22 +698,13 @@ class _PoolEngine:
     def _submit_main(self, chunk: _Chunk) -> bool:
         """Submit one chunk; False means the pool is already broken."""
         try:
-            future = self.pool.submit(
-                _execute_chunk, tuple(spec for _, spec in chunk.items)
-            )
+            future = self.pool.submit(_execute_chunk, tuple(spec for _, spec in chunk))
         except BrokenProcessPool:
             self.recovery["worker_crashes"] += 1
             self.quarantine.appendleft(chunk)
             return False
         except Exception:  # unpicklable chunk: run it in the driver
-            for index, spec in chunk.items:
-                self.runner._record(
-                    index,
-                    self.runner._execute_with_retry(spec),
-                    self.results,
-                    self.writer,
-                    self.progress,
-                )
+            self.runner._run_serial(list(chunk), self.results, self.writer)
             return True
         self.main_flight[future] = (chunk, self._chunk_deadline(chunk))
         return True
@@ -963,7 +721,7 @@ class _PoolEngine:
                 self.quarantine.appendleft(chunk)
                 self.probation_unavailable = True
                 return
-            payload = tuple(spec for _, spec in chunk.items)
+            payload = tuple(spec for _, spec in chunk)
             try:
                 future = pool.submit(_execute_chunk, payload)
             except Exception:
@@ -994,7 +752,7 @@ class _PoolEngine:
     def _chunk_deadline(self, chunk: _Chunk) -> Optional[float]:
         if self.runner.run_timeout is None:
             return None
-        return time.monotonic() + self.runner.run_timeout * len(chunk.items)
+        return time.monotonic() + self.runner.run_timeout * len(chunk)
 
     # --------------------------------------------------------------- completion
     def _finish_main(self, future: Any, flight_size: int) -> bool:
@@ -1012,11 +770,7 @@ class _PoolEngine:
         except Exception:  # worker-side dispatch failure
             self._fail(chunk, "worker-crash")
             return True
-        for (index, _spec), outcome in zip(chunk.items, outcomes):
-            outcome.attempts = chunk.attempt
-            self.runner._record(
-                index, outcome, self.results, self.writer, self.progress
-            )
+        self._record_chunk(chunk, outcomes)
         return False
 
     def _finish_probation(self, future: Any) -> None:
@@ -1034,17 +788,28 @@ class _PoolEngine:
             _kill_pool(pool)
             self._fail(chunk, "worker-crash")
             return
-        for (index, _spec), outcome in zip(chunk.items, outcomes):
-            outcome.attempts = chunk.attempt
-            self.runner._record(
-                index, outcome, self.results, self.writer, self.progress
-            )
+        self._record_chunk(chunk, outcomes)
         self.idle_probation.append(pool)
 
+    def _record_chunk(self, chunk: _Chunk, outcomes: list[RunOutcome]) -> None:
+        for (index, _spec), outcome in zip(chunk, outcomes):
+            self.runner._record(index, outcome, self.results, self.writer)
+
     def _fail(self, chunk: _Chunk, kind: str) -> None:
-        requeue = self.quarantine if kind == "worker-crash" else self.pending
-        self.runner._handle_chunk_failure(
-            chunk, kind, requeue, self.results, self.writer, self.progress
+        """Record every run of a definitively failed chunk as ``kind``."""
+        if kind == "timeout":
+            message = (
+                f"run exceeded its {self.runner.run_timeout}s deadline "
+                "(worker killed, pool respawned)"
+            )
+        else:
+            message = "worker process died (pool respawned)"
+        self._record_chunk(
+            chunk,
+            [
+                RunOutcome(spec=spec, error=message, error_kind=kind)
+                for _index, spec in chunk
+            ],
         )
 
     # ----------------------------------------------------------------- recovery
@@ -1054,7 +819,7 @@ class _PoolEngine:
         ``innocents_to`` routes the surviving in-flight chunks: after a
         crash every one is a suspect (``"quarantine"``); after a timeout
         kill they are known innocent and requeue at the front of
-        ``pending`` (``"pending"``) at their current attempt.
+        ``pending`` (``"pending"``).
         """
         _kill_pool(self.pool)
         self.pool = None
@@ -1106,7 +871,6 @@ class _PoolEngine:
         runner = self.runner
         runner.last_execution_mode = "serial (process pool unavailable)"
         while self.probation:
-            self._check_sweep_deadline()
             completed, _running = wait(
                 set(self.probation),
                 timeout=self._wait_timeout(),
@@ -1120,16 +884,14 @@ class _PoolEngine:
         leftovers = [
             item
             for chunk in list(self.quarantine) + list(self.pending)
-            for item in chunk.items
+            for item in chunk
         ]
         self.quarantine.clear()
         self.pending.clear()
-        runner._run_serial(
-            leftovers, self.results, self.writer, self.progress, self.deadline
-        )
+        runner._run_serial(leftovers, self.results, self.writer)
 
-    # ---------------------------------------------------------------- deadlines
     def _wait_timeout(self) -> Optional[float]:
+        """Seconds until the earliest in-flight chunk deadline, if any."""
         deadlines = [
             deadline
             for _chunk, deadline in self.main_flight.values()
@@ -1140,15 +902,9 @@ class _PoolEngine:
             for _chunk, _pool, deadline in self.probation.values()
             if deadline is not None
         )
-        if self.deadline is not None:
-            deadlines.append(self.deadline)
         if not deadlines:
             return None
         return max(0.01, min(deadlines) - time.monotonic())
-
-    def _check_sweep_deadline(self) -> None:
-        if self.deadline is not None and time.monotonic() >= self.deadline:
-            raise _SweepDeadlineReached
 
 
 # ------------------------------------------------------------------ reporting

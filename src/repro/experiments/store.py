@@ -252,7 +252,6 @@ def outcome_document(index: int, outcome: Any) -> dict[str, Any]:
         "wall_time": outcome.wall_time,
         "error": outcome.error,
         "error_kind": outcome.error_kind,
-        "attempts": outcome.attempts,
     }
 
 
@@ -475,8 +474,8 @@ class RunStore:
         Indices must be in range, recorded specs must equal the declared
         ones (a mismatch means the records belong to a different sweep and
         raises :class:`StoreError`), and later records win over earlier
-        ones (retries, resumes).  ``specs=None`` uses the manifest's spec
-        list.  This is what
+        ones (a resume re-runs a damaged record).  ``specs=None`` uses the
+        manifest's spec list.  This is what
         :meth:`repro.experiments.runner.ExperimentRunner.resume_stored`
         skips on resume.
         """
@@ -510,7 +509,6 @@ class RunStore:
                 wall_time=entry.get("wall_time", 0.0),
                 error=entry.get("error"),
                 error_kind=entry.get("error_kind"),
-                attempts=entry.get("attempts", 1),
             )
         return done
 

@@ -24,7 +24,7 @@ to the same spec without chaos (pinned by
 Campaigns execute as **prefix re-simulations**: checkpoint ``k`` is one
 pure ``population_chaos`` run spec simulating ``[0, t_k]`` from scratch
 with every phase swap scheduled up front.  Each checkpoint is therefore
-an independent, retryable, bit-reproducible unit, and
+an independent, resumable, bit-reproducible unit, and
 :func:`run_chaos_campaign` simply drives the list through
 :meth:`~repro.experiments.runner.ExperimentRunner.run_stored` — a SIGINT
 or ``kill -9`` mid-phase loses at most the in-flight checkpoint, and

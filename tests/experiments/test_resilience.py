@@ -1,4 +1,4 @@
-"""Resilience tests: timeouts, retries, crash recovery, resumable stored sweeps.
+"""Resilience tests: timeouts, crash recovery, resumable stored sweeps.
 
 Marked ``chaos`` alongside the fault-model property suite — ``make chaos``
 runs both.  Worker-killing tests rely on the ``fork`` start method (the
@@ -15,9 +15,7 @@ import time
 import pytest
 
 from repro.experiments import (
-    ERROR_KINDS,
     ExperimentRunner,
-    RetryPolicy,
     RunSpec,
     RunStore,
     SweepCancelled,
@@ -38,27 +36,10 @@ def _test_res_fail() -> None:
     raise RuntimeError("always fails")
 
 
-@scenario("_test_res_flaky")
-def _test_res_flaky(marker: str = "", fail_times: int = 1, x: int = 7) -> int:
-    """Fails the first ``fail_times`` attempts, then succeeds.
-
-    Cross-attempt state lives in the ``marker`` file so the scenario stays
-    a picklable top-level function.
-    """
-    attempts = 0
-    if os.path.exists(marker):
-        with open(marker) as handle:
-            attempts = int(handle.read() or 0)
-    attempts += 1
-    with open(marker, "w") as handle:
-        handle.write(str(attempts))
-    if attempts <= fail_times:
-        raise RuntimeError(f"flaky attempt {attempts}")
-    return x
-
-
 @scenario("_test_res_crash")
-def _test_res_crash() -> None:
+def _test_res_crash(marker: str = "") -> None:
+    if marker:
+        open(marker, "w").close()
     os._exit(17)  # simulate OOM-kill / segfault: no exception, no cleanup
 
 
@@ -66,6 +47,17 @@ def _test_res_crash() -> None:
 def _test_res_sleep(seconds: float = 30.0, x: int = 0) -> int:
     time.sleep(seconds)
     return x
+
+
+@scenario("_test_res_square_after")
+def _test_res_square_after(x: int = 2, after: str = "", seconds: float = 0.3) -> int:
+    """Waits for the crasher's ``after`` marker, then ``seconds`` more, so the
+    crash lands while this run is still in flight."""
+    deadline = time.monotonic() + 30.0
+    while after and not os.path.exists(after) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(seconds)
+    return x * x
 
 
 @scenario("_test_res_spin")
@@ -104,37 +96,6 @@ def _kill_sweep(store: RunStore, sweep_id: str, keep: int, torn: bool = False) -
             handle.write(lines[keep][: len(lines[keep]) // 2])
 
 
-class TestRetryPolicy:
-    def test_delay_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0, backoff_max=1.0)
-        first = policy.delay("table2[seed=5]", 1)
-        assert first == policy.delay("table2[seed=5]", 1)  # pure function
-        assert 0.09 <= first <= 0.11  # ±10% jitter around 0.1
-        second = policy.delay("table2[seed=5]", 2)
-        assert 0.18 <= second <= 0.22
-        assert policy.delay("table2[seed=5]", 10) <= 1.0 * 1.1  # capped
-        assert policy.delay("other-label", 1) != first  # label feeds jitter
-
-    def test_should_retry_respects_kinds_and_attempts(self):
-        policy = RetryPolicy(max_attempts=3)
-        assert policy.should_retry("worker-crash", 1)
-        assert policy.should_retry("timeout", 2)
-        assert not policy.should_retry("timeout", 3)  # attempts exhausted
-        assert not policy.should_retry("scenario-error", 1)  # deterministic
-        assert not policy.should_retry(None, 1)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(retry_on=("cosmic-rays",))
-        assert "scenario-error" in ERROR_KINDS
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter_fraction=1.5)
-
-
 class TestErrorTaxonomy:
     def test_scenario_error_kind(self):
         outcome = ExperimentRunner(max_workers=1).run(
@@ -142,7 +103,6 @@ class TestErrorTaxonomy:
         )[0]
         assert not outcome.ok
         assert outcome.error_kind == "scenario-error"
-        assert outcome.attempts == 1
         assert "always fails" in outcome.error
 
     def test_success_has_no_kind(self):
@@ -150,48 +110,6 @@ class TestErrorTaxonomy:
             [RunSpec.make("_test_res_square", x=4)]
         )[0]
         assert outcome.ok and outcome.error_kind is None
-
-
-class TestSerialRetry:
-    def test_flaky_scenario_recovers(self, tmp_path):
-        marker = str(tmp_path / "flaky")
-        runner = ExperimentRunner(
-            max_workers=1,
-            retry=RetryPolicy(
-                max_attempts=3,
-                backoff_base=0.0,
-                retry_on=("scenario-error",),
-            ),
-        )
-        outcome = runner.run(
-            [RunSpec.make("_test_res_flaky", marker=marker, fail_times=1, x=9)]
-        )[0]
-        assert outcome.ok
-        assert outcome.result == 9
-        assert outcome.attempts == 2
-
-    def test_exhausted_retries_keep_last_failure(self, tmp_path):
-        marker = str(tmp_path / "flaky")
-        runner = ExperimentRunner(
-            max_workers=1,
-            retry=RetryPolicy(
-                max_attempts=2, backoff_base=0.0, retry_on=("scenario-error",)
-            ),
-        )
-        outcome = runner.run(
-            [RunSpec.make("_test_res_flaky", marker=marker, fail_times=5)]
-        )[0]
-        assert not outcome.ok
-        assert outcome.attempts == 2
-        assert outcome.error_kind == "scenario-error"
-
-    def test_default_policy_does_not_retry_scenario_errors(self, tmp_path):
-        marker = str(tmp_path / "flaky")
-        runner = ExperimentRunner(max_workers=1, retry=RetryPolicy(backoff_base=0.0))
-        outcome = runner.run(
-            [RunSpec.make("_test_res_flaky", marker=marker, fail_times=1)]
-        )[0]
-        assert not outcome.ok and outcome.attempts == 1
 
 
 class TestWorkerCrash:
@@ -202,7 +120,7 @@ class TestWorkerCrash:
             RunSpec.make("_test_res_square", x=3),
             RunSpec.make("_test_res_square", x=4),
         ]
-        runner = ExperimentRunner(max_workers=2, chunk_size=1)
+        runner = ExperimentRunner(max_workers=2)
         outcomes = runner.run(specs)
         by_label = {o.spec.label: o for o in outcomes}
         crash = by_label["_test_res_crash"]
@@ -214,22 +132,6 @@ class TestWorkerCrash:
         assert by_label["_test_res_square[x=4]"].result == 16
         assert len(outcomes) == 4
 
-    def test_crash_retry_counts_attempts(self):
-        runner = ExperimentRunner(
-            max_workers=2,
-            chunk_size=1,
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
-        )
-        outcomes = runner.run(
-            [RunSpec.make("_test_res_crash"), RunSpec.make("_test_res_square", x=2)]
-        )
-        crash = next(o for o in outcomes if o.spec.scenario == "_test_res_crash")
-        assert crash.error_kind == "worker-crash"
-        assert crash.attempts == 2  # retried once, crashed again
-        ok = next(o for o in outcomes if o.spec.scenario == "_test_res_square")
-        assert ok.result == 4
-
-
 class TestRunTimeout:
     def test_stalled_run_times_out_and_others_complete(self):
         specs = [
@@ -237,7 +139,7 @@ class TestRunTimeout:
             RunSpec.make("_test_res_square", x=5),
             RunSpec.make("_test_res_square", x=6),
         ]
-        runner = ExperimentRunner(max_workers=2, chunk_size=1, run_timeout=1.0)
+        runner = ExperimentRunner(max_workers=2, run_timeout=1.0)
         start = time.monotonic()
         outcomes = runner.run(specs)
         elapsed = time.monotonic() - start
@@ -253,27 +155,6 @@ class TestRunTimeout:
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ValueError):
             ExperimentRunner(run_timeout=0.0)
-
-
-class TestProgress:
-    def test_progress_emitted_per_completion(self):
-        seen = []
-        runner = ExperimentRunner(
-            max_workers=1, on_progress=lambda done, total: seen.append((done, total))
-        )
-        runner.run(make_grid("_test_res_square", x=[1, 2, 3]))
-        assert seen == [(1, 3), (2, 3), (3, 3)]
-
-    def test_progress_throttled_but_final_guaranteed(self):
-        seen = []
-        runner = ExperimentRunner(
-            max_workers=1,
-            on_progress=lambda done, total: seen.append((done, total)),
-            progress_interval=3600.0,  # swallow every intermediate emission
-        )
-        runner.run(make_grid("_test_res_square", x=[1, 2, 3]))
-        assert seen[-1] == (3, 3)
-        assert len(seen) <= 2
 
 
 class TestCheckpointing:
@@ -301,7 +182,6 @@ class TestCheckpointing:
                 "wall_time",
                 "error",
                 "error_kind",
-                "attempts",
             }
         assert [o.result for o in outcomes] == [x * x for x in range(6)]
 
@@ -317,24 +197,20 @@ class TestCheckpointing:
         )
         _kill_sweep(store, "s", keep=3, torn=True)
 
-        seen = []
-        runner = ExperimentRunner(
-            max_workers=1, on_progress=lambda done, total: seen.append((done, total))
-        )
+        runner = ExperimentRunner(max_workers=1)
         resumed = runner.resume_stored(store, "s")
         assert [(o.spec, o.result, o.error, o.error_kind) for o in resumed] == [
             (o.spec, o.result, o.error, o.error_kind) for o in uninterrupted
         ]
-        # Only the unfinished tail re-executed: 3 new completions on top of
-        # the 3 replayed, ending at the full total.
-        assert seen == [(4, 6), (5, 6), (6, 6)]
+        # Only the unfinished tail re-executed: 3 new records on top of
+        # the 3 replayed (the torn line is not a record).
+        assert len(store.records("s")) == 6
         assert store.manifest("s")["status"] == "complete"
         # And the store now covers the whole sweep: a second resume
         # replays everything without executing anything.
-        seen.clear()
         again = runner.resume_stored(store, "s")
         assert [o.result for o in again] == [o.result for o in uninterrupted]
-        assert seen == [(6, 6)]
+        assert len(store.records("s")) == 6
 
     def test_failures_checkpoint_and_replay(self, tmp_path):
         store = RunStore(str(tmp_path))
@@ -381,16 +257,6 @@ class TestSerialWatchdog:
         # the interrupt did not leak into the next run
         assert outcomes[1].ok and outcomes[1].result == 16
 
-    def test_serial_timeout_retries_via_policy(self):
-        runner = ExperimentRunner(
-            max_workers=1,
-            run_timeout=0.3,
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
-        )
-        outcome = runner.run([RunSpec.make("_test_res_spin", seconds=30.0)])[0]
-        assert outcome.error_kind == "timeout"
-        assert outcome.attempts == 2
-
     def test_fast_run_unaffected_by_watchdog(self):
         runner = ExperimentRunner(max_workers=1, run_timeout=30.0)
         outcomes = runner.run(make_grid("_test_res_square", x=[1, 2, 3]))
@@ -398,8 +264,7 @@ class TestSerialWatchdog:
 
 
 class TestGracefulCancellation:
-    """SIGINT / sweep deadline flush finished outcomes; resume_stored()
-    continues."""
+    """SIGINT flushes finished outcomes; resume_stored() continues."""
 
     def test_interrupt_flushes_partial_results(self, tmp_path):
         marker = str(tmp_path / "interrupted")
@@ -413,7 +278,7 @@ class TestGracefulCancellation:
         with pytest.raises(SweepCancelled) as excinfo:
             runner.run_stored(store, "t", specs, sweep_id="s")
         cancelled = excinfo.value
-        assert cancelled.reason == "interrupt"
+        assert "SIGINT" in str(cancelled)
         assert cancelled.completed == 1 and cancelled.total == 3
         assert cancelled.outcomes[0].result == 4
         assert store.manifest("s")["status"] == "cancelled"
@@ -422,52 +287,11 @@ class TestGracefulCancellation:
         assert [o.result for o in resumed] == [4, 1, 25]
         assert store.manifest("s")["status"] == "complete"
 
-    def test_sweep_deadline_cancels_serial_sweep(self, tmp_path):
-        store = RunStore(str(tmp_path))
-        specs = [
-            RunSpec.make("_test_res_sleep", seconds=0.2, x=i) for i in range(10)
-        ]
-        runner = ExperimentRunner(max_workers=1, sweep_timeout=0.5)
-        start = time.monotonic()
-        with pytest.raises(SweepCancelled) as excinfo:
-            runner.run_stored(store, "t", specs, sweep_id="s")
-        elapsed = time.monotonic() - start
-        assert elapsed < 5.0
-        cancelled = excinfo.value
-        assert cancelled.reason == "deadline"
-        assert 1 <= cancelled.completed < 10
-        assert store.manifest("s")["status"] == "cancelled"
-        assert sorted(store.load_outcomes("s")) == sorted(cancelled.outcomes)
-        # every finished outcome is on disk; a resume completes the sweep
-        resumed = ExperimentRunner(max_workers=1).resume_stored(store, "s")
-        assert [o.result for o in resumed] == list(range(10))
-        assert store.manifest("s")["status"] == "complete"
-
-    def test_sweep_deadline_cancels_pool_sweep(self):
-        specs = [
-            RunSpec.make("_test_res_sleep", seconds=0.3, x=i) for i in range(12)
-        ]
-        runner = ExperimentRunner(
-            max_workers=2, chunk_size=1, sweep_timeout=0.6
-        )
-        start = time.monotonic()
-        with pytest.raises(SweepCancelled) as excinfo:
-            runner.run(specs)
-        elapsed = time.monotonic() - start
-        assert elapsed < 5.0
-        assert excinfo.value.reason == "deadline"
-        assert excinfo.value.completed < 12
-
-    def test_invalid_sweep_timeout_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentRunner(sweep_timeout=0.0)
-
-
 class TestProbationEngine:
     """Crash suspects re-run in isolated pools; the sweep stays parallel."""
 
     def test_clean_sweep_reports_zero_recovery(self):
-        runner = ExperimentRunner(max_workers=2, chunk_size=1)
+        runner = ExperimentRunner(max_workers=2)
         runner.run(make_grid("_test_res_square", x=[1, 2, 3, 4]))
         assert runner.last_recovery == {
             "worker_crashes": 0,
@@ -477,24 +301,25 @@ class TestProbationEngine:
         }
 
     def test_repeated_crashes_in_one_chunk(self):
-        """A chunk holding two crashers fails cleanly however often it runs."""
-        specs = [
-            RunSpec.make("_test_res_crash"),
-            RunSpec.make("_test_res_crash"),
-            RunSpec.make("_test_res_square", x=2),
-            RunSpec.make("_test_res_square", x=3),
+        """A chunk holding two crashers fails cleanly however often it runs.
+
+        Ten specs on two workers chunk in pairs, so the crashers share one.
+        """
+        specs = [RunSpec.make("_test_res_crash")] * 2 + [
+            RunSpec.make("_test_res_square", x=x) for x in range(2, 10)
         ]
-        runner = ExperimentRunner(max_workers=2, chunk_size=2, retry=None)
+        runner = ExperimentRunner(max_workers=2)
+        assert runner._chunk(specs)[0] == (specs[0], specs[1])
         outcomes = runner.run(specs)
         assert [o.error_kind for o in outcomes[:2]] == [
             "worker-crash",
             "worker-crash",
         ]
-        assert [o.result for o in outcomes[2:]] == [4, 9]
+        assert [o.result for o in outcomes[2:]] == [x * x for x in range(2, 10)]
 
     def test_crash_during_probation_is_definitive_culprit(self):
-        """A suspect that crashes its isolated pool fails with attempts
-        counted across its probation re-runs.
+        """A suspect that crashes its isolated pool is the definitive
+        culprit; every innocent completes.
 
         Only outcomes are asserted: the recovery counters depend on
         scheduling.  When the crasher happens to fly alone in the main
@@ -504,15 +329,10 @@ class TestProbationEngine:
         specs = [RunSpec.make("_test_res_crash")] + [
             RunSpec.make("_test_res_square", x=i) for i in range(5)
         ]
-        runner = ExperimentRunner(
-            max_workers=2,
-            chunk_size=1,
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
-        )
+        runner = ExperimentRunner(max_workers=2)
         outcomes = runner.run(specs)
         crash = outcomes[0]
         assert crash.error_kind == "worker-crash"
-        assert crash.attempts == 2  # retried in probation, crashed again
         assert [o.result for o in outcomes[1:]] == [0, 1, 4, 9, 16]
         assert all(o.ok for o in outcomes[1:])
 
@@ -528,7 +348,7 @@ class TestProbationEngine:
         ]
 
         def runner():
-            return ExperimentRunner(max_workers=2, chunk_size=1, retry=None)
+            return ExperimentRunner(max_workers=2)
 
         uninterrupted = runner().run(specs)
         store = RunStore(str(tmp_path))
@@ -540,3 +360,57 @@ class TestProbationEngine:
         assert [(o.spec, o.result, o.error_kind) for o in resumed] == [
             (o.spec, o.result, o.error_kind) for o in uninterrupted
         ]
+
+
+class TestRecoveryFallbacks:
+    """The degraded paths taken when a replacement pool cannot start."""
+
+    def test_probation_pool_unavailable_runs_suspects_solo(self, tmp_path):
+        """No isolated pool can start: suspects re-run one at a time through
+        the respawned main pool, which still attributes the crash exactly."""
+        marker = str(tmp_path / "crashed")
+        specs = [RunSpec.make("_test_res_crash", marker=marker)] + [
+            RunSpec.make("_test_res_square_after", x=x, after=marker)
+            for x in range(1, 5)
+        ]
+        runner = ExperimentRunner(max_workers=2)
+        calls = []
+
+        def no_probation_pool():
+            calls.append(1)
+            raise OSError("no isolated pool")
+
+        runner._make_probation_pool = no_probation_pool
+        outcomes = runner.run(specs)
+        assert outcomes[0].error_kind == "worker-crash"
+        assert [o.result for o in outcomes[1:]] == [1, 4, 9, 16]
+        assert all(o.ok for o in outcomes[1:])
+        assert calls  # the crash did leave suspects to re-run
+        assert runner.last_recovery["probation_runs"] == 0
+
+    def test_respawn_failure_after_timeout_drains_serially(self):
+        """The main pool cannot respawn after a run_timeout kill: the driver
+        finishes the sweep in-process."""
+        specs = [
+            RunSpec.make("_test_res_sleep", seconds=30.0, x=1),
+            RunSpec.make("_test_res_square", x=5),
+            RunSpec.make("_test_res_square", x=6),
+        ]
+        runner = ExperimentRunner(max_workers=2, run_timeout=1.0)
+        make_pool = runner._make_pool
+        pools = []
+
+        def first_pool_only():
+            pools.append(1)
+            if len(pools) > 1:
+                raise OSError("no replacement pool")
+            return make_pool()
+
+        runner._make_pool = first_pool_only
+        start = time.monotonic()
+        outcomes = runner.run(specs)
+        assert time.monotonic() - start < 15.0  # did not wait out the sleep
+        assert outcomes[0].error_kind == "timeout"
+        assert [o.result for o in outcomes[1:]] == [25, 36]
+        assert runner.last_execution_mode == "serial (process pool unavailable)"
+        assert len(pools) == 2

@@ -116,28 +116,20 @@ class TestChunkedSubmission:
         assert all(len(chunk) <= 3 for chunk in chunks)
         assert [s for chunk in chunks for s in chunk] == specs
 
-    def test_explicit_chunk_size(self):
-        runner = ExperimentRunner(max_workers=4, chunk_size=5)
-        specs = make_grid("_test_square", x=list(range(12)))
-        chunks = runner._chunk(specs)
-        assert [len(chunk) for chunk in chunks] == [5, 5, 2]
-
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentRunner(chunk_size=0)
-
     def test_chunked_parallel_matches_serial_in_order(self):
-        specs = [
-            RunSpec.make("table3_probabilities", trials=20_000, m_max=m)
-            for m in (2, 3, 4, 5)
-        ]
+        # Nine specs on two workers chunk in pairs (ceil(9 / 8) = 2).
+        specs = make_grid(
+            "table3_probabilities", trials=[10_000, 20_000, 30_000], m_max=[2, 3, 4]
+        )
+        runner = ExperimentRunner(max_workers=2)
+        assert [len(chunk) for chunk in runner._chunk(specs)] == [2, 2, 2, 2, 1]
         serial = ExperimentRunner(max_workers=1).run(specs)
-        chunked = ExperimentRunner(max_workers=2, chunk_size=2).run(specs)
+        chunked = runner.run(specs)
         assert [o.result for o in serial] == [o.result for o in chunked]
         assert [o.spec for o in chunked] == specs
 
     def test_execution_mode_reports_chunks(self):
-        runner = ExperimentRunner(max_workers=2, chunk_size=1)
+        runner = ExperimentRunner(max_workers=2)
         specs = [
             RunSpec.make("table3_probabilities", trials=10_000, m_max=2),
             RunSpec.make("table3_probabilities", trials=10_000, m_max=3),

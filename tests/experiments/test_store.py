@@ -189,7 +189,7 @@ class TestLoadOutcomes:
         outcomes = runner.run(specs)
         writer.append(0, outcomes[0])
         writer.append(1, outcomes[1])
-        writer.append(0, outcomes[0])  # retry/resume duplicate
+        writer.append(0, outcomes[0])  # resume duplicate
         writer.close()
         done = store.load_outcomes("s")
         assert sorted(done) == [0, 1]
@@ -223,11 +223,13 @@ class TestLoadOutcomes:
         outcome = ExperimentRunner(max_workers=1).run(specs)[0]
         document = outcome_document(0, outcome)
         document["retired_block"] = {"stages": {}, "decode_seconds": 0.0}
+        document["attempts"] = 2
         writer.append_record(document)
         writer.close()
         done = store.load_outcomes("s")
         assert done[0].result == 0 and done[0].ok
         assert not hasattr(done[0], "retired_block")
+        assert not hasattr(done[0], "attempts")
 
     def test_metric_samples_ignored_by_outcome_loader(self, tmp_path):
         store = RunStore(str(tmp_path))
@@ -338,7 +340,7 @@ class TestRunnerIntegration:
     def test_errors_recorded_not_raised(self, tmp_path):
         store = RunStore(str(tmp_path))
         specs = [RunSpec.make("_test_store_fail")]
-        runner = ExperimentRunner(max_workers=1, retry=None)
+        runner = ExperimentRunner(max_workers=1)
         outcomes = runner.run_stored(store, "t", specs, sweep_id="s")
         assert outcomes[0].error_kind == "scenario-error"
         done = store.load_outcomes("s")

@@ -163,7 +163,7 @@ class TestWorkerSigkill:
             RunSpec.make("_chaos_sleep", seconds=0.6, x=i, after=marker)
             for i in range(8)
         ]
-        runner = ExperimentRunner(max_workers=4, chunk_size=1, retry=None)
+        runner = ExperimentRunner(max_workers=4)
         start = time.monotonic()
         outcomes = runner.run(specs)
         elapsed = time.monotonic() - start
@@ -186,7 +186,7 @@ class TestWorkerSigkill:
         specs = [RunSpec.make("_chaos_kill9_worker")] + [
             RunSpec.make("_chaos_sleep", seconds=0.05, x=i) for i in range(4)
         ]
-        runner = ExperimentRunner(max_workers=2, chunk_size=1, retry=None)
+        runner = ExperimentRunner(max_workers=2)
         outcomes = runner.run_stored(store, "chaos", specs, sweep_id="w")
         assert outcomes[0].error_kind == "worker-crash"
         assert store.fsck().ok
