@@ -10,8 +10,9 @@
 #                      or REV's runs spread too widely to tell
 #   make bench         test, then regression — the full pre-merge gate
 #   make bench-burst   quick delivery microbenchmarks only (spray delivery
-#                      via Network.transmit_spray against singular
-#                      transmit, JSON output)
+#                      via Network.transmit_spray and socket sends via
+#                      UDPSocket.sendto against singular transmit, JSON
+#                      output)
 #   make chaos         fault-injection / resilience property suite only
 #                      (the `chaos`-marked tests, which `make test` also runs;
 #                      includes the kill -9 crash-injection harness)

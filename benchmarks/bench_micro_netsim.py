@@ -18,7 +18,7 @@ The pytest checks assert the ≥3× event-loop speedup target and generous
 absolute floors; they catch gross breakage, not regressions.  Regressions
 are the job of ``make regression`` (a paired A/B of the benchmark of record,
 ``benchmarks/ab.py``).  ``python benchmarks/bench_micro_netsim.py`` prints
-the spray and singular delivery rates as JSON.
+the spray, singular packet and socket-send delivery rates as JSON.
 """
 
 from __future__ import annotations
@@ -312,6 +312,43 @@ def pipeline_events_per_sec(count: int = 30_000) -> float:
     return count / elapsed
 
 
+# ---------------------------------------------------------------- socket send
+def socket_send_events_per_sec(count: int = 30_000) -> float:
+    """Socket-send throughput on the bytes-only path.
+
+    The reply shape of the paper's run-time attack: a host answering many
+    queries at one instant.  Per datagram one ``UDPSocket.sendto`` (port
+    check, IPID, header pack and checksum fold from the pipeline's baked
+    pseudo-header sum, one append to the open ``DatagramBatch``) and one
+    pass of the batch drain (header unpack, checksum verify, demux,
+    handler).  Unlike ``pipeline_events_per_sec`` the header and checksum
+    are built inside the timed region, as a real send builds them.
+    """
+    from repro.netsim.network import Network
+
+    sim = Simulator(seed=0)
+    network = Network(sim)
+    src, dst = "192.0.2.1", "192.0.2.2"
+    sender = network.add_host("sender", src).bind(5353)
+    receiver = network.add_host("receiver", dst)
+    received = [0]
+
+    def on_datagram(payload: bytes, ip: str, port: int) -> None:
+        received[0] += 1
+
+    receiver.bind(4242, on_datagram)
+    payload = b"x" * 48
+    sendto = sender.sendto
+    with _no_gc():
+        started = time.perf_counter()
+        for _ in range(count):
+            sendto(payload, dst, 4242)
+        sim.run()
+        elapsed = time.perf_counter() - started
+    assert received[0] == count
+    return count / elapsed
+
+
 # -------------------------------------------------------------------- bursts
 def burst_events_per_sec(count: int = 30_000, burst: int = 64) -> float:
     """Spray delivery throughput through the burst engine.
@@ -482,6 +519,19 @@ def test_burst_delivery_not_slower_than_singular_dispatch():
     assert burst > singular, (burst, singular)
 
 
+def test_socket_send_not_slower_than_packet_dispatch():
+    """Socket sends travel as bytes and must beat per-packet transmit.
+
+    Measured back-to-back at the same scale, like the spray check above:
+    the socket path also packs and checksums every header inside its timed
+    region, so only a gross inversion — the bytes path regressing below
+    the packet pipeline — fails this.
+    """
+    packets = _best_of(lambda: pipeline_events_per_sec(count=10_000), 3)
+    sends = _best_of(lambda: socket_send_events_per_sec(count=10_000), 3)
+    assert sends > packets, (sends, packets)
+
+
 if __name__ == "__main__":
     # ``make bench-burst``: just the burst-engine numbers, quickly.
     import json
@@ -492,6 +542,9 @@ if __name__ == "__main__":
                 "burst_events_per_sec": round(_best_of(burst_events_per_sec, 3)),
                 "pipeline_events_per_sec": round(
                     _best_of(pipeline_events_per_sec, 3)
+                ),
+                "socket_send_events_per_sec": round(
+                    _best_of(socket_send_events_per_sec, 3)
                 ),
             },
             indent=2,

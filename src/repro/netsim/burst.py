@@ -2,23 +2,28 @@
 
 The paper's attacks are *flood-shaped*: an attacker emits dozens of
 near-identical packets at one simulated instant (a spoofed-query round, an
-IPID fragment spray).  One heap push and pop per packet is exactly the cost
-such bursts make redundant, so the network pushes a same-instant group as
-one burst heap entry (the event-loop side lives in
+IPID fragment spray), and every server that does not rate-limit answers
+each of them.  One heap push and pop per packet is exactly the cost such
+bursts make redundant, so the network pushes a same-instant group as one
+burst heap entry (the event-loop side lives in
 :mod:`repro.netsim.simulator`).  Two payload shapes exist:
 
-* :class:`SprayDelivery` — the spoofing round of the run-time attack: one
-  source spraying one UDP datagram at each of N distinct destinations,
-  pushed by :meth:`repro.netsim.network.Network.transmit_spray` when the
-  round's plan is *uniform* (every pair routed, lossless, fault-free, one
-  latency) and no capture is attached.  The spray carries bytes only — no
-  packet objects — and its drain makes one pass per datagram: sweep the
-  host's expired reassembly buckets when it holds any, unpack the UDP
-  header, verify the RFC 768 checksum from that datagram's own bytes, bump
-  the host stats, demux, call the handler.  A destination with a
-  packet tap installed, or a pair whose scalar path must see a packet
-  (``burst_parse`` false), gets a materialised packet through
-  ``pipeline.deliver`` instead.
+* :class:`DatagramBatch` — UDP datagrams travelling as bytes, no packet
+  objects.  Two senders fill one:
+  :meth:`repro.netsim.network.Network.send_datagram` (every socket send
+  that fits its path MTU) appends to the network's open batch while the
+  datagram is due at the batch's instant and takes the next contiguous
+  sequence number, and
+  :meth:`~repro.netsim.network.Network.transmit_spray` (the spoofing round
+  of the run-time attack) fills a closed batch of spoofed datagrams from
+  its cached plan.  Only *uniform* pairs — routed, lossless, fault-free,
+  no capture attached — travel this way.  The drain makes one pass per
+  datagram: sweep the host's expired reassembly buckets when it holds
+  any, unpack the UDP header, verify the RFC 768 checksum from that
+  datagram's own bytes when the host's profile verifies, bump the host
+  stats, demux, call the handler.  A destination with a packet tap
+  installed gets a materialised packet through ``pipeline.deliver``
+  instead.
 * :class:`DeliveryBurst` — everything else: fragment sprays and the spray
   fallback (lossy, faulted, unrouted or mixed-latency pairs, or an
   attached capture) go through
@@ -29,11 +34,14 @@ one burst heap entry (the event-loop side lives in
 Equivalence contract: both drains are *event-for-event* equivalent to the
 per-packet deliveries they replace — same delivery order, same stats and
 defrag bookkeeping, same handler observations, same accept/reject per
-checksum — pinned by ``tests/properties/test_prop_burst.py`` and the
-fixed-seed golden determinism test.
+checksum — pinned by ``tests/properties/test_prop_burst.py``, the
+send-path properties in ``tests/properties/test_prop_send_datagram.py``
+and the fixed-seed golden determinism test.  A batch closes when its drain
+starts, so a reply sent during the drain over a zero-latency link opens a
+new batch instead of growing the one being drained.
 
 Stage attribution: while ``repro.perf.STAGES`` collection is enabled the
-spray drain runs the same loop with timers: handler calls are attributed
+batch drain runs the same loop with timers: handler calls are attributed
 to the ``handler`` stage, materialised deliveries to the stages of the
 timed datapath twin they route through (``defrag``, ``checksum``,
 ``demux``, ``handler``), and the rest of the pass (header unpack,
@@ -74,28 +82,35 @@ class DeliveryBurst:
             pipeline.deliver(packet)
 
 
-class SprayDelivery:
-    """One source's datagram spray, delivered at one instant.
+class DatagramBatch:
+    """Same-instant UDP datagrams delivered as bytes from one heap entry.
 
-    ``targets`` is the cached spray plan's per-destination tuple
-    ``(dst, deliver, datapath, verify_base)``: ``datapath`` is ``None`` for
-    pairs that must be delivered as packets, and ``verify_base`` is ``None``
-    for pairs whose host does not verify checksums.  ``datagrams[i]`` and
-    ``ipids[i]`` belong to ``targets[i]``; the IPIDs are only read when a
-    packet is materialised.
+    ``items`` yields ``(pipeline, src, datagram, ipid)`` per datagram in
+    delivery order: the compiled pipeline of the (src, dst) pair, the
+    claimed source, the complete UDP datagram (header included) and the
+    IPv4 IPID, read only when a packet is materialised.  It is a list
+    while the batch is open for appends and a one-shot iterator over a
+    spray's plan otherwise; ``count`` is its length.  ``time`` is the
+    delivery instant and ``end`` the sequence number after the last member
+    while the batch is open, ``-1`` once closed.  ``spoofed`` tags the
+    packets materialised from a spray batch, as
+    :meth:`~repro.netsim.network.Network.inject` would.
     """
 
-    __slots__ = ("src", "targets", "datagrams", "ipids", "count")
+    __slots__ = ("time", "items", "count", "end", "spoofed")
 
-    def __init__(self, src: str, targets: tuple, datagrams: list, ipids: list) -> None:
-        self.src = src
-        self.targets = targets
-        self.datagrams = datagrams
-        self.ipids = ipids
-        self.count = len(datagrams)
+    def __init__(
+        self, time: float, items, count: int, end: int, spoofed: bool = False
+    ) -> None:
+        self.time = time
+        self.items = items
+        self.count = count
+        self.end = end
+        self.spoofed = spoofed
 
     def run(self) -> None:
-        src = self.src
+        self.end = -1  # closed: a send during the drain opens a new batch
+        spoofed = self.spoofed
         unpack = _UNPACK_UDP_HEADER
         timed = STAGES.enabled
         if timed:
@@ -103,18 +118,18 @@ class SprayDelivery:
             t_handler = 0.0  # handler calls, reported as ``handler``
             t_elsewhere = 0.0  # materialised deliveries time themselves
             handled = 0
-        for (dst, deliver, datapath, verify_base), datagram, ipid in zip(
-            self.targets, self.datagrams, self.ipids
-        ):
-            if datapath is None or datapath.host.packet_tap is not None:
-                packet = IPv4Packet.udp(src, dst, datagram, ipid)
-                packet.metadata["spoofed"] = True
+        for pipeline, src, datagram, ipid in self.items:
+            datapath = pipeline.datapath
+            if datapath.host.packet_tap is not None:
+                packet = IPv4Packet.udp(src, datapath.host.ip, datagram, ipid)
+                if spoofed:
+                    packet.metadata["spoofed"] = True
                 if timed:
                     t0 = perf_counter()
-                    deliver(packet)
+                    pipeline.deliver(packet)
                     t_elsewhere += perf_counter() - t0
                 else:
-                    deliver(packet)
+                    pipeline.deliver(packet)
                 continue
             # HostDatapath.deliver for an unfragmented UDP datagram, minus
             # the packet: same checks, counters and order.
@@ -129,19 +144,19 @@ class SprayDelivery:
             if length != size:
                 stats.udp_checksum_failures += 1
                 continue
-            if checksum and verify_base is not None:
+            if checksum and datapath.verify_checksum:
                 # Whole-datagram fold: a big integer is congruent to its
                 # 16-bit word sum mod 0xFFFF, so this sums ports, length,
                 # checksum field and payload at once (an odd length is
                 # padded with a zero byte); the pseudo-header adds the
-                # addresses, the protocol (both in verify_base) and the
+                # addresses, the protocol (both in address_sum) and the
                 # length again.  The total is 0 mod 0xFFFF exactly when the
                 # scalar verify of HostDatapath.deliver accepts a non-zero
                 # checksum field.
                 value = int.from_bytes(datagram, "big")
                 if size & 1:
                     value <<= 8
-                if (verify_base + length + value) % 0xFFFF:
+                if (pipeline.address_sum + length + value) % 0xFFFF:
                     stats.udp_checksum_failures += 1
                     continue
             stats.udp_received += 1

@@ -7,26 +7,31 @@ packet.  This module collapses that chain into objects compiled once per
 link and cached:
 
 * :class:`HostDatapath` — one per host, created by ``Host.__init__``.  Its
-  :meth:`~HostDatapath.deliver` method is the whole receive side (capture
-  tap, fragmentation check, defrag, checksum verify, port demux, handler
-  call) as a single flat function with the host's defrag cache, socket
-  table, stats block and OS-profile flags pre-bound to slots.  The
-  semantics are exactly those of the pre-refactor ``Host.receive`` /
-  ``Host._deliver_udp`` pair — pinned by the golden determinism test —
-  but without the per-packet method-call tower, property lookups, or the
-  intermediate ``UDPDatagram`` allocation.
+  :meth:`~HostDatapath.deliver` method is the whole receive side for a
+  *packet* (capture tap, fragmentation check, defrag, checksum verify,
+  port demux, handler call) as a single flat function with the host's
+  defrag cache, socket table, stats block and OS-profile flags pre-bound
+  to slots.  The semantics are exactly those of the pre-refactor
+  ``Host.receive`` / ``Host._deliver_udp`` pair — pinned by the golden
+  determinism test — but without the per-packet method-call tower,
+  property lookups, or the intermediate ``UDPDatagram`` allocation.
+  Datagrams that travel as bytes (:class:`~repro.netsim.burst.DatagramBatch`)
+  run the same checks in the batch drain against the same slots, so only
+  materialised packets reach this method: fragments, packets to a tapped
+  host, captured traffic and traffic over lossy or faulted links.
 * :class:`DeliveryPipeline` — one per (src, dst) pair, compiled and cached
   by :class:`~repro.netsim.network.Network`.  It carries the resolved link
-  latency, loss probability and the destination's bound deliver callable,
-  so the transmit hot path is a single dict hit plus a heap push.  Whether
-  a delivery verifies the UDP checksum is the destination host's
-  ``OSProfile`` decision.
+  latency, loss probability, the destination's bound deliver callable and
+  the pair's pseudo-header sum, so a send is a single dict hit plus a
+  heap push or a batch append.  Whether a delivery verifies the UDP
+  checksum is the destination host's ``OSProfile`` decision, read at
+  delivery.
 
 Stage attribution: while ``repro.perf.STAGES`` collection is enabled,
-delivery routes through an instrumented twin that accumulates per-stage
-wall time (``defrag``, ``checksum``, ``demux``, ``handler``) into the
-slots ``STAGES`` keeps for these four stages.  Timing never feeds the
-simulation, so instrumented runs remain bit-identical.
+packet delivery routes through an instrumented twin that accumulates
+per-stage wall time (``defrag``, ``checksum``, ``demux``, ``handler``)
+into the slots ``STAGES`` keeps for these four stages.  Timing never
+feeds the simulation, so instrumented runs remain bit-identical.
 
 Private-attribute access: the flat paths read ``Simulator._now``,
 ``DefragmentationCache._buckets`` and ``Host._sockets`` directly.  These
@@ -76,18 +81,18 @@ class DeliveryPipeline:
     the fault layer has into the hot path — one slot read per packet when
     inactive.
 
-    ``datapath``, ``burst_parse`` and ``verify_base`` exist for the spray
-    drain (:mod:`repro.netsim.burst`), which delivers raw datagrams without
-    a packet object: it needs the compiled datapath behind ``deliver``,
-    whether this pair may skip the packet at all (``burst_parse`` — false
-    for unrouted pairs and for pairs whose scalar path would raise on an
-    unparseable spoofed source), and the pair's pseudo-header address word
-    sum plus the protocol word when the scalar path would verify checksums
-    (``verify_base`` — ``None`` when the host OS profile does not verify) —
-    all baked once per compiled pair, like the latency.  Like every other
-    compiled field, they go stale if a host's OS profile is mutated
-    afterwards; :meth:`HostDatapath.recompile` invalidates the owning
-    network's pipelines for exactly that reason.
+    ``datapath`` and ``address_sum`` exist for the bytes-only paths
+    (:meth:`~repro.netsim.network.Network.send_datagram` and the
+    :class:`~repro.netsim.burst.DatagramBatch` drain), which carry raw
+    datagrams without a packet object: the compiled datapath behind
+    ``deliver``, and the pair's pseudo-header address word sum plus the
+    protocol word, baked once per compiled pair like the latency.  The
+    send path folds it into the RFC 768 checksum and the drain into the
+    verify.  It is set exactly on the pairs that may carry bytes:
+    ``None`` marks unrouted, lossy and faulted pairs and pairs whose
+    claimed source does not parse (``src`` is whatever a spoofer writes),
+    which all keep the packet path.  Whether a delivery verifies at all
+    is read from the datapath at delivery, never baked here.
     """
 
     __slots__ = (
@@ -95,8 +100,7 @@ class DeliveryPipeline:
         "loss_probability",
         "deliver",
         "datapath",
-        "burst_parse",
-        "verify_base",
+        "address_sum",
         "faults",
     )
 
@@ -106,16 +110,14 @@ class DeliveryPipeline:
         loss_probability: float,
         deliver,
         datapath: "Optional[HostDatapath]" = None,
-        burst_parse: bool = False,
-        verify_base: Optional[int] = None,
+        address_sum: Optional[int] = None,
         faults=None,
     ) -> None:
         self.latency = latency
         self.loss_probability = loss_probability
         self.deliver = deliver
         self.datapath = datapath
-        self.burst_parse = burst_parse
-        self.verify_base = verify_base
+        self.address_sum = address_sum
         self.faults = faults
 
 
@@ -158,13 +160,12 @@ class HostDatapath:
     def recompile(self) -> None:
         """Re-read the host's profile flags (after an explicit mutation).
 
-        Also drops the network's compiled pipelines: they bake the host's
-        verify decision for the spray drain, so a profile mutation must
-        force them to recompile too.
+        Every delivery path, the batch drain included, reads the flags
+        from here at delivery time, so datagrams already in flight see the
+        change too.
         """
         self.verify_checksum = self.host.profile.verify_udp_checksum
         self.drops_fragments = self.host.profile.drops_fragments
-        self.host.network.invalidate_pipelines()
 
     # ------------------------------------------------------------ fast path
     def deliver(self, packet: IPv4Packet) -> None:

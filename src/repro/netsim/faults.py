@@ -42,7 +42,7 @@ graceful degradation are the two design rules:
 * **Graceful degradation.**  A component with zero probability (or an
   empty window) is *inert* and is dropped when the plan is attached; a
   plan whose every component is inert compiles to nothing at all, so the
-  link keeps the compiled ``DeliveryPipeline`` / ``SprayDelivery`` fast
+  link keeps the compiled ``DeliveryPipeline`` / ``DatagramBatch`` fast
   paths and a zero-fault configuration is bit-identical to a fault-free
   one (property-pinned).  An active plan takes the pair off the
   coalesced fast path onto the event-for-event-equivalent slow path:

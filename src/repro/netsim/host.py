@@ -180,14 +180,24 @@ class Host:
         self._sockets.pop(port, None)
 
     def send_udp(self, dst_ip: str, src_port: int, dst_port: int, payload: bytes) -> None:
-        """Build a UDP datagram, fragment it to the path MTU if needed and
-        hand it to the network.
+        """Send a UDP datagram, fragmenting it to the path MTU if needed.
 
         The ports must already be range-checked (:meth:`UDPSocket.sendto`
-        does it); the header is packed here with its checksum filled in.
+        does it).  A datagram that fits the path MTU goes to
+        :meth:`~repro.netsim.network.Network.send_datagram` as its fields
+        plus the IPID — it travels as bytes where the path allows; a
+        larger one is packed here, checksummed and sent as IPv4 fragments.
         """
         src_ip = self.ip
         length = UDP_HEADER_LEN + len(payload)
+        mtu = self.path_mtu(dst_ip) if self._pmtu else self.interface_mtu
+        if MINIMUM_IPV4_MTU <= mtu and IPV4_HEADER_LEN + length <= mtu:
+            # Fast path: the datagram fits (and the MTU is not so small
+            # that the fragmenter would reject it outright).
+            ipid = self.ipid_allocator.next_ipid(dst_ip)
+            self.stats.udp_sent += 1
+            self.network.send_datagram(src_ip, dst_ip, src_port, dst_port, payload, ipid)
+            return
         header = _UDP_HEADER.pack(
             src_port,
             dst_port,
@@ -198,12 +208,6 @@ class Host:
             src_ip, dst_ip, header + payload, self.ipid_allocator.next_ipid(dst_ip)
         )
         self.stats.udp_sent += 1
-        mtu = self.path_mtu(dst_ip)
-        if MINIMUM_IPV4_MTU <= mtu and IPV4_HEADER_LEN + length <= mtu:
-            # Fast path: the packet fits (and the MTU is not so small that
-            # the fragmenter would reject it outright) — skip the call.
-            self.network.transmit(packet)
-            return
         fragments = fragment_packet(packet, mtu)
         if len(fragments) > 1:
             self.stats.packets_fragmented += 1

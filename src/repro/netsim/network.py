@@ -13,24 +13,32 @@ model of the paper:
   visibility into delivered traffic.
 
 Delivery runs through pipelines compiled per (src, dst) pair (see
-:mod:`repro.netsim.datapath`): the transmit hot path is one dict hit that
-yields the resolved latency, loss probability and the destination host's
-flat deliver callable, then a single heap push.  A spoofing round — one
+:mod:`repro.netsim.datapath`): one dict hit yields the resolved latency,
+loss probability, the destination host's flat deliver callable and the
+pair's pseudo-header sum.  Every socket send that fits its path MTU goes
+through :meth:`Network.send_datagram`, which checksums it from that sum
+and, on a *uniform* pair (routed, lossless, fault-free, no capture
+attached), sends it as bytes: appended to the open
+:class:`~repro.netsim.burst.DatagramBatch` when that batch is due at the
+same instant and the datagram takes the next sequence number, else pushed
+as a new batch heap entry.  Anything else is a packet, sent by
+:meth:`Network.transmit` with one heap push.  A spoofing round — one
 source spraying one datagram at each of many destinations — goes through
 :meth:`Network.transmit_spray`, which resolves the round's pipelines once
 into a plan cached per (src, destinations) and, when the plan is uniform,
-pushes the round as one heap entry of raw datagrams (see
-:mod:`repro.netsim.burst`).  Whether a delivery verifies the UDP checksum
-is the receiving host's ``OSProfile`` decision.
+pushes the round as one batch of raw datagrams.  Whether a delivery
+verifies the UDP checksum is the receiving host's ``OSProfile`` decision,
+read at delivery time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappush
+from itertools import repeat
 from typing import Iterable, Optional
 
-from repro.netsim.burst import DeliveryBurst, MAX_DELIVERY_BURST, SprayDelivery
+from repro.netsim.burst import DatagramBatch, DeliveryBurst, MAX_DELIVERY_BURST
 from repro.netsim.capture import PacketCapture
 from repro.netsim.datapath import DeliveryPipeline, UNROUTED_PIPELINE
 from repro.netsim.errors import AddressError, NoRouteError, SimulationError
@@ -39,7 +47,12 @@ from repro.netsim.host import Host, OSProfile
 from repro.netsim.ipid import IPIDAllocator
 from repro.netsim.packet import IPv4Packet
 from repro.netsim.simulator import Simulator, _BURST
-from repro.netsim.udp import _address_word_sum
+from repro.netsim.udp import (
+    UDP_HEADER_LEN,
+    _UDP_HEADER,
+    _address_word_sum,
+    udp_checksum_arith,
+)
 from repro.perf import STAGES, perf_counter
 
 
@@ -65,9 +78,6 @@ class Link:
 #: Bound on the per-(src, dst) compiled-pipeline cache; src is attacker
 #: controlled (spoofed), so the cache is cleared wholesale when full.
 PIPELINE_CACHE_MAX_ENTRIES = 65536
-
-#: Backwards-compatible alias (the pipeline cache replaced the link cache).
-LINK_CACHE_MAX_ENTRIES = PIPELINE_CACHE_MAX_ENTRIES
 
 #: Bound on the per-(src, destinations) spray-plan cache (clear-on-full,
 #: like the pipeline cache: the source of a spray is spoofed).
@@ -114,6 +124,9 @@ class Network:
         #: Per-(src, destinations) spray plans: ``(epoch, latency, targets)``
         #: with ``targets`` None for a non-uniform spray (see transmit_spray).
         self._spray_plans: dict[tuple, tuple] = {}
+        #: The batch :meth:`send_datagram` appends to while it stays open
+        #: (see there); None until the first bytes-only send.
+        self._batch: Optional[DatagramBatch] = None
         #: Per-directed-pair fault channels.  Owned here — NOT in the
         #: pipeline cache — so Gilbert–Elliott chain state and the
         #: channel RNG position survive pipeline invalidation (topology
@@ -337,21 +350,17 @@ class Network:
             link = self.link_between(src, dst)
             if link.latency < 0:
                 raise SimulationError(f"negative link latency: {link.latency}")
-            # Would this pair's scalar path verify checksums at all?  Only
-            # then does the spray drain need a pseudo-header sum — and
-            # ``src`` is whatever the sender claims, so a syntactically
-            # invalid spoofed source cannot bake one; such pairs keep the
-            # scalar path (which reports the same failure it always did,
-            # at delivery time rather than here).
-            burst_parse = True
-            verify_base = None
-            if host.datapath.verify_checksum:
+            # Only a lossless, fault-free pair may carry bytes, and ``src``
+            # is whatever the sender claims: a syntactically invalid spoofed
+            # source cannot bake a pseudo-header sum.  Such pairs keep the
+            # packet path, which reports the same failure it always did, at
+            # delivery time rather than here.
+            address_sum = None
+            if link.loss_probability <= 0 and link.faults is None:
                 try:
-                    verify_base = (
-                        _address_word_sum(src) + _address_word_sum(dst) + 17
-                    )
+                    address_sum = _address_word_sum(src) + _address_word_sum(dst) + 17
                 except AddressError:
-                    burst_parse = False
+                    pass
             channel = None
             plan = link.faults
             if plan is not None:
@@ -378,8 +387,7 @@ class Network:
                 link.loss_probability,
                 host.datapath.deliver,
                 datapath=host.datapath,
-                burst_parse=burst_parse,
-                verify_base=verify_base,
+                address_sum=address_sum,
                 faults=channel,
             )
         if len(self._pipelines) >= PIPELINE_CACHE_MAX_ENTRIES:
@@ -403,6 +411,62 @@ class Network:
         self._captures.remove(capture)
 
     # ------------------------------------------------------------- delivery
+    def send_datagram(
+        self, src: str, dst: str, src_port: int, dst_port: int, payload: bytes, ipid: int
+    ) -> None:
+        """Send one UDP datagram that fits its path MTU (``Host.send_udp``).
+
+        The header is packed here, its RFC 768 checksum folded from the
+        pipeline's pseudo-header sum.  On a uniform pair with no capture
+        attached the datagram travels as bytes: it joins the open
+        :class:`~repro.netsim.burst.DatagramBatch` when that batch is due
+        at the same instant and this datagram takes the sequence number
+        right after its last member — so no other event can sort between
+        them, and delivery order, ``events_processed`` and
+        :meth:`~repro.netsim.simulator.Simulator.pending` stay those of one
+        entry per datagram — and otherwise opens a new batch heap entry.
+        Anything else builds the packet (IPv4 ID ``ipid``) and takes
+        :meth:`transmit`, exactly as a packet send would.
+        """
+        pipeline = self._pipelines.get((src, dst))
+        if pipeline is None:
+            pipeline = self._compile_pipeline(src, dst)
+        address_sum = pipeline.address_sum
+        length = UDP_HEADER_LEN + len(payload)
+        if address_sum is None or self._captures:
+            checksum = udp_checksum_arith(src, dst, src_port, dst_port, payload)
+            header = _UDP_HEADER.pack(src_port, dst_port, length, checksum)
+            self.transmit(IPv4Packet.udp(src, dst, header + payload, ipid))
+            return
+        # udp_checksum_arith with the pair's sum baked in: ``folded`` lies
+        # in [0, 0xFFFE], where ``0xFFFF - folded`` is the complement with
+        # both RFC 768 special cases applied.
+        value = int.from_bytes(payload, "big")
+        if length & 1:
+            value <<= 8
+        folded = (address_sum + length + length + src_port + dst_port + value) % 0xFFFF
+        datagram = _UDP_HEADER.pack(src_port, dst_port, length, 0xFFFF - folded) + payload
+        self.packets_transmitted += 1
+        simulator = self.simulator
+        sequence = simulator._sequence
+        simulator._sequence = sequence + 1
+        deliver_at = simulator._now + pipeline.latency
+        item = (pipeline, src, datagram, ipid)
+        batch = self._batch
+        if (
+            batch is not None
+            and batch.end == sequence
+            and batch.time == deliver_at
+            and batch.count < MAX_DELIVERY_BURST
+        ):
+            batch.items.append(item)
+            batch.count += 1
+            batch.end = sequence + 1
+            return
+        self._batch = batch = DatagramBatch(deliver_at, [item], 1, sequence + 1)
+        simulator.bursts_posted += 1
+        heappush(simulator._queue, (deliver_at, sequence, batch, _BURST))
+
     def transmit(self, packet: IPv4Packet) -> None:
         """Deliver a packet from its (claimed) source to its destination.
 
@@ -611,12 +675,13 @@ class Network:
         order (pinned by a property test).  A *uniform* plan — every pair
         routed, lossless and fault-free at one latency, at most
         :data:`~repro.netsim.burst.MAX_DELIVERY_BURST` datagrams — with no
-        capture attached pushes the whole spray as one
-        :class:`~repro.netsim.burst.SprayDelivery` heap entry that consumes
-        one sequence number per datagram; no packet object is built unless
-        a destination needs one at delivery.  Anything else materialises
-        the spoofed-tagged packets and takes :meth:`transmit_burst`, so loss
-        draws, fault channels and captures behave exactly as for packets.
+        capture attached pushes the whole spray as one closed
+        :class:`~repro.netsim.burst.DatagramBatch` of spoofed datagrams
+        that consumes one sequence number per datagram; no packet object
+        is built unless a destination needs one at delivery.  Anything else
+        materialises the spoofed-tagged packets and takes
+        :meth:`transmit_burst`, so loss draws, fault channels and captures
+        behave exactly as for packets.
         """
         if not datagrams:
             return
@@ -636,23 +701,19 @@ class Network:
         sequence = simulator._sequence
         simulator._sequence = sequence + count
         simulator.bursts_posted += 1
-        heappush(
-            simulator._queue,
-            (
-                simulator._now + latency,
-                sequence,
-                SprayDelivery(src, targets, datagrams, ipids),
-                _BURST,
-            ),
+        deliver_at = simulator._now + latency
+        batch = DatagramBatch(
+            deliver_at, zip(targets, repeat(src), datagrams, ipids), count, -1, True
         )
+        heappush(simulator._queue, (deliver_at, sequence, batch, _BURST))
 
     def _compile_spray_plan(self, src: str, destinations: tuple) -> tuple:
         """Resolve a spray's pipelines into ``(epoch, latency, targets)``.
 
-        ``targets`` holds one :class:`~repro.netsim.burst.SprayDelivery`
-        target per destination, or is None when the spray is not uniform
-        (the first disqualifying pair stops the scan; the fallback compiles
-        the remaining pipelines in send order, as it always did).
+        ``targets`` holds one compiled pipeline per destination, or is None
+        when the spray is not uniform (the first disqualifying pair stops
+        the scan; the fallback compiles the remaining pipelines in send
+        order, as it always did).
         """
         targets: Optional[list] = []
         latency = 0.0
@@ -668,23 +729,13 @@ class Network:
                         # Raised again, at this datagram, by the fallback.
                         targets = None
                         break
-                if (
-                    pipeline.deliver is None
-                    or pipeline.loss_probability > 0
-                    or pipeline.faults is not None
-                    or (targets and pipeline.latency != latency)
+                if pipeline.address_sum is None or (
+                    targets and pipeline.latency != latency
                 ):
                     targets = None
                     break
                 latency = pipeline.latency
-                targets.append(
-                    (
-                        dst,
-                        pipeline.deliver,
-                        pipeline.datapath if pipeline.burst_parse else None,
-                        pipeline.verify_base,
-                    )
-                )
+                targets.append(pipeline)
         plan = (self.pipeline_epoch, latency, None if targets is None else tuple(targets))
         plans = self._spray_plans
         if len(plans) >= SPRAY_PLAN_CACHE_MAX_ENTRIES:

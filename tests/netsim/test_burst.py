@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.netsim.errors import SimulationError
+from repro.netsim.host import OSProfile
 from repro.netsim.network import Network
 from repro.netsim.packet import IPv4Packet
 from repro.netsim.simulator import Simulator
@@ -227,3 +228,42 @@ class TestTransmitBurstDelivery:
         for index, packet in enumerate(packets):
             if index != 2:
                 assert network.host(packet.dst).stats.udp_received == 1
+
+
+class TestSprayVerifyDecision:
+    def test_verify_switched_on_mid_flight_reaches_sprayed_datagrams(self):
+        """A profile change announced by ``HostDatapath.recompile()`` while a
+        spray is in flight applies to it, exactly as to injected packets:
+        the drain reads the verify decision at delivery, not at plan
+        compile time."""
+
+        def run(use_spray: bool):
+            sim, network, received, packets = star_world(3)
+            receivers = [network.host(packet.dst) for packet in packets]
+            for host in receivers:
+                host.profile = OSProfile(verify_udp_checksum=False)
+                host.datapath.recompile()
+            datagrams = [
+                encode_udp("9.9.9.9", packet.dst, UDPDatagram(5353, 4242, b"y" * 48))
+                for packet in packets
+            ]
+            if use_spray:
+                network.transmit_spray(
+                    "192.0.2.1",
+                    tuple(packet.dst for packet in packets),
+                    datagrams,
+                    [packet.ipid for packet in packets],
+                )
+            else:
+                network.inject_burst(
+                    IPv4Packet.udp("192.0.2.1", packet.dst, datagram, packet.ipid)
+                    for packet, datagram in zip(packets, datagrams)
+                )
+            for host in receivers:  # verification switched on mid-flight
+                host.profile = OSProfile()
+                host.datapath.recompile()
+            sim.run()
+            failures = [host.stats.udp_checksum_failures for host in receivers]
+            return len(received), failures
+
+        assert run(use_spray=True) == run(use_spray=False) == (0, [1, 1, 1])

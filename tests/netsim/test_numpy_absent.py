@@ -68,7 +68,7 @@ from repro.ntp import rate_limit
 limiter = rate_limit.RateLimiter(average_interval=8.0, burst_tolerance=10.0)
 decisions = [limiter.check("10.9.9.9", 0.0).value for _ in range(3)]
 print(json.dumps({
-    "burst_spray": hasattr(burst, "SprayDelivery"),
+    "burst_spray": hasattr(burst, "DatagramBatch"),
     "decisions": decisions,
     "numpy_loaded": "numpy" in sys.modules,
 }))

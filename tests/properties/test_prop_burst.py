@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.burst import SprayDelivery
+from repro.netsim.burst import DatagramBatch
 from repro.netsim.capture import PacketCapture
 from repro.netsim.faults import Corruption, Duplication, GilbertElliott, ReorderJitter
 from repro.netsim.packet import IPProtocol, IPv4Packet
@@ -99,7 +99,7 @@ TRIGGERS = ("lossy", "faulted", "mixed", "capture")
 #: Destination-level configurations every world carries, because they keep
 #: the spray entry but change how its drain delivers: an inbox-mode socket,
 #: a packet tap, a host that does not verify checksums (the drain's
-#: ``verify_base is None`` branch), and expired reassembly buckets that the
+#: ``verify_checksum`` false branch), and expired reassembly buckets that the
 #: next arrival sweeps.
 INBOX_DST, TAP_DST, UNVERIFIED_DST, SWEPT_DST = (
     SPRAY_DSTS[0],
@@ -211,7 +211,10 @@ class SprayWorld:
                 network.inject(IPv4Packet.udp(SPRAY_SRC, dst, datagram, ipid))
 
     def takes_spray_entry(self) -> bool:
-        return any(isinstance(entry[2], SprayDelivery) for entry in self.simulator._queue)
+        return any(
+            isinstance(entry[2], DatagramBatch) and entry[2].spoofed
+            for entry in self.simulator._queue
+        )
 
     def state(self) -> dict:
         simulator, network = self.simulator, self.network
@@ -390,7 +393,7 @@ class TestSprayChecksumPinnedToScalar:
             host.bind(SPRAY_PORT, lambda *args: handed.append(args))
             if use_spray:
                 network.transmit_spray(src, (dst,), [datagram], [7])
-                assert isinstance(simulator._queue[0][2], SprayDelivery)
+                assert isinstance(simulator._queue[0][2], DatagramBatch)
             else:
                 network.inject(IPv4Packet.udp(src, dst, datagram, 7))
             simulator.run()

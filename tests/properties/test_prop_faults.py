@@ -97,7 +97,7 @@ class TestZeroFaultBitIdentity:
         network.set_link_faults(HOST_IPS[0], HOST_IPS[1], *INERT_COMPONENTS)
         pipeline = network.pipeline_for(HOST_IPS[0], HOST_IPS[1])
         assert pipeline.faults is None
-        assert pipeline.burst_parse
+        assert pipeline.address_sum is not None
 
 
 class TestFaultedBurstEquivalence:
