@@ -275,12 +275,13 @@ def packets_per_sec(count: int = 20_000) -> float:
 
 # ------------------------------------------------------------------ pipeline
 def pipeline_events_per_sec(count: int = 30_000) -> float:
-    """Dispatch-path throughput on the compiled delivery pipeline.
+    """Throughput of the packet path: one ``transmit``, one ``deliver``.
 
-    Measures exactly the transmit → compiled pipeline → handler chain the
-    Table II hot loop exercises: per packet one fast-constructed
-    ``IPv4Packet``, one ``Network.transmit`` (pipeline-cache hit + heap
-    push) and one flat delivery (defrag bookkeeping, checksum verify, port
+    Every materialised packet takes this path — fragments, deliveries to a
+    tapped host, sends over lossy or faulted links, the spray fallback:
+    per packet one fast-constructed ``IPv4Packet``, one
+    ``Network.transmit`` (pipeline-cache hit + heap push) and one
+    ``HostDatapath.deliver`` (defrag bookkeeping, checksum verify, port
     demux, handler call).  Payload encode happens once outside the timed
     region — this is the *dispatch* path, the codecs are measured apart.
     """
@@ -351,7 +352,7 @@ def socket_send_events_per_sec(count: int = 30_000) -> float:
 
 # -------------------------------------------------------------------- bursts
 def burst_events_per_sec(count: int = 30_000, burst: int = 64) -> float:
-    """Spray delivery throughput through the burst engine.
+    """Spray delivery throughput through one datagram batch per spray.
 
     The flood shape of the paper's attacks: sprays of ``burst`` datagrams
     from one source (one per destination host, same instant) handed to
@@ -533,7 +534,7 @@ def test_socket_send_not_slower_than_packet_dispatch():
 
 
 if __name__ == "__main__":
-    # ``make bench-burst``: just the burst-engine numbers, quickly.
+    # ``make bench-burst``: just the delivery-path numbers, quickly.
     import json
 
     print(

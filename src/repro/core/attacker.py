@@ -18,7 +18,7 @@ it learns from packets addressed to hosts it owns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.netsim.addresses import address_range
 from repro.netsim.host import Host
@@ -118,17 +118,6 @@ class Attacker:
         """Put a (typically source-spoofed) packet on the wire."""
         self.stats.packets_injected += 1
         self.network.inject(packet)
-
-    def inject_burst(self, packets: Iterable[IPv4Packet]) -> None:
-        """Put a whole spray on the wire through the burst engine.
-
-        Logically equivalent to :meth:`inject` per packet (order, counters,
-        loss draws, delivered bytes), but the same-instant spray costs one
-        heap entry — see :meth:`repro.netsim.network.Network.transmit_burst`.
-        """
-        packets = list(packets)
-        self.stats.packets_injected += len(packets)
-        self.network.inject_burst(packets)
 
     def owns(self, address: str) -> bool:
         """True when ``address`` is attacker controlled."""

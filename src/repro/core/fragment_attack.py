@@ -275,28 +275,25 @@ class DNSFragmentPoisoner:
         crafted = self.build_spoofed_payload()
         if crafted is not None and self.prediction is not None:
             payload, offset_units = crafted
-            # The whole spray — one spoofed fragment per candidate IPID —
-            # goes to the simulator as one coalesced burst entry (fragments
-            # take the per-packet reassembly path inside the drain; only
-            # the heap traffic is batched).  Logically event-for-event
-            # equivalent to the old per-fragment inject loop.
-            burst = [
-                IPv4Packet(
-                    src=self.plan.nameserver_ip,
-                    dst=self.plan.resolver_ip,
-                    protocol=IPProtocol.UDP,
-                    payload=payload,
-                    ipid=ipid,
-                    more_fragments=False,
-                    fragment_offset=offset_units,
+            # One spoofed fragment per candidate IPID, each injected as its
+            # own packet (fragments take the resolver's reassembly path).
+            candidates = self.prediction.candidates(
+                self.plan.ipid_candidates, lookahead=0.0
+            )
+            self.attacker.stats.spoofed_fragments_sent += len(candidates)
+            self.fragments_sent += len(candidates)
+            for ipid in candidates:
+                self.attacker.inject(
+                    IPv4Packet(
+                        src=self.plan.nameserver_ip,
+                        dst=self.plan.resolver_ip,
+                        protocol=IPProtocol.UDP,
+                        payload=payload,
+                        ipid=ipid,
+                        more_fragments=False,
+                        fragment_offset=offset_units,
+                    )
                 )
-                for ipid in self.prediction.candidates(
-                    self.plan.ipid_candidates, lookahead=0.0
-                )
-            ]
-            self.attacker.stats.spoofed_fragments_sent += len(burst)
-            self.fragments_sent += len(burst)
-            self.attacker.inject_burst(burst)
         self.refreshes += 1
         self._refresh_event = self.simulator.schedule(
             self.plan.refresh_interval, self._plant_round, label="poisoner-refresh"

@@ -31,7 +31,7 @@ crafts one spoofed datagram per active member and hands the round to
 On a uniform network plan (every server routed, lossless, fault-free, one
 latency) the spray travels as a single heap entry of raw datagrams; any
 other plan, or an attached capture, makes the network materialise the
-spoofed packets and deliver them through its burst path instead.  Either
+spoofed packets and inject them one by one instead.  Either
 way the round is *event-for-event equivalent* to one self-rescheduling
 event per campaign: the cohort entry consumes one sequence number and
 counts one processed event per member, members fire in start order, and

@@ -1,38 +1,33 @@
-"""Burst execution: same-instant deliveries drained from one heap entry.
+"""Batch execution: same-instant UDP datagrams drained from one heap entry.
 
 The paper's attacks are *flood-shaped*: an attacker emits dozens of
-near-identical packets at one simulated instant (a spoofed-query round, an
-IPID fragment spray), and every server that does not rate-limit answers
-each of them.  One heap push and pop per packet is exactly the cost such
-bursts make redundant, so the network pushes a same-instant group as one
-burst heap entry (the event-loop side lives in
-:mod:`repro.netsim.simulator`).  Two payload shapes exist:
+near-identical datagrams at one simulated instant (a spoofed-query round),
+and every server that does not rate-limit answers each of them.  One heap
+push and pop per datagram is exactly the cost such floods make redundant,
+so the network pushes a same-instant group as one burst heap entry (the
+event-loop side lives in :mod:`repro.netsim.simulator`).  The payload is a
+:class:`DatagramBatch`: UDP datagrams travelling as bytes, no packet
+objects.  Two senders fill one:
 
-* :class:`DatagramBatch` — UDP datagrams travelling as bytes, no packet
-  objects.  Two senders fill one:
-  :meth:`repro.netsim.network.Network.send_datagram` (every socket send
+* :meth:`repro.netsim.network.Network.send_datagram` (every socket send
   that fits its path MTU) appends to the network's open batch while the
   datagram is due at the batch's instant and takes the next contiguous
-  sequence number, and
-  :meth:`~repro.netsim.network.Network.transmit_spray` (the spoofing round
+  sequence number;
+* :meth:`~repro.netsim.network.Network.transmit_spray` (the spoofing round
   of the run-time attack) fills a closed batch of spoofed datagrams from
-  its cached plan.  Only *uniform* pairs — routed, lossless, fault-free,
-  no capture attached — travel this way.  The drain makes one pass per
-  datagram: sweep the host's expired reassembly buckets when it holds
-  any, unpack the UDP header, verify the RFC 768 checksum from that
-  datagram's own bytes when the host's profile verifies, bump the host
-  stats, demux, call the handler.  A destination with a packet tap
-  installed gets a materialised packet through ``pipeline.deliver``
-  instead.
-* :class:`DeliveryBurst` — everything else: fragment sprays and the spray
-  fallback (lossy, faulted, unrouted or mixed-latency pairs, or an
-  attached capture) go through
-  :meth:`~repro.netsim.network.Network.transmit_burst`, which groups
-  same-instant packets into entries drained by a plain in-order
-  ``pipeline.deliver`` loop.
+  its cached plan.
 
-Equivalence contract: both drains are *event-for-event* equivalent to the
-per-packet deliveries they replace — same delivery order, same stats and
+Only *uniform* pairs — routed, lossless, fault-free, no capture attached —
+travel this way; everything else (fragments, the spray fallback) is a
+packet sent by :meth:`~repro.netsim.network.Network.transmit`.  The drain
+makes one pass per datagram: sweep the host's expired reassembly buckets
+when it holds any, unpack the UDP header, verify the RFC 768 checksum from
+that datagram's own bytes when the host's profile verifies, bump the host
+stats, demux, call the handler.  A destination with a packet tap installed
+gets a materialised packet through ``pipeline.deliver`` instead.
+
+Equivalence contract: the drain is *event-for-event* equivalent to the
+per-packet deliveries it replaces — same delivery order, same stats and
 defrag bookkeeping, same handler observations, same accept/reject per
 checksum — pinned by ``tests/properties/test_prop_burst.py``, the
 send-path properties in ``tests/properties/test_prop_send_datagram.py``
@@ -41,12 +36,12 @@ starts, so a reply sent during the drain over a zero-latency link opens a
 new batch instead of growing the one being drained.
 
 Stage attribution: while ``repro.perf.STAGES`` collection is enabled the
-batch drain runs the same loop with timers: handler calls are attributed
-to the ``handler`` stage, materialised deliveries to the stages of the
-timed datapath twin they route through (``defrag``, ``checksum``,
-``demux``, ``handler``), and the rest of the pass (header unpack,
-checksum, stats, demux) to ``burst_drain``.  These are the buckets the
-benchmark's traced pass reads through ``STAGES.merged()``.
+drain runs the same loop with timers: handler calls are attributed to the
+``handler`` stage, materialised deliveries to the stages
+:meth:`repro.netsim.datapath.HostDatapath.deliver` records (``defrag``,
+``checksum``, ``demux``, ``handler``), and the rest of the pass (header
+unpack, checksum, stats, demux) to ``burst_drain``.  These are the buckets
+the benchmark's traced pass reads through ``STAGES.merged()``.
 """
 
 from __future__ import annotations
@@ -58,28 +53,10 @@ from repro.perf import STAGES, perf_counter
 
 _UNPACK_UDP_HEADER = _UDP_HEADER.unpack_from
 
-#: Hard cap on deliveries per burst heap entry: bounds the latency of one
-#: atomic drain (the network splits larger same-instant groups).
+#: Hard cap on datagrams per batch heap entry: bounds the latency of one
+#: atomic drain (``send_datagram`` opens a new batch past it, and a larger
+#: spray takes the packet fallback).
 MAX_DELIVERY_BURST = 4096
-
-
-class DeliveryBurst:
-    """N same-instant packet deliveries packed into one heap entry.
-
-    ``items`` is a list of ``(pipeline, packet)`` pairs in delivery order;
-    ``count`` is what the simulator adds to ``events_processed`` when the
-    entry drains (one per packet, exactly as N singular entries would).
-    """
-
-    __slots__ = ("items", "count")
-
-    def __init__(self, items: list) -> None:
-        self.items = items
-        self.count = len(items)
-
-    def run(self) -> None:
-        for pipeline, packet in self.items:
-            pipeline.deliver(packet)
 
 
 class DatagramBatch:

@@ -28,10 +28,10 @@ link and cached:
   delivery.
 
 Stage attribution: while ``repro.perf.STAGES`` collection is enabled,
-packet delivery routes through an instrumented twin that accumulates
-per-stage wall time (``defrag``, ``checksum``, ``demux``, ``handler``)
-into the slots ``STAGES`` keeps for these four stages.  Timing never
-feeds the simulation, so instrumented runs remain bit-identical.
+:meth:`HostDatapath.deliver` records per-stage wall time (``defrag``,
+``checksum``, ``demux``, ``handler``) as it goes; the same body runs with
+collection off, minus the timer reads.  Timing never feeds the
+simulation, so instrumented runs remain bit-identical.
 
 Private-attribute access: the flat paths read ``Simulator._now``,
 ``DefragmentationCache._buckets`` and ``Host._sockets`` directly.  These
@@ -47,12 +47,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.netsim.icmp import ICMPMessage
 from repro.netsim.packet import IPProtocol, IPv4Packet
 from repro.netsim.sockets import ReceivedDatagram
-from repro.netsim.udp import (
-    UDP_HEADER_LEN,
-    _UDP_HEADER,
-    _address_word_sum,
-    udp_checksum_arith,
-)
+from repro.netsim.udp import UDP_HEADER_LEN, _UDP_HEADER, udp_checksum_arith
 from repro.perf import STAGES, perf_counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
@@ -174,71 +169,63 @@ class HostDatapath:
         Byte-for-byte and counter-for-counter equivalent to the
         pre-refactor ``Host.receive`` → ``DefragmentationCache`` →
         ``decode_udp`` → ``UDPSocket.deliver`` chain (pinned by the golden
-        determinism test), flattened into one frame.
+        determinism test), flattened into one frame.  While stage
+        collection is enabled it also times the ``defrag``, ``checksum``,
+        ``demux`` and ``handler`` stages of each UDP delivery.
         """
-        if STAGES.enabled:
-            return self._deliver_timed(packet)
-        host = self.host
-        tap = host.packet_tap
+        tap = self.host.packet_tap
         if tap is not None:
             tap(packet)
         if packet.protocol is not _UDP:
             return self._deliver_other(packet)
+        timed = STAGES.enabled
+        if timed:
+            t0 = perf_counter()
         if packet.more_fragments or packet.fragment_offset:
             packet = self._reassemble(packet)
-            if packet is None:
-                return
         elif self.defrag_buckets:
             # Real kernels sweep reassembly timers on every arrival; the
             # empty-cache case (almost every packet) skips it entirely.
             self.defrag.purge_expired(self.simulator._now)
-        stats = self.stats
+        if timed:
+            t1 = perf_counter()
+            STAGES.add("defrag", t1 - t0)
+        if packet is None:
+            return
         data = packet.payload
         size = len(data)
-        if size < UDP_HEADER_LEN:
-            stats.udp_checksum_failures += 1
+        ok = size >= UDP_HEADER_LEN
+        if ok:
+            src_port, dst_port, length, checksum = _UNPACK_UDP_HEADER(data)
+            ok = length == size
+        if ok:
+            payload = data[UDP_HEADER_LEN:]
+            if checksum and self.verify_checksum:
+                ok = checksum == udp_checksum_arith(
+                    packet.src, packet.dst, src_port, dst_port, payload
+                )
+        if timed:
+            t2 = perf_counter()
+            STAGES.add("checksum", t2 - t1)
+        if not ok:
+            self.stats.udp_checksum_failures += 1
             return
-        src_port, dst_port, length, checksum = _UNPACK_UDP_HEADER(data)
-        if length != size:
-            stats.udp_checksum_failures += 1
-            return
-        payload = data[UDP_HEADER_LEN:]
-        if checksum and self.verify_checksum:
-            # Arithmetic verify, inlined and deliberately uncached: spoofing
-            # sweeps present a new payload per packet, so a memo here would
-            # pay hashing and eviction for a ~0% hit rate; the extra call
-            # frames of udp_checksum_arith cost ~6% of a Table II run on
-            # this path.  Mirrors udp_checksum_arith / _fold_checksum word
-            # for word — drift is caught by test_prop_checksum's
-            # TestDeliverVerifyPinnedToArith, which pins this path and the
-            # timed twin (it calls udp_checksum_arith instead) to the same
-            # accept/reject verdict.
-            padded = payload + b"\x00" if (size - UDP_HEADER_LEN) & 1 else payload
-            folded = (
-                _address_word_sum(packet.src)
-                + _address_word_sum(packet.dst)
-                + 17
-                + length
-                + length
-                + src_port
-                + dst_port
-                + int.from_bytes(padded, "big") % 0xFFFF
-            ) % 0xFFFF
-            expected = ~(folded if folded else 0xFFFF) & 0xFFFF
-            if (expected if expected else 0xFFFF) != checksum:
-                stats.udp_checksum_failures += 1
-                return
-        stats.udp_received += 1
+        self.stats.udp_received += 1
         socket = self.sockets.get(dst_port)
-        if socket is None or socket.closed:
-            return
-        handler = socket.on_datagram
+        handler = None
+        if socket is not None and not socket.closed:
+            handler = socket.on_datagram
+            if handler is None:
+                socket.inbox.append(
+                    ReceivedDatagram(payload, packet.src, src_port, self.simulator._now)
+                )
+        if timed:
+            t3 = perf_counter()
+            STAGES.add("demux", t3 - t2)
         if handler is not None:
             handler(payload, packet.src, src_port)
-        else:
-            socket.inbox.append(
-                ReceivedDatagram(payload, packet.src, src_port, self.simulator._now)
-            )
+            if timed:
+                STAGES.add("handler", perf_counter() - t3)
 
     # ----------------------------------------------------------- slow paths
     def _reassemble(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
@@ -259,75 +246,3 @@ class HostDatapath:
         # Mirrors the defrag bookkeeping of the UDP path; a reassembled
         # non-UDP packet has no deliverable upper layer in this simulator.
         self.defrag.add_fragment(packet, self.simulator._now)
-
-    # -------------------------------------------------------- instrumented
-    def _deliver_timed(self, packet: IPv4Packet) -> None:
-        """The stage-attributing twin of :meth:`deliver`.
-
-        Accumulates per-stage wall time into the ``STAGES`` delivery-stage
-        slots.  Only runs while stage collection is enabled; headline
-        throughput numbers are measured on the uninstrumented path.
-        """
-        stages = STAGES
-        host = self.host
-        tap = host.packet_tap
-        if tap is not None:
-            tap(packet)
-        if packet.protocol is not _UDP:
-            return self._deliver_other(packet)
-        t0 = perf_counter()
-        if packet.more_fragments or packet.fragment_offset:
-            packet = self._reassemble(packet)
-            t1 = perf_counter()
-            stages.t_defrag += t1 - t0
-            stages.n_defrag += 1
-            if packet is None:
-                return
-        else:
-            if self.defrag_buckets:
-                self.defrag.purge_expired(self.simulator._now)
-            t1 = perf_counter()
-            stages.t_defrag += t1 - t0
-            stages.n_defrag += 1
-        stats = self.stats
-        data = packet.payload
-        size = len(data)
-        ok = size >= UDP_HEADER_LEN
-        if ok:
-            src_port, dst_port, length, checksum = _UNPACK_UDP_HEADER(data)
-            ok = length == size
-        if ok:
-            payload = data[UDP_HEADER_LEN:]
-            if checksum and self.verify_checksum:
-                ok = checksum == udp_checksum_arith(
-                    packet.src, packet.dst, src_port, dst_port, payload
-                )
-        t2 = perf_counter()
-        stages.t_checksum += t2 - t1
-        stages.n_checksum += 1
-        if not ok:
-            stats.udp_checksum_failures += 1
-            return
-        stats.udp_received += 1
-        socket = self.sockets.get(dst_port)
-        if socket is None or socket.closed:
-            t3 = perf_counter()
-            stages.t_demux += t3 - t2
-            stages.n_demux += 1
-            return
-        handler = socket.on_datagram
-        if handler is None:
-            socket.inbox.append(
-                ReceivedDatagram(payload, packet.src, src_port, self.simulator._now)
-            )
-            t3 = perf_counter()
-            stages.t_demux += t3 - t2
-            stages.n_demux += 1
-            return
-        t3 = perf_counter()
-        stages.t_demux += t3 - t2
-        stages.n_demux += 1
-        handler(payload, packet.src, src_port)
-        t4 = perf_counter()
-        stages.t_handler += t4 - t3
-        stages.n_handler += 1

@@ -21,14 +21,16 @@ and, on a *uniform* pair (routed, lossless, fault-free, no capture
 attached), sends it as bytes: appended to the open
 :class:`~repro.netsim.burst.DatagramBatch` when that batch is due at the
 same instant and the datagram takes the next sequence number, else pushed
-as a new batch heap entry.  Anything else is a packet, sent by
-:meth:`Network.transmit` with one heap push.  A spoofing round — one
-source spraying one datagram at each of many destinations — goes through
+as a new batch heap entry.  A spoofing round — one source spraying one
+datagram at each of many destinations — goes through
 :meth:`Network.transmit_spray`, which resolves the round's pipelines once
 into a plan cached per (src, destinations) and, when the plan is uniform,
-pushes the round as one batch of raw datagrams.  Whether a delivery
-verifies the UDP checksum is the receiving host's ``OSProfile`` decision,
-read at delivery time.
+pushes the round as one batch of raw datagrams.  Everything else is a
+packet — fragments, sends over lossy or faulted pairs or with a capture
+attached, a non-uniform spray — and every packet send is one
+:meth:`Network.transmit` call with one heap push per delivery.  Whether a
+delivery verifies the UDP checksum is the receiving host's ``OSProfile``
+decision, read at delivery time.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappush
 from itertools import repeat
-from typing import Iterable, Optional
+from typing import Optional
 
-from repro.netsim.burst import DatagramBatch, DeliveryBurst, MAX_DELIVERY_BURST
+from repro.netsim.burst import DatagramBatch, MAX_DELIVERY_BURST
 from repro.netsim.capture import PacketCapture
 from repro.netsim.datapath import DeliveryPipeline, UNROUTED_PIPELINE
 from repro.netsim.errors import AddressError, NoRouteError, SimulationError
@@ -546,123 +548,6 @@ class Network:
             simulator._sequence = sequence + 1
             heappush(queue, (now + latency + extra, sequence, deliver, delivered))
 
-    def transmit_burst(self, packets: Iterable[IPv4Packet]) -> None:
-        """Deliver a burst through the coalesced burst engine.
-
-        *Logically* event-for-event equivalent to calling :meth:`transmit`
-        once per packet in order (pinned by a property test): the same
-        sequence-number allocation, the same execution order, the same
-        loss draws, capture observations, counters and delivered bytes.
-        The heap-entry *shape* differs — consecutive packets delivered at
-        the same instant are pushed as one
-        :class:`~repro.netsim.burst.DeliveryBurst` entry (capped at
-        :data:`~repro.netsim.burst.MAX_DELIVERY_BURST` packets) — which is
-        what makes a fragment spray cost one heap push instead of N.
-        """
-        pipelines_get = self._pipelines.get
-        compile_pipeline = self._compile_pipeline
-        captures = self._captures
-        rng_random = self._rng.random
-        strict = self.strict_routing
-        simulator = self.simulator
-        now = simulator._now  # constant: no event runs mid-burst
-        group: list = []
-        group_time = 0.0
-        flush = self._flush_burst_group
-        # Counters accumulate locally and reconcile once (and before the
-        # strict-routing raise), keeping the per-packet loop free of
-        # attribute read-modify-writes.
-        transmitted = 0
-        dropped = 0
-        try:
-            for packet in packets:
-                transmitted += 1
-                pipeline = pipelines_get((packet.src, packet.dst))
-                if pipeline is None:
-                    pipeline = compile_pipeline(packet.src, packet.dst)
-                if pipeline.deliver is None:
-                    if strict:
-                        # Keep exception semantics aligned with singular
-                        # calls: everything before the unroutable packet is
-                        # already on the wire.
-                        if group:
-                            flush(group, group_time)
-                            group = []
-                        raise NoRouteError(f"no host at {packet.dst}")
-                    dropped += 1
-                    continue
-                if pipeline.loss_probability > 0 and rng_random() < pipeline.loss_probability:
-                    dropped += 1
-                    continue
-                if pipeline.faults is not None:
-                    # Faulted pair: the channel's deliveries feed the same
-                    # grouping, so a corrupted copy landing at the group's
-                    # instant enters the DeliveryBurst and is rejected by
-                    # the scalar verify on delivery; jittered/duplicated
-                    # deliveries at other instants split the group exactly
-                    # as a latency change would.
-                    if STAGES.enabled:
-                        t0 = perf_counter()
-                        deliveries = pipeline.faults.process(packet, now)
-                        STAGES.add_many("faults", perf_counter() - t0, 1)
-                    else:
-                        deliveries = pipeline.faults.process(packet, now)
-                    if not deliveries:
-                        dropped += 1
-                        continue
-                    for extra, delivered in deliveries:
-                        if captures:
-                            for capture in captures:
-                                capture.observe(delivered, now)
-                        deliver_at = now + pipeline.latency + extra
-                        if group:
-                            if deliver_at == group_time and len(group) < MAX_DELIVERY_BURST:
-                                group.append((pipeline, delivered))
-                                continue
-                            flush(group, group_time)
-                        group = [(pipeline, delivered)]
-                        group_time = deliver_at
-                    continue
-                if captures:
-                    for capture in captures:
-                        capture.observe(packet, now)
-                deliver_at = now + pipeline.latency
-                if group:
-                    if deliver_at == group_time and len(group) < MAX_DELIVERY_BURST:
-                        group.append((pipeline, packet))
-                        continue
-                    flush(group, group_time)
-                group = [(pipeline, packet)]
-                group_time = deliver_at
-            if group:
-                flush(group, group_time)
-        finally:
-            self.packets_transmitted += transmitted
-            self.packets_dropped += dropped
-
-    def _flush_burst_group(self, group: list, deliver_at: float) -> None:
-        """Push one same-instant delivery group as a single heap entry.
-
-        A single-packet group degrades to the exact anonymous entry
-        :meth:`transmit` would have pushed; larger groups become one
-        :class:`~repro.netsim.burst.DeliveryBurst` entry consuming one
-        sequence number per packet (friend access to the simulator's heap,
-        mirroring the inlined post of the singular path).
-        """
-        simulator = self.simulator
-        sequence = simulator._sequence
-        count = len(group)
-        if count == 1:
-            pipeline, packet = group[0]
-            simulator._sequence = sequence + 1
-            heappush(
-                simulator._queue, (deliver_at, sequence, pipeline.deliver, packet)
-            )
-            return
-        simulator._sequence = sequence + count
-        simulator.bursts_posted += 1
-        heappush(simulator._queue, (deliver_at, sequence, DeliveryBurst(group), _BURST))
-
     def transmit_spray(
         self, src: str, destinations: tuple, datagrams: list, ipids: list
     ) -> None:
@@ -679,9 +564,9 @@ class Network:
         :class:`~repro.netsim.burst.DatagramBatch` of spoofed datagrams
         that consumes one sequence number per datagram; no packet object
         is built unless a destination needs one at delivery.  Anything else
-        materialises the spoofed-tagged packets and takes
-        :meth:`transmit_burst`, so loss draws, fault channels and captures
-        behave exactly as for packets.
+        is the packet fallback: each datagram becomes a packet sent by
+        :meth:`inject`, so loss draws, fault channels and captures behave
+        exactly as for any other packet.
         """
         if not datagrams:
             return
@@ -690,10 +575,8 @@ class Network:
             plan = self._compile_spray_plan(src, destinations)
         _epoch, latency, targets = plan
         if targets is None or self._captures:
-            self.inject_burst(
-                IPv4Packet.udp(src, dst, datagram, ipid)
-                for dst, datagram, ipid in zip(destinations, datagrams, ipids)
-            )
+            for dst, datagram, ipid in zip(destinations, datagrams, ipids):
+                self.inject(IPv4Packet.udp(src, dst, datagram, ipid))
             return
         count = len(datagrams)
         self.packets_transmitted += count
@@ -742,16 +625,6 @@ class Network:
             plans.clear()
         plans[(src, destinations)] = plan
         return plan
-
-    def inject_burst(
-        self, packets: Iterable[IPv4Packet], mark_spoofed: bool = True
-    ) -> None:
-        """Off-path injection through the burst engine (see :meth:`transmit_burst`)."""
-        packets = list(packets)
-        if mark_spoofed:
-            for packet in packets:
-                packet.metadata.setdefault("spoofed", True)
-        self.transmit_burst(packets)
 
     def inject(self, packet: IPv4Packet, mark_spoofed: bool = True) -> None:
         """Off-path injection of a (typically source-spoofed) packet.

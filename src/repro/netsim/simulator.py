@@ -20,10 +20,10 @@ coexist:
   which schedules millions of events per experiment and never cancels one.
 * ``(time, sequence, burst, _BURST)`` — *burst* entries created by
   :meth:`Simulator.post_burst_entry` (or pushed directly by the network's
-  batched transmit path).  One heap entry stands for ``burst.count``
+  datagram-batch sends).  One heap entry stands for ``burst.count``
   logical events firing at the same instant: the entry consumes ``count``
   contiguous sequence numbers at creation and counts ``count`` towards
-  ``events_processed`` when drained, so an injected burst of N packets
+  ``events_processed`` when drained, so a batch of N datagrams
   costs one heap push and one pop instead of N — while remaining
   event-for-event equivalent (ordering, counters, :meth:`pending`) to N
   singular posts.  Bursts are atomic: ``run(max_events=...)`` never splits
@@ -177,7 +177,7 @@ class Simulator:
         self._spawned = 0
         self.events_processed = 0
         #: Burst heap entries created so far (post_burst_entry / the
-        #: network's batched transmit).  ``events_processed`` already
+        #: network's datagram batches).  ``events_processed`` already
         #: counts burst members individually; this counter exposes how much
         #: coalescing the run actually achieved.
         self.bursts_posted = 0
@@ -287,7 +287,7 @@ class Simulator:
         The entry consumes ``burst.count`` sequence numbers and counts that
         many events when drained; ``burst.run()`` must therefore perform
         exactly ``count`` logical events' worth of work, in a flat loop body
-        of its own (the network's delivery bursts, the association
+        of its own (the network's datagram batches, the association
         remover's rounds).  That keeps it event-for-event equivalent to
         ``count`` singular :meth:`post` calls — same contiguous
         sequence-number block, same execution order, same

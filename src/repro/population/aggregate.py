@@ -10,20 +10,12 @@ the fleet size.  Aggregates merge associatively (cell + cell = region), and
 serialise to plain-JSON documents the store appends via
 :meth:`repro.experiments.store.SweepWriter.append_aggregate`.
 
-This module deliberately imports nothing else from ``repro`` and keeps
-numpy optional (vectorised ``add_many`` when present, pure-python fold
-otherwise) so aggregation works in minimal worker environments — pinned by
-a numpy-absent subprocess test.
+This module deliberately imports nothing else from ``repro``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, Optional, Sequence
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via subprocess test
-    np = None
 
 
 class FixedBinHistogram:
@@ -63,25 +55,6 @@ class FixedBinHistogram:
         self.counts[min(index, self.bins - 1)] += 1
 
     def add_many(self, values: Iterable[float]) -> None:
-        if np is not None:
-            array = np.asarray(list(values), dtype=float)
-            if array.size == 0:
-                return
-            self.total += int(array.size)
-            below = array < self.lo
-            above = array >= self.hi
-            self.underflow += int(below.sum())
-            self.overflow += int(above.sum())
-            inside = array[~(below | above)]
-            if inside.size:
-                indices = (
-                    (inside - self.lo) * self.bins / (self.hi - self.lo)
-                ).astype(int)
-                indices = np.minimum(indices, self.bins - 1)
-                folded = np.bincount(indices, minlength=self.bins)
-                for index in np.nonzero(folded)[0]:
-                    self.counts[int(index)] += int(folded[index])
-            return
         for value in values:
             self.add(value)
 

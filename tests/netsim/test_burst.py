@@ -1,12 +1,13 @@
-"""Unit tests for the burst engine: simulator entries and burst delivery."""
+"""Unit tests for simulator burst entries and spray delivery."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.netsim.errors import SimulationError
+from repro.netsim.faults import ReorderJitter
 from repro.netsim.host import OSProfile
-from repro.netsim.network import Network
+from repro.netsim.network import Link, Network
 from repro.netsim.packet import IPv4Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.udp import UDPDatagram, encode_udp
@@ -194,11 +195,24 @@ def star_world(count: int, latency: float = 0.01):
     return sim, network, received, packets
 
 
+def spray(network, packets) -> None:
+    """``transmit_spray`` of the packets' datagrams from their one source."""
+    network.transmit_spray(
+        packets[0].src,
+        tuple(packet.dst for packet in packets),
+        [packet.payload for packet in packets],
+        [packet.ipid for packet in packets],
+    )
+
+
 class TestTransmitBurstDelivery:
-    def test_spray_delivers_in_order_as_one_heap_entry(self):
+    """A burst of packets, one ``transmit`` each, and the packet fallback of
+    ``transmit_spray`` that sends them that way."""
+
+    def test_spray_delivers_in_order(self):
         sim, network, received, packets = star_world(8)
-        network.transmit_burst(packets)
-        assert sim.bursts_posted == 1
+        for packet in packets:
+            network.transmit(packet)
         assert sim.pending() == 8
         sim.run()
         assert [dst for dst, _ in received] == [p.dst for p in packets]
@@ -206,12 +220,11 @@ class TestTransmitBurstDelivery:
 
     def test_mixed_latency_spray_splits_groups(self):
         sim, network, received, packets = star_world(4)
-        from repro.netsim.network import Link
-
-        # Middle destination gets a slower link: the spray splits into
-        # same-instant groups around it, preserving delivery order per time.
+        # Middle destination gets a slower link: the spray is not uniform,
+        # so it takes the packet fallback, and delivery follows arrival time.
         network.set_link("192.0.2.1", packets[1].dst, Link(latency=0.5))
-        network.transmit_burst(packets)
+        spray(network, packets)
+        assert sim.bursts_posted == 0  # the packet fallback
         sim.run()
         fast = [p.dst for i, p in enumerate(packets) if i != 1]
         assert [dst for dst, _ in received] == fast + [packets[1].dst]
@@ -221,7 +234,13 @@ class TestTransmitBurstDelivery:
         bad = packets[2]
         payload = encode_udp("9.9.9.9", bad.dst, UDPDatagram(5353, 4242, b"y" * 48))
         packets[2] = IPv4Packet.udp(bad.src, bad.dst, payload, 2)
-        network.transmit_burst(packets)
+        # A jittered link to the corrupted datagram's destination: the spray
+        # takes the packet fallback through that pair's fault channel.
+        network.set_link_faults(
+            "192.0.2.1", bad.dst, ReorderJitter(1.0, max_delay=0.001)
+        )
+        spray(network, packets)
+        assert sim.bursts_posted == 0  # the packet fallback
         sim.run()
         assert len(received) == 5
         assert network.host(bad.dst).stats.udp_checksum_failures == 1
@@ -255,10 +274,10 @@ class TestSprayVerifyDecision:
                     [packet.ipid for packet in packets],
                 )
             else:
-                network.inject_burst(
-                    IPv4Packet.udp("192.0.2.1", packet.dst, datagram, packet.ipid)
-                    for packet, datagram in zip(packets, datagrams)
-                )
+                for packet, datagram in zip(packets, datagrams):
+                    network.inject(
+                        IPv4Packet.udp("192.0.2.1", packet.dst, datagram, packet.ipid)
+                    )
             for host in receivers:  # verification switched on mid-flight
                 host.profile = OSProfile()
                 host.datapath.recompile()

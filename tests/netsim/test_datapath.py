@@ -3,6 +3,7 @@ batched delivery, strict routing and pipeline stage attribution."""
 
 import pytest
 
+from repro.netsim.capture import PacketCapture
 from repro.netsim.datapath import UNROUTED_PIPELINE
 from repro.netsim.errors import NetSimError, NoRouteError
 from repro.netsim.host import OSProfile
@@ -99,12 +100,21 @@ class TestStrictRouting:
             pytest.fail("strict routing did not raise for an unknown destination")
 
     def test_strict_batch_raises_too(self):
-        _, net, _, _ = make_net(strict_routing=True)
-        packet = IPv4Packet(
-            src="10.0.0.1", dst="172.16.0.1", protocol=IPProtocol.UDP, payload=b""
-        )
+        """A spray with an unrouted destination takes the packet fallback,
+        which raises at that datagram after sending the ones before it."""
+        sim, net, _, b = make_net(strict_routing=True)
+        received = []
+        b.bind(53, lambda payload, ip, port: received.append(payload))
+        destinations = ("10.0.0.2", "172.16.0.1", "10.0.0.2")
+        datagrams = [
+            encode_udp("10.0.0.1", dst, UDPDatagram(4000, 53, b"x"))
+            for dst in destinations
+        ]
         with pytest.raises(NoRouteError):
-            net.transmit_burst([packet])
+            net.transmit_spray("10.0.0.1", destinations, datagrams, [1, 2, 3])
+        sim.run()
+        assert received == [b"x"]
+        assert net.packets_transmitted == 2
 
 
 class TestPipelineCache:
@@ -174,53 +184,129 @@ class TestPipelineCache:
 
 
 class TestBatchedDelivery:
-    def _query_packet(self, src, dst, ipid):
-        payload = encode_udp(src, dst, UDPDatagram(4000, 53, b"ping"))
-        return IPv4Packet.udp(src, dst, payload, ipid)
+    """The packet fallback of ``transmit_spray``: one ``inject`` per
+    datagram."""
 
-    def test_transmit_burst_counts_and_delivers(self):
+    def _spray(self, net, destinations):
+        datagrams = [
+            encode_udp("10.0.0.1", dst, UDPDatagram(4000, 53, b"ping"))
+            for dst in destinations
+        ]
+        net.transmit_spray(
+            "10.0.0.1", tuple(destinations), datagrams, list(range(len(destinations)))
+        )
+
+    def test_spray_fallback_counts_and_delivers(self):
         sim, net, a, b = make_net()
         received = []
         b.bind(53, lambda payload, ip, port: received.append(payload))
-        packets = [self._query_packet("10.0.0.1", "10.0.0.2", i) for i in range(8)]
-        packets.append(self._query_packet("10.0.0.1", "172.16.0.1", 99))  # unrouted
-        net.transmit_burst(packets)
+        self._spray(net, ["10.0.0.2"] * 8 + ["172.16.0.1"])  # the last is unrouted
+        assert sim.bursts_posted == 0  # the packet fallback
         sim.run()
         assert received == [b"ping"] * 8
         assert net.packets_transmitted == 9
         assert net.packets_dropped == 1
 
-    def test_inject_burst_marks_spoofed(self):
+    def test_spray_fallback_marks_spoofed(self):
         sim, net, a, b = make_net()
-        packets = [self._query_packet("10.0.0.1", "10.0.0.2", i) for i in range(3)]
-        net.inject_burst(packets)
-        assert all(p.metadata["spoofed"] for p in packets)
+        capture = PacketCapture(name="spoofed")
+        net.attach_capture(capture)  # a capture forces the packet fallback
+        self._spray(net, ["10.0.0.2"] * 3)
+        assert len(capture.packets) == 3
+        assert all(c.packet.metadata["spoofed"] for c in capture.packets)
 
 
 class TestStageAttribution:
     """A socket send that fits its path MTU travels as bytes and drains as
-    ``burst_drain`` + ``handler``; only materialised packets (here: the
-    fragments of an oversized send) reach the timed datapath twin."""
+    ``burst_drain`` + ``handler``; only materialised packets (fragments,
+    deliveries to a tapped host) reach ``HostDatapath.deliver``, which
+    times the ``defrag``, ``checksum``, ``demux`` and ``handler`` stages."""
 
     def test_pipeline_stages_counted_when_enabled(self):
-        STAGES.reset()
-        STAGES.enable()
-        try:
-            sim, net, a, b = make_net()
-            a.interface_mtu = 576  # the send below leaves as fragments
-            received = []
-            b.bind(53, lambda payload, ip, port: received.append(payload))
-            a.bind(4000).sendto(b"hello" * 200, "10.0.0.2", 53)
-            sim.run()
-            _times, calls = STAGES.merged()
-        finally:
-            STAGES.disable()
+        """Exact per-delivery stage counts for both packet inputs — the two
+        fragments of an oversized send, and a spray whose second datagram
+        is materialised for a tapped host — and the same observations with
+        the counters on or off."""
+        stage_names = ("burst_drain", "defrag", "checksum", "demux", "handler")
+
+        def run(enable):
             STAGES.reset()
-        assert received == [b"hello" * 200]
-        assert a.stats.packets_fragmented == 1
-        for name in ("defrag", "checksum", "demux", "handler"):
-            assert calls.get(name, 0) >= 1, calls
-        assert "burst_drain" not in calls, calls
+            if enable:
+                STAGES.enable()
+            try:
+                sim, net, a, b = make_net()
+                c = net.add_host("c", "10.0.0.3")
+                received, tapped = [], []
+                for host in (b, c):
+                    host.bind(
+                        53,
+                        lambda payload, ip, port, _to=host.ip: received.append(
+                            (_to, ip, port, payload)
+                        ),
+                    )
+                c.packet_tap = lambda packet: tapped.append(
+                    (
+                        packet.src,
+                        packet.payload,
+                        packet.ipid,
+                        packet.metadata.get("spoofed"),
+                    )
+                )
+                a.interface_mtu = 576  # the send below leaves as two fragments
+                a.bind(4000).sendto(b"hello" * 200, "10.0.0.2", 53)
+                sim.run()
+                calls = [STAGES.merged()[1]]
+                STAGES.reset()
+                destinations = ("10.0.0.2", "10.0.0.3")
+                datagrams = [
+                    encode_udp("10.0.0.1", dst, UDPDatagram(4001, 53, b"spray"))
+                    for dst in destinations
+                ]
+                net.transmit_spray("10.0.0.1", destinations, datagrams, [5, 6])
+                sim.run()
+                calls.append(STAGES.merged()[1])
+                stats = [
+                    (
+                        host.stats.udp_received,
+                        host.stats.udp_checksum_failures,
+                        host.stats.packets_fragmented,
+                        host.defrag.stats.packets_reassembled,
+                    )
+                    for host in (a, b, c)
+                ]
+                stages = [
+                    {name: n for name, n in run_calls.items() if name in stage_names}
+                    for run_calls in calls
+                ]
+                return received, tapped, stats, stages
+            finally:
+                STAGES.disable()
+                STAGES.reset()
+
+        received, tapped, stats, (fragmented, sprayed) = run(True)
+        assert (received, tapped, stats) == run(False)[:3]
+        assert received == [
+            ("10.0.0.2", "10.0.0.1", 4000, b"hello" * 200),
+            ("10.0.0.2", "10.0.0.1", 4001, b"spray"),
+            ("10.0.0.3", "10.0.0.1", 4001, b"spray"),
+        ]
+        sprayed_to_c = encode_udp(
+            "10.0.0.1", "10.0.0.3", UDPDatagram(4001, 53, b"spray")
+        )
+        assert tapped == [("10.0.0.1", sprayed_to_c, 6, True)]
+        assert stats[0][2] == 1  # a fragmented the send
+        # Two fragment deliveries pass defrag; the reassembled datagram is
+        # checked, demuxed and handled once.
+        assert fragmented == {"defrag": 2, "checksum": 1, "demux": 1, "handler": 1}
+        # The drain counts both datagrams and handles the untapped one; the
+        # tapped one is one full datapath delivery.
+        assert sprayed == {
+            "burst_drain": 2,
+            "defrag": 1,
+            "checksum": 1,
+            "demux": 1,
+            "handler": 2,
+        }
 
     def test_stages_not_counted_when_disabled(self):
         STAGES.reset()

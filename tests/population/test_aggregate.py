@@ -1,17 +1,10 @@
-"""Streaming aggregates: histograms, merges, and numpy-free operation."""
+"""Streaming aggregates: histograms, merges and document round trips."""
 
 from __future__ import annotations
-
-import json
-import os
-import subprocess
-import sys
 
 import pytest
 
 from repro.population.aggregate import FixedBinHistogram, StreamingAggregate
-
-REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
 class TestFixedBinHistogram:
@@ -130,69 +123,3 @@ class TestStreamingAggregate:
         aggregate = StreamingAggregate()
         assert aggregate.success_rate == 0.0
         assert aggregate.to_document()["shift_quantiles"]["p50"] is None
-
-
-BLOCKER_PRELUDE = """
-import importlib.abc
-import os
-import sys
-import types
-
-class _NumpyBlocker(importlib.abc.MetaPathFinder):
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ImportError(f"numpy blocked for this test ({name})")
-        return None
-
-sys.meta_path.insert(0, _NumpyBlocker())
-assert "numpy" not in sys.modules
-
-# aggregate.py imports nothing else from repro, so only its parent
-# packages need stubbing past their __init__ (which pull in the
-# numpy-requiring simulator).
-_SRC = os.environ["PYTHONPATH"]
-for _name in ("repro", "repro.population"):
-    _pkg = types.ModuleType(_name)
-    _pkg.__path__ = [os.path.join(_SRC, *_name.split("."))]
-    _pkg.__package__ = _name
-    sys.modules[_name] = _pkg
-"""
-
-
-class TestAggregateWithoutNumpy:
-    def test_fold_and_quantiles_without_numpy(self):
-        # The pure-python fold must import, aggregate, and produce the
-        # exact document the vectorised path produces in this process.
-        script = """
-import json
-from repro.population import aggregate
-
-assert aggregate.np is None
-histogram = aggregate.FixedBinHistogram(0.0, 50.0, 25)
-histogram.add_many(x * 0.37 - 3.0 for x in range(200))
-folded = aggregate.StreamingAggregate()
-folded.fold("ntpd", True, shift=-500.0, minutes=15.5)
-folded.fold("chrony", False, shift=2.0, minutes=None)
-print(json.dumps({
-    "histogram": histogram.to_document(),
-    "aggregate": folded.to_document(),
-}))
-"""
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(REPO_SRC))
-        process = subprocess.run(
-            [sys.executable, "-c", BLOCKER_PRELUDE + script],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert process.returncode == 0, process.stderr
-        blocked = json.loads(process.stdout)
-
-        histogram = FixedBinHistogram(0.0, 50.0, 25)
-        histogram.add_many(x * 0.37 - 3.0 for x in range(200))
-        folded = StreamingAggregate()
-        folded.fold("ntpd", True, shift=-500.0, minutes=15.5)
-        folded.fold("chrony", False, shift=2.0, minutes=None)
-        assert blocked["histogram"] == histogram.to_document()
-        assert blocked["aggregate"] == folded.to_document()

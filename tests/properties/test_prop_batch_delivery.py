@@ -1,17 +1,11 @@
-"""Property tests pinning the burst delivery API to the singular one.
+"""Property tests pinning the send paths that skip the generic UDP tower.
 
-``Network.transmit_burst``/``inject_burst`` must be *logically*
-event-for-event equivalent to N single ``transmit``/``inject`` calls under
-a fixed seed: the same sequence numbers, the same loss draws in the same
-order, the same captures, counters and delivered bytes — including
-fragmented trains and spoofed injections.  The property builds two
-identically seeded worlds, drives one with singular calls and the other
-with bursts, and compares every observable.
-
-A second block pins the send paths that skip the generic ``encode_udp``
-tower (the host's socket send and the spoofed-query crafting fast path,
-both on precomputed word sums and the arithmetic fold) byte-identical to
-it.
+The host's socket send and the spoofed-query crafting fast path (both on
+precomputed word sums and the arithmetic fold) must be byte-identical to
+``encode_udp``.  The module also holds the seeded packet worlds the
+fault-layer properties reuse: three hosts with an optional lossy link and
+a capture, and generated packet plans with fragmented trains, corrupted
+checksums, unrouted destinations and spoofed injections.
 """
 
 from __future__ import annotations
@@ -133,50 +127,6 @@ def observable_state(simulator, network, received, capture, hosts_of):
             for host in hosts_of()
         ],
     }
-
-
-class TestTransmitBatchEquivalence:
-    @given(st.lists(sends, min_size=1, max_size=25), st.sampled_from([0.0, 0.35]))
-    @settings(max_examples=60, deadline=None)
-    def test_batch_is_event_for_event_equivalent_to_singles(self, plan, loss):
-        # World A: N singular transmit/inject calls.
-        sim_a, net_a, recv_a, cap_a = build_world(loss)
-        for packet, spoof in build_packets(plan):
-            if spoof:
-                net_a.inject(packet)
-            else:
-                net_a.transmit(packet)
-        sim_a.run()
-        state_a = observable_state(sim_a, net_a, recv_a, cap_a, net_a.hosts)
-
-        # World B: the same packets through the burst entry points, split
-        # into one inject_burst (spoofed) per contiguous run to preserve
-        # ordering exactly as the singular interleaving produced it.
-        sim_b, net_b, recv_b, cap_b = build_world(loss)
-        pending: list[IPv4Packet] = []
-        pending_spoof: bool | None = None
-
-        def flush():
-            nonlocal pending, pending_spoof
-            if not pending:
-                return
-            if pending_spoof:
-                net_b.inject_burst(pending)
-            else:
-                net_b.transmit_burst(pending)
-            pending = []
-            pending_spoof = None
-
-        for packet, spoof in build_packets(plan):
-            if pending_spoof is not None and spoof != pending_spoof:
-                flush()
-            pending.append(packet)
-            pending_spoof = spoof
-        flush()
-        sim_b.run()
-        state_b = observable_state(sim_b, net_b, recv_b, cap_b, net_b.hosts)
-
-        assert state_a == state_b
 
 
 class TestChecksumFastPathsPinned:

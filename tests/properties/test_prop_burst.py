@@ -1,13 +1,7 @@
-"""Property tests pinning the burst engine to the singular paths.
+"""Property tests pinning the spray path to per-packet injection.
 
-Three pinned equivalences:
+Two pinned equivalences:
 
-* ``Network.transmit_burst`` must be *logically* event-for-event
-  equivalent to N single ``transmit`` calls under a fixed seed — same
-  sequence-number consumption, same delivery order and bytes, same loss
-  draws, captures and counters — even though the heap-entry shape differs
-  (same-instant groups coalesce into one burst entry).  The property
-  reuses the worlds of ``test_prop_batch_delivery``.
 * ``Network.transmit_spray`` must be event-for-event equivalent to
   injecting the same packets one by one — on the uniform spray path and on
   every fallback trigger (lossy, faulted, unrouted or mixed-latency pairs,
@@ -33,57 +27,6 @@ from repro.netsim.host import OSProfile
 from repro.netsim.simulator import Simulator
 from repro.netsim.network import Link, Network
 from repro.netsim.udp import UDPDatagram, encode_udp
-
-from tests.properties.test_prop_batch_delivery import (
-    build_packets,
-    build_world,
-    observable_state,
-    sends,
-)
-
-
-class TestTransmitBurstEquivalence:
-    @given(st.lists(sends, min_size=1, max_size=25), st.sampled_from([0.0, 0.35]))
-    @settings(max_examples=60, deadline=None)
-    def test_burst_is_logically_equivalent_to_singles(self, plan, loss):
-        # World A: N singular transmit/inject calls.
-        sim_a, net_a, recv_a, cap_a = build_world(loss)
-        for packet, spoof in build_packets(plan):
-            if spoof:
-                net_a.inject(packet)
-            else:
-                net_a.transmit(packet)
-        sim_a.run()
-        state_a = observable_state(sim_a, net_a, recv_a, cap_a, net_a.hosts)
-
-        # World B: the same interleaving through the burst engine, split
-        # into one inject_burst (spoofed) per contiguous run to preserve
-        # ordering exactly as the singular calls produced it.
-        sim_b, net_b, recv_b, cap_b = build_world(loss)
-        pending: list[IPv4Packet] = []
-        pending_spoof: bool | None = None
-
-        def flush():
-            nonlocal pending, pending_spoof
-            if not pending:
-                return
-            if pending_spoof:
-                net_b.inject_burst(pending)
-            else:
-                net_b.transmit_burst(pending)
-            pending = []
-            pending_spoof = None
-
-        for packet, spoof in build_packets(plan):
-            if pending_spoof is not None and spoof != pending_spoof:
-                flush()
-            pending.append(packet)
-            pending_spoof = spoof
-        flush()
-        sim_b.run()
-        state_b = observable_state(sim_b, net_b, recv_b, cap_b, net_b.hosts)
-
-        assert state_a == state_b
 
 
 # ------------------------------------------------------------------ sprays

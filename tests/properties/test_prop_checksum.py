@@ -77,11 +77,11 @@ class TestChecksumFixProperties:
 
 
 class TestDeliverVerifyPinnedToArith:
-    """``HostDatapath.deliver`` inlines the RFC 768 verify for speed; this
-    pins it, and the timed twin that calls ``udp_checksum_arith``, to one
-    verdict: accept exactly when the length field matches and the checksum
-    field is 0 ("not computed") or equals ``udp_checksum_arith``.  Odd
-    lengths, single-bit flips and checksum fields 0 and 0xFFFF included."""
+    """``HostDatapath.deliver`` verifies through ``udp_checksum_arith``,
+    with stage timing on ("timed") or off; both must give one verdict:
+    accept exactly when the length field matches and the checksum field is
+    0 ("not computed") or equals ``udp_checksum_arith``.  Odd lengths,
+    single-bit flips and checksum fields 0 and 0xFFFF included."""
 
     @given(
         st.sampled_from(["10.0.0.1", "192.0.2.150", "255.255.255.254"]),

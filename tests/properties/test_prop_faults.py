@@ -1,17 +1,13 @@
 """Chaos property suite: the laws the fault-injection layer must obey.
 
 Marked ``chaos`` (``make chaos`` runs just this suite; ``make test`` runs it
-with everything else).  Four families of law:
+with everything else).  Three families of law:
 
 * **Zero-fault bit-identity.**  Attaching an inert plan (every component
   zero-rate) leaves every observable — heap sequence numbers, loss draws,
   captures, per-host counters — bit-identical to a world that never heard
   of faults.  This is the graceful-degradation guarantee: fault support is
   free until a fault can actually fire.
-* **Burst/singular equivalence.**  A faulted pair falls off the coalesced
-  fast path onto the slow path, but ``transmit_burst`` must still be
-  event-for-event equivalent to N singular ``transmit`` calls under the
-  same seed — fault draws included.
 * **Conservation.**  Under arbitrary seeded fault regimes: every packet
   transmitted is either fault-dropped or captured (duplicates add, never
   multiply); every capture-observed corrupted delivery is rejected by the
@@ -37,7 +33,6 @@ from repro.netsim import (
     Partition,
     ReorderJitter,
 )
-from repro.netsim.packet import IPv4Packet
 
 from tests.properties.test_prop_batch_delivery import (
     HOST_IPS,
@@ -58,16 +53,6 @@ INERT_COMPONENTS = (
     GilbertElliott(),  # defaults cannot drop: p_enter_bad=0, loss_good=0
     Partition(start=5.0, duration=0.0),
     LatencySpike(start=1.0, duration=3.0, extra=0.0),
-)
-
-#: A moderately nasty active plan used by the equivalence properties.
-ACTIVE_COMPONENTS = (
-    GilbertElliott(p_enter_bad=0.2, p_exit_bad=0.4, loss_bad=0.6),
-    Corruption(0.25),
-    Duplication(0.2, max_delay=0.003),
-    ReorderJitter(0.25, max_delay=0.004),
-    Partition(start=0.015, duration=0.01),
-    LatencySpike(start=0.03, duration=0.01, extra=0.002),
 )
 
 
@@ -98,55 +83,6 @@ class TestZeroFaultBitIdentity:
         pipeline = network.pipeline_for(HOST_IPS[0], HOST_IPS[1])
         assert pipeline.faults is None
         assert pipeline.address_sum is not None
-
-
-class TestFaultedBurstEquivalence:
-    @given(st.lists(sends, min_size=1, max_size=25), st.sampled_from([0.0, 0.35]))
-    @settings(max_examples=40, deadline=None)
-    def test_burst_equivalent_to_singles_under_faults(self, plan, loss):
-        def faulted_world():
-            simulator, network, received, capture = build_world(loss)
-            network.set_link_faults(HOST_IPS[0], HOST_IPS[1], *ACTIVE_COMPONENTS)
-            network.set_link_faults(HOST_IPS[0], HOST_IPS[2], Corruption(0.3))
-            return simulator, network, received, capture
-
-        sim_a, net_a, recv_a, cap_a = faulted_world()
-        for packet, spoof in build_packets(plan):
-            if spoof:
-                net_a.inject(packet)
-            else:
-                net_a.transmit(packet)
-        sim_a.run()
-        state_a = observable_state(sim_a, net_a, recv_a, cap_a, net_a.hosts)
-
-        sim_b, net_b, recv_b, cap_b = faulted_world()
-        pending: list[IPv4Packet] = []
-        pending_spoof: bool | None = None
-
-        def flush():
-            nonlocal pending, pending_spoof
-            if not pending:
-                return
-            if pending_spoof:
-                net_b.inject_burst(pending)
-            else:
-                net_b.transmit_burst(pending)
-            pending = []
-            pending_spoof = None
-
-        for packet, spoof in build_packets(plan):
-            if pending_spoof is not None and spoof != pending_spoof:
-                flush()
-            pending.append(packet.copy())
-            pending_spoof = spoof
-        flush()
-        sim_b.run()
-        state_b = observable_state(sim_b, net_b, recv_b, cap_b, net_b.hosts)
-
-        assert state_a == state_b
-        assert (
-            net_a.fault_stats() == net_b.fault_stats()
-        )
 
 
 class TestConservationLaws:
