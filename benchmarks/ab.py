@@ -25,6 +25,12 @@ whole-machine slow phase shows as wall time rising while CPU time does not.
 Every run must print ``"correct": true``; a run that does not aborts the
 comparison.  The worktree is created without network access and removed
 on exit.  The last line of standard output is the comparison as JSON.
+
+After the pairs, each side runs one traced pass (``--trace 1 --seconds 1``)
+and the per-layer metrics are reported, not gated: a ``count`` metric
+reads ``same`` or ``changed`` against REV, every other metric reads as
+the ratio of A's value to REV's.  A change meant to leave the simulation
+alone shows every count as ``same``.
 """
 
 from __future__ import annotations
@@ -50,7 +56,9 @@ def child_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def run_once(tree: str, args: argparse.Namespace, seconds: float) -> dict:
+def run_once(
+    tree: str, args: argparse.Namespace, seconds: float, trace: bool = False
+) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its metric values plus ``cpu_s``."""
     command = [
         sys.executable,
@@ -60,6 +68,8 @@ def run_once(tree: str, args: argparse.Namespace, seconds: float) -> dict:
         "--seconds",
         str(seconds),
     ]
+    if trace:
+        command += ["--trace", "1"]
     if args.seed is not None:
         command += ["--seed", str(args.seed)]
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
@@ -135,6 +145,27 @@ def compare(a_runs: list[dict], b_runs: list[dict], declared: dict) -> dict:
     return report
 
 
+def per_layer(a: dict, b: dict, declared: list[dict]) -> dict:
+    """The per-layer report of one traced pass per side (see module doc).
+
+    ``declared`` is ``BENCHMARK.json``'s ``per_layer`` list; metrics
+    missing from either side are skipped.  A ratio against a zero REV
+    value is ``None``.
+    """
+    report = {}
+    for entry in declared:
+        name = entry["name"]
+        if name not in a or name not in b:
+            continue
+        row = {"a": a[name], "b": b[name]}
+        if entry["unit"] == "count":
+            row["verdict"] = "same" if a[name] == b[name] else "changed"
+        else:
+            row["ratio"] = a[name] / b[name] if b[name] else None
+        report[name] = row
+    return report
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare against (B)")
@@ -172,6 +203,8 @@ def main(argv: list[str] | None = None) -> int:
                 ),
                 file=sys.stderr,
             )
+        a_traced = run_once(ROOT, args, 1, trace=True)
+        b_traced = run_once(tree, args, 1, trace=True)
     finally:
         subprocess.run(
             ["git", "worktree", "remove", "--force", tree], cwd=ROOT, check=False
@@ -186,6 +219,13 @@ def main(argv: list[str] | None = None) -> int:
             f"{ratio}  B IQR {row['b_iqr']:.3g}  wins {row['wins']}/{row['pairs']}"
             f"  {row['verdict']}" + ("  GAIN" if row["gain"] else "")
         )
+    layers = per_layer(a_traced, b_traced, benchmark["per_layer"])
+    for name, row in layers.items():
+        if "verdict" in row:
+            print(f"{name:32s} A {row['a']}  B {row['b']}  {row['verdict']}")
+        else:
+            ratio = "n/a" if row["ratio"] is None else f"x{row['ratio']:.3f}"
+            print(f"{name:32s} A {row['a']:.4g}  B {row['b']:.4g}  {ratio}")
     failing = sorted(name for name, row in report.items() if row["verdict"] != "ok")
     print(
         json.dumps(
@@ -196,6 +236,7 @@ def main(argv: list[str] | None = None) -> int:
                 "metrics": report,
                 "a_runs": a_runs,
                 "b_runs": b_runs,
+                "per_layer": layers,
                 "failing": failing,
             }
         )

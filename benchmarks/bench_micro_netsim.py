@@ -266,7 +266,7 @@ def packets_per_sec(count: int = 20_000) -> float:
     payload = b"x" * 48
     started = time.perf_counter()
     for _ in range(count):
-        sender.send_udp("192.0.2.2", 5353, 4242, payload)
+        network.send_udp(sender, "192.0.2.2", 5353, 4242, payload)
         sim.run()
     elapsed = time.perf_counter() - started
     assert len(received) == count

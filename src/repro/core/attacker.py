@@ -17,7 +17,7 @@ it learns from packets addressed to hosts it owns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.netsim.addresses import address_range

@@ -9,10 +9,10 @@ event-loop side lives in :mod:`repro.netsim.simulator`).  The payload is a
 :class:`DatagramBatch`: UDP datagrams travelling as bytes, no packet
 objects.  Two senders fill one:
 
-* :meth:`repro.netsim.network.Network.send_datagram` (every socket send
-  that fits its path MTU) appends to the network's open batch while the
-  datagram is due at the batch's instant and takes the next contiguous
-  sequence number;
+* :meth:`repro.netsim.network.Network.send_udp` (the one frame behind
+  every socket send) appends a datagram that fits its path MTU to the
+  network's open batch while the datagram is due at the batch's instant
+  and takes the next contiguous sequence number;
 * :meth:`~repro.netsim.network.Network.transmit_spray` (the spoofing round
   of the run-time attack) fills a closed batch of spoofed datagrams from
   its cached plan.
@@ -52,9 +52,11 @@ from repro.netsim.udp import UDP_HEADER_LEN, _UDP_HEADER
 from repro.perf import STAGES, perf_counter
 
 _UNPACK_UDP_HEADER = _UDP_HEADER.unpack_from
+#: Bound once: the checksum verify runs per datagram.
+_from_bytes = int.from_bytes
 
 #: Hard cap on datagrams per batch heap entry: bounds the latency of one
-#: atomic drain (``send_datagram`` opens a new batch past it, and a larger
+#: atomic drain (``send_udp`` opens a new batch past it, and a larger
 #: spray takes the packet fallback).
 MAX_DELIVERY_BURST = 4096
 
@@ -130,7 +132,7 @@ class DatagramBatch:
                 # length again.  The total is 0 mod 0xFFFF exactly when the
                 # scalar verify of HostDatapath.deliver accepts a non-zero
                 # checksum field.
-                value = int.from_bytes(datagram, "big")
+                value = _from_bytes(datagram, "big")
                 if size & 1:
                     value <<= 8
                 if (pipeline.address_sum + length + value) % 0xFFFF:

@@ -77,7 +77,7 @@ class DeliveryPipeline:
     inactive.
 
     ``datapath`` and ``address_sum`` exist for the bytes-only paths
-    (:meth:`~repro.netsim.network.Network.send_datagram` and the
+    (:meth:`~repro.netsim.network.Network.send_udp` and the
     :class:`~repro.netsim.burst.DatagramBatch` drain), which carry raw
     datagrams without a packet object: the compiled datapath behind
     ``deliver``, and the pair's pseudo-header address word sum plus the

@@ -1,7 +1,11 @@
 """Simulated hosts: the IP/UDP/ICMP stack every component runs on.
 
 A :class:`Host` owns an address, a defragmentation cache, a path-MTU cache,
-an IPID allocator and a set of bound UDP sockets.  Its behaviour is
+an IPID allocator and a set of bound UDP sockets.  A socket send goes
+straight to :meth:`repro.netsim.network.Network.send_udp`, which reads the
+host's path MTU, IPID allocator and stats block; the host itself sends
+only what must be fragmented (:meth:`Host.send_fragmented`) and its ICMP
+messages.  Its behaviour is
 parameterised by an :class:`OSProfile` capturing the operating-system
 differences the paper's attacks care about: reassembly timeouts, fragment
 limits, whether unauthenticated ICMP fragmentation-needed messages are
@@ -10,16 +14,16 @@ honoured, and how IPIDs are assigned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.netsim.datapath import HostDatapath
 from repro.netsim.defrag import DefragmentationCache, ReassemblyPolicy
 from repro.netsim.errors import PortInUseError
-from repro.netsim.fragmentation import MINIMUM_IPV4_MTU, fragment_packet
+from repro.netsim.fragmentation import fragment_packet
 from repro.netsim.icmp import ICMPMessage
 from repro.netsim.ipid import GlobalCounterIPID, IPIDAllocator
-from repro.netsim.packet import IPProtocol, IPV4_HEADER_LEN, IPv4Packet
+from repro.netsim.packet import IPProtocol, IPv4Packet
 from repro.netsim.sockets import DatagramHandler, UDPSocket
 from repro.netsim.udp import UDP_HEADER_LEN, _UDP_HEADER, udp_checksum_arith
 
@@ -179,29 +183,21 @@ class Host:
         """Remove the socket bound to ``port`` (called by socket.close)."""
         self._sockets.pop(port, None)
 
-    def send_udp(self, dst_ip: str, src_port: int, dst_port: int, payload: bytes) -> None:
-        """Send a UDP datagram, fragmenting it to the path MTU if needed.
+    def send_fragmented(
+        self, dst_ip: str, src_port: int, dst_port: int, payload: bytes, mtu: int
+    ) -> None:
+        """Send a UDP datagram that does not fit the path MTU ``mtu``.
 
-        The ports must already be range-checked (:meth:`UDPSocket.sendto`
-        does it).  A datagram that fits the path MTU goes to
-        :meth:`~repro.netsim.network.Network.send_datagram` as its fields
-        plus the IPID — it travels as bytes where the path allows; a
-        larger one is packed here, checksummed and sent as IPv4 fragments.
+        The branch of :meth:`~repro.netsim.network.Network.send_udp` for
+        oversized datagrams: the datagram is packed here, checksummed and
+        sent as IPv4 fragments, one :meth:`Network.transmit` each.  An MTU
+        below the IPv4 minimum makes the fragmenter raise.
         """
         src_ip = self.ip
-        length = UDP_HEADER_LEN + len(payload)
-        mtu = self.path_mtu(dst_ip) if self._pmtu else self.interface_mtu
-        if MINIMUM_IPV4_MTU <= mtu and IPV4_HEADER_LEN + length <= mtu:
-            # Fast path: the datagram fits (and the MTU is not so small
-            # that the fragmenter would reject it outright).
-            ipid = self.ipid_allocator.next_ipid(dst_ip)
-            self.stats.udp_sent += 1
-            self.network.send_datagram(src_ip, dst_ip, src_port, dst_port, payload, ipid)
-            return
         header = _UDP_HEADER.pack(
             src_port,
             dst_port,
-            length,
+            UDP_HEADER_LEN + len(payload),
             udp_checksum_arith(src_ip, dst_ip, src_port, dst_port, payload),
         )
         packet = IPv4Packet.udp(

@@ -15,10 +15,12 @@ model of the paper:
 Delivery runs through pipelines compiled per (src, dst) pair (see
 :mod:`repro.netsim.datapath`): one dict hit yields the resolved latency,
 loss probability, the destination host's flat deliver callable and the
-pair's pseudo-header sum.  Every socket send that fits its path MTU goes
-through :meth:`Network.send_datagram`, which checksums it from that sum
-and, on a *uniform* pair (routed, lossless, fault-free, no capture
-attached), sends it as bytes: appended to the open
+pair's pseudo-header sum.  Every socket send is one
+:meth:`Network.send_udp` frame: it checks the sender's path MTU (a larger
+datagram goes to :meth:`~repro.netsim.host.Host.send_fragmented`), takes
+the sender's IPID, checksums the datagram from that sum and, on a
+*uniform* pair (routed, lossless, fault-free, no capture attached), sends
+it as bytes: appended to the open
 :class:`~repro.netsim.burst.DatagramBatch` when that batch is due at the
 same instant and the datagram takes the next sequence number, else pushed
 as a new batch heap entry.  A spoofing round — one source spraying one
@@ -45,9 +47,10 @@ from repro.netsim.capture import PacketCapture
 from repro.netsim.datapath import DeliveryPipeline, UNROUTED_PIPELINE
 from repro.netsim.errors import AddressError, NoRouteError, SimulationError
 from repro.netsim.faults import FaultChannel, FaultPlan, FaultStats
+from repro.netsim.fragmentation import MINIMUM_IPV4_MTU
 from repro.netsim.host import Host, OSProfile
 from repro.netsim.ipid import IPIDAllocator
-from repro.netsim.packet import IPv4Packet
+from repro.netsim.packet import IPV4_HEADER_LEN, IPv4Packet
 from repro.netsim.simulator import Simulator, _BURST
 from repro.netsim.udp import (
     UDP_HEADER_LEN,
@@ -56,6 +59,11 @@ from repro.netsim.udp import (
     udp_checksum_arith,
 )
 from repro.perf import STAGES, perf_counter
+
+#: Bound once: the send fold runs per datagram, and the ``int.`` /
+#: ``_UDP_HEADER.`` attribute loads are a measurable share of it.
+_from_bytes = int.from_bytes
+_pack_udp_header = _UDP_HEADER.pack
 
 
 @dataclass(frozen=True)
@@ -126,7 +134,7 @@ class Network:
         #: Per-(src, destinations) spray plans: ``(epoch, latency, targets)``
         #: with ``targets`` None for a non-uniform spray (see transmit_spray).
         self._spray_plans: dict[tuple, tuple] = {}
-        #: The batch :meth:`send_datagram` appends to while it stays open
+        #: The batch :meth:`send_udp` appends to while it stays open
         #: (see there); None until the first bytes-only send.
         self._batch: Optional[DatagramBatch] = None
         #: Per-directed-pair fault channels.  Owned here — NOT in the
@@ -413,28 +421,40 @@ class Network:
         self._captures.remove(capture)
 
     # ------------------------------------------------------------- delivery
-    def send_datagram(
-        self, src: str, dst: str, src_port: int, dst_port: int, payload: bytes, ipid: int
+    def send_udp(
+        self, host: Host, dst: str, src_port: int, dst_port: int, payload: bytes
     ) -> None:
-        """Send one UDP datagram that fits its path MTU (``Host.send_udp``).
+        """Send one UDP datagram from ``host`` (behind :meth:`UDPSocket.sendto`).
 
-        The header is packed here, its RFC 768 checksum folded from the
-        pipeline's pseudo-header sum.  On a uniform pair with no capture
-        attached the datagram travels as bytes: it joins the open
-        :class:`~repro.netsim.burst.DatagramBatch` when that batch is due
-        at the same instant and this datagram takes the sequence number
-        right after its last member — so no other event can sort between
-        them, and delivery order, ``events_processed`` and
+        The ports must already be range-checked (``sendto`` does it).  A
+        datagram larger than the host's path MTU towards ``dst`` goes to
+        :meth:`Host.send_fragmented`.  One that fits takes the host's next
+        IPID, counts as sent and gets its header packed here, the RFC 768
+        checksum folded from the pipeline's pseudo-header sum.  On a
+        uniform pair with no capture attached it travels as bytes: it joins
+        the open :class:`~repro.netsim.burst.DatagramBatch` when that batch
+        is due at the same instant and this datagram takes the sequence
+        number right after its last member — so no other event can sort
+        between them, and delivery order, ``events_processed`` and
         :meth:`~repro.netsim.simulator.Simulator.pending` stay those of one
         entry per datagram — and otherwise opens a new batch heap entry.
-        Anything else builds the packet (IPv4 ID ``ipid``) and takes
-        :meth:`transmit`, exactly as a packet send would.
+        Anything else builds the packet and takes :meth:`transmit`, exactly
+        as a packet send would.
         """
+        length = UDP_HEADER_LEN + len(payload)
+        mtu = host.path_mtu(dst) if host._pmtu else host.interface_mtu
+        if mtu < MINIMUM_IPV4_MTU or IPV4_HEADER_LEN + length > mtu:
+            # Too large for the path (or an MTU so small that the
+            # fragmenter rejects it outright).
+            host.send_fragmented(dst, src_port, dst_port, payload, mtu)
+            return
+        src = host.ip
+        ipid = host.ipid_allocator.next_ipid(dst)
+        host.stats.udp_sent += 1
         pipeline = self._pipelines.get((src, dst))
         if pipeline is None:
             pipeline = self._compile_pipeline(src, dst)
         address_sum = pipeline.address_sum
-        length = UDP_HEADER_LEN + len(payload)
         if address_sum is None or self._captures:
             checksum = udp_checksum_arith(src, dst, src_port, dst_port, payload)
             header = _UDP_HEADER.pack(src_port, dst_port, length, checksum)
@@ -443,11 +463,11 @@ class Network:
         # udp_checksum_arith with the pair's sum baked in: ``folded`` lies
         # in [0, 0xFFFE], where ``0xFFFF - folded`` is the complement with
         # both RFC 768 special cases applied.
-        value = int.from_bytes(payload, "big")
+        value = _from_bytes(payload, "big")
         if length & 1:
             value <<= 8
         folded = (address_sum + length + length + src_port + dst_port + value) % 0xFFFF
-        datagram = _UDP_HEADER.pack(src_port, dst_port, length, 0xFFFF - folded) + payload
+        datagram = _pack_udp_header(src_port, dst_port, length, 0xFFFF - folded) + payload
         self.packets_transmitted += 1
         simulator = self.simulator
         sequence = simulator._sequence

@@ -1,4 +1,10 @@
-"""A minimal UDP socket abstraction bound to a simulated host."""
+"""A minimal UDP socket abstraction bound to a simulated host.
+
+:meth:`UDPSocket.sendto` range-checks the ports and hands the datagram to
+the network's one send frame, :meth:`repro.netsim.network.Network.send_udp`
+(path MTU, IPID, checksum, batch); delivery calls :meth:`UDPSocket.deliver`
+or, from a batch drain, the handler directly.
+"""
 
 from __future__ import annotations
 
@@ -45,7 +51,8 @@ class UDPSocket:
         if not (0 <= src_port <= 0xFFFF and 0 <= dst_port <= 0xFFFF):
             bad = src_port if not 0 <= src_port <= 0xFFFF else dst_port
             raise PacketError(f"UDP port out of range: {bad}")
-        self.host.send_udp(dst_ip, src_port, dst_port, payload)
+        host = self.host
+        host.network.send_udp(host, dst_ip, src_port, dst_port, payload)
 
     def deliver(self, payload: bytes, src_ip: str, src_port: int, now: float) -> None:
         """Called by the host when a datagram for this port arrives."""

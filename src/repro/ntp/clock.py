@@ -21,7 +21,7 @@ class ClockAdjustment:
     stepped: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class SystemClock:
     """A drifting, adjustable clock.
 

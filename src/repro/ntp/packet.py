@@ -9,9 +9,10 @@ discover a victim's associations one at a time (paper section IV-B2b).
 
 Hot-path note: the two packets an attack produces by the hundred thousand
 never become packet objects.  Spoofed mode 3 queries are built by
-:meth:`NTPPacket.client_query_wire`, and servers answer them with
-:meth:`NTPPacket.server_response_wire`, which splices a cached header, the
-server timestamp and the query's transmit bytes into the 48 response bytes.
+:meth:`NTPPacket.client_query_wire`, and servers answer them with the
+splice behind :meth:`NTPPacket.server_response_wire` (a cached header, the
+server timestamp and the query's transmit bytes make the 48 response
+bytes); ``NTPServer``'s compiled handler calls it directly.
 Clients discard replies that do not echo a pending poll before decoding
 them.  What is still decoded and encoded (client polls, accepted responses,
 Kiss-o'-Death packets) goes through :meth:`NTPPacket.encode`/
@@ -46,8 +47,8 @@ NTP_PACKET_LEN = 48
 #: The whole 48-byte packet as one precompiled codec: header fields, the
 #: 4-byte reference id, then the four timestamps as eight 32-bit words.
 _NTP_WIRE = struct.Struct("!BBbbII4s8I")
-#: The two 32-bit words of one timestamp (see the ``*_wire`` methods).
-_TIMESTAMP_WORDS = struct.Struct("!II")
+#: Packs the two 32-bit words of one timestamp (see the ``*_wire`` methods).
+_PACK_TIMESTAMP = struct.Struct("!II").pack
 #: First 40 bytes of every default mode 3 query: leap 0 / version 4 / mode 3,
 #: stratum 0, poll 6, precision -20, zero root delay/dispersion/refid and
 #: zero reference, origin and receive timestamps.
@@ -103,32 +104,47 @@ def _encode_refid(stratum: int, reference_id: str) -> bytes:
     return ip_to_int(reference_id).to_bytes(4, "big")
 
 
-@lru_cache(maxsize=4096)
+#: Bound on the mode 4 response-prefix cache (clear-on-full, like the
+#: intern tables): the poll byte is copied from whatever a query carries.
+RESPONSE_PREFIX_CACHE_MAX_ENTRIES = 4096
+
+#: First 16 bytes of a mode 4 response per (stratum, reference id, poll
+#: byte).  A plain dict: one ``get`` per answer costs less than an
+#: ``lru_cache`` call with three arguments.
+_RESPONSE_PREFIXES: dict[tuple[int, str, int], bytes] = {}
+
+
 def _server_response_prefix(stratum: int, reference_id: str, poll_byte: int) -> bytes:
-    """First 16 bytes of a mode 4 response (cached, bounded).
+    """Build and cache the first 16 bytes of a mode 4 response.
 
     Leap 0 / version 4 / mode 4, the stratum, the query's raw poll byte,
     precision -20, zero root delay and dispersion, and the reference id.
     """
-    return struct.pack(
+    prefix = struct.pack(
         "!BBBbII4s", 0x24, stratum, poll_byte, -20, 0, 0, _encode_refid(stratum, reference_id)
     )
+    if len(_RESPONSE_PREFIXES) >= RESPONSE_PREFIX_CACHE_MAX_ENTRIES:
+        _RESPONSE_PREFIXES.clear()
+    _RESPONSE_PREFIXES[(stratum, reference_id, poll_byte)] = prefix
+    return prefix
 
 
 def _server_response_wire(
     query_wire: bytes, server_time: float, stratum: int, reference_id: str
 ) -> bytes:
+    """The 48 bytes of the mode 4 response to ``query_wire`` (see
+    :meth:`NTPPacket.server_response_wire`)."""
     ntp_time = server_time + NTP_UNIX_EPOCH_DELTA
     seconds = int(ntp_time)
-    fraction = int(round((ntp_time - seconds) * (1 << 32))) % (1 << 32)
-    now = _TIMESTAMP_WORDS.pack(seconds & 0xFFFFFFFF, fraction)
-    return (
-        _server_response_prefix(stratum, reference_id, query_wire[2])
-        + now
-        + query_wire[40:48]
-        + now
-        + now
+    # ``round`` of a float already returns an int.
+    now = _PACK_TIMESTAMP(
+        seconds & 0xFFFFFFFF, round((ntp_time - seconds) * 4294967296.0) % 4294967296
     )
+    poll_byte = query_wire[2]
+    prefix = _RESPONSE_PREFIXES.get((stratum, reference_id, poll_byte))
+    if prefix is None:
+        prefix = _server_response_prefix(stratum, reference_id, poll_byte)
+    return prefix + now + query_wire[40:48] + now + now
 
 
 @dataclass(slots=True)
@@ -277,9 +293,9 @@ class NTPPacket:
         """
         ntp_time = transmit_time + NTP_UNIX_EPOCH_DELTA
         seconds = int(ntp_time)
-        fraction = int(round((ntp_time - seconds) * (1 << 32))) % (1 << 32)
-        return _CLIENT_QUERY_PREFIX + _TIMESTAMP_WORDS.pack(
-            seconds & 0xFFFFFFFF, fraction
+        return _CLIENT_QUERY_PREFIX + _PACK_TIMESTAMP(
+            seconds & 0xFFFFFFFF,
+            round((ntp_time - seconds) * 4294967296.0) % 4294967296,
         )
 
     @classmethod

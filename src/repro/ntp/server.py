@@ -15,23 +15,36 @@ to the paper and are configurable:
 
 An *attacker* server is simply a server whose clock carries the desired time
 shift (e.g. -500 s): a victim that synchronises to it inherits the shift.
+
+Non-limiting pool servers answer every spoofed query of a flood, so the
+answer is one compiled handler: the limiter check, the clock read, the
+response spliced from the query's bytes and one socket send, with the
+Kiss-o'-Death and sampled-drop branches off to the side.  The socket send
+is one network frame (:meth:`repro.netsim.network.Network.send_udp`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.netsim.host import Host
 from repro.netsim.simulator import Simulator
 from repro.ntp.clock import SystemClock
-from repro.ntp.packet import KissCode, NTPPacket, NTP_PACKET_LEN, NTP_PORT
+from repro.ntp.packet import (
+    KissCode,
+    NTPPacket,
+    NTP_PACKET_LEN,
+    NTP_PORT,
+    _server_response_wire,
+)
 from repro.ntp.rate_limit import RateLimitDecision, RateLimiter
+from repro.perf import STAGES, perf_counter
 
-#: Hoisted enum members: the drop path compares these once per received
+#: Hoisted enum members: the handler compares these once per received
 #: query, and the two attribute loads per compare are measurable there.
 _DROP = RateLimitDecision.DROP
-_KOD = RateLimitDecision.KOD
+_RESPOND = RateLimitDecision.RESPOND
 
 
 @dataclass
@@ -83,18 +96,18 @@ class NTPServer:
             enabled=self.config.rate_limiting,
         )
         self._rng = simulator.spawn_rng()
+        self.socket = host.bind(NTP_PORT)
         #: The per-query handler, compiled once as a closure over the hot
-        #: handles (stats block, simulator, limiter): a rate-limited
-        #: spoofing flood runs it tens of thousands of times per campaign,
-        #: and the ``self`` attribute chases are measurable there.  A
-        #: caller that swaps ``rate_limiter`` afterwards must call
-        #: :meth:`recompile`.
-        self._handler = self._compile_handler()
-        self.socket = host.bind(NTP_PORT, self._handler)
+        #: handles (stats block, simulator, limiter, clock, RNG, socket):
+        #: a spoofing flood runs it hundreds of thousands of times per
+        #: sweep, and the ``self`` attribute chases are measurable there.
+        #: A caller that swaps ``rate_limiter``, ``clock`` or ``_rng``
+        #: afterwards must call :meth:`recompile`.
+        self.recompile()
 
     def recompile(self) -> None:
         """Re-bind the compiled handler's hot handles (after swapping
-        ``rate_limiter``).  Mirrors
+        ``rate_limiter``, ``clock`` or ``_rng``).  Mirrors
         :meth:`repro.netsim.datapath.HostDatapath.recompile`.
         """
         self._handler = self._compile_handler()
@@ -129,15 +142,25 @@ class NTPServer:
 
         Routes on the mode bits alone and never decodes an answered query:
         the response is spliced from the query's bytes by
-        :meth:`NTPPacket.server_response_wire`.  The two guard tests reject
-        exactly the payloads NTPPacket.decode() raises on (truncation,
-        invalid mode 0), so the accounting that follows sees the same
-        packets it always did and the Kiss-o'-Death decode cannot fail.
+        :func:`repro.ntp.packet._server_response_wire` right here, and the
+        reply goes straight to the socket — an answered query runs the
+        limiter check, the clock read, the splice and the send, no other
+        frame.  ``config`` is read at answer time, so edits to it (or a
+        replaced config) take effect on the next query.  The two guard
+        tests reject exactly the payloads NTPPacket.decode() raises on
+        (truncation, invalid mode 0), so the accounting that follows sees
+        the same packets it always did and the Kiss-o'-Death decode cannot
+        fail.  With ``STAGES`` on, the splice is timed as ``ntp_encode``,
+        as :meth:`NTPPacket.server_response_wire` would time it.
         """
+        server = self
         stats = self.stats
         simulator = self.simulator
         check = self.rate_limiter.check
-        answer = self._answer_query
+        clock_time = self.clock.time
+        random = self._rng.random
+        sendto = self.socket.sendto
+        send_kod = self._send_kod
         config_query = self._handle_config_query
 
         def on_packet(payload: bytes, src_ip: str, src_port: int) -> None:
@@ -151,33 +174,32 @@ class NTPServer:
             stats.queries_received += 1
             now = simulator._now  # slot read; the property costs a frame here
             decision = check(src_ip, now)
-            if decision is _DROP:
+            if decision is not _RESPOND:
+                if decision is _DROP:
+                    stats.queries_dropped += 1
+                else:
+                    send_kod(payload, src_ip, src_port)
+                return
+            config = server.config
+            probability = config.respond_probability
+            if probability < 1.0 and random() > probability:
                 stats.queries_dropped += 1
                 return
-            answer(payload, src_ip, src_port, decision, now)
+            stats.responses_sent += 1
+            server_time = clock_time(now)
+            if STAGES.enabled:
+                started = perf_counter()
+                wire = _server_response_wire(
+                    payload, server_time, config.stratum, config.upstream_server
+                )
+                STAGES.add("ntp_encode", perf_counter() - started)
+            else:
+                wire = _server_response_wire(
+                    payload, server_time, config.stratum, config.upstream_server
+                )
+            sendto(wire, src_ip, src_port)
 
         return on_packet
-
-    def _answer_query(
-        self, payload: bytes, src_ip: str, src_port: int, decision, now: float
-    ) -> None:
-        """The non-drop tail of query handling: KoD or respond."""
-        stats = self.stats
-        if decision is _KOD:
-            self._send_kod(payload, src_ip, src_port)
-            return
-        config = self.config
-        if config.respond_probability < 1.0 and self._rng.random() > config.respond_probability:
-            stats.queries_dropped += 1
-            return
-        stats.responses_sent += 1
-        self.socket.sendto(
-            NTPPacket.server_response_wire(
-                payload, self.clock.time(now), config.stratum, config.upstream_server
-            ),
-            src_ip,
-            src_port,
-        )
 
     def _send_kod(self, payload: bytes, src_ip: str, src_port: int) -> None:
         """Answer one query with a RATE Kiss-o'-Death."""

@@ -15,7 +15,7 @@ This module deliberately imports nothing else from ``repro``.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional
 
 
 class FixedBinHistogram:

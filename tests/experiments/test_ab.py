@@ -94,3 +94,43 @@ class TestGate:
         a = [{"wall_s": 4.0, "cpu_s": 9.0}]
         b = [{"wall_s": 4.0, "cpu_s": 3.0}]
         assert set(ab.compare(a, b, DECLARED)) == {"wall_s"}
+
+
+class TestPerLayer:
+    """The traced-pass report: counts read same/changed, the rest ratios."""
+
+    DECLARED_LAYERS = [
+        {"name": "netsim.events", "unit": "count", "better": "lower"},
+        {"name": "ntp.handler_s", "unit": "s", "better": "lower"},
+        {"name": "netsim.events_per_s", "unit": "1/s", "better": "higher"},
+        {"name": "testbed.builds", "unit": "count", "better": "lower"},
+    ]
+
+    def test_counts_read_same_or_changed(self):
+        a = {"netsim.events": 1791144, "testbed.builds": 9}
+        b = {"netsim.events": 1791144, "testbed.builds": 10}
+        report = ab.per_layer(a, b, self.DECLARED_LAYERS)
+        assert report["netsim.events"] == {
+            "a": 1791144, "b": 1791144, "verdict": "same"
+        }
+        assert report["testbed.builds"]["verdict"] == "changed"
+        assert "ratio" not in report["netsim.events"]
+
+    def test_other_metrics_read_as_a_over_rev(self):
+        a = {"ntp.handler_s": 2.0, "netsim.events_per_s": 330_000.0}
+        b = {"ntp.handler_s": 2.5, "netsim.events_per_s": 300_000.0}
+        report = ab.per_layer(a, b, self.DECLARED_LAYERS)
+        assert report["ntp.handler_s"]["ratio"] == 0.8
+        assert report["netsim.events_per_s"]["ratio"] == 1.1
+        assert "verdict" not in report["ntp.handler_s"]
+
+    def test_zero_rev_value_has_no_ratio(self):
+        report = ab.per_layer(
+            {"ntp.handler_s": 0.5}, {"ntp.handler_s": 0.0}, self.DECLARED_LAYERS
+        )
+        assert report["ntp.handler_s"]["ratio"] is None
+
+    def test_metrics_missing_on_a_side_are_skipped(self):
+        a = {"netsim.events": 5, "cpu_s": 1.0}
+        b = {"netsim.events": 5, "ntp.handler_s": 1.0}
+        assert set(ab.per_layer(a, b, self.DECLARED_LAYERS)) == {"netsim.events"}

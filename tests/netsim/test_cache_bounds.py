@@ -31,7 +31,6 @@ LRU_CACHED_FUNCTIONS = [
     udp_module._address_word_sum,
     packet_module._decode_refid,
     packet_module._encode_refid,
-    packet_module._server_response_prefix,
 ]
 
 
@@ -85,3 +84,14 @@ class TestDictCachesHonourTheirBounds:
             )
             DNSMessage.decode_cached(response.encode())
         assert len(message_module._DECODE_CACHE) <= limit
+
+    def test_response_prefix_cache_clears_on_full(self):
+        packet_module._RESPONSE_PREFIXES.clear()
+        limit = packet_module.RESPONSE_PREFIX_CACHE_MAX_ENTRIES
+        query = bytearray(48)
+        for index in range(limit + 10):
+            query[2] = index & 0xFF
+            packet_module._server_response_wire(
+                bytes(query), 1_700_000_000.0, 2 + (index >> 8), "192.0.2.1"
+            )
+        assert len(packet_module._RESPONSE_PREFIXES) <= limit

@@ -147,7 +147,7 @@ class TestChecksumFastPathsPinned:
             network.add_host("receiver", dst)
         capture = PacketCapture(name="send")
         network.attach_capture(capture)
-        sender.send_udp(dst, sport, dport, payload)
+        network.send_udp(sender, dst, sport, dport, payload)
         (captured,) = capture.packets
         assert captured.packet.payload == encode_udp(
             src, dst, UDPDatagram(sport, dport, payload)

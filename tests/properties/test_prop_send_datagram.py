@@ -1,9 +1,9 @@
 """Property tests pinning the bytes-only socket send to the packet path.
 
-``Network.send_datagram`` (every ``UDPSocket.sendto`` that fits its path
-MTU) checksums the datagram from the pipeline's baked pseudo-header sum
-and, on a uniform pair, carries it as bytes in a ``DatagramBatch``.  Two
-properties pin it:
+``Network.send_udp`` (the one send frame behind every ``UDPSocket.sendto``)
+checksums a datagram that fits its path MTU from the pipeline's baked
+pseudo-header sum and, on a uniform pair, carries it as bytes in a
+``DatagramBatch``.  Two properties pin it:
 
 * the checksum it writes equals ``udp_checksum_arith`` — random
   addresses, ports and payloads, odd lengths, empty payloads, and payloads
@@ -35,7 +35,7 @@ ports = st.integers(min_value=0, max_value=0xFFFF)
 
 
 def sent_datagram(src: str, dst: str, sport: int, dport: int, payload: bytes) -> bytes:
-    """The datagram bytes ``send_udp`` puts on a uniform pair, as the
+    """The datagram bytes ``Network.send_udp`` puts on a uniform pair, as the
     destination's tap sees them after the batch drain."""
     simulator = Simulator(seed=1)
     network = Network(simulator)
@@ -43,7 +43,7 @@ def sent_datagram(src: str, dst: str, sport: int, dport: int, payload: bytes) ->
     receiver = network.add_host("receiver", dst)
     tapped = []
     receiver.packet_tap = lambda packet: tapped.append(packet.payload)
-    sender.send_udp(dst, sport, dport, payload)
+    network.send_udp(sender, dst, sport, dport, payload)
     assert simulator.bursts_posted == 1  # it travelled as bytes
     simulator.run()
     (datagram,) = tapped
