@@ -315,15 +315,16 @@ def pipeline_events_per_sec(count: int = 30_000) -> float:
 
 # ---------------------------------------------------------------- socket send
 def socket_send_events_per_sec(count: int = 30_000) -> float:
-    """Socket-send throughput on the bytes-only path.
+    """Socket-send throughput on the batch path.
 
     The reply shape of the paper's run-time attack: a host answering many
     queries at one instant.  Per datagram one ``UDPSocket.sendto`` (port
-    check, IPID, header pack and checksum fold from the pipeline's baked
-    pseudo-header sum, one append to the open ``DatagramBatch``) and one
-    pass of the batch drain (header unpack, checksum verify, demux,
-    handler).  Unlike ``pipeline_events_per_sec`` the header and checksum
-    are built inside the timed region, as a real send builds them.
+    check, IPID, checksum fold from the pipeline's baked pseudo-header
+    sum, one append of the header fields and payload to the open
+    ``DatagramBatch``) and one pass of the batch drain (length check,
+    checksum verify, demux, handler).  Unlike ``pipeline_events_per_sec``
+    the checksum is computed inside the timed region, as a real send
+    computes it.
     """
     from repro.netsim.network import Network
 
@@ -355,16 +356,17 @@ def burst_events_per_sec(count: int = 30_000, burst: int = 64) -> float:
     """Spray delivery throughput through one datagram batch per spray.
 
     The flood shape of the paper's attacks: sprays of ``burst`` datagrams
-    from one source (one per destination host, same instant) handed to
-    ``Network.transmit_spray`` — one heap entry per spray, drained by one
-    pass per datagram (header unpack, whole-datagram checksum fold, demux,
-    handler) without building packet objects.  Datagrams are crafted once
-    outside the timed region, so the number isolates the transmit+drain
-    engine exactly as ``pipeline_events_per_sec`` does for the singular
-    path.
+    from one source (one per destination host, same instant, one shared
+    payload) handed to ``Network.transmit_spray`` — one heap entry per
+    spray, drained by one pass per datagram (length check, checksum verify
+    from the header fields and the payload's fold, folded once per spray,
+    demux, handler) without building header bytes or packet objects.
+    Checksums are computed once outside the timed region, so the number
+    isolates the transmit+drain engine exactly as
+    ``pipeline_events_per_sec`` does for the singular path.
     """
     from repro.netsim.network import Network
-    from repro.netsim.udp import UDPDatagram, encode_udp
+    from repro.netsim.udp import udp_checksum_arith
 
     sim = Simulator(seed=0)
     network = Network(sim)
@@ -375,14 +377,15 @@ def burst_events_per_sec(count: int = 30_000, burst: int = 64) -> float:
     def on_datagram(payload: bytes, ip: str, port: int) -> None:
         received[0] += 1
 
+    payload = b"x" * 48
     destinations = []
-    datagrams = []
+    checksums = []
     for index in range(burst):
         dst = f"203.0.113.{index + 1}"
         receiver = network.add_host(f"receiver-{index}", dst)
         receiver.bind(4242, on_datagram)
         destinations.append(dst)
-        datagrams.append(encode_udp(src, dst, UDPDatagram(5353, 4242, b"x" * 48)))
+        checksums.append(udp_checksum_arith(src, dst, 5353, 4242, payload))
     destinations = tuple(destinations)
     ipids = list(range(burst))
 
@@ -392,7 +395,7 @@ def burst_events_per_sec(count: int = 30_000, burst: int = 64) -> float:
     with _no_gc():
         started = time.perf_counter()
         for _ in range(rounds):
-            transmit_spray(src, destinations, datagrams, ipids)
+            transmit_spray(src, destinations, 5353, 4242, payload, checksums, ipids)
             run()
         elapsed = time.perf_counter() - started
     assert received[0] == rounds * burst
@@ -521,11 +524,11 @@ def test_burst_delivery_not_slower_than_singular_dispatch():
 
 
 def test_socket_send_not_slower_than_packet_dispatch():
-    """Socket sends travel as bytes and must beat per-packet transmit.
+    """Socket sends travel in batches and must beat per-packet transmit.
 
     Measured back-to-back at the same scale, like the spray check above:
-    the socket path also packs and checksums every header inside its timed
-    region, so only a gross inversion — the bytes path regressing below
+    the socket path also checksums every datagram inside its timed
+    region, so only a gross inversion — the batch path regressing below
     the packet pipeline — fails this.
     """
     packets = _best_of(lambda: pipeline_events_per_sec(count=10_000), 3)

@@ -14,13 +14,14 @@ packets (one spoofed query every couple of seconds per server) and harms
 nobody else: the server keeps serving all other clients.
 
 The send loop is a simulator hot path — tens of thousands of spoofed
-queries per campaign — so a round is crafted as bytes only, without the
-generic UDP-encode tower and without packet objects: the mode 3 wire
-payload and its checksum word sum are memoised per round instant (every
-active campaign fires at the same simulated time), and each server's
-checksum is assembled arithmetically from cached address word sums.
-The crafted datagrams are pinned byte-identical to ``encode_udp`` by
-property tests.
+queries per campaign — so a round is crafted without the generic
+UDP-encode tower, without header bytes and without packet objects: the
+mode 3 wire payload and its checksum word sum are memoised per round
+instant (every active campaign fires at the same simulated time), each
+server's checksum is assembled arithmetically from cached address word
+sums, and the round leaves as that one payload plus one checksum per
+server.  The crafted datagrams (header rebuilt from those fields) are
+pinned byte-identical to ``encode_udp`` by property tests.
 
 Campaigns started by one ``target()`` / ``target_many()`` call form a
 *cohort* that keeps its own cadence: every ``query_interval`` the whole
@@ -29,7 +30,8 @@ cohort fires as one burst heap entry
 crafts one spoofed datagram per active member and hands the round to
 :meth:`~repro.netsim.network.Network.transmit_spray` as one source's spray.
 On a uniform network plan (every server routed, lossless, fault-free, one
-latency) the spray travels as a single heap entry of raw datagrams; any
+latency) the spray travels as a single heap entry of structured datagrams
+sharing the round's payload, whose checksum fold the drain computes once; any
 other plan, or an attached capture, makes the network materialise the
 spoofed packets and inject them one by one instead.  Either
 way the round is *event-for-event equivalent* to one self-rescheduling
@@ -271,51 +273,48 @@ class AssociationRemover:
             )
 
     def _send_cohort(self, campaigns: list) -> None:
-        """Craft one spoofed query datagram per campaign and spray them.
+        """Checksum one spoofed query per campaign and spray them.
 
         The wire memo is refreshed once, the counters bumped once, and the
         round goes to :meth:`~repro.netsim.network.Network.transmit_spray`
-        as bytes: ``(victim, servers, datagrams, ipids)``.  Craft order is
-        campaign order, so delivery order, loss draws and IPID usage match
-        the old query-at-a-time loop exactly.
+        as ``(victim, servers, ports, payload, checksums, ipids)``: the
+        round's one mode 3 payload and one checksum per server, no header
+        packed.  Craft order is campaign order, so delivery order, loss
+        draws and IPID usage match the old query-at-a-time loop exactly.
         """
         started = perf_counter() if STAGES.enabled else 0.0
         now = self.simulator._now  # slot read; fires tens of thousands of times
         if now != self._wire_time:
             self._query_payload(now)
-        # Inlined _craft_query (which stays the reference implementation,
-        # pinned byte-identical to encode_udp by the crafting property
-        # test): one method frame per query is measurable over tens of
-        # thousands of crafts.  ``folded`` lies in [0, 0xFFFE], where
-        # ``0xFFFF - folded`` equals the complement with both RFC 768
-        # special cases applied.
-        wire = self._wire
+        # The checksum of _craft_query (which stays the reference
+        # implementation, pinned byte-identical to encode_udp by the
+        # crafting property test), inlined: one method frame per query is
+        # measurable over tens of thousands of crafts.  ``folded`` lies in
+        # [0, 0xFFFE], where ``0xFFFF - folded`` equals the complement with
+        # both RFC 768 special cases applied.
         wire_sum = self._wire_sum
-        pack = _PACK_UDP_HEADER
         destinations = []
-        datagrams = []
+        checksums = []
         ipids = []
         for campaign in campaigns:
-            datagrams.append(
-                pack(
-                    NTP_PORT,
-                    NTP_PORT,
-                    _QUERY_UDP_LENGTH,
-                    0xFFFF - (campaign.base_sum + wire_sum) % 0xFFFF,
-                )
-                + wire
-            )
+            checksums.append(0xFFFF - (campaign.base_sum + wire_sum) % 0xFFFF)
             destinations.append(campaign.server_ip)
             sent = campaign.queries_sent
             ipids.append(sent & 0xFFFF)
             campaign.queries_sent = sent + 1
-        count = len(datagrams)
+        count = len(checksums)
         self.stats.spoofed_queries_sent += count
         stats = self._attacker_stats
         stats.spoofed_ntp_queries_sent += count
         stats.packets_injected += count
         self._network.transmit_spray(
-            self.victim_ip, tuple(destinations), datagrams, ipids
+            self.victim_ip,
+            tuple(destinations),
+            NTP_PORT,
+            NTP_PORT,
+            self._wire,
+            checksums,
+            ipids,
         )
         if started:
             # Driver-side attribution (the ``campaign_send`` stage): the

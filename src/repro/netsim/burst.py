@@ -6,8 +6,9 @@ and every server that does not rate-limit answers each of them.  One heap
 push and pop per datagram is exactly the cost such floods make redundant,
 so the network pushes a same-instant group as one burst heap entry (the
 event-loop side lives in :mod:`repro.netsim.simulator`).  The payload is a
-:class:`DatagramBatch`: UDP datagrams travelling as bytes, no packet
-objects.  Two senders fill one:
+:class:`DatagramBatch`: UDP datagrams travelling as their header fields
+plus their payload object, no header bytes and no packet objects.  Two
+senders fill one:
 
 * :meth:`repro.netsim.network.Network.send_udp` (the one frame behind
   every socket send) appends a datagram that fits its path MTU to the
@@ -15,16 +16,20 @@ objects.  Two senders fill one:
   and takes the next contiguous sequence number;
 * :meth:`~repro.netsim.network.Network.transmit_spray` (the spoofing round
   of the run-time attack) fills a closed batch of spoofed datagrams from
-  its cached plan.
+  its cached plan, every one of them carrying the round's one payload
+  object under its own checksum.
 
 Only *uniform* pairs — routed, lossless, fault-free, no capture attached —
 travel this way; everything else (fragments, the spray fallback) is a
 packet sent by :meth:`~repro.netsim.network.Network.transmit`.  The drain
 makes one pass per datagram: sweep the host's expired reassembly buckets
-when it holds any, unpack the UDP header, verify the RFC 768 checksum from
-that datagram's own bytes when the host's profile verifies, bump the host
-stats, demux, call the handler.  A destination with a packet tap installed
-gets a materialised packet through ``pipeline.deliver`` instead.
+when it holds any, check the UDP length field against the payload, verify
+the RFC 768 checksum from the header fields and the payload's fold when
+the host's profile verifies, bump the host stats, demux, call the handler
+with the payload object itself.  The fold of a payload is memoised on its
+identity, so a spray round folds its shared payload once.  A destination
+with a packet tap installed gets a materialised packet (header packed
+there) through ``pipeline.deliver`` instead.
 
 Equivalence contract: the drain is *event-for-event* equivalent to the
 per-packet deliveries it replaces — same delivery order, same stats and
@@ -39,8 +44,8 @@ Stage attribution: while ``repro.perf.STAGES`` collection is enabled the
 drain runs the same loop with timers: handler calls are attributed to the
 ``handler`` stage, materialised deliveries to the stages
 :meth:`repro.netsim.datapath.HostDatapath.deliver` records (``defrag``,
-``checksum``, ``demux``, ``handler``), and the rest of the pass (header
-unpack, checksum, stats, demux) to ``burst_drain``.  These are the buckets
+``checksum``, ``demux``, ``handler``), and the rest of the pass (length
+check, checksum, stats, demux) to ``burst_drain``.  These are the buckets
 the benchmark's traced pass reads through ``STAGES.merged()``.
 """
 
@@ -51,9 +56,9 @@ from repro.netsim.sockets import ReceivedDatagram
 from repro.netsim.udp import UDP_HEADER_LEN, _UDP_HEADER
 from repro.perf import STAGES, perf_counter
 
-_UNPACK_UDP_HEADER = _UDP_HEADER.unpack_from
 #: Bound once: the checksum verify runs per datagram.
 _from_bytes = int.from_bytes
+_pack_udp_header = _UDP_HEADER.pack
 
 #: Hard cap on datagrams per batch heap entry: bounds the latency of one
 #: atomic drain (``send_udp`` opens a new batch past it, and a larger
@@ -62,18 +67,18 @@ MAX_DELIVERY_BURST = 4096
 
 
 class DatagramBatch:
-    """Same-instant UDP datagrams delivered as bytes from one heap entry.
+    """Same-instant UDP datagrams delivered from one heap entry.
 
-    ``items`` yields ``(pipeline, src, datagram, ipid)`` per datagram in
-    delivery order: the compiled pipeline of the (src, dst) pair, the
-    claimed source, the complete UDP datagram (header included) and the
-    IPv4 IPID, read only when a packet is materialised.  It is a list
-    while the batch is open for appends and a one-shot iterator over a
-    spray's plan otherwise; ``count`` is its length.  ``time`` is the
-    delivery instant and ``end`` the sequence number after the last member
-    while the batch is open, ``-1`` once closed.  ``spoofed`` tags the
-    packets materialised from a spray batch, as
-    :meth:`~repro.netsim.network.Network.inject` would.
+    ``items`` yields ``(pipeline, src, src_port, dst_port, length,
+    checksum, payload, ipid)`` per datagram in delivery order: the
+    compiled pipeline of the (src, dst) pair, the claimed source, the four
+    UDP header fields, the payload object and the IPv4 IPID, read only
+    when a packet is materialised.  It is a list while the batch is open
+    for appends and a one-shot iterator over a spray's plan otherwise;
+    ``count`` is its length.  ``time`` is the delivery instant and ``end``
+    the sequence number after the last member while the batch is open,
+    ``-1`` once closed.  ``spoofed`` tags the packets materialised from a
+    spray batch, as :meth:`~repro.netsim.network.Network.inject` would.
     """
 
     __slots__ = ("time", "items", "count", "end", "spoofed")
@@ -90,17 +95,27 @@ class DatagramBatch:
     def run(self) -> None:
         self.end = -1  # closed: a send during the drain opens a new batch
         spoofed = self.spoofed
-        unpack = _UNPACK_UDP_HEADER
         timed = STAGES.enabled
         if timed:
             started = perf_counter()
             t_handler = 0.0  # handler calls, reported as ``handler``
             t_elsewhere = 0.0  # materialised deliveries time themselves
             handled = 0
-        for pipeline, src, datagram, ipid in self.items:
+        # The fold of the last verified payload: a spray's datagrams share
+        # one payload object, so it is folded once per round.
+        last_payload = None
+        fold = 0
+        for pipeline, src, src_port, dst_port, length, checksum, payload, ipid in (
+            self.items
+        ):
             datapath = pipeline.datapath
             if datapath.host.packet_tap is not None:
-                packet = IPv4Packet.udp(src, datapath.host.ip, datagram, ipid)
+                packet = IPv4Packet.udp(
+                    src,
+                    datapath.host.ip,
+                    _pack_udp_header(src_port, dst_port, length, checksum) + payload,
+                    ipid,
+                )
                 if spoofed:
                     packet.metadata["spoofed"] = True
                 if timed:
@@ -115,27 +130,33 @@ class DatagramBatch:
             if datapath.defrag_buckets:
                 datapath.defrag.purge_expired(datapath.simulator._now)
             stats = datapath.stats
-            size = len(datagram)
-            if size < UDP_HEADER_LEN:
-                stats.udp_checksum_failures += 1
-                continue
-            src_port, dst_port, length, checksum = unpack(datagram)
-            if length != size:
+            if length != UDP_HEADER_LEN + len(payload):
                 stats.udp_checksum_failures += 1
                 continue
             if checksum and datapath.verify_checksum:
-                # Whole-datagram fold: a big integer is congruent to its
-                # 16-bit word sum mod 0xFFFF, so this sums ports, length,
-                # checksum field and payload at once (an odd length is
-                # padded with a zero byte); the pseudo-header adds the
-                # addresses, the protocol (both in address_sum) and the
-                # length again.  The total is 0 mod 0xFFFF exactly when the
-                # scalar verify of HostDatapath.deliver accepts a non-zero
-                # checksum field.
-                value = _from_bytes(datagram, "big")
-                if size & 1:
-                    value <<= 8
-                if (pipeline.address_sum + length + value) % 0xFFFF:
+                # A big integer is congruent to its 16-bit word sum mod
+                # 0xFFFF, so ``fold`` is the payload's word sum reduced
+                # (an odd payload is padded with a zero byte).  With the
+                # pseudo-header (addresses and protocol in address_sum,
+                # the length) and the header words (ports, length,
+                # checksum field) the total is 0 mod 0xFFFF exactly when
+                # the scalar verify of HostDatapath.deliver accepts a
+                # non-zero checksum field.
+                if payload is not last_payload:
+                    last_payload = payload
+                    fold = _from_bytes(payload, "big")
+                    if len(payload) & 1:
+                        fold <<= 8
+                    fold %= 0xFFFF
+                if (
+                    pipeline.address_sum
+                    + length
+                    + src_port
+                    + dst_port
+                    + length
+                    + checksum
+                    + fold
+                ) % 0xFFFF:
                     stats.udp_checksum_failures += 1
                     continue
             stats.udp_received += 1
@@ -145,17 +166,15 @@ class DatagramBatch:
             handler = socket.on_datagram
             if handler is None:
                 socket.inbox.append(
-                    ReceivedDatagram(
-                        datagram[UDP_HEADER_LEN:], src, src_port, datapath.simulator._now
-                    )
+                    ReceivedDatagram(payload, src, src_port, datapath.simulator._now)
                 )
             elif timed:
                 t0 = perf_counter()
-                handler(datagram[UDP_HEADER_LEN:], src, src_port)
+                handler(payload, src, src_port)
                 t_handler += perf_counter() - t0
                 handled += 1
             else:
-                handler(datagram[UDP_HEADER_LEN:], src, src_port)
+                handler(payload, src, src_port)
         if timed:
             elapsed = perf_counter() - started
             STAGES.add_many(

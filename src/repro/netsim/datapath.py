@@ -15,8 +15,9 @@ link and cached:
   ``Host.receive`` / ``Host._deliver_udp`` pair — pinned by the golden
   determinism test — but without the per-packet method-call tower,
   property lookups, or the intermediate ``UDPDatagram`` allocation.
-  Datagrams that travel as bytes (:class:`~repro.netsim.burst.DatagramBatch`)
-  run the same checks in the batch drain against the same slots, so only
+  Datagrams that travel in a :class:`~repro.netsim.burst.DatagramBatch`
+  (header fields plus payload, no packet) run the same checks in the
+  batch drain against the same slots, so only
   materialised packets reach this method: fragments, packets to a tapped
   host, captured traffic and traffic over lossy or faulted links.
 * :class:`DeliveryPipeline` — one per (src, dst) pair, compiled and cached
@@ -76,14 +77,16 @@ class DeliveryPipeline:
     the fault layer has into the hot path — one slot read per packet when
     inactive.
 
-    ``datapath`` and ``address_sum`` exist for the bytes-only paths
-    (:meth:`~repro.netsim.network.Network.send_udp` and the
-    :class:`~repro.netsim.burst.DatagramBatch` drain), which carry raw
-    datagrams without a packet object: the compiled datapath behind
+    ``datapath`` and ``address_sum`` exist for the batch paths
+    (:meth:`~repro.netsim.network.Network.send_udp`,
+    :meth:`~repro.netsim.network.Network.transmit_spray` and the
+    :class:`~repro.netsim.burst.DatagramBatch` drain), which carry
+    datagrams as header fields plus payload, without a packet object:
+    the compiled datapath behind
     ``deliver``, and the pair's pseudo-header address word sum plus the
     protocol word, baked once per compiled pair like the latency.  The
     send path folds it into the RFC 768 checksum and the drain into the
-    verify.  It is set exactly on the pairs that may carry bytes:
+    verify.  It is set exactly on the pairs that may carry batches:
     ``None`` marks unrouted, lossy and faulted pairs and pairs whose
     claimed source does not parse (``src`` is whatever a spoofer writes),
     which all keep the packet path.  Whether a delivery verifies at all

@@ -127,6 +127,11 @@ class Host:
         ipid_allocator: Optional[IPIDAllocator] = None,
         interface_mtu: int = 1500,
     ) -> None:
+        if interface_mtu > 0xFFFF:
+            # The IPv4 total length is 16 bits.  A datagram that fits the
+            # MTU must fit its UDP length field too: the batch path carries
+            # that field unpacked and would not notice an overflow.
+            raise ValueError(f"interface_mtu must be <= 65535, got {interface_mtu}")
         self.name = name
         self.ip = ip
         self.network = network

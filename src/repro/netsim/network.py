@@ -20,14 +20,16 @@ pair's pseudo-header sum.  Every socket send is one
 datagram goes to :meth:`~repro.netsim.host.Host.send_fragmented`), takes
 the sender's IPID, checksums the datagram from that sum and, on a
 *uniform* pair (routed, lossless, fault-free, no capture attached), sends
-it as bytes: appended to the open
+it as a structured datagram — its header fields plus the payload object,
+no header bytes: appended to the open
 :class:`~repro.netsim.burst.DatagramBatch` when that batch is due at the
 same instant and the datagram takes the next sequence number, else pushed
 as a new batch heap entry.  A spoofing round — one source spraying one
-datagram at each of many destinations — goes through
-:meth:`Network.transmit_spray`, which resolves the round's pipelines once
-into a plan cached per (src, destinations) and, when the plan is uniform,
-pushes the round as one batch of raw datagrams.  Everything else is a
+payload at each of many destinations, each under its own checksum — goes
+through :meth:`Network.transmit_spray`, which resolves the round's
+pipelines once into a plan cached per (src, destinations) and, when the
+plan is uniform, pushes the round as one batch whose datagrams share the
+round's payload object.  Everything else is a
 packet — fragments, sends over lossy or faulted pairs or with a capture
 attached, a non-uniform spray — and every packet send is one
 :meth:`Network.transmit` call with one heap push per delivery.  Whether a
@@ -60,10 +62,9 @@ from repro.netsim.udp import (
 )
 from repro.perf import STAGES, perf_counter
 
-#: Bound once: the send fold runs per datagram, and the ``int.`` /
-#: ``_UDP_HEADER.`` attribute loads are a measurable share of it.
+#: Bound once: the send fold runs per datagram, and the ``int.`` attribute
+#: load is a measurable share of it.
 _from_bytes = int.from_bytes
-_pack_udp_header = _UDP_HEADER.pack
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,7 @@ class Network:
         #: with ``targets`` None for a non-uniform spray (see transmit_spray).
         self._spray_plans: dict[tuple, tuple] = {}
         #: The batch :meth:`send_udp` appends to while it stays open
-        #: (see there); None until the first bytes-only send.
+        #: (see there); None until the first batched send.
         self._batch: Optional[DatagramBatch] = None
         #: Per-directed-pair fault channels.  Owned here — NOT in the
         #: pipeline cache — so Gilbert–Elliott chain state and the
@@ -429,9 +430,10 @@ class Network:
         The ports must already be range-checked (``sendto`` does it).  A
         datagram larger than the host's path MTU towards ``dst`` goes to
         :meth:`Host.send_fragmented`.  One that fits takes the host's next
-        IPID, counts as sent and gets its header packed here, the RFC 768
-        checksum folded from the pipeline's pseudo-header sum.  On a
-        uniform pair with no capture attached it travels as bytes: it joins
+        IPID, counts as sent and gets its RFC 768 checksum folded here from
+        the pipeline's pseudo-header sum.  On a uniform pair with no
+        capture attached it travels as its header fields plus ``payload``
+        itself, no header bytes packed: it joins
         the open :class:`~repro.netsim.burst.DatagramBatch` when that batch
         is due at the same instant and this datagram takes the sequence
         number right after its last member — so no other event can sort
@@ -467,13 +469,12 @@ class Network:
         if length & 1:
             value <<= 8
         folded = (address_sum + length + length + src_port + dst_port + value) % 0xFFFF
-        datagram = _pack_udp_header(src_port, dst_port, length, 0xFFFF - folded) + payload
         self.packets_transmitted += 1
         simulator = self.simulator
         sequence = simulator._sequence
         simulator._sequence = sequence + 1
         deliver_at = simulator._now + pipeline.latency
-        item = (pipeline, src, datagram, ipid)
+        item = (pipeline, src, src_port, dst_port, length, 0xFFFF - folded, payload, ipid)
         batch = self._batch
         if (
             batch is not None
@@ -569,45 +570,65 @@ class Network:
             heappush(queue, (now + latency + extra, sequence, deliver, delivered))
 
     def transmit_spray(
-        self, src: str, destinations: tuple, datagrams: list, ipids: list
+        self,
+        src: str,
+        destinations: tuple,
+        src_port: int,
+        dst_port: int,
+        payload: bytes,
+        checksums: list,
+        ipids: list,
     ) -> None:
         """Off-path injection of one source's datagram spray.
 
-        ``datagrams[i]`` is a complete UDP datagram (header included) sent
-        from ``src`` to ``destinations[i]`` in IPv4 packet ``ipids[i]``;
-        ``destinations`` must be a tuple (it keys the plan cache).
-        Event-for-event equivalent to :meth:`inject` of the same packets in
-        order (pinned by a property test).  A *uniform* plan — every pair
-        routed, lossless and fault-free at one latency, at most
-        :data:`~repro.netsim.burst.MAX_DELIVERY_BURST` datagrams — with no
-        capture attached pushes the whole spray as one closed
+        Every datagram goes from ``src``:``src_port`` to
+        ``destinations[i]``:``dst_port`` in IPv4 packet ``ipids[i]``, carries
+        the one ``payload`` of the round and the UDP checksum field
+        ``checksums[i]`` (written as given: the caller crafts it, so it may
+        be zero or wrong); ``destinations`` must be a tuple (it keys the
+        plan cache).  Event-for-event equivalent to :meth:`inject` of the
+        same packets in order (pinned by a property test).  A *uniform*
+        plan — every pair routed, lossless and fault-free at one latency,
+        at most :data:`~repro.netsim.burst.MAX_DELIVERY_BURST` datagrams —
+        with no capture attached pushes the whole spray as one closed
         :class:`~repro.netsim.burst.DatagramBatch` of spoofed datagrams
-        that consumes one sequence number per datagram; no packet object
-        is built unless a destination needs one at delivery.  Anything else
-        is the packet fallback: each datagram becomes a packet sent by
+        that consumes one sequence number per datagram; no header bytes
+        and no packet object are built unless a destination needs a packet
+        at delivery.  Anything else is the packet fallback: each datagram
+        becomes a packet (header packed per destination) sent by
         :meth:`inject`, so loss draws, fault channels and captures behave
         exactly as for any other packet.
         """
-        if not datagrams:
+        if not checksums:
             return
         plan = self._spray_plans.get((src, destinations))
         if plan is None or plan[0] != self.pipeline_epoch:
             plan = self._compile_spray_plan(src, destinations)
         _epoch, latency, targets = plan
+        length = UDP_HEADER_LEN + len(payload)
         if targets is None or self._captures:
-            for dst, datagram, ipid in zip(destinations, datagrams, ipids):
-                self.inject(IPv4Packet.udp(src, dst, datagram, ipid))
+            for dst, checksum, ipid in zip(destinations, checksums, ipids):
+                header = _UDP_HEADER.pack(src_port, dst_port, length, checksum)
+                self.inject(IPv4Packet.udp(src, dst, header + payload, ipid))
             return
-        count = len(datagrams)
+        count = len(checksums)
         self.packets_transmitted += count
         simulator = self.simulator
         sequence = simulator._sequence
         simulator._sequence = sequence + count
         simulator.bursts_posted += 1
         deliver_at = simulator._now + latency
-        batch = DatagramBatch(
-            deliver_at, zip(targets, repeat(src), datagrams, ipids), count, -1, True
+        items = zip(
+            targets,
+            repeat(src),
+            repeat(src_port),
+            repeat(dst_port),
+            repeat(length),
+            checksums,
+            repeat(payload),
+            ipids,
         )
+        batch = DatagramBatch(deliver_at, items, count, -1, True)
         heappush(simulator._queue, (deliver_at, sequence, batch, _BURST))
 
     def _compile_spray_plan(self, src: str, destinations: tuple) -> tuple:

@@ -49,7 +49,17 @@ _RESPOND = RateLimitDecision.RESPOND
 
 @dataclass
 class NTPServerConfig:
-    """Behavioural knobs for one NTP server."""
+    """Behavioural knobs for one NTP server.
+
+    ``stratum``, ``upstream_server``, ``respond_probability`` and
+    ``open_config_interface`` are read per query, so an in-place edit
+    takes effect on the next one.  The limiter fields (``rate_limiting``,
+    ``send_kod``, ``average_interval``, ``burst_tolerance``) configure the
+    server's :class:`~repro.ntp.rate_limit.RateLimiter`: assigning a new
+    config to :attr:`NTPServer.config` applies them, and after an in-place
+    edit of one of them call :meth:`NTPServer.recompile`.  Either way the
+    limiter keeps its per-source accounting.
+    """
 
     stratum: int = 2
     rate_limiting: bool = False
@@ -86,15 +96,12 @@ class NTPServer:
         self.host = host
         self.simulator = simulator
         self.clock = clock or SystemClock(created_at=simulator.now)
-        self.config = config or NTPServerConfig()
+        #: Backing attribute of :attr:`config`; the compiled handler reads
+        #: it per query.
+        self._config = config or NTPServerConfig()
         self.name = name or host.name
         self.stats = NTPServerStats()
-        self.rate_limiter = RateLimiter(
-            average_interval=self.config.average_interval,
-            burst_tolerance=self.config.burst_tolerance,
-            send_kod=self.config.send_kod,
-            enabled=self.config.rate_limiting,
-        )
+        self.rate_limiter = RateLimiter()  # configured by recompile()
         self._rng = simulator.spawn_rng()
         self.socket = host.bind(NTP_PORT)
         #: The per-query handler, compiled once as a closure over the hot
@@ -105,11 +112,30 @@ class NTPServer:
         #: afterwards must call :meth:`recompile`.
         self.recompile()
 
+    @property
+    def config(self) -> NTPServerConfig:
+        """The server's behaviour; assigning a new one applies it whole."""
+        return self._config
+
+    @config.setter
+    def config(self, config: NTPServerConfig) -> None:
+        self._config = config
+        self.recompile()
+
     def recompile(self) -> None:
-        """Re-bind the compiled handler's hot handles (after swapping
-        ``rate_limiter``, ``clock`` or ``_rng``).  Mirrors
+        """Re-apply the config's limiter fields and re-bind the compiled
+        handler's hot handles (after an in-place edit of ``rate_limiting``,
+        ``send_kod``, ``average_interval`` or ``burst_tolerance``, or after
+        swapping ``rate_limiter``, ``clock`` or ``_rng``).  The limiter
+        keeps its per-source state.  Mirrors
         :meth:`repro.netsim.datapath.HostDatapath.recompile`.
         """
+        config = self._config
+        limiter = self.rate_limiter
+        limiter.enabled = config.rate_limiting
+        limiter.send_kod = config.send_kod
+        limiter.average_interval = config.average_interval
+        limiter.burst_tolerance = config.burst_tolerance
         self._handler = self._compile_handler()
         self.socket.on_datagram = self._handler
 
@@ -145,8 +171,9 @@ class NTPServer:
         :func:`repro.ntp.packet._server_response_wire` right here, and the
         reply goes straight to the socket — an answered query runs the
         limiter check, the clock read, the splice and the send, no other
-        frame.  ``config`` is read at answer time, so edits to it (or a
-        replaced config) take effect on the next query.  The two guard
+        frame.  ``config`` is read at answer time (through its backing
+        attribute, no property frame), so edits to it (or a replaced
+        config) take effect on the next query.  The two guard
         tests reject exactly the payloads NTPPacket.decode() raises on
         (truncation, invalid mode 0), so the accounting that follows sees
         the same packets it always did and the Kiss-o'-Death decode cannot
@@ -180,7 +207,7 @@ class NTPServer:
                 else:
                     send_kod(payload, src_ip, src_port)
                 return
-            config = server.config
+            config = server._config
             probability = config.respond_probability
             if probability < 1.0 and random() > probability:
                 stats.queries_dropped += 1

@@ -10,7 +10,7 @@ from repro.netsim.host import OSProfile
 from repro.netsim.network import Link, Network
 from repro.netsim.packet import IPv4Packet
 from repro.netsim.simulator import Simulator
-from repro.netsim.udp import UDPDatagram, encode_udp
+from repro.netsim.udp import UDPDatagram, _UDP_HEADER, encode_udp
 
 
 class Calls:
@@ -196,11 +196,18 @@ def star_world(count: int, latency: float = 0.01):
 
 
 def spray(network, packets) -> None:
-    """``transmit_spray`` of the packets' datagrams from their one source."""
+    """``transmit_spray`` of the packets' datagrams from their one source:
+    they share ports and payload, each keeps its own checksum field."""
+    src_port, dst_port, _length, _checksum = _UDP_HEADER.unpack_from(packets[0].payload)
+    payload = packets[0].payload[8:]
+    assert all(packet.payload[8:] == payload for packet in packets)
     network.transmit_spray(
         packets[0].src,
         tuple(packet.dst for packet in packets),
-        [packet.payload for packet in packets],
+        src_port,
+        dst_port,
+        payload,
+        [_UDP_HEADER.unpack_from(packet.payload)[3] for packet in packets],
         [packet.ipid for packet in packets],
     )
 
@@ -232,7 +239,7 @@ class TestTransmitBurstDelivery:
     def test_corrupted_checksum_counted_per_host(self):
         sim, network, received, packets = star_world(6)
         bad = packets[2]
-        payload = encode_udp("9.9.9.9", bad.dst, UDPDatagram(5353, 4242, b"y" * 48))
+        payload = encode_udp("9.9.9.9", bad.dst, UDPDatagram(5353, 4242, b"x" * 48))
         packets[2] = IPv4Packet.udp(bad.src, bad.dst, payload, 2)
         # A jittered link to the corrupted datagram's destination: the spray
         # takes the packet fallback through that pair's fault channel.
@@ -262,22 +269,20 @@ class TestSprayVerifyDecision:
             for host in receivers:
                 host.profile = OSProfile(verify_udp_checksum=False)
                 host.datapath.recompile()
-            datagrams = [
-                encode_udp("9.9.9.9", packet.dst, UDPDatagram(5353, 4242, b"y" * 48))
+            corrupted = [
+                IPv4Packet.udp(
+                    "192.0.2.1",
+                    packet.dst,
+                    encode_udp("9.9.9.9", packet.dst, UDPDatagram(5353, 4242, b"y" * 48)),
+                    packet.ipid,
+                )
                 for packet in packets
             ]
             if use_spray:
-                network.transmit_spray(
-                    "192.0.2.1",
-                    tuple(packet.dst for packet in packets),
-                    datagrams,
-                    [packet.ipid for packet in packets],
-                )
+                spray(network, corrupted)
             else:
-                for packet, datagram in zip(packets, datagrams):
-                    network.inject(
-                        IPv4Packet.udp("192.0.2.1", packet.dst, datagram, packet.ipid)
-                    )
+                for packet in corrupted:
+                    network.inject(packet)
             for host in receivers:  # verification switched on mid-flight
                 host.profile = OSProfile()
                 host.datapath.recompile()

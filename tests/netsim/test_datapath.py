@@ -15,7 +15,7 @@ from repro.netsim.network import (
 )
 from repro.netsim.packet import IPProtocol, IPv4Packet
 from repro.netsim.simulator import Simulator
-from repro.netsim.udp import UDPDatagram, encode_udp
+from repro.netsim.udp import UDPDatagram, encode_udp, udp_checksum_arith
 from repro.perf import STAGES
 
 
@@ -25,6 +25,23 @@ def make_net(**network_kwargs):
     a = net.add_host("a", "10.0.0.1")
     b = net.add_host("b", "10.0.0.2")
     return sim, net, a, b
+
+
+def spray_udp(net, src, destinations, src_port, dst_port, payload, ipids) -> None:
+    """``transmit_spray`` of one payload, each datagram under the valid
+    checksum of its pair."""
+    net.transmit_spray(
+        src,
+        tuple(destinations),
+        src_port,
+        dst_port,
+        payload,
+        [
+            udp_checksum_arith(src, dst, src_port, dst_port, payload)
+            for dst in destinations
+        ],
+        list(ipids),
+    )
 
 
 def corrupted_packet(src: str, dst: str) -> IPv4Packet:
@@ -106,12 +123,8 @@ class TestStrictRouting:
         received = []
         b.bind(53, lambda payload, ip, port: received.append(payload))
         destinations = ("10.0.0.2", "172.16.0.1", "10.0.0.2")
-        datagrams = [
-            encode_udp("10.0.0.1", dst, UDPDatagram(4000, 53, b"x"))
-            for dst in destinations
-        ]
         with pytest.raises(NoRouteError):
-            net.transmit_spray("10.0.0.1", destinations, datagrams, [1, 2, 3])
+            spray_udp(net, "10.0.0.1", destinations, 4000, 53, b"x", [1, 2, 3])
         sim.run()
         assert received == [b"x"]
         assert net.packets_transmitted == 2
@@ -188,12 +201,8 @@ class TestBatchedDelivery:
     datagram."""
 
     def _spray(self, net, destinations):
-        datagrams = [
-            encode_udp("10.0.0.1", dst, UDPDatagram(4000, 53, b"ping"))
-            for dst in destinations
-        ]
-        net.transmit_spray(
-            "10.0.0.1", tuple(destinations), datagrams, list(range(len(destinations)))
+        spray_udp(
+            net, "10.0.0.1", destinations, 4000, 53, b"ping", range(len(destinations))
         )
 
     def test_spray_fallback_counts_and_delivers(self):
@@ -217,7 +226,7 @@ class TestBatchedDelivery:
 
 
 class TestStageAttribution:
-    """A socket send that fits its path MTU travels as bytes and drains as
+    """A socket send that fits its path MTU travels in a batch and drains as
     ``burst_drain`` + ``handler``; only materialised packets (fragments,
     deliveries to a tapped host) reach ``HostDatapath.deliver``, which
     times the ``defrag``, ``checksum``, ``demux`` and ``handler`` stages."""
@@ -258,11 +267,7 @@ class TestStageAttribution:
                 calls = [STAGES.merged()[1]]
                 STAGES.reset()
                 destinations = ("10.0.0.2", "10.0.0.3")
-                datagrams = [
-                    encode_udp("10.0.0.1", dst, UDPDatagram(4001, 53, b"spray"))
-                    for dst in destinations
-                ]
-                net.transmit_spray("10.0.0.1", destinations, datagrams, [5, 6])
+                spray_udp(net, "10.0.0.1", destinations, 4001, 53, b"spray", [5, 6])
                 sim.run()
                 calls.append(STAGES.merged()[1])
                 stats = [
@@ -385,12 +390,8 @@ class TestStageAttribution:
                     ip = f"10.0.1.{index + 1}"
                     net.add_host(f"v{index}", ip).bind(123, record(ip))
                     destinations.append(ip)
-                datagrams = [
-                    encode_udp("10.0.0.1", dst, UDPDatagram(123, 123, bytes([i]) * 48))
-                    for i, dst in enumerate(destinations)
-                ]
-                net.transmit_spray(
-                    "10.0.0.1", tuple(destinations), datagrams, list(range(count))
+                spray_udp(
+                    net, "10.0.0.1", destinations, 123, 123, b"\x07" * 48, range(count)
                 )
                 a.bind(4000).sendto(b"hello", "10.0.0.2", 53)
                 sim.run()

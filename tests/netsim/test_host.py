@@ -71,6 +71,14 @@ class TestUDPDelivery:
 
 
 class TestPMTUDAndFragmentation:
+    def test_interface_mtu_above_ipv4_limit_rejected(self):
+        """No IPv4 packet exceeds 65,535 bytes, so neither may an MTU: a
+        datagram that fits one always fits its UDP length field."""
+        net = Network(Simulator(seed=1))
+        with pytest.raises(ValueError):
+            net.add_host("jumbo", "10.0.0.9", interface_mtu=65536)
+        assert net.add_host("max", "10.0.0.8", interface_mtu=65535).interface_mtu == 65535
+
     def test_icmp_frag_needed_lowers_path_mtu(self):
         sim, net, sender, receiver = build_pair()
         message = frag_needed(296)

@@ -111,6 +111,37 @@ class TestRateLimiting:
         sim.run()
         assert server.is_rate_limiting(victim_ip)
 
+    def test_replaced_config_switches_limiting_on(self):
+        """A server built unlimited and then given a limiting config stops
+        answering a client that queries at 1/s."""
+        sim, net, server, client = build_env()
+        server.config = NTPServerConfig(rate_limiting=True, burst_tolerance=10)
+        responses = query_server(sim, client, count=50, interval=1.0)
+        assert len(responses) < 50
+        assert server.rate_limiter.enabled
+        assert server.rate_limiter.burst_tolerance == 10
+
+    def test_in_place_edit_applies_after_recompile(self):
+        sim, net, server, client = build_env()
+        server.config.rate_limiting = True
+        server.config.burst_tolerance = 10
+        server.recompile()
+        responses = query_server(sim, client, count=50, interval=1.0)
+        assert len(responses) < 50
+
+    def test_recompile_keeps_per_source_state(self):
+        """Re-applying the limiter fields changes the budget, not what the
+        limiter already counted: a limited client stays limited."""
+        config = NTPServerConfig(rate_limiting=True, send_kod=False)
+        sim, net, server, client = build_env(config=config)
+        query_server(sim, client, count=20, interval=1.0)
+        assert server.is_rate_limiting("192.0.2.100")
+        server.config = NTPServerConfig(
+            rate_limiting=True, send_kod=False, burst_tolerance=101.0
+        )
+        assert server.is_rate_limiting("192.0.2.100")
+        assert server.rate_limiter.queries_seen == 20
+
     def test_other_clients_unaffected_by_victim_limiting(self):
         config = NTPServerConfig(rate_limiting=True)
         sim, net, server, client = build_env(config=config)

@@ -19,6 +19,7 @@ from repro.netsim.packet import IPProtocol, IPv4Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.udp import (
     UDPDatagram,
+    _UDP_HEADER,
     _address_word_sum,
     encode_udp,
     payload_word_sum,
@@ -176,8 +177,9 @@ class TestChecksumFastPathsPinned:
     def test_spoofed_query_crafting_matches_encode_udp(self, now, servers, sent):
         """The remover's crafted spoofed queries — the reference
         ``_craft_query`` packet and the datagrams ``_send_cohort`` hands to
-        ``transmit_spray`` — are byte-identical to the generic UDP encode
-        tower they replaced."""
+        ``transmit_spray`` as one payload plus per-server checksums, header
+        rebuilt from those fields — are byte-identical to the generic UDP
+        encode tower they replaced."""
         from types import SimpleNamespace
 
         from repro.core.attacker import AttackerStats
@@ -215,9 +217,13 @@ class TestChecksumFastPathsPinned:
             assert packet.src == victim and packet.dst == campaign.server_ip
 
         remover._send_cohort(campaigns)
-        ((src, destinations, datagrams, ipids),) = network.sprays
+        ((src, destinations, sport, dport, payload, checksums, ipids),) = network.sprays
         assert src == victim
         assert destinations == tuple(servers)
+        datagrams = [
+            _UDP_HEADER.pack(sport, dport, 8 + len(payload), checksum) + payload
+            for checksum in checksums
+        ]
         assert datagrams == references
         assert ipids == [sent & 0xFFFF] * len(servers)
         assert [c.queries_sent for c in campaigns] == [sent + 1] * len(servers)

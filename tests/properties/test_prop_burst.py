@@ -1,6 +1,6 @@
 """Property tests pinning the spray path to per-packet injection.
 
-Two pinned equivalences:
+Three pinned equivalences:
 
 * ``Network.transmit_spray`` must be event-for-event equivalent to
   injecting the same packets one by one.  The packet fallback *is* a loop
@@ -12,12 +12,18 @@ Two pinned equivalences:
   unrouted or mixed-latency pairs, an attached capture) are covered by
   the path choice and by conservation: every transmitted, undropped copy
   is either received or counted as a checksum failure.
-* The spray drain's whole-datagram checksum fold must accept/reject
-  exactly the datagrams the scalar ``HostDatapath.deliver`` verify
-  accepts/rejects, byte-for-byte.
+* The drain's structured verify (header fields plus the payload's fold)
+  must accept/reject exactly the datagrams the scalar
+  ``HostDatapath.deliver`` verify accepts/rejects, byte-for-byte.
+* One batch mixing socket-send datagrams with spray datagrams that share
+  one payload object under valid, corrupted, zero and wrong-length
+  headers must be event-for-event equal to injecting the same packets,
+  with verification switched mid-flight.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +36,7 @@ from repro.netsim.packet import IPProtocol, IPv4Packet
 from repro.netsim.host import OSProfile
 from repro.netsim.simulator import Simulator
 from repro.netsim.network import Link, Network
-from repro.netsim.udp import UDPDatagram, encode_udp
+from repro.netsim.udp import UDP_HEADER_LEN, UDPDatagram, _UDP_HEADER, encode_udp
 
 
 # ------------------------------------------------------------------ sprays
@@ -141,12 +147,15 @@ class SprayWorld:
                     SPRAY_SRC, dst, Link(latency=0.03 if latency == 0.01 else 0.01)
                 )
 
-    def send_round(self, specs, first_index: int, use_spray: bool) -> None:
+    def send_round(self, size: int, specs, first_index: int, use_spray: bool) -> None:
+        """One round: a ``size``-byte payload to ``(destination index,
+        checksum kind)`` per datagram.  The spray carries the payload once
+        and one checksum per destination; the reference injects each
+        datagram as a packet built by ``encode_udp``."""
+        body = bytes((first_index * 31 + b) & 0xFF for b in range(size))
         destinations, datagrams, ipids = [], [], []
-        for offset, (dst_i, size, kind) in enumerate(specs):
-            index = first_index + offset
+        for offset, (dst_i, kind) in enumerate(specs):
             dst = UNROUTED_DST if dst_i == len(SPRAY_DSTS) else SPRAY_DSTS[dst_i]
-            body = bytes((index * 31 + b) & 0xFF for b in range(size))
             checksum_src = "9.9.9.9" if kind == "corrupt" else SPRAY_SRC
             datagram = encode_udp(
                 checksum_src, dst, UDPDatagram(SPRAY_PORT, SPRAY_PORT, body)
@@ -155,10 +164,18 @@ class SprayWorld:
                 datagram = datagram[:6] + b"\x00\x00" + datagram[8:]
             destinations.append(dst)
             datagrams.append(datagram)
-            ipids.append(index & 0xFFFF)
+            ipids.append((first_index + offset) & 0xFFFF)
         network = self.network
         if use_spray:
-            network.transmit_spray(SPRAY_SRC, tuple(destinations), datagrams, ipids)
+            network.transmit_spray(
+                SPRAY_SRC,
+                tuple(destinations),
+                SPRAY_PORT,
+                SPRAY_PORT,
+                body,
+                [int.from_bytes(datagram[6:8], "big") for datagram in datagrams],
+                ipids,
+            )
         else:
             for dst, datagram, ipid in zip(destinations, datagrams, ipids):
                 network.inject(IPv4Packet.udp(SPRAY_SRC, dst, datagram, ipid))
@@ -220,9 +237,9 @@ def run_spray_rounds(
 ) -> SprayWorld:
     world = SprayWorld(triggers)
     index = 0
-    for specs, edit in rounds:
+    for (size, specs), edit in rounds:
         world.edit(edit)
-        world.send_round(specs, index, use_spray)
+        world.send_round(size, specs, index, use_spray)
         if every_round_batched:
             assert world.takes_spray_entry() == use_spray
         index += len(specs)
@@ -234,17 +251,20 @@ def run_spray_rounds(
 def spray_rounds(last_dst: int, edits: list):
     """Rounds, each preceded by an optional topology edit from ``edits``.
 
-    One datagram of a round is (destination index up to ``last_dst`` —
-    ``len(SPRAY_DSTS)`` is the unrouted one —, body length — odd and even
-    —, checksum kind).
+    A round is (payload length — empty, odd and even —, its datagrams); one
+    datagram is (destination index up to ``last_dst`` — ``len(SPRAY_DSTS)``
+    is the unrouted one —, checksum kind).
     """
     datagram = st.tuples(
         st.integers(min_value=0, max_value=last_dst),
-        st.integers(min_value=0, max_value=61),
         st.sampled_from(["ok", "ok", "corrupt", "zero"]),
     )
+    round_ = st.tuples(
+        st.integers(min_value=0, max_value=61),
+        st.lists(datagram, min_size=1, max_size=10),
+    )
     return st.lists(
-        st.tuples(st.lists(datagram, min_size=1, max_size=10), st.sampled_from(edits)),
+        st.tuples(round_, st.sampled_from(edits)),
         min_size=1,
         max_size=4,
     )
@@ -299,27 +319,27 @@ class TestTransmitSprayEquivalence:
     )
     def test_plan_picks_the_path(self, trigger, takes_spray):
         world = SprayWorld({trigger})
-        specs = [(i, 48, "ok") for i in range(len(SPRAY_DSTS))]
+        specs = [(i, "ok") for i in range(len(SPRAY_DSTS))]
         if trigger == "unrouted":
-            specs.append((len(SPRAY_DSTS), 48, "ok"))
-        world.send_round(specs, 0, use_spray=True)
+            specs.append((len(SPRAY_DSTS), "ok"))
+        world.send_round(48, specs, 0, use_spray=True)
         assert world.takes_spray_entry() == takes_spray
 
     def test_topology_edits_retire_cached_plans(self):
         world = SprayWorld(set())
-        specs = [(3, 48, "ok"), (len(SPRAY_DSTS), 48, "ok")]
-        world.send_round(specs, 0, use_spray=True)
+        specs = [(3, "ok"), (len(SPRAY_DSTS), "ok")]
+        world.send_round(48, specs, 0, use_spray=True)
         assert not world.takes_spray_entry()  # unrouted: fallback
         world.simulator.run()
         world.edit("add_host")
-        world.send_round(specs, 2, use_spray=True)
+        world.send_round(48, specs, 2, use_spray=True)
         assert world.takes_spray_entry()  # the same spray, now uniform
         world.simulator.run()
         assert [entry[1] for entry in world.received] == [SPRAY_DSTS[3]] * 2 + [
             UNROUTED_DST
         ]
         world.edit("set_link")  # SPRAY_DSTS[3] now slower than UNROUTED_DST
-        world.send_round(specs, 4, use_spray=True)
+        world.send_round(48, specs, 4, use_spray=True)
         assert not world.takes_spray_entry()
 
 
@@ -335,15 +355,19 @@ class TestSprayChecksumPinnedToScalar:
             st.integers(min_value=0, max_value=0xFFFF),
         ),
         st.one_of(st.none(), st.integers(min_value=0, max_value=8 * 72 - 1)),
-        st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+        st.one_of(st.none(), st.integers(min_value=UDP_HEADER_LEN, max_value=20)),
     )
     @settings(max_examples=300, deadline=None)
     def test_whole_datagram_fold_matches_scalar_verdict(
         self, src, sport, body, checksum, flip, cut
     ):
         """Random, bit-flipped and truncated datagrams, checksum fields 0
-        and 0xFFFF, odd lengths: the spray drain and the scalar deliver
-        accept, reject and hand over exactly the same datagrams."""
+        and 0xFFFF, odd lengths: the drain's structured verify (header
+        fields plus payload) and the scalar deliver accept, reject and hand
+        over exactly the same datagrams.  A flipped length bit or a cut
+        payload reaches the drain as a length field that disagrees with
+        the payload; a structured datagram always has its header, so cuts
+        stop at it."""
         dst = "203.0.113.7"
         datagram = bytearray(encode_udp(src, dst, UDPDatagram(sport, SPRAY_PORT, body)))
         if checksum is not None:
@@ -354,18 +378,143 @@ class TestSprayChecksumPinnedToScalar:
             del datagram[cut:]
         datagram = bytes(datagram)
 
-        def verdict(use_spray: bool):
+        def verdict(structured: bool):
             simulator = Simulator(seed=1)
             network = Network(simulator)
             host = network.add_host("receiver", dst)
             handed = []
             host.bind(SPRAY_PORT, lambda *args: handed.append(args))
-            if use_spray:
-                network.transmit_spray(src, (dst,), [datagram], [7])
-                assert isinstance(simulator._queue[0][2], DatagramBatch)
+            if structured:
+                pipeline = network.pipeline_for(src, dst)
+                fields = _UDP_HEADER.unpack_from(datagram)
+                item = (pipeline, src, *fields, datagram[UDP_HEADER_LEN:], 7)
+                simulator.post_burst_entry(
+                    pipeline.latency, DatagramBatch(0.0, [item], 1, -1, True)
+                )
             else:
                 network.inject(IPv4Packet.udp(src, dst, datagram, 7))
             simulator.run()
             return host.stats.udp_received, host.stats.udp_checksum_failures, handed
 
         assert verdict(True) == verdict(False)
+
+
+# --------------------------------------------------------------- mixed batch
+#: The source of the socket-send datagrams in a mixed batch.
+SENDER_IP = "10.7.0.200"
+#: Spray checksum kinds: valid, computed for another source, "not
+#: checksummed", and a length field off by ``LENGTH_ERRORS[kind]`` under a
+#: checksum that is valid *for that wrong length* (so only the length check
+#: can reject it).
+SPRAY_KINDS = ("ok", "corrupt", "zero", "long", "short")
+LENGTH_ERRORS = {"long": 1, "short": -1}
+
+
+def mixed_item(network, entry, payloads, ipid: int) -> tuple:
+    """One batch item, as the sender of its kind builds it.
+
+    ``("send", dst index, payload index)`` is a socket send: its own
+    source, ports and valid checksum over one of the round's payload
+    objects.  ``("spray", dst index, kind)`` is a spray datagram: the
+    spoofed source and the round's shared payload object (``payloads[0]``)
+    under a checksum of ``kind``.
+    """
+    sender, dst_i, arg = entry
+    dst = SPRAY_DSTS[dst_i]
+    if sender == "send":
+        src, src_port, kind, payload = SENDER_IP, 5353, "ok", payloads[arg]
+    else:
+        src, src_port, kind, payload = SPRAY_SRC, SPRAY_PORT, arg, payloads[0]
+    pipeline = network.pipeline_for(src, dst)
+    length = UDP_HEADER_LEN + len(payload) + LENGTH_ERRORS.get(kind, 0)
+    if kind == "zero":
+        checksum = 0
+    else:
+        total = (
+            pipeline.address_sum
+            + length
+            + src_port
+            + SPRAY_PORT
+            + length
+            + int.from_bytes(payload + b"\x00" * (len(payload) & 1), "big")
+        )
+        if kind == "corrupt":
+            total += 1
+        checksum = 0xFFFF - total % 0xFFFF
+    return (pipeline, src, src_port, SPRAY_PORT, length, checksum, payload, ipid)
+
+
+mixed_rounds = st.lists(
+    st.tuples(
+        st.lists(st.integers(min_value=0, max_value=33), min_size=3, max_size=3),
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("send"),
+                    st.integers(min_value=0, max_value=len(SPRAY_DSTS) - 1),
+                    st.integers(min_value=0, max_value=2),
+                ),
+                st.tuples(
+                    st.just("spray"),
+                    st.integers(min_value=0, max_value=len(SPRAY_DSTS) - 1),
+                    st.sampled_from(SPRAY_KINDS),
+                ),
+            ),
+            min_size=1,
+            max_size=14,
+        ),
+        st.booleans(),  # the batch's spoofed tag
+        st.sets(st.integers(min_value=0, max_value=len(SPRAY_DSTS) - 1)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def run_mixed_rounds(rounds, use_batch: bool) -> SprayWorld:
+    world = SprayWorld(set())
+    simulator, network = world.simulator, world.network
+    ipid = 0
+    for sizes, entries, spoofed, flipped in rounds:
+        # Fresh objects per round; the spray's shared payload is index 0.
+        payloads = [bytes((size * 7 + b) & 0xFF for b in range(size)) for size in sizes]
+        items = []
+        for entry in entries:
+            items.append(mixed_item(network, entry, payloads, ipid))
+            ipid += 1
+        if use_batch:
+            network.packets_transmitted += len(items)  # as both senders count
+            simulator.post_burst_entry(
+                0.01, DatagramBatch(simulator.now + 0.01, items, len(items), -1, spoofed)
+            )
+        else:
+            for pipeline, src, sport, dport, length, checksum, payload, ip_id in items:
+                header = _UDP_HEADER.pack(sport, dport, length, checksum)
+                network.inject(
+                    IPv4Packet.udp(
+                        src, pipeline.datapath.host.ip, header + payload, ip_id
+                    ),
+                    mark_spoofed=spoofed,
+                )
+        for dst_i in flipped:  # verification switched while in flight
+            host = network.host(SPRAY_DSTS[dst_i])
+            host.profile = replace(
+                host.profile, verify_udp_checksum=not host.profile.verify_udp_checksum
+            )
+            host.datapath.recompile()
+        simulator.run_for(1.0)
+    simulator.run()
+    return world
+
+
+class TestMixedBatch:
+    @given(mixed_rounds)
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_batch_is_event_for_event_equivalent_to_injects(self, rounds):
+        """Socket-send datagrams and spray datagrams sharing one payload
+        object in one batch, to tapped, inbox, unverified and swept hosts:
+        the drain's fold memo, length check and padding give exactly the
+        deliveries, rejections and tapped bytes of the inject loop."""
+        batched = run_mixed_rounds(rounds, use_batch=True)
+        injected = run_mixed_rounds(rounds, use_batch=False)
+        assert batched.state() == injected.state()

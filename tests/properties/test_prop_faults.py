@@ -24,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.scenarios import chaos_link_faults
 from repro.netsim import (
     Corruption,
     Duplication,
@@ -34,6 +33,7 @@ from repro.netsim import (
     ReorderJitter,
 )
 
+from tests.properties.chaos_world import chaos_link_faults
 from tests.properties.test_prop_batch_delivery import (
     HOST_IPS,
     build_packets,

@@ -1,9 +1,9 @@
-"""Property tests pinning the bytes-only socket send to the packet path.
+"""Property tests pinning the batched socket send to the packet path.
 
 ``Network.send_udp`` (the one send frame behind every ``UDPSocket.sendto``)
 checksums a datagram that fits its path MTU from the pipeline's baked
-pseudo-header sum and, on a uniform pair, carries it as bytes in a
-``DatagramBatch``.  Two properties pin it:
+pseudo-header sum and, on a uniform pair, carries it as header fields
+plus payload in a ``DatagramBatch``.  Two properties pin it:
 
 * the checksum it writes equals ``udp_checksum_arith`` — random
   addresses, ports and payloads, odd lengths, empty payloads, and payloads
@@ -44,7 +44,7 @@ def sent_datagram(src: str, dst: str, sport: int, dport: int, payload: bytes) ->
     tapped = []
     receiver.packet_tap = lambda packet: tapped.append(packet.payload)
     network.send_udp(sender, dst, sport, dport, payload)
-    assert simulator.bursts_posted == 1  # it travelled as bytes
+    assert simulator.bursts_posted == 1  # it travelled in a batch
     simulator.run()
     (datagram,) = tapped
     return datagram
