@@ -30,7 +30,10 @@ After the pairs, each side runs one traced pass (``--trace 1 --seconds 1``)
 and the per-layer metrics are reported, not gated: a ``count`` metric
 reads ``same`` or ``changed`` against REV, every other metric reads as
 the ratio of A's value to REV's.  A change meant to leave the simulation
-alone shows every count as ``same``.
+alone shows every count as ``same``.  The time ratios come from one
+traced pass per side, and one pass can run slow throughout, so they
+resolve only to about ±20%: they report where time went, but cannot
+support a criterion such as "this layer's time does not move".
 """
 
 from __future__ import annotations

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.core.attacker import Attacker
-from repro.dns.message import DNS_HEADER_LEN, DNSMessage
+from repro.dns.message import DNSMessage
 from repro.dns.records import a_record
 from repro.dns.resolver import RecursiveResolver
 from repro.netsim.simulator import Simulator

@@ -20,7 +20,7 @@ Resolver behaviours measured in the paper and modelled here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.dns.cache import DNSCache

@@ -13,11 +13,10 @@ the usual pickling pitfalls (lambdas, locally defined classes, bound
 methods).
 
 Resilience: sweeps survive the failures that long population-scale grids
-actually hit.  Worker crashes (``BrokenProcessPool``) respawn the pool and
-send the in-flight chunks to a *K-way probation tier* — each suspect
-re-runs in its own isolated single-worker pool, so a crash identifies its
-culprit definitively without serialising the rest of the sweep (the main
-pool keeps draining untouched chunks at full width alongside probation).
+actually hit.  A worker crash (``BrokenProcessPool``) respawns the pool and
+makes every chunk that was in flight a suspect; the suspects re-run one at
+a time, each alone in the respawned pool, so a repeat crash names its
+culprit exactly.  Fresh chunks wait until every suspect has settled.
 Per-run timeouts are enforced in both modes: a stalled pool is killed and
 its innocent chunks requeued, and serial runs are preempted by a watchdog
 thread that raises inside the running scenario.  Every failure carries a
@@ -55,9 +54,8 @@ from repro.measurement.report import format_table
 #: * ``timeout`` — the run (or its chunk — see ``run_timeout``) exceeded its
 #:   deadline and was preempted (serial) or its worker killed (pool).
 #: * ``worker-crash`` — the worker process died (OOM kill, segfault,
-#:   ``BrokenProcessPool``); every chunk in flight at the moment of the
-#:   crash is attributed this kind because the pool cannot say which task
-#:   took the process down.
+#:   ``BrokenProcessPool``) while the chunk ran alone in the pool, so the
+#:   crash is attributed to that chunk exactly (see :class:`_PoolEngine`).
 ERROR_KINDS = ("scenario-error", "timeout", "worker-crash")
 
 
@@ -312,7 +310,10 @@ class ExperimentRunner:
         at all).  ``None`` uses ``os.cpu_count()``.  Anything larger than 1
         uses a ``ProcessPoolExecutor``; if the pool cannot be created or a
         submission fails to pickle, the runner falls back to serial
-        execution rather than failing the sweep.  Pool sweeps submit the
+        execution rather than failing the sweep.  A worker crash respawns
+        the pool and re-runs the chunks that were in flight one at a time,
+        so only the chunk that crashed alone fails (kind
+        ``"worker-crash"``).  Pool sweeps submit the
         grid in contiguous chunks of ``ceil(len(specs) / (4 * workers))``
         scenarios — large enough to amortise dispatch, small enough to
         load-balance a heterogeneous grid — each run against that
@@ -346,15 +347,9 @@ class ExperimentRunner:
             raise ValueError(f"run_timeout must be > 0, got {run_timeout}")
         self.max_workers = max_workers
         self.run_timeout = run_timeout
-        #: How many isolated single-worker pools re-run crash suspects
-        #: concurrently (the K of the K-way probation tier).  Suspects must
-        #: run isolated for definitive culprit attribution, but probation
-        #: runs *alongside* the main pool — a crash does not serialise the
-        #: sweep.
-        self.probation_width = min(2, max_workers)
         #: "serial" or "processes[N] chunks[M]" — how the last sweep ran.
         self.last_execution_mode: str = "serial"
-        #: Crash/timeout/probation counters from the last pool sweep (see
+        #: Crash and timeout counters from the last pool sweep (see
         #: :class:`_PoolEngine`); empty for serial sweeps.
         self.last_recovery: dict[str, Any] = {}
         #: The sweep id of the last run_stored()/resume_stored() sweep.
@@ -557,12 +552,6 @@ class ExperimentRunner:
             max_workers=self.max_workers, initializer=warm_worker_caches
         )
 
-    def _make_probation_pool(self) -> ProcessPoolExecutor:
-        """An isolated single-worker pool for re-running a crash suspect."""
-        from repro.experiments.warmup import warm_worker_caches
-
-        return ProcessPoolExecutor(max_workers=1, initializer=warm_worker_caches)
-
     def _chunk(self, specs: list) -> list[tuple]:
         """Slice the grid into contiguous worker tasks of
         ``ceil(len(specs) / (4 * max_workers))`` specs each."""
@@ -573,24 +562,24 @@ class ExperimentRunner:
 
 
 class _PoolEngine:
-    """Resilient pool drain with a K-way probation tier.
+    """Resilient pool drain: one pool, crash suspects re-run one at a time.
 
-    Three tiers.  The **main pool** (width ``max_workers``) drains
-    untouched chunks; when it breaks, every in-flight chunk is a crash
-    suspect.  The **probation tier** re-runs suspects, each in its own
-    isolated single-worker pool (up to ``probation_width`` at once) so a
-    repeat crash has exactly one suspect — the definitive culprit fails
-    with kind ``"worker-crash"`` — while the respawned main pool keeps
-    draining the rest of the sweep at full width.  Innocent bystanders
-    complete in probation and their pool is reused for the next suspect.
-    **Serial drain** in the driver is the last resort when no pool can
-    start at all.
+    The pool (width ``max_workers``) drains ``pending`` chunk by chunk.
+    When it breaks, it cannot say which task took the worker down, so
+    every chunk in flight goes to ``quarantine`` and a fresh pool is
+    spawned.  Suspects then re-run one at a time, each alone in the pool,
+    and fresh work waits until every suspect has settled: a suspect that
+    breaks the pool while it is the only chunk in flight is the definitive
+    culprit and fails with kind ``"worker-crash"``; an innocent one
+    completes.  A chunk that breaks the pool while flying alone in the
+    first place fails at once.
 
-    Per-run deadlines are enforced in both tiers (a stalled worker holds
-    its pool hostage — ``ProcessPoolExecutor`` cannot cancel a running
-    task — so the owning pool is killed; for the main pool, innocent
-    siblings requeue at the front of ``pending``).  Recovery statistics
-    land in :attr:`ExperimentRunner.last_recovery`.
+    Per-run deadlines: a stalled worker holds the pool hostage —
+    ``ProcessPoolExecutor`` cannot cancel a running task — so the pool is
+    killed, the overdue chunk fails with kind ``"timeout"`` and its
+    innocent siblings requeue at the front of ``pending``.  When no pool
+    can start or respawn, the driver runs the rest of the sweep serially.
+    Recovery counters land in :attr:`ExperimentRunner.last_recovery`.
     """
 
     def __init__(
@@ -605,19 +594,9 @@ class _PoolEngine:
         self.writer = writer
         self.pending: deque[_Chunk] = deque(runner._chunk(remaining))
         self.quarantine: deque[_Chunk] = deque()
-        self.main_flight: dict[Any, tuple[_Chunk, Optional[float]]] = {}
-        self.probation: dict[
-            Any, tuple[_Chunk, ProcessPoolExecutor, Optional[float]]
-        ] = {}
-        self.idle_probation: list[ProcessPoolExecutor] = []
+        self.flight: dict[Any, tuple[_Chunk, Optional[float]]] = {}
         self.pool: Optional[ProcessPoolExecutor] = None
-        self.probation_unavailable = False
-        self.recovery: dict[str, Any] = {
-            "worker_crashes": 0,
-            "probation_runs": 0,
-            "timeouts": 0,
-            "max_parallel_after_crash": 0,
-        }
+        self.recovery: dict[str, Any] = {"worker_crashes": 0, "timeouts": 0}
 
     def run(self) -> None:
         runner = self.runner
@@ -625,10 +604,7 @@ class _PoolEngine:
         try:
             self.pool = runner._make_pool()
         except Exception:  # pool creation failure: degrade gracefully
-            runner.last_execution_mode = "serial (process pool unavailable)"
-            leftovers = [item for chunk in self.pending for item in chunk]
-            self.pending.clear()
-            runner._run_serial(leftovers, self.results, self.writer)
+            self._drain_serial()
             return
         runner.last_execution_mode = (
             f"processes[{runner.max_workers}] chunks[{len(self.pending)}]"
@@ -638,64 +614,53 @@ class _PoolEngine:
         finally:
             if self.pool is not None:
                 self.pool.shutdown(wait=False, cancel_futures=True)
-            for pool in self.idle_probation:
-                pool.shutdown(wait=False, cancel_futures=True)
-            for _chunk, pool, _deadline in self.probation.values():
-                _kill_pool(pool)
 
     # --------------------------------------------------------------- drain loop
     def _drain(self) -> None:
-        while self.pending or self.quarantine or self.main_flight or self.probation:
-            self._fill_probation()
-            if not self._fill_main():
-                if not self._recover_main(innocents_to="quarantine"):
+        while self.pending or self.quarantine or self.flight:
+            if not self._fill():
+                if not self._recover(self.quarantine):
                     return
                 continue
-            futures = set(self.main_flight) | set(self.probation)
-            if not futures:
+            if not self.flight:
                 continue
-            if self.recovery["worker_crashes"]:
-                parallel = len(self.main_flight) + len(self.probation)
-                if parallel > self.recovery["max_parallel_after_crash"]:
-                    self.recovery["max_parallel_after_crash"] = parallel
             completed, _running = wait(
-                futures, timeout=self._wait_timeout(), return_when=FIRST_COMPLETED
+                set(self.flight),
+                timeout=self._wait_timeout(),
+                return_when=FIRST_COMPLETED,
             )
             if not completed:
                 if not self._deadline_sweep():
                     return
                 continue
-            flight_size = len(self.main_flight)
-            main_crashed = False
+            flight_size = len(self.flight)
+            crashed = False
             for future in completed:
-                if future in self.main_flight:
-                    crashed = self._finish_main(future, flight_size)
-                    main_crashed = main_crashed or crashed
-                else:
-                    self._finish_probation(future)
-            if main_crashed:
+                crashed = self._finish(future, flight_size) or crashed
+            if crashed:
                 # A broken pool takes every in-flight sibling with it; the
                 # break counts once, however many futures it failed.
                 self.recovery["worker_crashes"] += 1
-                if not self._recover_main(innocents_to="quarantine"):
+                if not self._recover(self.quarantine):
                     return
 
     # ------------------------------------------------------------- submissions
-    def _fill_main(self) -> bool:
-        """Feed the main pool from ``pending``; False when it is broken."""
-        if self.probation_unavailable and self.quarantine:
-            # No isolated pools can start: fall back to running suspects
-            # solo through the main pool (one at a time keeps culprit
-            # attribution exact), holding fresh work until they settle.
-            if not self.main_flight and not self.probation:
-                return self._submit_main(self.quarantine.popleft())
+    def _fill(self) -> bool:
+        """Feed the pool; False when it is broken.
+
+        A crash suspect runs only alone, and fresh work from ``pending``
+        waits until the quarantine is empty.
+        """
+        if self.quarantine:
+            if not self.flight:
+                return self._submit(self.quarantine.popleft())
             return True
-        while self.pending and len(self.main_flight) < self.runner.max_workers:
-            if not self._submit_main(self.pending.popleft()):
+        while self.pending and len(self.flight) < self.runner.max_workers:
+            if not self._submit(self.pending.popleft()):
                 return False
         return True
 
-    def _submit_main(self, chunk: _Chunk) -> bool:
+    def _submit(self, chunk: _Chunk) -> bool:
         """Submit one chunk; False means the pool is already broken."""
         try:
             future = self.pool.submit(_execute_chunk, tuple(spec for _, spec in chunk))
@@ -706,48 +671,8 @@ class _PoolEngine:
         except Exception:  # unpicklable chunk: run it in the driver
             self.runner._run_serial(list(chunk), self.results, self.writer)
             return True
-        self.main_flight[future] = (chunk, self._chunk_deadline(chunk))
+        self.flight[future] = (chunk, self._chunk_deadline(chunk))
         return True
-
-    def _fill_probation(self) -> None:
-        """Start suspects in isolated pools, up to ``probation_width``."""
-        runner = self.runner
-        if self.probation_unavailable:
-            return
-        while self.quarantine and len(self.probation) < runner.probation_width:
-            chunk = self.quarantine.popleft()
-            pool = self._probation_pool()
-            if pool is None:
-                self.quarantine.appendleft(chunk)
-                self.probation_unavailable = True
-                return
-            payload = tuple(spec for _, spec in chunk)
-            try:
-                future = pool.submit(_execute_chunk, payload)
-            except Exception:
-                # A reused idle pool had died in the meantime — retire it
-                # and retry once on a definitely-fresh pool.
-                _kill_pool(pool)
-                pool = None
-                try:
-                    pool = runner._make_probation_pool()
-                    future = pool.submit(_execute_chunk, payload)
-                except Exception:
-                    if pool is not None:
-                        _kill_pool(pool)
-                    self.quarantine.appendleft(chunk)
-                    self.probation_unavailable = True
-                    return
-            self.recovery["probation_runs"] += 1
-            self.probation[future] = (chunk, pool, self._chunk_deadline(chunk))
-
-    def _probation_pool(self) -> Optional[ProcessPoolExecutor]:
-        if self.idle_probation:
-            return self.idle_probation.pop()
-        try:
-            return self.runner._make_probation_pool()
-        except Exception:
-            return None
 
     def _chunk_deadline(self, chunk: _Chunk) -> Optional[float]:
         if self.runner.run_timeout is None:
@@ -755,9 +680,9 @@ class _PoolEngine:
         return time.monotonic() + self.runner.run_timeout * len(chunk)
 
     # --------------------------------------------------------------- completion
-    def _finish_main(self, future: Any, flight_size: int) -> bool:
-        """Settle one main-pool future; True when the pool broke under it."""
-        chunk, _deadline = self.main_flight.pop(future)
+    def _finish(self, future: Any, flight_size: int) -> bool:
+        """Settle one future; True when the pool broke under it."""
+        chunk, _deadline = self.flight.pop(future)
         try:
             outcomes = future.result()
         except BrokenProcessPool:
@@ -772,24 +697,6 @@ class _PoolEngine:
             return True
         self._record_chunk(chunk, outcomes)
         return False
-
-    def _finish_probation(self, future: Any) -> None:
-        """Settle one probation future — a crash here has one suspect."""
-        chunk, pool, _deadline = self.probation.pop(future)
-        try:
-            outcomes = future.result()
-        except BrokenProcessPool:
-            # It had the pool to itself: definitive culprit.
-            self.recovery["worker_crashes"] += 1
-            _kill_pool(pool)
-            self._fail(chunk, "worker-crash")
-            return
-        except Exception:  # worker-side dispatch failure
-            _kill_pool(pool)
-            self._fail(chunk, "worker-crash")
-            return
-        self._record_chunk(chunk, outcomes)
-        self.idle_probation.append(pool)
 
     def _record_chunk(self, chunk: _Chunk, outcomes: list[RunOutcome]) -> None:
         for (index, _spec), outcome in zip(chunk, outcomes):
@@ -813,20 +720,18 @@ class _PoolEngine:
         )
 
     # ----------------------------------------------------------------- recovery
-    def _recover_main(self, innocents_to: str) -> bool:
-        """Kill + respawn the main pool; False when the sweep went serial.
+    def _recover(self, innocents: deque[_Chunk]) -> bool:
+        """Kill + respawn the pool; False when the sweep went serial.
 
-        ``innocents_to`` routes the surviving in-flight chunks: after a
-        crash every one is a suspect (``"quarantine"``); after a timeout
-        kill they are known innocent and requeue at the front of
-        ``pending`` (``"pending"``).
+        The chunks still in flight move to the front of ``innocents``:
+        ``quarantine`` after a crash (every one is a suspect), ``pending``
+        after a timeout kill (they are known innocent).
         """
         _kill_pool(self.pool)
         self.pool = None
-        target = self.quarantine if innocents_to == "quarantine" else self.pending
-        for _future, (chunk, _deadline) in reversed(list(self.main_flight.items())):
-            target.appendleft(chunk)
-        self.main_flight.clear()
+        for _future, (chunk, _deadline) in reversed(list(self.flight.items())):
+            innocents.appendleft(chunk)
+        self.flight.clear()
         try:
             self.pool = self.runner._make_pool()
             return True
@@ -835,52 +740,27 @@ class _PoolEngine:
             return False
 
     def _deadline_sweep(self) -> bool:
-        """Expire overdue runs; False when main recovery went serial."""
+        """Expire overdue runs; False when recovery went serial."""
         if self.runner.run_timeout is None:
             return True
         now = time.monotonic()
-        self._expire_probation(now)
         expired = [
             future
-            for future, (_chunk, deadline) in self.main_flight.items()
+            for future, (_chunk, deadline) in self.flight.items()
             if deadline is not None and deadline <= now
         ]
         if not expired:
             return True
         for future in expired:
-            chunk, _deadline = self.main_flight.pop(future)
+            chunk, _deadline = self.flight.pop(future)
             self.recovery["timeouts"] += 1
             self._fail(chunk, "timeout")
-        return self._recover_main(innocents_to="pending")
-
-    def _expire_probation(self, now: float) -> None:
-        """Probation pools are independent: kill only the expired ones."""
-        expired = [
-            future
-            for future, (_chunk, _pool, deadline) in self.probation.items()
-            if deadline is not None and deadline <= now
-        ]
-        for future in expired:
-            chunk, pool, _deadline = self.probation.pop(future)
-            self.recovery["timeouts"] += 1
-            _kill_pool(pool)
-            self._fail(chunk, "timeout")
+        return self._recover(self.pending)
 
     def _drain_serial(self) -> None:
-        """Last resort: settle probation, then run the rest in the driver."""
+        """Last resort: no pool can run, so the driver runs the rest."""
         runner = self.runner
         runner.last_execution_mode = "serial (process pool unavailable)"
-        while self.probation:
-            completed, _running = wait(
-                set(self.probation),
-                timeout=self._wait_timeout(),
-                return_when=FIRST_COMPLETED,
-            )
-            if not completed:
-                self._expire_probation(time.monotonic())
-                continue
-            for future in completed:
-                self._finish_probation(future)
         leftovers = [
             item
             for chunk in list(self.quarantine) + list(self.pending)
@@ -894,14 +774,9 @@ class _PoolEngine:
         """Seconds until the earliest in-flight chunk deadline, if any."""
         deadlines = [
             deadline
-            for _chunk, deadline in self.main_flight.values()
+            for _chunk, deadline in self.flight.values()
             if deadline is not None
         ]
-        deadlines.extend(
-            deadline
-            for _chunk, _pool, deadline in self.probation.values()
-            if deadline is not None
-        )
         if not deadlines:
             return None
         return max(0.01, min(deadlines) - time.monotonic())

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -77,6 +79,66 @@ def _test_res_interrupt_once(marker: str = "") -> int:
             handle.write("1")
         raise KeyboardInterrupt
     return 1
+
+
+class _FakeFuture(Future):
+    """A future of :class:`_FakePool`; reading its result settles it."""
+
+    def __init__(self, pool: "_FakePool", specs: tuple) -> None:
+        super().__init__()
+        self.pool = pool
+        self.specs = specs
+
+    def result(self, timeout=None):
+        pool = self.pool
+        alone = pool.in_flight == [self]
+        pool.in_flight.remove(self)
+        if pool.broken:
+            if alone:  # it broke the pool on its own: the definitive culprit
+                pool.suspects.discard(self.specs)
+            raise BrokenProcessPool("a worker process died")
+        pool.suspects.discard(self.specs)
+        return super().result(timeout)
+
+
+class _FakePool:
+    """In-process stand-in for the engine's process pool.
+
+    ``submit`` runs a chunk synchronously.  A chunk holding ``crasher``
+    breaks the pool the way a dying worker does: every future still in
+    flight (submitted, result not yet read) then reads
+    ``BrokenProcessPool``, and later submits raise it.  Each chunk a break
+    catches is a crash suspect until its result is read on a working pool,
+    or it breaks a pool alone.  ``suspects`` is shared by the respawned
+    pools; ``suspect_flights`` gets the flight size at every submit made
+    while a suspect is unsettled.
+    """
+
+    def __init__(self, crasher: RunSpec, suspects: set, suspect_flights: list) -> None:
+        self.crasher = crasher
+        self.suspects = suspects
+        self.suspect_flights = suspect_flights
+        self.in_flight: list[_FakeFuture] = []
+        self.broken = False
+
+    def submit(self, fn, specs):
+        if self.broken:
+            self.suspects.add(specs)
+            raise BrokenProcessPool("the pool is broken")
+        future = _FakeFuture(self, specs)
+        self.in_flight.append(future)
+        if self.suspects:
+            self.suspect_flights.append(len(self.in_flight))
+        if self.crasher in specs:
+            self.broken = True
+            self.suspects.update(f.specs for f in self.in_flight)
+            future.set_result(None)
+        else:
+            future.set_result(fn(specs))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False) -> None:
+        pass
 
 
 def _kill_sweep(store: RunStore, sweep_id: str, keep: int, torn: bool = False) -> None:
@@ -287,18 +349,55 @@ class TestGracefulCancellation:
         assert [o.result for o in resumed] == [4, 1, 25]
         assert store.manifest("s")["status"] == "complete"
 
-class TestProbationEngine:
-    """Crash suspects re-run in isolated pools; the sweep stays parallel."""
+
+class TestSuspectReruns:
+    """Crash suspects re-run one at a time, each alone in the respawned pool."""
 
     def test_clean_sweep_reports_zero_recovery(self):
         runner = ExperimentRunner(max_workers=2)
         runner.run(make_grid("_test_res_square", x=[1, 2, 3, 4]))
-        assert runner.last_recovery == {
-            "worker_crashes": 0,
-            "probation_runs": 0,
-            "timeouts": 0,
-            "max_parallel_after_crash": 0,
-        }
+        assert runner.last_recovery == {"worker_crashes": 0, "timeouts": 0}
+
+    def test_suspects_rerun_alone_until_settled(self):
+        """While any crash suspect is unsettled, at most one chunk is in
+        flight; the crasher fails and every innocent completes.
+
+        An in-process fake pool makes this exact: no workers, no sleeps.
+        Eight specs on two workers chunk one spec each, so the first break
+        catches the crasher and the innocent submitted just before it.
+        """
+        crasher = RunSpec.make("_test_res_fail")  # never run: breaks the pool
+        specs = [RunSpec.make("_test_res_square", x=x) for x in range(8)]
+        specs[3] = crasher
+        runner = ExperimentRunner(max_workers=2)
+        assert runner._chunk(specs) == [(spec,) for spec in specs]
+        suspects: set = set()
+        suspect_flights: list[int] = []
+        pools: list[_FakePool] = []
+
+        def make_pool():
+            # Bounded respawns: an engine that never settles its suspects
+            # ends in the serial fallback (and fails below) instead of
+            # looping forever.
+            if len(pools) == 10:
+                raise OSError("no more pools")
+            pools.append(_FakePool(crasher, suspects, suspect_flights))
+            return pools[-1]
+
+        runner._make_pool = make_pool
+        outcomes = runner.run(specs)
+        # two suspects (spec 2 and the crasher), each re-run once, alone
+        assert suspect_flights == [1, 1]
+        assert not suspects
+        assert outcomes[3].error_kind == "worker-crash"
+        innocents = outcomes[:3] + outcomes[4:]
+        assert all(o.ok for o in innocents)
+        assert [o.result for o in innocents] == [
+            x * x for x in range(8) if x != 3
+        ]
+        # the first break, then the crasher's solo re-run
+        assert runner.last_recovery == {"worker_crashes": 2, "timeouts": 0}
+        assert len(pools) == 3
 
     def test_repeated_crashes_in_one_chunk(self):
         """A chunk holding two crashers fails cleanly however often it runs.
@@ -317,14 +416,14 @@ class TestProbationEngine:
         ]
         assert [o.result for o in outcomes[2:]] == [x * x for x in range(2, 10)]
 
-    def test_crash_during_probation_is_definitive_culprit(self):
-        """A suspect that crashes its isolated pool is the definitive
-        culprit; every innocent completes.
+    def test_crash_during_suspect_rerun_is_definitive_culprit(self):
+        """A suspect that crashes the pool while running alone in it is the
+        definitive culprit; every innocent completes.
 
         Only outcomes are asserted: the recovery counters depend on
-        scheduling.  When the crasher happens to fly alone in the main
-        pool, that first crash already fails it, and it needs one
-        probation run fewer.
+        scheduling.  When the crasher happens to fly alone in the first
+        place, that first crash already fails it, and it needs one re-run
+        fewer.
         """
         specs = [RunSpec.make("_test_res_crash")] + [
             RunSpec.make("_test_res_square", x=i) for i in range(5)
@@ -354,39 +453,32 @@ class TestProbationEngine:
         store = RunStore(str(tmp_path))
         runner().run_stored(store, "t", specs, sweep_id="s", finish=False)
         # keep only the first two finished outcomes — the sweep dies while
-        # the crash chunk is still in quarantine/probation
+        # the crash chunk is still in quarantine
         _kill_sweep(store, "s", keep=2)
         resumed = runner().resume_stored(store, "s")
         assert [(o.spec, o.result, o.error_kind) for o in resumed] == [
             (o.spec, o.result, o.error_kind) for o in uninterrupted
         ]
 
-
-class TestRecoveryFallbacks:
-    """The degraded paths taken when a replacement pool cannot start."""
-
-    def test_probation_pool_unavailable_runs_suspects_solo(self, tmp_path):
-        """No isolated pool can start: suspects re-run one at a time through
-        the respawned main pool, which still attributes the crash exactly."""
+    def test_in_flight_innocents_rerun_solo_and_complete(self, tmp_path):
+        """Innocents still in flight when a worker dies are suspects: each
+        re-runs alone through the respawned pool and completes, and the
+        crasher alone fails."""
         marker = str(tmp_path / "crashed")
         specs = [RunSpec.make("_test_res_crash", marker=marker)] + [
             RunSpec.make("_test_res_square_after", x=x, after=marker)
             for x in range(1, 5)
         ]
         runner = ExperimentRunner(max_workers=2)
-        calls = []
-
-        def no_probation_pool():
-            calls.append(1)
-            raise OSError("no isolated pool")
-
-        runner._make_probation_pool = no_probation_pool
         outcomes = runner.run(specs)
         assert outcomes[0].error_kind == "worker-crash"
         assert [o.result for o in outcomes[1:]] == [1, 4, 9, 16]
         assert all(o.ok for o in outcomes[1:])
-        assert calls  # the crash did leave suspects to re-run
-        assert runner.last_recovery["probation_runs"] == 0
+        assert runner.last_recovery["worker_crashes"] >= 1
+
+
+class TestRecoveryFallbacks:
+    """The degraded paths taken when a replacement pool cannot start."""
 
     def test_respawn_failure_after_timeout_drains_serially(self):
         """The main pool cannot respawn after a run_timeout kill: the driver
