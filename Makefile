@@ -42,8 +42,13 @@
 #   make reach         reach probe: runs every production surface (examples,
 #                      paper benchmarks, perfbench workloads, smoke CLIs,
 #                      store fsck/report) under a profiler and lists each
-#                      src/repro function none of them called, with its
-#                      line count (benchmarks/reach.py, several minutes)
+#                      src/repro function none of them called that has no
+#                      entry in benchmarks/reach_allow.txt (one
+#                      path:qualname per line plus a reason naming the test
+#                      that pins it); prints "N unexplained" and exits 1
+#                      when N > 0, when an entry is stale (its function is
+#                      gone or now reached) or a surface fails
+#                      (benchmarks/reach.py, several minutes)
 
 PYTHON ?= python
 export PYTHONPATH := src

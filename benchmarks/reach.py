@@ -1,29 +1,41 @@
 #!/usr/bin/env python3
-"""Reach probe: which functions in ``src/repro`` no production surface calls.
+"""Reach probe: every function in ``src/repro`` has a surface, a reason, or goes.
 
 Runs every production surface of the repository in its own interpreter
 under ``sys.setprofile`` and records each Python function that is entered
-at least once.  It then lists every function defined in ``src/repro`` that
-no surface called, with its line count, and a total::
+at least once.  Every function defined in ``src/repro`` that no surface
+called must then have an entry in the committed allowlist
+``benchmarks/reach_allow.txt``; the probe lists the ones that do not, with
+their line counts, and ends with ``N unexplained``::
 
     python3 benchmarks/reach.py        (or: make reach)
+
+The allowlist holds one entry per line: the function as
+``src/repro/<path>:<qualname>``, then whitespace, then the reason it stays
+although no surface calls it.  The reason names the test that pins the
+function (``tests/<file>.py::<Class>::<test>``), e.g. a reference oracle a
+property test compares against, a resilience path ``make chaos`` runs, or
+a ROADMAP item that will reach it.  Blank lines and ``#`` comments are
+skipped.  One entry covers every definition with that qualname (a
+property's getter and setter).
 
 The surfaces are the five examples, the 13 paper benchmarks (pytest files
 ``benchmarks/bench_*.py`` other than the delivery microbenchmark), the four
 benchmark-of-record workloads with ``--trace 0`` and ``--trace 1``, the
-landscape and chaos smoke CLIs, and ``store fsck`` / ``store report`` on
-the stores those two CLIs write.  The CLI stores and all profiles live in a
-temporary directory that is removed on exit.
+landscape and chaos smoke CLIs, and ``store fsck``, ``store report`` and
+``store report ROOT SWEEP_ID`` (one sweep) on the stores those two CLIs
+write.  The CLI stores and all profiles live in a temporary directory that
+is removed on exit.
 
 Not observed: code that runs only in another process the surfaces start.
 That is the process-pool workers of the experiment engine
 (``warm_worker_caches``, ``_execute_chunk``) and the fresh interpreters of
-the benchmark's setup probe.  A function listed here is never called by
-the surfaces; whether it can be deleted is a separate question (crash
-recovery, strict-mode checks and CLI-only code run only when asked).
+the benchmark's setup probe; their allowlist entries say so.
 
 Takes several minutes; surfaces run two at a time.  The exit status is 1
-when a surface fails, since its reach would then be incomplete.
+when any function is unexplained, when an allowlist entry is stale (its
+function no longer exists, or a surface now reaches it), or when a surface
+fails, since its reach would then be incomplete; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -40,6 +52,8 @@ from concurrent.futures import ThreadPoolExecutor
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 PACKAGE = os.path.join(SRC, "repro")
+#: The committed allowlist of functions no surface calls, with reasons.
+ALLOW = os.path.join(ROOT, "benchmarks", "reach_allow.txt")
 
 #: Surfaces run concurrently (each is one interpreter).
 PARALLEL = 2
@@ -126,8 +140,34 @@ def defined_functions() -> dict[tuple[str, int, str], tuple[str, int]]:
     return functions
 
 
-def surfaces(scratch: str) -> tuple[list, list]:
-    """``(label, command)`` pairs: independent ones, then the store readers."""
+def load_allowlist(path: str = ALLOW) -> dict[str, str]:
+    """The allowlist as ``{"src/repro/<path>:<qualname>": reason}``.
+
+    Raises ``ValueError`` on an entry without a reason or a repeated entry.
+    """
+    entries: dict[str, str] = {}
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            name, _, reason = line.partition(" ")
+            reason = reason.strip()
+            if not reason:
+                raise ValueError(f"{path}:{number}: {name} has no reason")
+            if name in entries:
+                raise ValueError(f"{path}:{number}: {name} is listed twice")
+            entries[name] = reason
+    return entries
+
+
+def function_name(key: tuple[str, int, str], functions: dict) -> str:
+    """A function's allowlist name, ``src/repro/<path>:<qualname>``."""
+    return f"src/repro/{key[0]}:{functions[key][0]}"
+
+
+def surfaces(scratch: str) -> list:
+    """``(label, command)`` pairs that run independently of each other."""
     independent = []
     for path in sorted(glob.glob(os.path.join(ROOT, "examples", "*.py"))):
         independent.append((os.path.relpath(path, ROOT), [path]))
@@ -152,20 +192,34 @@ def surfaces(scratch: str) -> tuple[list, list]:
                      "--seconds", PERFBENCH_SECONDS],
                 )
             )
-    stores = []
     for cli in ("landscape", "chaos"):
         store = os.path.join(scratch, f"{cli}_store")
         independent.append(
             (f"repro.population.{cli}", ["-m", f"repro.population.{cli}", "--store", store])
         )
-        for command in ("fsck", "report"):
-            stores.append(
-                (
-                    f"store {command} ({cli})",
-                    ["-m", "repro.experiments.store", command, store],
-                )
+    return independent
+
+
+def store_readers(scratch: str) -> list:
+    """``(label, command)`` pairs reading the stores the smoke CLIs wrote:
+    ``fsck``, the sweep listing, and the run table of the first sweep."""
+    readers = []
+    for cli in ("landscape", "chaos"):
+        store = os.path.join(scratch, f"{cli}_store")
+        sweeps = sorted(
+            name
+            for name in (os.listdir(store) if os.path.isdir(store) else ())
+            if os.path.isfile(os.path.join(store, name, "MANIFEST.json"))
+        )
+        for label, args in (
+            ("fsck", ["fsck", store]),
+            ("report", ["report", store]),
+            ("report SWEEP_ID", ["report", store, *sweeps[:1]]),
+        ):
+            readers.append(
+                (f"store {label} ({cli})", ["-m", "repro.experiments.store", *args])
             )
-    return independent, stores
+    return readers
 
 
 def probe(label: str, command: list, out: str) -> tuple[str, int, list]:
@@ -193,11 +247,14 @@ def probe(label: str, command: list, out: str) -> tuple[str, int, list]:
 
 def main() -> int:
     functions = defined_functions()
+    allow = load_allowlist()
     called: set = set()
     failed = []
+    ran = 0
     with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
-        independent, stores = surfaces(scratch)
-        for phase, group in enumerate((independent, stores)):
+        for phase, make_group in enumerate((surfaces, store_readers)):
+            group = make_group(scratch)
+            ran += len(group)
             with ThreadPoolExecutor(PARALLEL) as pool:
                 jobs = [
                     pool.submit(
@@ -212,22 +269,29 @@ def main() -> int:
                         failed.append(label)
                     called.update(entered)
     never = sorted(key for key in functions if key not in called)
-    print(
-        "Not observed: code that runs only in process-pool workers "
-        "(warm_worker_caches, _execute_chunk) or other child processes."
-    )
-    for key in never:
+    unexplained = [key for key in never if function_name(key, functions) not in allow]
+    defined = {function_name(key, functions) for key in functions}
+    unreached = {function_name(key, functions) for key in never}
+    stale = [
+        f"{name}: no such function" if name not in defined else f"{name}: now reached"
+        for name in allow
+        if name not in unreached
+    ]
+    for key in unexplained:
         qualname, lines = functions[key]
         print(f"src/repro/{key[0]}:{key[1]}  {qualname}  ({lines} lines)")
     lines = sum(functions[key][1] for key in never)
     print(
         f"{len(never)} of {len(functions)} functions never called "
-        f"({lines:,} lines) by {len(independent) + len(stores)} surfaces"
+        f"({lines:,} lines) by {ran} surfaces; "
+        f"{len(never) - len(unexplained)} of them allowlisted"
     )
+    for entry in stale:
+        print(f"stale allowlist entry {entry}")
+    print(f"{len(unexplained)} unexplained")
     if failed:
         print(f"incomplete: {len(failed)} surfaces failed: {', '.join(failed)}")
-        return 1
-    return 0
+    return 1 if unexplained or stale or failed else 0
 
 
 if __name__ == "__main__":

@@ -92,11 +92,6 @@ class PoisoningOutcome:
     template_learned: bool
     ipid_prediction: Optional[IPIDPrediction] = None
 
-    @property
-    def duration(self) -> float:
-        """Wall-clock (simulated) duration of the campaign."""
-        return self.finished_at - self.started_at
-
 
 class DNSFragmentPoisoner:
     """Runs one defragmentation-cache poisoning campaign."""

@@ -209,10 +209,6 @@ class AssociationRemover:
                 campaign.active = False
                 self.stats.campaigns_stopped += 1
 
-    def active_targets(self) -> list[str]:
-        """Servers currently being kept in the rate-limited state."""
-        return [ip for ip, campaign in self.campaigns.items() if campaign.active]
-
     # ------------------------------------------------------------- spoofing
     def _query_payload(self, now: float) -> None:
         """Refresh the per-burst mode 3 wire payload memo for time ``now``."""

@@ -76,12 +76,6 @@ class DNSCache:
         remaining = int(entry.remaining_ttl(now))
         return [record.with_ttl(remaining) for record in entry.records]
 
-    def contains(self, name: str, rtype: RRType, now: float) -> bool:
-        """True when a live entry exists without counting a hit or a miss."""
-        key = (normalize_name(name), rtype)
-        entry = self.entries.get(key)
-        return entry is not None and not entry.expired(now)
-
     def remaining_ttl(self, name: str, rtype: RRType, now: float) -> Optional[float]:
         """Remaining TTL of a cached entry, or None when absent/expired."""
         key = (normalize_name(name), rtype)
@@ -89,15 +83,3 @@ class DNSCache:
         if entry is None or entry.expired(now):
             return None
         return entry.remaining_ttl(now)
-
-    def evict(self, name: str, rtype: RRType) -> bool:
-        """Remove an entry (used by cache-eviction attack variants)."""
-        return self.entries.pop((normalize_name(name), rtype), None) is not None
-
-    def flush(self) -> None:
-        """Empty the cache."""
-        self.entries.clear()
-
-    def size(self) -> int:
-        """Number of stored rrsets (including possibly expired ones)."""
-        return len(self.entries)

@@ -449,25 +449,13 @@ class _LazyDNSMessage(DNSMessage):
     def answers(self) -> list[ResourceRecord]:
         return self._materialize()[0]
 
-    @answers.setter
-    def answers(self, value: list[ResourceRecord]) -> None:
-        self._materialize()[0] = value
-
     @property
     def authority(self) -> list[ResourceRecord]:
         return self._materialize()[1]
 
-    @authority.setter
-    def authority(self, value: list[ResourceRecord]) -> None:
-        self._materialize()[1] = value
-
     @property
     def additional(self) -> list[ResourceRecord]:
         return self._materialize()[2]
-
-    @additional.setter
-    def additional(self, value: list[ResourceRecord]) -> None:
-        self._materialize()[2] = value
 
     # ----------------------------------------------------------- comparisons
     def __eq__(self, other: object) -> bool:

@@ -47,7 +47,3 @@ class Zone:
     def names(self) -> set[str]:
         """All owner names present in the zone."""
         return {record.name for record in self.records}
-
-    def rrset(self, name: str, rtype: RRType) -> list[ResourceRecord]:
-        """Alias of :meth:`lookup` named after the DNSSEC unit of signing."""
-        return self.lookup(name, rtype)

@@ -26,7 +26,6 @@ from repro.experiments.runner import (
     RunSpec,
     SweepCancelled,
     make_grid,
-    outcomes_table,
 )
 from repro.experiments.scenarios import SCENARIOS, get_scenario, scenario
 from repro.experiments.store import (
@@ -54,7 +53,6 @@ __all__ = [
     "SweepWriter",
     "get_scenario",
     "make_grid",
-    "outcomes_table",
     "repair_segment",
     "scan_records",
     "scenario",

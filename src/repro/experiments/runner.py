@@ -29,7 +29,9 @@ uninterrupted run (scenarios are pure functions of their spec, so
 re-executing the unfinished tail reproduces exactly what the interrupted
 run would have produced).  Cancellation is graceful: SIGINT raises
 :class:`SweepCancelled` *after* every finished outcome has been flushed
-and fsynced, so a resume continues from the cancellation point.
+and fsynced, so a resume continues from the cancellation point.  So does
+a crash after which no pool can respawn: its suspects never run in the
+driver, they stay unrecorded for a resume to re-run in a fresh pool.
 """
 
 from __future__ import annotations
@@ -43,10 +45,9 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.experiments.store import RepairEvent, RunStore, SweepWriter
-from repro.measurement.report import format_table
 
 #: The typed error taxonomy carried by ``RunOutcome.error_kind``:
 #:
@@ -63,7 +64,8 @@ _logger = logging.getLogger(__name__)
 
 
 class SweepCancelled(RuntimeError):
-    """A sweep stopped early — gracefully — on SIGINT.
+    """A sweep stopped early — gracefully — on SIGINT, or because crash
+    suspects were left unrun when no process pool could respawn.
 
     Every outcome that finished before the cancellation was already
     flushed (and fsynced) to the run store, so
@@ -72,12 +74,14 @@ class SweepCancelled(RuntimeError):
     ``outcomes`` (``{spec index: RunOutcome}``).
     """
 
-    def __init__(self, results: dict[int, "RunOutcome"], total: int) -> None:
+    def __init__(
+        self, results: dict[int, "RunOutcome"], total: int, reason: str = "SIGINT"
+    ) -> None:
         self.outcomes = {index: results[index] for index in sorted(results)}
         self.completed = len(results)
         self.total = total
         super().__init__(
-            f"sweep cancelled by SIGINT after {self.completed}/{total} runs; "
+            f"sweep cancelled ({reason}) after {self.completed}/{total} runs; "
             "finished outcomes are flushed — resume_stored() continues from them"
         )
 
@@ -308,9 +312,10 @@ class ExperimentRunner:
     max_workers:
         ``1`` forces in-process serial execution (no pickling requirements
         at all).  ``None`` uses ``os.cpu_count()``.  Anything larger than 1
-        uses a ``ProcessPoolExecutor``; if the pool cannot be created or a
-        submission fails to pickle, the runner falls back to serial
-        execution rather than failing the sweep.  A worker crash respawns
+        uses a ``ProcessPoolExecutor``; if the pool cannot be created, the
+        runner falls back to serial execution rather than failing the
+        sweep.  A spec that fails to pickle fails alone with its pickling
+        error (kind ``"scenario-error"``).  A worker crash respawns
         the pool and re-runs the chunks that were in flight one at a time,
         so only the chunk that crashed alone fails (kind
         ``"worker-crash"``).  Pool sweeps submit the
@@ -373,14 +378,13 @@ class ExperimentRunner:
         *,
         sweep_id: Optional[str] = None,
         seed: Optional[int] = None,
-        fault_plan: Optional[Any] = None,
         metadata: Optional[dict[str, Any]] = None,
         finish: bool = True,
     ) -> list[RunOutcome]:
         """Execute a sweep writing through a durable
         :class:`~repro.experiments.store.RunStore`.
 
-        The sweep's manifest (spec list, seed, fault plan, git revision)
+        The sweep's manifest (spec list, seed, git revision)
         commits atomically before the first run; every finished outcome
         appends to an fsynced segment as it completes.  On success the
         manifest is stamped ``complete``; graceful cancellation stamps
@@ -400,7 +404,6 @@ class ExperimentRunner:
             specs,
             sweep_id=sweep_id,
             seed=seed,
-            fault_plan=fault_plan,
             metadata=metadata,
         )
         self.last_sweep_id = writer.sweep_id
@@ -484,6 +487,10 @@ class ExperimentRunner:
                 # Graceful cancellation: every finished outcome is already
                 # flushed and fsynced; resume_stored() continues from them.
                 raise SweepCancelled(results, len(specs)) from None
+            if len(results) < len(specs):
+                raise SweepCancelled(
+                    results, len(specs), "crash suspects unrun: no pool could respawn"
+                )
             return [results[index] for index in range(len(specs))]
         finally:
             if writer is not None:
@@ -578,8 +585,11 @@ class _PoolEngine:
     ``ProcessPoolExecutor`` cannot cancel a running task — so the pool is
     killed, the overdue chunk fails with kind ``"timeout"`` and its
     innocent siblings requeue at the front of ``pending``.  When no pool
-    can start or respawn, the driver runs the rest of the sweep serially.
-    Recovery counters land in :attr:`ExperimentRunner.last_recovery`.
+    can start or respawn, the driver runs the chunks that never flew
+    serially; crash suspects never run in the driver (one that really
+    crashes would take the driver down with it), so they stay unrecorded
+    and the sweep ends in :class:`SweepCancelled`.  Recovery counters
+    land in :attr:`ExperimentRunner.last_recovery`.
     """
 
     def __init__(
@@ -668,9 +678,6 @@ class _PoolEngine:
             self.recovery["worker_crashes"] += 1
             self.quarantine.appendleft(chunk)
             return False
-        except Exception:  # unpicklable chunk: run it in the driver
-            self.runner._run_serial(list(chunk), self.results, self.writer)
-            return True
         self.flight[future] = (chunk, self._chunk_deadline(chunk))
         return True
 
@@ -692,9 +699,9 @@ class _PoolEngine:
             else:
                 self.quarantine.appendleft(chunk)
             return True
-        except Exception:  # worker-side dispatch failure
-            self._fail(chunk, "worker-crash")
-            return True
+        except Exception as exc:  # e.g. an unpicklable spec; the pool still works
+            self._fail(chunk, "scenario-error", f"{type(exc).__name__}: {exc}")
+            return False
         self._record_chunk(chunk, outcomes)
         return False
 
@@ -702,15 +709,15 @@ class _PoolEngine:
         for (index, _spec), outcome in zip(chunk, outcomes):
             self.runner._record(index, outcome, self.results, self.writer)
 
-    def _fail(self, chunk: _Chunk, kind: str) -> None:
+    def _fail(self, chunk: _Chunk, kind: str, message: Optional[str] = None) -> None:
         """Record every run of a definitively failed chunk as ``kind``."""
-        if kind == "timeout":
+        if message is None:
             message = (
                 f"run exceeded its {self.runner.run_timeout}s deadline "
                 "(worker killed, pool respawned)"
+                if kind == "timeout"
+                else "worker process died (pool respawned)"
             )
-        else:
-            message = "worker process died (pool respawned)"
         self._record_chunk(
             chunk,
             [
@@ -758,15 +765,15 @@ class _PoolEngine:
         return self._recover(self.pending)
 
     def _drain_serial(self) -> None:
-        """Last resort: no pool can run, so the driver runs the rest."""
+        """Last resort: no pool can run, so the driver runs ``pending``.
+
+        Crash suspects stay in ``quarantine``, unrecorded: the caller ends
+        the sweep with :class:`SweepCancelled` and a resume re-runs them
+        in a fresh pool.
+        """
         runner = self.runner
         runner.last_execution_mode = "serial (process pool unavailable)"
-        leftovers = [
-            item
-            for chunk in list(self.quarantine) + list(self.pending)
-            for item in chunk
-        ]
-        self.quarantine.clear()
+        leftovers = [item for chunk in self.pending for item in chunk]
         self.pending.clear()
         runner._run_serial(leftovers, self.results, self.writer)
 
@@ -780,19 +787,3 @@ class _PoolEngine:
         if not deadlines:
             return None
         return max(0.01, min(deadlines) - time.monotonic())
-
-
-# ------------------------------------------------------------------ reporting
-def outcomes_table(
-    outcomes: Sequence[RunOutcome],
-    columns: Sequence[tuple[str, Callable[[RunOutcome], Any]]],
-    title: str = "",
-) -> str:
-    """Render outcomes with :func:`repro.measurement.report.format_table`.
-
-    ``columns`` is a list of ``(header, extractor)`` pairs; extractors
-    receive the :class:`RunOutcome`.
-    """
-    headers = [header for header, _ in columns]
-    rows = [[extract(outcome) for _, extract in columns] for outcome in outcomes]
-    return format_table(headers, rows, title=title)

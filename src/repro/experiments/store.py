@@ -9,7 +9,7 @@ store root:
 
     <root>/
       <sweep-id>/
-        MANIFEST.json        # spec list, seed, git rev, fault plan, status
+        MANIFEST.json        # spec list, seed, git rev, metadata, status
         segment-0001.jsonl   # append-only records, fsynced per line
         segment-0002.jsonl   # one new segment per resume (or size roll)
 
@@ -393,14 +393,13 @@ class RunStore:
         *,
         sweep_id: Optional[str] = None,
         seed: Optional[int] = None,
-        fault_plan: Optional[Any] = None,
         metadata: Optional[dict[str, Any]] = None,
     ) -> "SweepWriter":
         """Create a sweep: commit its manifest, open its first segment.
 
         The manifest freezes everything needed to reproduce or resume the
-        sweep — the full spec list, the seed, the fault plan, the git
-        revision — and lands atomically before the first record is
+        sweep — the full spec list, the seed, the git revision, the
+        caller's metadata — and lands atomically before the first record is
         written.  An existing sweep id is refused (:meth:`open_sweep`
         continues one).
         """
@@ -421,7 +420,6 @@ class RunStore:
             "python": platform.python_version(),
             "status": "running",
             "seed": seed,
-            "fault_plan": fault_plan,
             "metadata": metadata or {},
             "specs": None if specs is None else [spec_document(s) for s in specs],
         }
@@ -710,11 +708,6 @@ class SweepWriter:
         sample.
         """
         self.append_record({"kind": kind, "cell": cell, "aggregate": aggregate})
-
-    def finish(self, status: str = "complete") -> None:
-        """Close the segment and atomically stamp the terminal status."""
-        self.close()
-        self.store.finish_sweep(self.sweep_id, status)
 
     def close(self) -> None:
         if self._handle is not None:

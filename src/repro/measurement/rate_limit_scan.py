@@ -39,11 +39,6 @@ class ServerScanResult:
         """The paper's classifier: >= 8 fewer responses in the second half."""
         return self.responses_first_half - self.responses_second_half > 8
 
-    @property
-    def total_responses(self) -> int:
-        """Total responses received across the whole probe."""
-        return self.responses_first_half + self.responses_second_half
-
 
 @dataclass
 class RateLimitScanReport:

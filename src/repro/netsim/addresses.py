@@ -53,16 +53,6 @@ def ip_to_bytes(address: str) -> bytes:
     return ip_to_int(address).to_bytes(4, "big")
 
 
-def same_slash24(first: str, second: str) -> bool:
-    """Return True when two addresses share the same /24 network.
-
-    The shared-resolver study (paper section VIII-B3) scans the /24 networks
-    of resolvers for SMTP servers, so /24 co-location is the notion of
-    "same network" used throughout the measurement package.
-    """
-    return ip_to_int(first) >> 8 == ip_to_int(second) >> 8
-
-
 @dataclass(frozen=True, order=True)
 class IPv4Address:
     """A validated IPv4 address value object.
@@ -85,11 +75,6 @@ class IPv4Address:
     def offset(self, delta: int) -> "IPv4Address":
         """Return the address ``delta`` positions away (wrapping at 2^32)."""
         return IPv4Address((self.value + delta) % (1 << 32))
-
-    @property
-    def slash24(self) -> int:
-        """The integer value of the enclosing /24 prefix."""
-        return self.value >> 8
 
 
 def address_range(start: str, count: int) -> list[str]:

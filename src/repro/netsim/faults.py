@@ -298,14 +298,6 @@ class FaultPlan:
             or self.duplications
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = []
-        for name in self.__slots__:
-            values = getattr(self, name)
-            if values:
-                parts.append(f"{name}={list(values)!r}")
-        return f"<FaultPlan {' '.join(parts) or 'inert'}>"
-
 
 @dataclass(slots=True)
 class FaultStats:
@@ -505,15 +497,3 @@ class FaultSchedule:
         return all(
             FaultPlan(*components).is_inert for _, components in self.entries
         )
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = ", ".join(
-            f"{time:g}s:{len(components)}c" for time, components in self.entries
-        )
-        return f"<FaultSchedule {parts or 'empty'}>"

@@ -250,16 +250,6 @@ class Host:
         if self.on_icmp is not None:
             self.on_icmp(message, src_ip)
 
-    # -------------------------------------------------------------- receive
-    def receive(self, packet: IPv4Packet) -> None:
-        """Entry point for a packet reaching this host.
-
-        Delegates to the compiled datapath (full-verification profile) so
-        direct calls from tests share the single delivery code path the
-        network uses.
-        """
-        self.datapath.deliver(packet)
-
     # ------------------------------------------------------------- utilities
     def bound_ports(self) -> list[int]:
         """Ports with live sockets, mostly for assertions in tests."""

@@ -102,11 +102,6 @@ class IPv4Packet:
         return self.is_fragment and self.fragment_offset == 0
 
     @property
-    def is_last_fragment(self) -> bool:
-        """True for the final fragment (MF flag clear, non-zero offset)."""
-        return self.is_fragment and not self.more_fragments
-
-    @property
     def fragment_key(self) -> tuple[str, str, int, int]:
         """The reassembly key: (src, dst, protocol, IPID).
 

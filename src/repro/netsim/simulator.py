@@ -124,13 +124,6 @@ class Event:
                 self._sim._cancelled += 1
                 self._sim = None
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.sequence) < (other.time, other.sequence)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time} seq={self.sequence} {self.label!r}{state}>"
-
 
 class Simulator:
     """The discrete-event loop shared by every simulated component.

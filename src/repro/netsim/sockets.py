@@ -2,8 +2,9 @@
 
 :meth:`UDPSocket.sendto` range-checks the ports and hands the datagram to
 the network's one send frame, :meth:`repro.netsim.network.Network.send_udp`
-(path MTU, IPID, checksum, batch); delivery calls :meth:`UDPSocket.deliver`
-or, from a batch drain, the handler directly.
+(path MTU, IPID, checksum, batch).  Delivery never calls into the socket:
+the receiving datapath (:meth:`repro.netsim.datapath.HostDatapath.deliver`)
+or a batch drain calls the socket's handler, or appends to its ``inbox``.
 """
 
 from __future__ import annotations
@@ -53,15 +54,6 @@ class UDPSocket:
             raise PacketError(f"UDP port out of range: {bad}")
         host = self.host
         host.network.send_udp(host, dst_ip, src_port, dst_port, payload)
-
-    def deliver(self, payload: bytes, src_ip: str, src_port: int, now: float) -> None:
-        """Called by the host when a datagram for this port arrives."""
-        if self.closed:
-            return
-        if self.on_datagram is not None:
-            self.on_datagram(payload, src_ip, src_port)
-        else:
-            self.inbox.append(ReceivedDatagram(payload, src_ip, src_port, now))
 
     def close(self) -> None:
         """Unbind the socket from its host."""

@@ -33,11 +33,6 @@ class ChronosSelectionResult:
     discarded_high: int
     reason: str = ""
 
-    @property
-    def sample_count(self) -> int:
-        """Number of samples that survived trimming."""
-        return len(self.surviving_samples)
-
 
 def chronos_select(
     samples: list[float],

@@ -129,11 +129,6 @@ class BaseNTPClient:
         self._pending: dict[str, tuple] = {}
 
     # ------------------------------------------------------------ overrides
-    @classmethod
-    def default_config(cls) -> NTPClientConfig:
-        """The implementation's default configuration."""
-        return NTPClientConfig()
-
     def _runtime_lookup_domains(self) -> list[str]:
         """Domains to query when a run-time DNS lookup is triggered."""
         return list(self.config.pool_domains)

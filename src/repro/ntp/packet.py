@@ -177,12 +177,6 @@ class NTPPacket:
         return self.reference_id if self.is_kiss_of_death else ""
 
     # -------------------------------------------------------------- encoding
-    def _encode_refid(self) -> bytes:
-        # Stratum 0 (kiss codes) and stratum 1 (reference clock names) carry
-        # ASCII identifiers; higher strata carry the IPv4 address of the
-        # server's synchronisation source.
-        return _encode_refid(self.stratum, self.reference_id)
-
     def encode(self) -> bytes:
         """Encode the packet to its 48 wire bytes."""
         if STAGES.enabled:

@@ -139,11 +139,6 @@ class NTPServer:
         self._handler = self._compile_handler()
         self.socket.on_datagram = self._handler
 
-    @property
-    def ip(self) -> str:
-        """The server's address."""
-        return self.host.ip
-
     @classmethod
     def attacker_server(
         cls,

@@ -27,7 +27,9 @@ between the netsim core and the experiment data plane:
   orchestration: :class:`ChaosPlan` correlation groups + phased regimes
   compile purely into per-link fault schedules, and
   :func:`run_chaos_campaign` drives resumable long-horizon campaigns
-  through the durable run store.
+  through the durable run store.  Import its names from the submodule:
+  this package does not re-export them, so ``python -m
+  repro.population.chaos`` never imports the module twice.
 """
 
 from repro.population.aggregate import FixedBinHistogram, StreamingAggregate
@@ -43,37 +45,10 @@ from repro.population.spec import (
     load_spec,
 )
 
-#: Chaos names are exported lazily: importing them eagerly would make
-#: ``python -m repro.population.chaos`` re-execute the module runpy is
-#: about to run (the double-import RuntimeWarning).
-_CHAOS_EXPORTS = (
-    "CampaignHorizon",
-    "ChaosPhase",
-    "ChaosPlan",
-    "CorrelationGroup",
-    "compile_chaos",
-    "load_chaos_plan",
-    "resume_chaos_campaign",
-    "run_chaos_campaign",
-)
-
-
-def __getattr__(name: str):
-    if name in _CHAOS_EXPORTS:
-        from repro.population import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "BUILTIN_LINK_PROFILES",
-    "CampaignHorizon",
-    "ChaosPhase",
-    "ChaosPlan",
     "ChurnSpec",
     "ClientManifest",
-    "CorrelationGroup",
     "FaultRegimeSpec",
     "FixedBinHistogram",
     "FleetManifest",
@@ -82,10 +57,6 @@ __all__ = [
     "PopulationSpec",
     "ResolverTopology",
     "StreamingAggregate",
-    "compile_chaos",
     "generate_fleet",
-    "load_chaos_plan",
     "load_spec",
-    "resume_chaos_campaign",
-    "run_chaos_campaign",
 ]

@@ -199,15 +199,6 @@ class ChaosPlan:
             phase.duration for phase in self.phases
         )
 
-    def phase_starts(self) -> tuple[float, ...]:
-        """Absolute start time of each declared phase."""
-        starts = []
-        cursor = 0.0
-        for phase in self.phases:
-            starts.append(cursor)
-            cursor += phase.duration
-        return tuple(starts)
-
     def phase_at(self, time: float) -> str:
         """Name of the phase covering ``time`` ("" past the last phase)."""
         cursor = 0.0

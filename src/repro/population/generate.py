@@ -18,7 +18,7 @@ the single-victim golden scenario bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -46,18 +46,6 @@ class ClientManifest:
     leave_time: Optional[float]
     link_profile: str
     fault_regime: str
-
-    def to_document(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "client_type": self.client_type,
-            "poll_multiplier": self.poll_multiplier,
-            "initial_clock_offset": self.initial_clock_offset,
-            "join_time": self.join_time,
-            "leave_time": self.leave_time,
-            "link_profile": self.link_profile,
-            "fault_regime": self.fault_regime,
-        }
 
 
 @dataclass(frozen=True)

@@ -133,10 +133,6 @@ class ChurnSpec:
             if getattr(self, name) < 0:
                 raise SpecError(f"{name} must be >= 0")
 
-    @property
-    def static(self) -> bool:
-        return self.late_join_fraction == 0.0 and self.leave_fraction == 0.0
-
 
 @dataclass(frozen=True)
 class LinkProfileSpec:

@@ -42,9 +42,9 @@ class TestCampaignMechanics:
         remover = AssociationRemover(small_testbed.attacker, small_testbed.simulator, "192.0.2.150")
         targets = small_testbed.pool.addresses[:5]
         remover.target_many(targets)
-        assert set(remover.active_targets()) == set(targets)
+        assert {ip for ip, c in remover.campaigns.items() if c.active} == set(targets)
         remover.stop()
-        assert remover.active_targets() == []
+        assert not any(c.active for c in remover.campaigns.values())
 
     def test_server_rate_limits_the_victim_not_the_attacker(self, small_testbed):
         victim_ip = "192.0.2.150"

@@ -59,12 +59,6 @@ class TestTTL:
         assert cache.lookup("pool.ntp.org", RRType.A, now=151.0) is None
         assert cache.remaining_ttl("pool.ntp.org", RRType.A, now=151.0) is None
 
-    def test_contains_does_not_count_hit(self):
-        cache = DNSCache()
-        cache.store([a_record("pool.ntp.org", "1.1.1.1", ttl=150)], now=0.0)
-        assert cache.contains("pool.ntp.org", RRType.A, now=1.0)
-        assert cache.hits == 0
-
     def test_max_ttl_cap(self):
         cache = DNSCache(max_ttl=3600)
         cache.store([a_record("pool.ntp.org", "6.6.6.6", ttl=10**6)], now=0.0)
@@ -75,18 +69,3 @@ class TestTTL:
         cache = DNSCache()
         cache.store([a_record("pool.ntp.org", "6.6.6.6", ttl=48 * 3600)], now=0.0)
         assert cache.lookup("pool.ntp.org", RRType.A, now=24 * 3600.0) is not None
-
-
-class TestEviction:
-    def test_evict(self):
-        cache = DNSCache()
-        cache.store([a_record("pool.ntp.org", "1.1.1.1", ttl=150)], now=0.0)
-        assert cache.evict("pool.ntp.org", RRType.A)
-        assert not cache.evict("pool.ntp.org", RRType.A)
-        assert cache.lookup("pool.ntp.org", RRType.A, now=1.0) is None
-
-    def test_flush(self):
-        cache = DNSCache()
-        cache.store([a_record("a.example", "1.1.1.1"), a_record("b.example", "2.2.2.2")], now=0.0)
-        cache.flush()
-        assert cache.size() == 0

@@ -81,6 +81,19 @@ def _test_res_interrupt_once(marker: str = "") -> int:
     return 1
 
 
+#: Spec parameters of every :func:`_test_res_driver_sentinel` run made
+#: outside a :class:`_FakePool` worker, i.e. in the driver.
+DRIVER_RUNS: list[int] = []
+
+
+@scenario("_test_res_driver_sentinel")
+def _test_res_driver_sentinel(x: int = 0) -> int:
+    """A crash suspect that must only ever run in a (fake) pool worker."""
+    if not _FakePool.running:
+        DRIVER_RUNS.append(x)
+    return x * x
+
+
 class _FakeFuture(Future):
     """A future of :class:`_FakePool`; reading its result settles it."""
 
@@ -111,8 +124,11 @@ class _FakePool:
     catches is a crash suspect until its result is read on a working pool,
     or it breaks a pool alone.  ``suspects`` is shared by the respawned
     pools; ``suspect_flights`` gets the flight size at every submit made
-    while a suspect is unsettled.
+    while a suspect is unsettled.  ``running`` is true while a chunk runs
+    "in a worker".
     """
+
+    running = False
 
     def __init__(self, crasher: RunSpec, suspects: set, suspect_flights: list) -> None:
         self.crasher = crasher
@@ -134,7 +150,11 @@ class _FakePool:
             self.suspects.update(f.specs for f in self.in_flight)
             future.set_result(None)
         else:
-            future.set_result(fn(specs))
+            _FakePool.running = True
+            try:
+                future.set_result(fn(specs))
+            finally:
+                _FakePool.running = False
         return future
 
     def shutdown(self, wait=True, cancel_futures=False) -> None:
@@ -377,8 +397,8 @@ class TestSuspectReruns:
 
         def make_pool():
             # Bounded respawns: an engine that never settles its suspects
-            # ends in the serial fallback (and fails below) instead of
-            # looping forever.
+            # ends in SweepCancelled (and fails below) instead of looping
+            # forever.
             if len(pools) == 10:
                 raise OSError("no more pools")
             pools.append(_FakePool(crasher, suspects, suspect_flights))
@@ -479,6 +499,69 @@ class TestSuspectReruns:
 
 class TestRecoveryFallbacks:
     """The degraded paths taken when a replacement pool cannot start."""
+
+    def test_crash_suspects_never_run_in_the_driver(self, tmp_path):
+        """No pool can respawn after a crash: the driver runs only chunks
+        that never flew, the suspects stay unrecorded, the sweep is
+        cancelled, and a resume re-runs the suspects in a fresh pool.
+
+        Eight specs on two workers chunk one spec each; the crash catches
+        spec 2 and the crasher (spec 3) in flight.
+        """
+        DRIVER_RUNS.clear()
+        crasher = RunSpec.make("_test_res_driver_sentinel", x=3)
+        specs = [RunSpec.make("_test_res_square", x=x) for x in range(8)]
+        specs[3] = crasher
+        store = RunStore(str(tmp_path))
+        runner = ExperimentRunner(max_workers=2)
+        pools: list[_FakePool] = []
+
+        def first_pool_only():
+            if pools:
+                raise OSError("no replacement pool")
+            pools.append(_FakePool(crasher, set(), []))
+            return pools[-1]
+
+        runner._make_pool = first_pool_only
+        with pytest.raises(SweepCancelled) as excinfo:
+            runner.run_stored(store, "t", specs, sweep_id="s")
+        cancelled = excinfo.value
+        assert "SIGINT" not in str(cancelled)
+        assert DRIVER_RUNS == []
+        assert sorted(cancelled.outcomes) == [0, 1, 4, 5, 6, 7]
+        assert all(o.ok for o in cancelled.outcomes.values())
+        assert store.manifest("s")["status"] == "cancelled"
+        assert runner.last_execution_mode == "serial (process pool unavailable)"
+
+        # The resumed sweep runs the two suspects in a pool that works.
+        healthy = RunSpec.make("_test_res_square", x=-1)  # in no chunk
+        resumer = ExperimentRunner(max_workers=2)
+        resumer._make_pool = lambda: _FakePool(healthy, set(), [])
+        resumed = resumer.resume_stored(store, "s")
+        assert DRIVER_RUNS == []
+        assert [o.result for o in resumed] == [x * x for x in range(8)]
+        assert store.manifest("s")["status"] == "complete"
+
+    def test_unpicklable_spec_fails_alone_in_the_same_pool(self):
+        """A spec that cannot be pickled fails with its pickling error; it
+        is no worker crash, and the pool runs the other specs."""
+        specs = [RunSpec.make("_test_res_square", x=x) for x in range(4)]
+        specs[1] = RunSpec.make("_test_res_square", x=lambda: 1)
+        runner = ExperimentRunner(max_workers=2)
+        make_pool = runner._make_pool
+        pools = []
+
+        def counting_pool():
+            pools.append(make_pool())
+            return pools[-1]
+
+        runner._make_pool = counting_pool
+        outcomes = runner.run(specs)
+        assert outcomes[1].error_kind == "scenario-error"
+        assert "pickle" in outcomes[1].error.lower()
+        assert [outcomes[x].result for x in (0, 2, 3)] == [0, 4, 9]
+        assert runner.last_recovery == {"worker_crashes": 0, "timeouts": 0}
+        assert len(pools) == 1
 
     def test_respawn_failure_after_timeout_drains_serially(self):
         """The main pool cannot respawn after a run_timeout kill: the driver

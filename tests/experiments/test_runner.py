@@ -9,7 +9,6 @@ from repro.experiments import (
     RunSpec,
     get_scenario,
     make_grid,
-    outcomes_table,
     scenario,
 )
 
@@ -147,16 +146,3 @@ class TestChunkedSubmission:
 
         warm_worker_caches()
         warm_worker_caches()  # second call must be a cheap no-op
-
-
-class TestReporting:
-    def test_outcomes_table_renders(self):
-        outcomes = ExperimentRunner(max_workers=1).run(make_grid("_test_square", x=[2, 3]))
-        table = outcomes_table(
-            outcomes,
-            [("x", lambda o: o.spec.kwargs()["x"]), ("x^2", lambda o: o.result)],
-            title="squares",
-        )
-        assert "squares" in table
-        assert "x^2" in table
-        assert "9" in table

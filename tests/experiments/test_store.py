@@ -52,7 +52,8 @@ class TestManifest:
         assert manifest["status"] == "running"
         assert manifest["seed"] == 7
         assert len(manifest["specs"]) == 4
-        writer.finish("complete")
+        writer.close()
+        store.finish_sweep("s1", "complete")
         assert store.manifest("s1")["status"] == "complete"
 
     def test_begin_refuses_existing_sweep(self, tmp_path):

@@ -7,7 +7,6 @@ from repro.netsim.addresses import (
     address_range,
     int_to_ip,
     ip_to_int,
-    same_slash24,
 )
 from repro.netsim.errors import AddressError
 
@@ -48,14 +47,6 @@ class TestIntToIp:
             int_to_ip(-1)
 
 
-class TestSameSlash24:
-    def test_same_network(self):
-        assert same_slash24("10.0.0.1", "10.0.0.200")
-
-    def test_different_network(self):
-        assert not same_slash24("10.0.0.1", "10.0.1.1")
-
-
 class TestIPv4Address:
     def test_parse_and_str(self):
         address = IPv4Address.parse("203.0.113.7")
@@ -67,9 +58,6 @@ class TestIPv4Address:
 
     def test_ordering(self):
         assert IPv4Address.parse("10.0.0.1") < IPv4Address.parse("10.0.0.2")
-
-    def test_slash24(self):
-        assert IPv4Address.parse("10.1.2.3").slash24 == IPv4Address.parse("10.1.2.99").slash24
 
 
 class TestAddressRange:

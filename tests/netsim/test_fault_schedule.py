@@ -37,7 +37,7 @@ def build(seed: int = 4):
 class TestFaultSchedule:
     def test_entries_normalised_and_ordered(self):
         schedule = FaultSchedule([(0, (Corruption(0.1),)), (5.0, ())])
-        assert len(schedule) == 2
+        assert len(schedule.entries) == 2
         assert schedule.entries[0][0] == 0.0
         assert isinstance(schedule.entries[0][0], float)
 
@@ -56,9 +56,9 @@ class TestFaultSchedule:
     def test_is_inert_when_every_entry_composes_inert(self):
         assert FaultSchedule([(0.0, ()), (5.0, (Corruption(0.0),))]).is_inert
         assert not FaultSchedule([(0.0, (Corruption(0.5),))]).is_inert
-        assert bool(FaultSchedule([(0.0, ())]))
+        assert FaultSchedule([(0.0, ())]).entries
         assert FaultSchedule([]).is_inert
-        assert not FaultSchedule([])
+        assert not FaultSchedule([]).entries
 
 
 class TestSwapLinkFaults:

@@ -43,11 +43,11 @@ class TestFragmentProperties:
     def test_first_fragment(self):
         packet = make_packet(more_fragments=True, fragment_offset=0)
         assert packet.is_fragment and packet.is_first_fragment
-        assert not packet.is_last_fragment
+        assert packet.more_fragments
 
     def test_last_fragment(self):
         packet = make_packet(more_fragments=False, fragment_offset=6)
-        assert packet.is_fragment and packet.is_last_fragment
+        assert packet.is_fragment and not packet.more_fragments
         assert not packet.is_first_fragment
 
     def test_fragment_key_groups_by_src_dst_proto_ipid(self):

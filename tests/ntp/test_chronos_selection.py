@@ -38,7 +38,7 @@ class TestTrimming:
     def test_small_sample_sets_survive_without_trimming(self):
         result = chronos_select([0.001, 0.002])
         assert result.accepted
-        assert result.sample_count == 2
+        assert len(result.surviving_samples) == 2
 
 
 class TestRejection:

@@ -89,7 +89,6 @@ class TestTimeline:
 
     def test_phase_starts_and_phase_at(self):
         plan = storm_plan()
-        assert plan.phase_starts() == (0.0, 900.0)
         assert plan.phase_at(0.0) == "calm"
         assert plan.phase_at(899.9) == "calm"
         assert plan.phase_at(900.0) == "storm"

@@ -28,7 +28,7 @@ class TestValidation:
     def test_defaults_build(self):
         spec = PopulationSpec()
         assert spec.size == 1
-        assert spec.churn.static
+        assert spec.churn.late_join_fraction == spec.churn.leave_fraction == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
