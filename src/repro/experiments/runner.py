@@ -17,19 +17,19 @@ actually hit.  A worker crash (``BrokenProcessPool``) respawns the pool and
 makes every chunk that was in flight a suspect; the suspects re-run one at
 a time, each alone in the respawned pool, so a repeat crash names its
 culprit exactly.  Fresh chunks wait until every suspect has settled.
-Per-run timeouts are enforced in both modes: a stalled pool is killed and
-its innocent chunks requeued, and serial runs are preempted by a watchdog
-thread that raises inside the running scenario.  Every failure carries a
-typed ``error_kind`` on its :class:`RunOutcome`.  Sweeps are made durable
-by writing through the run store of :mod:`repro.experiments.store`
-(manifests + fsynced segments) via :meth:`ExperimentRunner.run_stored`,
-and later :meth:`resumed <ExperimentRunner.resume_stored>`: finished specs
-are skipped and the combined outcome list is identical to an
+Every failure carries a typed ``error_kind`` on its :class:`RunOutcome`.
+Runs have no deadline: a scenario is a deterministic simulation, so one
+that stalls stalls on every rerun.  Sweeps are made durable by writing
+through the run store of :mod:`repro.experiments.store` (manifests +
+fsynced segments) via :meth:`ExperimentRunner.run_stored`, and later
+:meth:`resumed <ExperimentRunner.resume_stored>`: finished specs are
+skipped and the combined outcome list is identical to an
 uninterrupted run (scenarios are pure functions of their spec, so
 re-executing the unfinished tail reproduces exactly what the interrupted
 run would have produced).  Cancellation is graceful: SIGINT raises
 :class:`SweepCancelled` *after* every finished outcome has been flushed
-and fsynced, so a resume continues from the cancellation point.  So does
+and fsynced, so a resume continues from the cancellation point — which
+is also how a stalled sweep is stopped and picked up again.  So does
 a crash after which no pool can respawn: its suspects never run in the
 driver, they stay unrecorded for a resume to re-run in a fresh pool.
 """
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import logging
 import os
-import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -51,13 +50,15 @@ from repro.experiments.store import RepairEvent, RunStore, SweepWriter
 
 #: The typed error taxonomy carried by ``RunOutcome.error_kind``:
 #:
-#: * ``scenario-error`` — the scenario function raised.
-#: * ``timeout`` — the run (or its chunk — see ``run_timeout``) exceeded its
-#:   deadline and was preempted (serial) or its worker killed (pool).
+#: * ``scenario-error`` — the scenario function raised (or, in a pool, its
+#:   spec could not be pickled).
 #: * ``worker-crash`` — the worker process died (OOM kill, segfault,
 #:   ``BrokenProcessPool``) while the chunk ran alone in the pool, so the
 #:   crash is attributed to that chunk exactly (see :class:`_PoolEngine`).
-ERROR_KINDS = ("scenario-error", "timeout", "worker-crash")
+#:
+#: Sweeps stored by older versions may also hold ``timeout`` records; the
+#: store loads any kind as written.
+ERROR_KINDS = ("scenario-error", "worker-crash")
 
 
 _logger = logging.getLogger(__name__)
@@ -176,122 +177,13 @@ def _execute(spec: RunSpec) -> RunOutcome:
     return RunOutcome(spec=spec, result=result, wall_time=time.perf_counter() - started)
 
 
-# ------------------------------------------------------------ serial watchdog
-class _RunTimeoutInterrupt(BaseException):
-    """Raised *inside* a thread whose serial run exceeded its deadline.
-
-    Derives from ``BaseException`` so a scenario's own ``except
-    Exception`` blocks cannot swallow the preemption.
-    """
-
-
-try:
-    import ctypes
-
-    # PYFUNCTYPE keeps the GIL held across the call, which pythonapi needs.
-    _raise_async_exc = ctypes.PYFUNCTYPE(
-        ctypes.c_int, ctypes.c_ulong, ctypes.py_object
-    )(("PyThreadState_SetAsyncExc", ctypes.pythonapi))
-    _clear_async_exc = ctypes.PYFUNCTYPE(
-        ctypes.c_int, ctypes.c_ulong, ctypes.c_void_p
-    )(("PyThreadState_SetAsyncExc", ctypes.pythonapi))
-except (ImportError, AttributeError):  # non-CPython: no async-exc injection
-    _raise_async_exc = None
-    _clear_async_exc = None
-
-
-class _Watchdog:
-    """Heartbeat thread enforcing per-run deadlines on in-process runs.
-
-    Pool mode enforces ``run_timeout`` by killing the worker process;
-    serial mode has no process to kill, so the watchdog preempts the run
-    by raising :class:`_RunTimeoutInterrupt` inside the executing thread
-    (``PyThreadState_SetAsyncExc``).  CPU-bound scenarios — the real
-    workload, simulator event loops — are interrupted at the next
-    bytecode boundary; a run blocked inside one long C call (e.g. a
-    single ``time.sleep`` spanning the whole budget) only observes the
-    interrupt when that call returns, the inherent limit of in-process
-    preemption.
-
-    Arming, firing and disarming are serialised under one lock, and
-    :meth:`disarm` cancels a fired-but-not-yet-materialised interrupt, so
-    a run that finishes exactly at its deadline cannot leak the interrupt
-    into the next run.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._wake = threading.Condition(self._lock)
-        self._watching = False
-        self._armed_tid: Optional[int] = None
-        self._deadline = 0.0
-        self._generation = 0
-        self._fired = False
-        self._thread: Optional[threading.Thread] = None
-
-    @staticmethod
-    def available() -> bool:
-        """Whether this interpreter supports async-exception injection."""
-        return _raise_async_exc is not None
-
-    def arm(self, thread_id: int, timeout: float) -> int:
-        """Start the deadline clock for ``thread_id``; returns a token."""
-        with self._wake:
-            self._generation += 1
-            self._armed_tid = thread_id
-            self._deadline = time.monotonic() + timeout
-            self._watching = True
-            self._fired = False
-            if self._thread is None or not self._thread.is_alive():
-                self._thread = threading.Thread(
-                    target=self._loop, name="experiment-watchdog", daemon=True
-                )
-                self._thread.start()
-            self._wake.notify_all()
-            return self._generation
-
-    def disarm(self, token: int) -> bool:
-        """Stop watching; returns True when the deadline fired for ``token``."""
-        with self._wake:
-            if self._generation != token:
-                return False
-            fired = self._fired
-            tid = self._armed_tid
-            self._watching = False
-            self._armed_tid = None
-            self._fired = False
-            self._wake.notify_all()
-        if fired and tid is not None:
-            # Cancel an injected interrupt that has not materialised yet
-            # (the run won the race and completed); a materialised one is
-            # already propagating and is caught by the caller.
-            _clear_async_exc(tid, None)
-        return fired
-
-    def _loop(self) -> None:
-        with self._wake:
-            while True:
-                if not self._watching:
-                    self._wake.wait()
-                    continue
-                remaining = self._deadline - time.monotonic()
-                if remaining > 0:
-                    self._wake.wait(timeout=remaining)
-                    continue
-                # Deadline reached: inject while holding the lock so a
-                # concurrent disarm() cannot interleave.
-                self._fired = True
-                self._watching = False
-                _raise_async_exc(self._armed_tid, _RunTimeoutInterrupt)
-
-
 #: A contiguous slice of the grid scheduled as one pool task:
 #: ``(declaration index, spec)`` pairs.
 _Chunk = tuple[tuple[int, RunSpec], ...]
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Terminate a pool's workers and abandon it (stalled or broken)."""
+    """Terminate a broken pool's workers and abandon it."""
     processes = getattr(pool, "_processes", None) or {}
     for process in list(processes.values()):
         try:
@@ -314,52 +206,37 @@ class ExperimentRunner:
         at all).  ``None`` uses ``os.cpu_count()``.  Anything larger than 1
         uses a ``ProcessPoolExecutor``; if the pool cannot be created, the
         runner falls back to serial execution rather than failing the
-        sweep.  A spec that fails to pickle fails alone with its pickling
-        error (kind ``"scenario-error"``).  A worker crash respawns
-        the pool and re-runs the chunks that were in flight one at a time,
-        so only the chunk that crashed alone fails (kind
-        ``"worker-crash"``).  Pool sweeps submit the
-        grid in contiguous chunks of ``ceil(len(specs) / (4 * workers))``
-        scenarios — large enough to amortise dispatch, small enough to
-        load-balance a heterogeneous grid — each run against that
-        worker's warmed caches (see :mod:`repro.experiments.warmup`).
-    run_timeout:
-        Per-run wall-clock budget in seconds, enforced in *both* modes.
-        In process mode a chunk of ``k`` runs gets ``k × run_timeout``,
-        and on expiry the pool is killed, the stalled chunk fails with
-        kind ``"timeout"``, the other in-flight chunks are requeued
-        unharmed and a fresh pool takes over.  In serial mode a watchdog
-        thread preempts the running scenario by raising inside it (see
-        :class:`_Watchdog`) — CPU-bound scenarios are interrupted at the
-        next bytecode boundary; a run blocked in one long C call observes
-        the interrupt when the call returns.
+        sweep.  Every sweep goes through the pool, even one of a single
+        spec, so a scenario that kills its process never takes the driver
+        down.  A spec that fails to pickle fails alone with its pickling
+        error (kind ``"scenario-error"``).  A worker crash respawns the
+        pool and re-runs the chunks that were in flight one at a time, so
+        only the chunk that crashed alone fails (kind ``"worker-crash"``).
+        Pool sweeps submit the grid in contiguous chunks of
+        ``ceil(len(specs) / (4 * workers))`` scenarios — large enough to
+        amortise dispatch, small enough to load-balance a heterogeneous
+        grid — each run against that worker's warmed caches (see
+        :mod:`repro.experiments.warmup`).
 
-    SIGINT (``KeyboardInterrupt``) cancels a sweep gracefully: every
-    finished outcome is already flushed, and :class:`SweepCancelled`
-    carries the partial results (``resume_stored()`` continues from them).
+    Runs have no deadline.  SIGINT (``KeyboardInterrupt``) cancels a
+    sweep gracefully — the way to stop one that stalls: every finished
+    outcome is already flushed, and :class:`SweepCancelled` carries the
+    partial results (``resume_stored()`` continues from them).
     """
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        run_timeout: Optional[float] = None,
-    ) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if run_timeout is not None and run_timeout <= 0:
-            raise ValueError(f"run_timeout must be > 0, got {run_timeout}")
         self.max_workers = max_workers
-        self.run_timeout = run_timeout
         #: "serial" or "processes[N] chunks[M]" — how the last sweep ran.
         self.last_execution_mode: str = "serial"
-        #: Crash and timeout counters from the last pool sweep (see
-        #: :class:`_PoolEngine`); empty for serial sweeps.
+        #: Crash counter from the last pool sweep (see :class:`_PoolEngine`);
+        #: empty for serial sweeps.
         self.last_recovery: dict[str, Any] = {}
         #: The sweep id of the last run_stored()/resume_stored() sweep.
         self.last_sweep_id: Optional[str] = None
-        self._watchdog: Optional[_Watchdog] = None
 
     # ------------------------------------------------------------- execution
     def run(self, specs: Sequence[RunSpec]) -> list[RunOutcome]:
@@ -478,7 +355,7 @@ class ExperimentRunner:
                 if index not in results
             ]
             try:
-                if self.max_workers == 1 or len(remaining) <= 1:
+                if self.max_workers == 1 or not remaining:
                     self.last_execution_mode = "serial"
                     self._run_serial(remaining, results, writer)
                 else:
@@ -507,41 +384,6 @@ class ExperimentRunner:
         if writer is not None:
             writer.append(index, outcome)
 
-    def _execute_serial(self, spec: RunSpec) -> RunOutcome:
-        """One in-process run, pre-empted by the watchdog at ``run_timeout``.
-
-        The watchdog injects :class:`_RunTimeoutInterrupt` into this thread
-        when the deadline passes; because it is a ``BaseException`` the
-        scenario's own ``except Exception`` handlers cannot swallow it.  A
-        run that completes in the same instant the deadline fires keeps its
-        real outcome — the pending interrupt is cleared before it can
-        materialise.
-        """
-        timeout = self.run_timeout
-        if timeout is None:
-            return _execute(spec)
-        if self._watchdog is None:
-            self._watchdog = _Watchdog()
-        watchdog = self._watchdog
-        if not watchdog.available():
-            return _execute(spec)
-        token = watchdog.arm(threading.get_ident(), timeout)
-        try:
-            try:
-                outcome = _execute(spec)
-            finally:
-                watchdog.disarm(token)
-        except _RunTimeoutInterrupt:
-            return RunOutcome(
-                spec=spec,
-                error=(
-                    f"run exceeded its {timeout}s deadline "
-                    "(interrupted in-process by the serial watchdog)"
-                ),
-                error_kind="timeout",
-            )
-        return outcome
-
     def _run_serial(
         self,
         remaining: list[tuple[int, RunSpec]],
@@ -549,7 +391,7 @@ class ExperimentRunner:
         writer: Optional[SweepWriter],
     ) -> None:
         for index, spec in remaining:
-            self._record(index, self._execute_serial(spec), results, writer)
+            self._record(index, _execute(spec), results, writer)
 
     # ------------------------------------------------------------- pool engine
     def _make_pool(self) -> ProcessPoolExecutor:
@@ -581,15 +423,13 @@ class _PoolEngine:
     completes.  A chunk that breaks the pool while flying alone in the
     first place fails at once.
 
-    Per-run deadlines: a stalled worker holds the pool hostage —
-    ``ProcessPoolExecutor`` cannot cancel a running task — so the pool is
-    killed, the overdue chunk fails with kind ``"timeout"`` and its
-    innocent siblings requeue at the front of ``pending``.  When no pool
-    can start or respawn, the driver runs the chunks that never flew
-    serially; crash suspects never run in the driver (one that really
-    crashes would take the driver down with it), so they stay unrecorded
-    and the sweep ends in :class:`SweepCancelled`.  Recovery counters
-    land in :attr:`ExperimentRunner.last_recovery`.
+    When no pool can start or respawn, the driver runs the chunks that
+    never flew serially; crash suspects never run in the driver (one that
+    really crashes would take the driver down with it), so they stay
+    unrecorded and the sweep ends in :class:`SweepCancelled`.  The crash
+    counter lands in :attr:`ExperimentRunner.last_recovery`.  Chunks have
+    no deadline: the drain waits for the first of the in-flight chunks to
+    settle, and a stalled one holds its worker until SIGINT.
     """
 
     def __init__(
@@ -604,9 +444,9 @@ class _PoolEngine:
         self.writer = writer
         self.pending: deque[_Chunk] = deque(runner._chunk(remaining))
         self.quarantine: deque[_Chunk] = deque()
-        self.flight: dict[Any, tuple[_Chunk, Optional[float]]] = {}
+        self.flight: dict[Any, _Chunk] = {}
         self.pool: Optional[ProcessPoolExecutor] = None
-        self.recovery: dict[str, Any] = {"worker_crashes": 0, "timeouts": 0}
+        self.recovery: dict[str, Any] = {"worker_crashes": 0}
 
     def run(self) -> None:
         runner = self.runner
@@ -629,20 +469,12 @@ class _PoolEngine:
     def _drain(self) -> None:
         while self.pending or self.quarantine or self.flight:
             if not self._fill():
-                if not self._recover(self.quarantine):
+                if not self._recover():
                     return
                 continue
             if not self.flight:
                 continue
-            completed, _running = wait(
-                set(self.flight),
-                timeout=self._wait_timeout(),
-                return_when=FIRST_COMPLETED,
-            )
-            if not completed:
-                if not self._deadline_sweep():
-                    return
-                continue
+            completed, _running = wait(set(self.flight), return_when=FIRST_COMPLETED)
             flight_size = len(self.flight)
             crashed = False
             for future in completed:
@@ -651,7 +483,7 @@ class _PoolEngine:
                 # A broken pool takes every in-flight sibling with it; the
                 # break counts once, however many futures it failed.
                 self.recovery["worker_crashes"] += 1
-                if not self._recover(self.quarantine):
+                if not self._recover():
                     return
 
     # ------------------------------------------------------------- submissions
@@ -678,18 +510,13 @@ class _PoolEngine:
             self.recovery["worker_crashes"] += 1
             self.quarantine.appendleft(chunk)
             return False
-        self.flight[future] = (chunk, self._chunk_deadline(chunk))
+        self.flight[future] = chunk
         return True
-
-    def _chunk_deadline(self, chunk: _Chunk) -> Optional[float]:
-        if self.runner.run_timeout is None:
-            return None
-        return time.monotonic() + self.runner.run_timeout * len(chunk)
 
     # --------------------------------------------------------------- completion
     def _finish(self, future: Any, flight_size: int) -> bool:
         """Settle one future; True when the pool broke under it."""
-        chunk, _deadline = self.flight.pop(future)
+        chunk = self.flight.pop(future)
         try:
             outcomes = future.result()
         except BrokenProcessPool:
@@ -709,15 +536,13 @@ class _PoolEngine:
         for (index, _spec), outcome in zip(chunk, outcomes):
             self.runner._record(index, outcome, self.results, self.writer)
 
-    def _fail(self, chunk: _Chunk, kind: str, message: Optional[str] = None) -> None:
+    def _fail(
+        self,
+        chunk: _Chunk,
+        kind: str,
+        message: str = "worker process died (pool respawned)",
+    ) -> None:
         """Record every run of a definitively failed chunk as ``kind``."""
-        if message is None:
-            message = (
-                f"run exceeded its {self.runner.run_timeout}s deadline "
-                "(worker killed, pool respawned)"
-                if kind == "timeout"
-                else "worker process died (pool respawned)"
-            )
         self._record_chunk(
             chunk,
             [
@@ -727,17 +552,16 @@ class _PoolEngine:
         )
 
     # ----------------------------------------------------------------- recovery
-    def _recover(self, innocents: deque[_Chunk]) -> bool:
+    def _recover(self) -> bool:
         """Kill + respawn the pool; False when the sweep went serial.
 
-        The chunks still in flight move to the front of ``innocents``:
-        ``quarantine`` after a crash (every one is a suspect), ``pending``
-        after a timeout kill (they are known innocent).
+        The chunks still in flight are crash suspects: they move to the
+        front of ``quarantine``.
         """
         _kill_pool(self.pool)
         self.pool = None
-        for _future, (chunk, _deadline) in reversed(list(self.flight.items())):
-            innocents.appendleft(chunk)
+        for chunk in reversed(list(self.flight.values())):
+            self.quarantine.appendleft(chunk)
         self.flight.clear()
         try:
             self.pool = self.runner._make_pool()
@@ -745,24 +569,6 @@ class _PoolEngine:
         except Exception:  # noqa: BLE001 - degrade, don't lose the sweep
             self._drain_serial()
             return False
-
-    def _deadline_sweep(self) -> bool:
-        """Expire overdue runs; False when recovery went serial."""
-        if self.runner.run_timeout is None:
-            return True
-        now = time.monotonic()
-        expired = [
-            future
-            for future, (_chunk, deadline) in self.flight.items()
-            if deadline is not None and deadline <= now
-        ]
-        if not expired:
-            return True
-        for future in expired:
-            chunk, _deadline = self.flight.pop(future)
-            self.recovery["timeouts"] += 1
-            self._fail(chunk, "timeout")
-        return self._recover(self.pending)
 
     def _drain_serial(self) -> None:
         """Last resort: no pool can run, so the driver runs ``pending``.
@@ -776,14 +582,3 @@ class _PoolEngine:
         leftovers = [item for chunk in self.pending for item in chunk]
         self.pending.clear()
         runner._run_serial(leftovers, self.results, self.writer)
-
-    def _wait_timeout(self) -> Optional[float]:
-        """Seconds until the earliest in-flight chunk deadline, if any."""
-        deadlines = [
-            deadline
-            for _chunk, deadline in self.flight.values()
-            if deadline is not None
-        ]
-        if not deadlines:
-            return None
-        return max(0.01, min(deadlines) - time.monotonic())

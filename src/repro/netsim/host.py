@@ -254,10 +254,3 @@ class Host:
     def bound_ports(self) -> list[int]:
         """Ports with live sockets, mostly for assertions in tests."""
         return sorted(self._sockets)
-
-    def forget_pmtu(self, dst_ip: Optional[str] = None) -> None:
-        """Clear the path-MTU cache (entirely, or for one destination)."""
-        if dst_ip is None:
-            self._pmtu.clear()
-        else:
-            self._pmtu.pop(dst_ip, None)

@@ -417,10 +417,6 @@ class Network:
         """Attach a capture that observes every delivered packet."""
         self._captures.append(capture)
 
-    def detach_capture(self, capture: PacketCapture) -> None:
-        """Remove a previously attached capture."""
-        self._captures.remove(capture)
-
     # ------------------------------------------------------------- delivery
     def send_udp(
         self, host: Host, dst: str, src_port: int, dst_port: int, payload: bytes

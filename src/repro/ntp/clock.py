@@ -70,9 +70,3 @@ class SystemClock:
     def total_stepped(self) -> float:
         """Sum of all stepped adjustments (how far attacks moved the clock)."""
         return sum(a.amount for a in self.adjustments if a.stepped)
-
-    def last_adjustment_time(self) -> float | None:
-        """True time of the most recent adjustment, if any."""
-        if not self.adjustments:
-            return None
-        return self.adjustments[-1].true_time

@@ -73,13 +73,6 @@ class PoolPopulation:
             return 0.0
         return sum(spec.open_config for spec in self.specs) / len(self.specs)
 
-    def spec_for(self, address: str) -> Optional[PoolServerSpec]:
-        """Ground truth for one address."""
-        for spec in self.specs:
-            if spec.address == address:
-                return spec
-        return None
-
 
 #: Country zones used to label the synthetic servers (shape only).
 _COUNTRY_ZONES = ["de", "us", "fr", "gb", "nl", "jp", "br", "au", "in", "se"]

@@ -67,10 +67,6 @@ class NTPTimestamp:
         """The all-zero timestamp used for unset fields (a shared singleton)."""
         return _ZERO
 
-    def is_zero(self) -> bool:
-        """True for the unset timestamp."""
-        return self.seconds == 0 and self.fraction == 0
-
     def __sub__(self, other: "NTPTimestamp") -> float:
         """Difference between two timestamps in seconds (as a float)."""
         return (

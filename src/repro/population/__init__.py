@@ -8,8 +8,8 @@ between the netsim core and the experiment data plane:
 
 * :mod:`repro.population.spec` — frozen, layered :class:`PopulationSpec`
   dataclasses (client-type market shares, poll jitter, churn, link and
-  fault mixes, resolver topology, seeded noise layers), loadable from
-  TOML or JSON.  Default market shares come from the paper marginals in
+  fault mixes, resolver topology, seeded noise layers) that round-trip
+  through canonical JSON.  Default market shares come from the paper marginals in
   :mod:`repro.measurement.population` — the single source of truth.
 * :mod:`repro.population.generate` — a pure function of ``(spec, seed)``
   producing concrete per-client manifests from named RNG streams, so
@@ -42,7 +42,6 @@ from repro.population.spec import (
     NoiseLayer,
     PopulationSpec,
     ResolverTopology,
-    load_spec,
 )
 
 __all__ = [
@@ -58,5 +57,4 @@ __all__ = [
     "ResolverTopology",
     "StreamingAggregate",
     "generate_fleet",
-    "load_spec",
 ]

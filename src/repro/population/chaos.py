@@ -43,10 +43,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Optional
 
 from repro.netsim.faults import FaultSchedule
 from repro.population.generate import _draw_mix
@@ -310,25 +309,6 @@ class ChaosPlan:
     def digest(self) -> str:
         """Content hash of the canonical serialisation (stable across runs)."""
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:16]
-
-
-def load_chaos_plan(path: Union[str, os.PathLike]) -> ChaosPlan:
-    """Load a plan from a ``.toml`` or JSON file.
-
-    TOML documents may nest everything under a ``[chaos]`` table (the
-    conventional layout) or declare the fields at top level.
-    """
-    text_path = str(path)
-    if text_path.endswith(".toml"):
-        import tomllib
-
-        with open(text_path, "rb") as handle:
-            document = tomllib.load(handle)
-        if "chaos" in document and isinstance(document["chaos"], dict):
-            document = document["chaos"]
-        return ChaosPlan.from_dict(document)
-    with open(text_path, "r", encoding="utf-8") as handle:
-        return ChaosPlan.from_json(handle.read())
 
 
 @lru_cache(maxsize=64)
@@ -722,7 +702,6 @@ __all__ = [
     "campaign_specs",
     "compile_chaos",
     "load_campaign",
-    "load_chaos_plan",
     "plan_from_json",
     "resume_chaos_campaign",
     "run_chaos_campaign",

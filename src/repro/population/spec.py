@@ -7,12 +7,13 @@ topology — plus per-attribute noise layers, all frozen and hashable so a
 spec can key caches and ride inside picklable
 :class:`~repro.experiments.runner.RunSpec` parameters (as canonical JSON).
 
-Specs load from TOML (:func:`load_spec`, via stdlib ``tomllib``) or JSON
-and round-trip through :meth:`PopulationSpec.to_json` /
-:meth:`PopulationSpec.from_json`.  The default client mix comes from the
-paper-reported marginals in :mod:`repro.measurement.population` — the
-documented single source of default shares (a cross-check test keeps the
-per-class ``pool_usage_share`` attributes in sync with it).
+Specs are built in code (or from a plain mapping via
+:meth:`PopulationSpec.from_dict`) and round-trip through
+:meth:`PopulationSpec.to_json` / :meth:`PopulationSpec.from_json`.  The
+default client mix comes from the paper-reported marginals in
+:mod:`repro.measurement.population` — the documented single source of
+default shares (a cross-check test keeps the per-class
+``pool_usage_share`` attributes in sync with it).
 
 Nothing here touches a simulator: realising a spec into concrete clients
 is :mod:`repro.population.generate`'s job.
@@ -22,9 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field, fields
-from typing import Any, Mapping, Union
+from typing import Any, Mapping
 
 from repro.measurement.population import default_client_mix
 
@@ -398,25 +398,6 @@ class PopulationSpec:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:16]
 
 
-def load_spec(path: Union[str, os.PathLike]) -> PopulationSpec:
-    """Load a spec from a ``.toml`` or JSON file.
-
-    TOML documents may nest everything under a ``[population]`` table (the
-    conventional layout) or declare the fields at top level.
-    """
-    text_path = str(path)
-    if text_path.endswith(".toml"):
-        import tomllib
-
-        with open(text_path, "rb") as handle:
-            document = tomllib.load(handle)
-        if "population" in document and isinstance(document["population"], dict):
-            document = document["population"]
-        return PopulationSpec.from_dict(document)
-    with open(text_path, "r", encoding="utf-8") as handle:
-        return PopulationSpec.from_json(handle.read())
-
-
 __all__ = [
     "BUILTIN_FAULT_REGIMES",
     "BUILTIN_LINK_PROFILES",
@@ -432,5 +413,4 @@ __all__ = [
     "PopulationSpec",
     "ResolverTopology",
     "SpecError",
-    "load_spec",
 ]

@@ -9,6 +9,7 @@ import pytest
 
 from repro.experiments import (
     ExperimentRunner,
+    RunOutcome,
     RunSpec,
     RunStore,
     StoreError,
@@ -217,20 +218,26 @@ class TestLoadOutcomes:
 
     def test_unknown_outcome_keys_are_ignored(self, tmp_path):
         """Outcome records carrying keys the loader no longer knows (fields
-        an older version wrote) still load; the extra keys are dropped."""
+        an older version wrote) still load; the extra keys are dropped.  So
+        does an error kind no runner records any more (``timeout``)."""
         store = RunStore(str(tmp_path))
-        specs = _specs(1)
+        specs = _specs(2)
         writer = store.begin_sweep("t", specs, sweep_id="s")
-        outcome = ExperimentRunner(max_workers=1).run(specs)[0]
+        outcome = ExperimentRunner(max_workers=1).run(specs[:1])[0]
         document = outcome_document(0, outcome)
         document["retired_block"] = {"stages": {}, "decode_seconds": 0.0}
         document["attempts"] = 2
+        writer.append_record(document)
+        stalled = RunOutcome(spec=specs[1], error="run exceeded its 1.0s deadline")
+        document = outcome_document(1, stalled)
+        document["error_kind"] = "timeout"
         writer.append_record(document)
         writer.close()
         done = store.load_outcomes("s")
         assert done[0].result == 0 and done[0].ok
         assert not hasattr(done[0], "retired_block")
         assert not hasattr(done[0], "attempts")
+        assert done[1].error_kind == "timeout" and not done[1].ok
 
     def test_metric_samples_ignored_by_outcome_loader(self, tmp_path):
         store = RunStore(str(tmp_path))

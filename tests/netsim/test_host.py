@@ -126,14 +126,6 @@ class TestPMTUDAndFragmentation:
         sender._handle_icmp(message, "x")
         assert sender.path_mtu("10.0.0.2") == sender.profile.min_pmtu
 
-    def test_forget_pmtu(self):
-        sim, net, sender, receiver = build_pair()
-        message = frag_needed(296)
-        message.metadata["about_destination"] = "10.0.0.2"
-        sender._handle_icmp(message, "x")
-        sender.forget_pmtu("10.0.0.2")
-        assert sender.path_mtu("10.0.0.2") == 1500
-
     def test_send_icmp_over_network(self):
         sim, net, sender, receiver = build_pair()
         message = frag_needed(552)

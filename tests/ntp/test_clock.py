@@ -40,12 +40,6 @@ class TestAdjustments:
         applied = clock.slew(0.0001, true_time=0.0)
         assert applied == pytest.approx(0.0001)
 
-    def test_last_adjustment_time(self):
-        clock = SystemClock()
-        assert clock.last_adjustment_time() is None
-        clock.step(1.0, true_time=42.0)
-        assert clock.last_adjustment_time() == 42.0
-
     def test_total_stepped_ignores_slews(self):
         clock = SystemClock()
         clock.slew(0.0001, true_time=0.0)

@@ -49,12 +49,6 @@ class TestPopulationGeneration:
         assert population.servers == {}
         assert len(net.hosts()) == 0
 
-    def test_spec_lookup(self):
-        population, _, _ = self.build(size=10)
-        spec = population.spec_for(population.addresses[3])
-        assert spec is not None and spec.address == population.addresses[3]
-        assert population.spec_for("9.9.9.9") is None
-
     def test_open_config_fraction(self):
         population, _, _ = self.build(size=1000)
         assert 0.03 < population.open_config_fraction() < 0.08

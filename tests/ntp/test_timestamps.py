@@ -17,10 +17,6 @@ class TestConversion:
         ts = NTPTimestamp.from_unix(1.000000001)
         assert ts.to_unix() == pytest.approx(1.0, abs=1e-6)
 
-    def test_zero(self):
-        assert NTPTimestamp.zero().is_zero()
-        assert not NTPTimestamp.from_unix(100.0).is_zero()
-
 
 class TestWireFormat:
     def test_byte_round_trip(self):

@@ -12,7 +12,6 @@ from repro.population.chaos import (
     ChaosPhase,
     ChaosPlan,
     CorrelationGroup,
-    load_chaos_plan,
     plan_from_json,
     smoke_plan,
 )
@@ -128,38 +127,6 @@ class TestSerialisation:
     def test_plan_from_json_memoises(self):
         text = storm_plan().to_json()
         assert plan_from_json(text) is plan_from_json(text)
-
-    def test_load_from_toml_chaos_table(self, tmp_path):
-        path = tmp_path / "plan.toml"
-        path.write_text(
-            """
-[chaos]
-groups = [["east", 0.5], ["west", 0.5]]
-
-[[chaos.regimes]]
-name = "blackout"
-kind = "partition"
-
-[[chaos.phases]]
-name = "calm"
-duration = 900.0
-
-[[chaos.phases]]
-name = "storm"
-duration = 600.0
-regimes = [["east", "blackout"]]
-
-[chaos.horizon]
-duration = 1800.0
-checkpoint_every = 500.0
-"""
-        )
-        assert load_chaos_plan(path) == storm_plan()
-
-    def test_load_from_json_file(self, tmp_path):
-        path = tmp_path / "plan.json"
-        path.write_text(storm_plan().to_json())
-        assert load_chaos_plan(path) == storm_plan()
 
     def test_to_dict_is_json_safe(self):
         json.dumps(storm_plan().to_dict())

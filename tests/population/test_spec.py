@@ -20,7 +20,6 @@ from repro.population.spec import (
     NoiseLayer,
     PopulationSpec,
     SpecError,
-    load_spec,
 )
 
 
@@ -123,36 +122,6 @@ class TestSerialisation:
             PopulationSpec.from_json("{nope")
         with pytest.raises(SpecError):
             PopulationSpec.from_json("[1, 2]")
-
-    def test_load_spec_json(self, tmp_path):
-        spec = self._rich_spec()
-        path = tmp_path / "fleet.json"
-        path.write_text(spec.to_json())
-        assert load_spec(path) == spec
-
-    def test_load_spec_toml_with_population_table(self, tmp_path):
-        path = tmp_path / "fleet.toml"
-        path.write_text(
-            "\n".join(
-                [
-                    "[population]",
-                    "size = 12",
-                    "poll_jitter = 0.1",
-                    'client_mix = [["ntpd", 0.75], ["chrony", 0.25]]',
-                    "[population.churn]",
-                    "late_join_fraction = 0.25",
-                ]
-            )
-        )
-        spec = load_spec(path)
-        assert spec.size == 12
-        assert spec.client_mix == (("ntpd", 0.75), ("chrony", 0.25))
-        assert spec.churn.late_join_fraction == 0.25
-
-    def test_load_spec_toml_top_level(self, tmp_path):
-        path = tmp_path / "flat.toml"
-        path.write_text("size = 3\n")
-        assert load_spec(path).size == 3
 
 
 class TestDefaultShares:
