@@ -13,8 +13,8 @@ scenario × seed).  This package provides:
   classes ever cross the process boundary).
 * :mod:`repro.experiments.store` — a durable, append-only run store
   (:class:`~repro.experiments.store.RunStore`): atomically-committed sweep
-  manifests, fsynced JSONL segments, torn-record repair, ``fsck`` and
-  compaction, and the query APIs the sweep reports read.
+  manifests, fsynced JSONL segments, torn-record repair, ``fsck``, and
+  the query APIs the sweep reports read.
 
 See ``EXPERIMENTS.md`` at the repository root for the full guide.
 """

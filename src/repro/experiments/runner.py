@@ -256,7 +256,6 @@ class ExperimentRunner:
         sweep_id: Optional[str] = None,
         seed: Optional[int] = None,
         metadata: Optional[dict[str, Any]] = None,
-        finish: bool = True,
     ) -> list[RunOutcome]:
         """Execute a sweep writing through a durable
         :class:`~repro.experiments.store.RunStore`.
@@ -268,12 +267,6 @@ class ExperimentRunner:
         ``cancelled`` (and :meth:`resume_stored` continues the sweep);
         any other failure stamps ``failed``.  The sweep id lands in
         :attr:`last_sweep_id`.
-
-        ``finish=False`` leaves a successful sweep stamped ``running`` so
-        the caller can append derived records (aggregates, summaries)
-        before stamping ``complete`` itself — a crash in that window then
-        resumes instead of masquerading as a finished sweep.  Cancellation
-        and failure stamp their statuses regardless.
         """
         specs = list(specs)
         writer = store.begin_sweep(
@@ -284,17 +277,13 @@ class ExperimentRunner:
             metadata=metadata,
         )
         self.last_sweep_id = writer.sweep_id
-        return self._run_through_store(
-            store, writer.sweep_id, specs, writer, {}, finish=finish
-        )
+        return self._run_through_store(store, writer.sweep_id, specs, writer, {})
 
     def resume_stored(
         self,
         store: RunStore,
         sweep_id: str,
         specs: Optional[Sequence[RunSpec]] = None,
-        *,
-        finish: bool = True,
     ) -> list[RunOutcome]:
         """Continue a store-backed sweep from its recorded outcomes.
 
@@ -316,9 +305,7 @@ class ExperimentRunner:
             )
         writer = store.open_sweep(sweep_id)
         self.last_sweep_id = sweep_id
-        return self._run_through_store(
-            store, sweep_id, specs, writer, done, finish=finish
-        )
+        return self._run_through_store(store, sweep_id, specs, writer, done)
 
     def _run_through_store(
         self,
@@ -327,7 +314,6 @@ class ExperimentRunner:
         specs: list[RunSpec],
         writer: SweepWriter,
         done: dict[int, RunOutcome],
-        finish: bool = True,
     ) -> list[RunOutcome]:
         try:
             outcomes = self._run(specs, writer, done)
@@ -337,8 +323,7 @@ class ExperimentRunner:
         except BaseException:
             store.finish_sweep(sweep_id, "failed")
             raise
-        if finish:
-            store.finish_sweep(sweep_id, "complete")
+        store.finish_sweep(sweep_id, "complete")
         return outcomes
 
     def _run(

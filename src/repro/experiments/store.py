@@ -10,8 +10,8 @@ store root:
     <root>/
       <sweep-id>/
         MANIFEST.json        # spec list, seed, git rev, metadata, status
-        segment-0001.jsonl   # append-only records, fsynced per line
-        segment-0002.jsonl   # one new segment per resume (or size roll)
+        segment-0001.jsonl   # append-only outcome records, fsynced per line
+        segment-0002.jsonl   # one new segment per resume
 
 Durability contract:
 
@@ -33,18 +33,16 @@ Durability contract:
   outcome record matches the manifest's spec at its index.  With
   ``repair=True`` it rewrites damaged segments, drops stale temp files and
   empty segments, and the store comes back clean.
-* **Compaction folds a sweep's segments into one** — outcome records
-  dedupe by spec index (last write wins, matching loader semantics); the
-  merged segment is written and renamed before the old segments are
-  unlinked, so a crash mid-compaction leaves duplicates (harmless), never
-  data loss.
+* **Outcome records are the only records a sweep writes** — landscape
+  grids and campaign timelines are computed from them.  A resume may
+  re-record an index; the loaders take the later record.
 
 The runner writes through this store via
 :meth:`repro.experiments.runner.ExperimentRunner.run_stored`, and
 :mod:`repro.measurement.report` renders sweep reports from its query APIs.
 
-Run ``python -m repro.experiments.store fsck <root>`` (also: ``compact``,
-``report``) for the command-line surface; ``make store-fsck`` wraps it.
+Run ``python -m repro.experiments.store fsck <root>`` (also: ``report``)
+for the command-line surface; ``make store-fsck`` wraps it.
 """
 
 from __future__ import annotations
@@ -64,9 +62,6 @@ STORE_SCHEMA = "repro-store/1"
 MANIFEST_NAME = "MANIFEST.json"
 SEGMENT_PREFIX = "segment-"
 SEGMENT_SUFFIX = ".jsonl"
-
-#: Segment size at which :class:`SweepWriter` rolls to a fresh file.
-DEFAULT_SEGMENT_BYTES = 8 * 1024 * 1024
 
 
 class StoreError(RuntimeError):
@@ -290,33 +285,12 @@ class FsckReport:
         )
 
 
-@dataclass
-class CompactionReport:
-    """Before/after accounting for one :meth:`RunStore.compact` pass."""
-
-    sweep_id: str
-    segments_before: int = 0
-    segments_after: int = 0
-    records_before: int = 0
-    records_after: int = 0
-
-    def summary(self) -> str:
-        return (
-            f"compacted {self.sweep_id}: {self.segments_before} -> "
-            f"{self.segments_after} segment(s), {self.records_before} -> "
-            f"{self.records_after} record(s)"
-        )
-
-
 # ------------------------------------------------------------------ the store
 class RunStore:
     """A directory of sweeps, each a manifest plus append-only segments."""
 
-    def __init__(self, root: str, segment_bytes: int = DEFAULT_SEGMENT_BYTES) -> None:
-        if segment_bytes < 1:
-            raise ValueError(f"segment_bytes must be >= 1, got {segment_bytes}")
+    def __init__(self, root: str) -> None:
         self.root = root
-        self.segment_bytes = segment_bytes
         os.makedirs(root, exist_ok=True)
 
     # ------------------------------------------------------------- locations
@@ -401,10 +375,16 @@ class RunStore:
         sweep — the full spec list, the seed, the git revision, the
         caller's metadata — and lands atomically before the first record is
         written.  An existing sweep id is refused (:meth:`open_sweep`
-        continues one).
+        continues one).  A generated id (``name``, the time to the second,
+        the pid) gets a ``-2``, ``-3``, … suffix until its directory is
+        free, so two sweeps begun within one second do not collide.
         """
         if sweep_id is None:
-            sweep_id = f"{name}-{time.strftime('%Y%m%dT%H%M%S')}-{os.getpid()}"
+            base = f"{name}-{time.strftime('%Y%m%dT%H%M%S')}-{os.getpid()}"
+            sweep_id, suffix = base, 1
+            while os.path.exists(self.sweep_dir(sweep_id)):
+                suffix += 1
+                sweep_id = f"{base}-{suffix}"
         directory = self.sweep_dir(sweep_id)
         if os.path.exists(os.path.join(directory, MANIFEST_NAME)):
             raise StoreError(
@@ -488,7 +468,7 @@ class RunStore:
         done: dict[int, Any] = {}
         for entry in self.records(sweep_id, repairs=repairs):
             if "index" not in entry:
-                continue  # generic (non-outcome) record
+                continue  # a derived record, as older stores hold
             index = entry.get("index")
             if not isinstance(index, int) or not 0 <= index < len(specs):
                 raise StoreError(
@@ -510,25 +490,7 @@ class RunStore:
             )
         return done
 
-    def kind_records(
-        self,
-        sweep_id: str,
-        kind: str,
-        repairs: Optional[list[RepairEvent]] = None,
-    ) -> list[dict[str, Any]]:
-        """Free-form records of one ``kind``, in append order.
-
-        Campaign drivers tag their derived records (phase aggregates,
-        summaries) with a ``kind`` key; this filters them out of the mixed
-        outcome/record stream without the caller re-implementing the scan.
-        """
-        return [
-            record
-            for record in self.records(sweep_id, repairs=repairs)
-            if "index" not in record and record.get("kind") == kind
-        ]
-
-    # ------------------------------------------------------- fsck/compaction
+    # ------------------------------------------------------------------ fsck
     def fsck(self, repair: bool = False) -> FsckReport:
         """Validate every sweep; with ``repair`` rewrite the damage away.
 
@@ -580,52 +542,6 @@ class RunStore:
                     report.errors.append(str(exc))
         return report
 
-    def compact(self, sweep_id: str) -> CompactionReport:
-        """Fold all segments into one, deduping outcome records by index.
-
-        Later records win (the loaders' rule), so a compacted sweep loads
-        identically to the uncompacted one.  The merged segment is
-        committed (write + fsync + rename) *before* the old segments are
-        unlinked: a crash mid-compaction leaves duplicate records — which
-        dedupe away on the next load or compaction — never missing ones.
-        """
-        paths = self._segment_paths(sweep_id)
-        report = CompactionReport(sweep_id, segments_before=len(paths))
-        by_index: dict[int, int] = {}
-        merged: list[Optional[bytes]] = []
-        for path in paths:
-            records, raw, _events = _scan(path)
-            for record, line in zip(records, raw):
-                report.records_before += 1
-                index = record.get("index")
-                if isinstance(index, int):
-                    previous = by_index.get(index)
-                    if previous is not None:
-                        merged[previous] = None  # superseded: later wins
-                    by_index[index] = len(merged)
-                merged.append(line)
-        lines = [line for line in merged if line is not None]
-        report.records_after = len(lines)
-        if not paths:
-            return report
-        directory = self.sweep_dir(sweep_id)
-        target = os.path.join(
-            directory,
-            f"{SEGMENT_PREFIX}{_next_segment_index(paths):04d}{SEGMENT_SUFFIX}",
-        )
-        tmp = f"{target}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as handle:
-            handle.writelines(lines)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
-        _fsync_dir(directory)
-        for path in paths:
-            os.unlink(path)
-        _fsync_dir(directory)
-        report.segments_after = 1
-        return report
-
 
 def _next_segment_index(paths: Sequence[str]) -> int:
     highest = 0
@@ -643,29 +559,23 @@ class SweepWriter:
     """Fsynced append-only record sink for one sweep (one open segment).
 
     Opens a *new* segment (next index) rather than appending to the last
-    one, so a resume never writes after a possibly-damaged tail.  Rolls to
-    a fresh segment when the current one crosses the store's
-    ``segment_bytes``.  The runner appends each finished outcome through
-    ``append(index, outcome)`` and calls ``close()`` when the sweep ends.
+    one, so a resume never writes after a possibly-damaged tail.  The
+    runner appends each finished outcome through ``append(index,
+    outcome)`` and calls ``close()`` when the sweep ends.
     """
 
     def __init__(self, store: RunStore, sweep_id: str) -> None:
-        self.store = store
         self.sweep_id = sweep_id
-        self._directory = store.sweep_dir(sweep_id)
-        self._handle = None
-        self._open_segment()
-
-    def _open_segment(self) -> None:
-        index = _next_segment_index(self.store._segment_paths(self.sweep_id))
+        directory = store.sweep_dir(sweep_id)
+        index = _next_segment_index(store._segment_paths(sweep_id))
         self.path = os.path.join(
-            self._directory, f"{SEGMENT_PREFIX}{index:04d}{SEGMENT_SUFFIX}"
+            directory, f"{SEGMENT_PREFIX}{index:04d}{SEGMENT_SUFFIX}"
         )
         try:
             self._handle = open(self.path, "ab")
         except OSError as exc:
             raise StoreError(f"cannot open segment {self.path!r}: {exc}") from exc
-        _fsync_dir(self._directory)
+        _fsync_dir(directory)
 
     def append_record(self, record: dict[str, Any]) -> None:
         """Durably append one JSON record (flush + fsync per line)."""
@@ -678,11 +588,6 @@ class SweepWriter:
                 f"record is not JSON-serialisable (the store holds only "
                 f"JSON-safe documents): {exc}"
             ) from exc
-        if self._handle.tell() and self._handle.tell() + len(line) > (
-            self.store.segment_bytes
-        ):
-            self._handle.close()
-            self._open_segment()
         self._handle.write(line)
         self._handle.flush()
         os.fsync(self._handle.fileno())
@@ -690,24 +595,6 @@ class SweepWriter:
     def append(self, index: int, outcome: Any) -> None:
         """Append one finished run outcome (the runner's per-run record)."""
         self.append_record(outcome_document(index, outcome))
-
-    def append_aggregate(
-        self,
-        cell: dict[str, Any],
-        aggregate: dict[str, Any],
-        kind: str = "population-aggregate",
-    ) -> None:
-        """Durably append one streaming-aggregate record.
-
-        Population-scale sweeps fold thousands of per-client results into
-        constant-memory aggregates (counts + fixed-bin histograms; see
-        :mod:`repro.population.aggregate`) instead of carrying per-run dict
-        payloads.  ``cell`` identifies the sweep cell the aggregate covers
-        (e.g. the landscape axes values); the record has no ``index`` so
-        outcome loaders skip it and ``sweep_report`` counts it as a metric
-        sample.
-        """
-        self.append_record({"kind": kind, "cell": cell, "aggregate": aggregate})
 
     def close(self) -> None:
         if self._handle is not None:
@@ -717,7 +604,7 @@ class SweepWriter:
 
 # ------------------------------------------------------------------------ CLI
 def main(argv: Optional[list[str]] = None) -> int:
-    """``python -m repro.experiments.store`` — fsck / compact / report."""
+    """``python -m repro.experiments.store`` — fsck / report."""
     parser = argparse.ArgumentParser(
         prog="repro.experiments.store", description=__doc__.split("\n\n")[0]
     )
@@ -733,12 +620,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         action="store_true",
         help="exit 0 when the store root does not exist",
     )
-
-    compact_cmd = commands.add_parser(
-        "compact", help="fold a sweep's segments into one"
-    )
-    compact_cmd.add_argument("root")
-    compact_cmd.add_argument("sweep_id")
 
     report_cmd = commands.add_parser(
         "report", help="list sweeps, or render one sweep's run table"
@@ -766,13 +647,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"  ERROR: {error}")
         print(report.summary())
         return 0 if report.ok else 1
-    if args.command == "compact":
-        try:
-            print(store.compact(args.sweep_id).summary())
-        except StoreError as exc:
-            print(f"error: {exc}")
-            return 2
-        return 0
     # report
     from repro.measurement.report import sweep_report
 

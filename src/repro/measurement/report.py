@@ -52,8 +52,8 @@ def sweep_report(
 
     Later records for the same spec index win — the same rule the store's
     ``load_outcomes`` applies — so a resumed sweep reports each run once.
-    Records without an ``index`` (free-form metric samples) are counted
-    but not tabulated.
+    Records without an ``index`` (derived records that older stores hold)
+    are counted but not tabulated.
     """
     by_index: dict[int, Mapping[str, Any]] = {}
     loose = 0
@@ -98,9 +98,9 @@ def sweep_report(
 def landscape_report(grid: Mapping[str, Any]) -> str:
     """Render a population landscape grid as a success-probability table.
 
-    ``grid`` is the ``landscape-grid`` document produced by
-    :func:`repro.population.landscape.sweep_landscape` (also appended to
-    the sweep's store records): two named axes plus one cell per (x, y)
+    ``grid`` is the ``landscape-grid`` document
+    :func:`repro.population.landscape.sweep_landscape` computes from the
+    sweep's outcome records: two named axes plus one cell per (x, y)
     combination.  Rows are y-axis values, columns x-axis values; cells
     show the attack success probability (``err`` for failed cells, ``—``
     for missing ones).
@@ -140,8 +140,8 @@ def degradation_report(campaign: Mapping[str, Any]) -> str:
     """Render a chaos campaign's per-checkpoint degradation timeline.
 
     ``campaign`` is the ``chaos-campaign-summary`` document
-    :func:`repro.population.chaos.run_chaos_campaign` returns (and appends
-    to the sweep's store records).  One row per checkpoint: simulated time,
+    :func:`repro.population.chaos.run_chaos_campaign` computes from the
+    sweep's checkpoint outcome records.  One row per checkpoint: simulated time,
     covering phase, fleet-wide shift success, cumulative fault drops, and
     one per-group survival column (the group's attack *success* rate — the
     fraction of its clients the attacker still shifted despite the faults)

@@ -7,8 +7,8 @@ into megabytes.  Instead, fleets fold each client result into a
 breakdowns, and clock-shift / attack-duration quantiles held in
 **fixed-bin histograms** whose memory is a function of the bin count, not
 the fleet size.  Aggregates merge associatively (cell + cell = region), and
-serialise to plain-JSON documents the store appends via
-:meth:`repro.experiments.store.SweepWriter.append_aggregate`.
+serialise to plain-JSON documents that ride in each fleet's result, so
+every stored outcome record carries its cell's aggregate.
 
 This module deliberately imports nothing else from ``repro``.
 """

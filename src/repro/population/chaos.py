@@ -28,8 +28,9 @@ an independent, resumable, bit-reproducible unit, and
 :func:`run_chaos_campaign` simply drives the list through
 :meth:`~repro.experiments.runner.ExperimentRunner.run_stored` — a SIGINT
 or ``kill -9`` mid-phase loses at most the in-flight checkpoint, and
-:func:`resume_chaos_campaign` replays only the unfinished tail, crossing
-store segment rolls untouched.  The final checkpoint *is* the campaign's
+:func:`resume_chaos_campaign` replays only the unfinished tail.  The store
+holds the checkpoint outcomes alone; the campaign document both functions
+return is computed from them.  The final checkpoint *is* the campaign's
 end state; intermediate ones are the degradation timeline
 (:func:`repro.measurement.report.degradation_report`).
 
@@ -489,6 +490,7 @@ def _campaign_summary(
     seed: int,
     outcomes: list,
 ) -> dict[str, Any]:
+    """The campaign document, computed from its checkpoint outcomes."""
     checkpoints = []
     for outcome in outcomes:
         params = outcome.spec.kwargs()
@@ -520,38 +522,6 @@ def _campaign_summary(
     }
 
 
-def _finalise_campaign(
-    store: Any,
-    sweep_id: Optional[str],
-    campaign: dict[str, Any],
-) -> dict[str, Any]:
-    """Write the per-checkpoint aggregates + summary, then stamp complete."""
-    if sweep_id is None:
-        return campaign
-    record = dict(campaign)
-    record["checkpoints"] = [
-        {key: value for key, value in entry.items() if key != "aggregate"}
-        for entry in campaign["checkpoints"]
-    ]
-    writer = store.open_sweep(sweep_id)
-    try:
-        for entry in campaign["checkpoints"]:
-            aggregate = entry.get("aggregate")
-            if aggregate is not None:
-                cell = {
-                    key: entry.get(key)
-                    for key in ("checkpoint", "until", "phase")
-                }
-                writer.append_aggregate(
-                    cell, aggregate, kind="chaos-checkpoint"
-                )
-        writer.append_record(record)
-    finally:
-        writer.close()
-    store.finish_sweep(sweep_id, "complete")
-    return campaign
-
-
 def run_chaos_campaign(
     store: Any,
     name: str,
@@ -564,11 +534,11 @@ def run_chaos_campaign(
     checkpoint.
 
     The sweep manifest freezes the checkpoint spec list before the first
-    run; every finished checkpoint lands in an fsynced segment; the sweep
-    stays ``running`` until the per-phase aggregates and the
-    ``chaos-campaign-summary`` record are appended — so any crash leaves a
-    resumable sweep (:func:`resume_chaos_campaign`), never a ``complete``
-    one with a missing summary.
+    run; every finished checkpoint lands in an fsynced segment, and the
+    sweep is ``complete`` once every checkpoint is recorded.  A crash
+    leaves a resumable sweep (:func:`resume_chaos_campaign`).  The
+    returned ``chaos-campaign-summary`` document is computed from the
+    checkpoint outcomes.
     """
     from repro.experiments.runner import ExperimentRunner
 
@@ -586,12 +556,8 @@ def run_chaos_campaign(
             "plan": plan.to_dict(),
             "checkpoints": [s.kwargs()["until"] for s in specs],
         },
-        finish=False,
     )
-    campaign = _campaign_summary(
-        name, runner.last_sweep_id, spec, plan, seed, outcomes
-    )
-    return _finalise_campaign(store, runner.last_sweep_id, campaign)
+    return _campaign_summary(name, runner.last_sweep_id, spec, plan, seed, outcomes)
 
 
 def resume_chaos_campaign(
@@ -601,8 +567,8 @@ def resume_chaos_campaign(
 
     Spec and plan are rebuilt from the manifest's frozen run specs, the
     finished checkpoints load back (validated), only the unfinished tail
-    re-executes, and the summary is (re)written — the result is identical
-    to an uninterrupted :func:`run_chaos_campaign`.
+    re-executes, and the summary is computed from the outcomes — the
+    result is identical to an uninterrupted :func:`run_chaos_campaign`.
     """
     from repro.experiments.runner import ExperimentRunner
 
@@ -615,15 +581,8 @@ def resume_chaos_campaign(
     plan = plan_from_json(params["plan_json"])
     seed = int(params.get("seed", 0))
     name = store.manifest(sweep_id).get("name", sweep_id)
-    outcomes = runner.resume_stored(store, sweep_id, specs, finish=False)
-    campaign = _campaign_summary(name, sweep_id, spec, plan, seed, outcomes)
-    return _finalise_campaign(store, sweep_id, campaign)
-
-
-def load_campaign(store: Any, sweep_id: str) -> Optional[dict[str, Any]]:
-    """The last ``chaos-campaign-summary`` record of a sweep (or ``None``)."""
-    records = store.kind_records(sweep_id, "chaos-campaign-summary")
-    return records[-1] if records else None
+    outcomes = runner.resume_stored(store, sweep_id, specs)
+    return _campaign_summary(name, sweep_id, spec, plan, seed, outcomes)
 
 
 # ----------------------------------------------------------------- smoke CLI
@@ -701,7 +660,6 @@ __all__ = [
     "assign_groups",
     "campaign_specs",
     "compile_chaos",
-    "load_campaign",
     "plan_from_json",
     "resume_chaos_campaign",
     "run_chaos_campaign",

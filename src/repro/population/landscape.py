@@ -5,9 +5,10 @@ posture.  A *landscape* sweeps a base :class:`~repro.population.spec.
 PopulationSpec` over two axes (say, the ntpd market share × the pool's
 rate-limit posture) and runs one fleet per grid cell through the durable
 experiment engine (:meth:`~repro.experiments.runner.ExperimentRunner.
-run_stored`), folding each cell's streaming aggregate into the run store
-and returning a ≥3×3 success-probability grid that
-:func:`repro.measurement.report.landscape_report` renders.
+run_stored`), each cell's outcome record carrying its streaming
+aggregate, and returns a ≥3×3 success-probability grid, computed from
+those outcomes, that :func:`repro.measurement.report.landscape_report`
+renders.
 
 Axes are named declaratively:
 
@@ -114,12 +115,9 @@ def sweep_landscape(
 ) -> dict[str, Any]:
     """Run the full grid through ``run_stored`` and return the grid document.
 
-    Every cell's streaming aggregate is appended to the sweep as a
-    ``population-aggregate`` record (plus one ``landscape-grid`` summary
-    record), and only then is the sweep stamped complete
-    (``run_stored(finish=False)``) — so a crash while the derived records
-    are being written leaves a resumable ``running`` sweep rather than a
-    ``complete`` one missing its grid.
+    The grid is computed from the cells' outcomes and the axes; the sweep
+    stores the outcome records alone (each result holds its cell's
+    ``aggregate``), so it is ``complete`` once every cell is recorded.
     """
     from repro.experiments.runner import ExperimentRunner
 
@@ -137,9 +135,7 @@ def sweep_landscape(
             "axis_y": axis_y,
             "y_values": [float(y) for y in y_values],
         },
-        finish=False,
     )
-    sweep_id = runner.last_sweep_id
 
     cells = []
     for outcome in outcomes:
@@ -151,41 +147,20 @@ def sweep_landscape(
             "axis_y": axis_y,
         }
         if outcome.ok and isinstance(outcome.result, dict):
-            cell["success_rate"] = outcome.result.get("success_rate")
-            cell["successes"] = outcome.result.get("successes")
-            cell["size"] = outcome.result.get("size")
-            cell["aggregate"] = outcome.result.get("aggregate")
-            cell["fault_stats"] = outcome.result.get("fault_stats")
+            for key in ("success_rate", "successes", "size", "fault_stats"):
+                cell[key] = outcome.result.get(key)
         else:
             cell["error"] = outcome.error
         cells.append(cell)
 
-    grid = {
+    return {
         "kind": "landscape-grid",
         "name": name,
-        "sweep_id": sweep_id,
+        "sweep_id": runner.last_sweep_id,
         "axis_x": {"name": axis_x, "values": [float(x) for x in x_values]},
         "axis_y": {"name": axis_y, "values": [float(y) for y in y_values]},
-        "cells": [
-            {key: value for key, value in cell.items() if key != "aggregate"}
-            for cell in cells
-        ],
+        "cells": cells,
     }
-    if sweep_id is not None:
-        writer = store.open_sweep(sweep_id)
-        try:
-            for cell in cells:
-                aggregate = cell.get("aggregate")
-                if aggregate is not None:
-                    writer.append_aggregate(
-                        {key: cell[key] for key in ("x", "y", "axis_x", "axis_y")},
-                        aggregate,
-                    )
-            writer.append_record(grid)
-        finally:
-            writer.close()
-        store.finish_sweep(sweep_id, "complete")
-    return grid
 
 
 def smoke_spec() -> PopulationSpec:

@@ -24,6 +24,7 @@ from repro.experiments import (
     make_grid,
     scenario,
 )
+from repro.experiments.store import atomic_write_json
 
 pytestmark = pytest.mark.chaos
 
@@ -151,8 +152,8 @@ def _kill_sweep(store: RunStore, sweep_id: str, keep: int, torn: bool = False) -
 
     The sweep's one segment keeps its first ``keep`` records (completion
     order) plus, with ``torn``, half of the next line — a kill mid-write.
-    Sweeps cut this way are run with ``finish=False``, so their manifest
-    still says ``running``, as a killed sweep's would.
+    The manifest is stamped ``running`` again, as a killed sweep's would
+    still say.
     """
     (segment,) = store._segment_paths(sweep_id)
     with open(segment, "rb") as handle:
@@ -161,6 +162,10 @@ def _kill_sweep(store: RunStore, sweep_id: str, keep: int, torn: bool = False) -
         handle.writelines(lines[:keep])
         if torn:
             handle.write(lines[keep][: len(lines[keep]) // 2])
+    manifest = store.manifest(sweep_id)
+    manifest["status"] = "running"
+    del manifest["finished_at"]
+    atomic_write_json(store._manifest_path(sweep_id), manifest)
 
 
 class TestErrorTaxonomy:
@@ -235,9 +240,7 @@ class TestCheckpointing:
         # Simulate a sweep killed partway: keep the first 3 records plus a
         # torn partial line from the kill mid-write.
         store = RunStore(str(tmp_path))
-        ExperimentRunner(max_workers=1).run_stored(
-            store, "t", specs, sweep_id="s", finish=False
-        )
+        ExperimentRunner(max_workers=1).run_stored(store, "t", specs, sweep_id="s")
         _kill_sweep(store, "s", keep=3, torn=True)
 
         runner = ExperimentRunner(max_workers=1)
@@ -273,9 +276,7 @@ class TestCheckpointing:
         )
         uninterrupted = ExperimentRunner(max_workers=2).run(specs)
         store = RunStore(str(tmp_path))
-        ExperimentRunner(max_workers=2).run_stored(
-            store, "t", specs, sweep_id="s", finish=False
-        )
+        ExperimentRunner(max_workers=2).run_stored(store, "t", specs, sweep_id="s")
         _kill_sweep(store, "s", keep=2)
         resumed = ExperimentRunner(max_workers=2).resume_stored(store, "s")
         assert [o.result for o in resumed] == [o.result for o in uninterrupted]
@@ -407,7 +408,7 @@ class TestSuspectReruns:
 
         uninterrupted = runner().run(specs)
         store = RunStore(str(tmp_path))
-        runner().run_stored(store, "t", specs, sweep_id="s", finish=False)
+        runner().run_stored(store, "t", specs, sweep_id="s")
         # keep only the first two finished outcomes — the sweep dies while
         # the crash chunk is still in quarantine
         _kill_sweep(store, "s", keep=2)
@@ -485,9 +486,7 @@ class TestRecoveryFallbacks:
         specs = [RunSpec.make("_test_res_square", x=x) for x in range(2)]
         specs.append(RunSpec.make("_test_res_driver_sentinel", x=2))
         store = RunStore(str(tmp_path))
-        ExperimentRunner(max_workers=1).run_stored(
-            store, "t", specs, sweep_id="s", finish=False
-        )
+        ExperimentRunner(max_workers=1).run_stored(store, "t", specs, sweep_id="s")
         _kill_sweep(store, "s", keep=2)
         DRIVER_RUNS.clear()
         healthy = RunSpec.make("_test_res_square", x=-1)  # in no chunk

@@ -1,4 +1,4 @@
-"""Durable run store: manifests, segments, repair, fsck, compaction, CLI."""
+"""Durable run store: manifests, segments, repair, fsck, CLI."""
 
 from __future__ import annotations
 
@@ -63,6 +63,26 @@ class TestManifest:
         with pytest.raises(StoreError, match="already exists"):
             store.begin_sweep("t", sweep_id="dup")
 
+    def test_generated_ids_in_one_second_do_not_collide(
+        self, tmp_path, monkeypatch
+    ):
+        # Every sweep below is begun "within the same second".
+        monkeypatch.setattr(
+            "repro.experiments.store.time.strftime", lambda *args: "T0"
+        )
+        store = RunStore(str(tmp_path))
+        runner = ExperimentRunner(max_workers=1)
+        ids = []
+        for _ in range(3):
+            runner.run_stored(store, "x", _specs(2))
+            ids.append(runner.last_sweep_id)
+        base = f"x-T0-{os.getpid()}"
+        assert ids == [base, f"{base}-2", f"{base}-3"]
+        assert store.sweeps() == sorted(ids)
+        for sweep_id in ids:
+            assert store.manifest(sweep_id)["status"] == "complete"
+            assert [o.result for o in store.load_outcomes(sweep_id).values()] == [0, 2]
+
     def test_invalid_sweep_ids_rejected(self, tmp_path):
         store = RunStore(str(tmp_path))
         for bad in ("", ".", "..", f"a{os.sep}b"):
@@ -102,15 +122,6 @@ class TestSegments:
         assert [r["batch"] for r in store.records("s")] == [0, 1, 2]
         # begin_sweep opened segment 1; each resume opened a fresh one
         assert len(store._segment_paths("s")) == 4
-
-    def test_segment_rolls_at_size_limit(self, tmp_path):
-        store = RunStore(str(tmp_path), segment_bytes=64)
-        writer = store.begin_sweep("t", sweep_id="s")
-        for i in range(8):
-            writer.append_record({"i": i, "pad": "x" * 40})
-        writer.close()
-        assert len(store._segment_paths("s")) > 1
-        assert [r["i"] for r in store.records("s")] == list(range(8))
 
     def test_closed_writer_refuses_appends(self, tmp_path):
         store = RunStore(str(tmp_path))
@@ -289,30 +300,6 @@ class TestFsckCompaction:
         report = store.fsck()
         assert not report.ok and "schema" in report.errors[0]
 
-    def test_compaction_dedupes_and_loads_identically(self, tmp_path):
-        store = RunStore(str(tmp_path))
-        specs = _specs(3)
-        runner = ExperimentRunner(max_workers=1)
-        runner.run_stored(store, "t", specs, sweep_id="s")
-        # a resume writes duplicate outcome records into a second segment
-        writer = store.open_sweep("s")
-        done = store.load_outcomes("s")
-        for index in done:
-            writer.append(index, done[index])
-        writer.append_record({"kind": "bench-sample", "metrics": {"m": 1.0}})
-        writer.close()
-        before = store.load_outcomes("s")
-        report = store.compact("s")
-        assert report.segments_after == 1
-        assert report.records_before == 7 and report.records_after == 4
-        after = store.load_outcomes("s")
-        assert {i: o.result for i, o in after.items()} == {
-            i: o.result for i, o in before.items()
-        }
-        assert store.kind_records("s", "bench-sample") == [
-            {"kind": "bench-sample", "metrics": {"m": 1.0}}
-        ]
-
 
 class TestRunnerIntegration:
     def test_run_stored_and_resume_identical(self, tmp_path):
@@ -380,10 +367,8 @@ class TestCli:
         atomic_write_json(store._manifest_path("s"), manifest)
         assert store_cli(["fsck", str(tmp_path)]) == 1
 
-    def test_compact_and_report(self, tmp_path, capsys):
+    def test_report(self, tmp_path, capsys):
         self._store_with_sweep(tmp_path)
-        assert store_cli(["compact", str(tmp_path), "s"]) == 0
-        capsys.readouterr()
         assert store_cli(["report", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "s: cli [complete]" in out

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from repro.experiments.runner import ExperimentRunner
@@ -13,7 +15,6 @@ from repro.population.chaos import (
     ChaosPlan,
     CorrelationGroup,
     campaign_specs,
-    load_campaign,
     resume_chaos_campaign,
     run_chaos_campaign,
 )
@@ -67,21 +68,43 @@ class TestRunCampaign:
         assert sorted(done) == [0, 1, 2]  # checkpoints 100, 200, 250
         assert store.fsck().ok
 
-    def test_summary_record_and_checkpoint_aggregates_stored(
-        self, campaign_store
+    def test_store_holds_only_checkpoint_outcomes(self, campaign_store):
+        store, campaign = campaign_store
+        records = store.records(campaign["sweep_id"])
+        assert [r["index"] for r in records] == [0, 1, 2]
+        # Each outcome carries the checkpoint's aggregate, and the
+        # returned document is computed from those outcomes.
+        assert [r["result"]["aggregate"] for r in records] == [
+            c["aggregate"] for c in campaign["checkpoints"]
+        ]
+
+    def test_old_style_derived_records_still_resume(
+        self, tmp_path, campaign_store
     ):
         store, campaign = campaign_store
         sweep_id = campaign["sweep_id"]
-        summaries = store.kind_records(sweep_id, "chaos-campaign-summary")
-        assert len(summaries) == 1
-        assert summaries[0]["plan_digest"] == tiny_plan().digest()
-        aggregates = store.kind_records(sweep_id, "chaos-checkpoint")
-        assert len(aggregates) == 3
-        assert [a["cell"]["until"] for a in aggregates] == [100.0, 200.0, 250.0]
-        # Aggregates are stripped from the stored summary (constant size)
-        # but present in the returned document.
-        assert all("aggregate" not in c for c in summaries[0]["checkpoints"])
-        assert all("aggregate" in c for c in campaign["checkpoints"])
+        shutil.copytree(store.sweep_dir(sweep_id), tmp_path / sweep_id)
+        old = RunStore(str(tmp_path))
+        # The derived records older stores hold after their outcomes.
+        writer = old.open_sweep(sweep_id)
+        stripped = []
+        for entry in campaign["checkpoints"]:
+            cell = {key: entry[key] for key in ("checkpoint", "until", "phase")}
+            aggregate = entry["aggregate"]
+            writer.append_record(
+                {"kind": "chaos-checkpoint", "cell": cell, "aggregate": aggregate}
+            )
+            stripped.append({k: v for k, v in entry.items() if k != "aggregate"})
+        writer.append_record(dict(campaign, checkpoints=stripped))
+        writer.close()
+
+        resumed = resume_chaos_campaign(
+            old, sweep_id, runner=ExperimentRunner(max_workers=1)
+        )
+        assert resumed == campaign
+        assert len(old.records(sweep_id)) == 7  # nothing re-ran or was added
+        assert old.manifest(sweep_id)["status"] == "complete"
+        assert old.fsck().ok
 
     def test_checkpoints_carry_phases_and_groups(self, campaign_store):
         _store, campaign = campaign_store
@@ -95,15 +118,6 @@ class TestRunCampaign:
         east = storm["groups"].get("east")
         assert east is None or east["fault_stats"]["dropped_partition"] >= 0
         assert storm["fault_stats"]["dropped_partition"] > 0
-
-    def test_load_campaign_round_trips_the_summary(self, campaign_store):
-        store, campaign = campaign_store
-        loaded = load_campaign(store, campaign["sweep_id"])
-        assert loaded is not None
-        assert loaded["plan_digest"] == campaign["plan_digest"]
-        assert [c["until"] for c in loaded["checkpoints"]] == [
-            c["until"] for c in campaign["checkpoints"]
-        ]
 
     def test_degradation_report_renders_timeline(self, campaign_store):
         _store, campaign = campaign_store

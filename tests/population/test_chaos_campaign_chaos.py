@@ -1,10 +1,9 @@
-"""Crash-injection for chaos campaigns: kill -9 across a segment roll.
+"""Crash-injection for chaos campaigns: kill -9 mid-campaign.
 
 The acceptance property for long-horizon campaigns: a campaign driver
-killed with ``SIGKILL`` mid-phase — with ``segment_bytes`` tuned so small
-that every checkpoint record rolls a fresh segment — leaves a store that
-passes ``fsck``, and ``resume_chaos_campaign`` replays the remaining
-checkpoints to a summary bit-identical to an uninterrupted campaign.
+killed with ``SIGKILL`` mid-phase leaves a store that passes ``fsck``,
+and ``resume_chaos_campaign`` replays the remaining checkpoints, into one
+fresh segment, to a summary bit-identical to an uninterrupted campaign.
 
 Runs under ``make chaos`` (and the full tier-1 suite).
 """
@@ -38,11 +37,6 @@ REPO_SRC = os.path.join(
     "src",
 )
 
-#: Small enough that every checkpoint record (a few KB of aggregate and
-#: per-group fault stats) rolls onto a fresh segment — the kill is
-#: guaranteed to land across a roll boundary.
-TINY_SEGMENT_BYTES = 256
-
 
 def campaign_spec() -> PopulationSpec:
     return PopulationSpec(
@@ -73,9 +67,9 @@ from repro.experiments.store import RunStore
 from repro.population.chaos import ChaosPlan, run_chaos_campaign
 from repro.population.spec import PopulationSpec
 
-root, spec_json, plan_json, segment_bytes = sys.argv[1:5]
+root, spec_json, plan_json = sys.argv[1:4]
 run_chaos_campaign(
-    RunStore(root, segment_bytes=int(segment_bytes)),
+    RunStore(root),
     "kill",
     PopulationSpec.from_json(spec_json),
     ChaosPlan.from_json(plan_json),
@@ -101,7 +95,7 @@ def _count_records(store: RunStore, sweep_id: str) -> int:
 
 
 class TestCampaignSigkill:
-    def test_kill9_across_segment_roll_resumes_bit_identical(self, tmp_path):
+    def test_kill9_mid_campaign_resumes_bit_identical(self, tmp_path):
         root = str(tmp_path / "store")
         env = dict(os.environ)
         env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -113,19 +107,17 @@ class TestCampaignSigkill:
                 root,
                 campaign_spec().to_json(),
                 campaign_plan().to_json(),
-                str(TINY_SEGMENT_BYTES),
             ],
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        store = RunStore(root, segment_bytes=TINY_SEGMENT_BYTES)
+        store = RunStore(root)
         try:
             deadline = time.monotonic() + 60.0
             sweep_id = ""
             # Wait for the child's manifest to commit, then for at least
-            # two checkpoint records — each rolls its own segment, so the
-            # kill lands with a roll boundary already behind it.
+            # two checkpoint records, so the kill lands mid-campaign.
             while True:
                 sweep_id = sweep_id or _discover_sweep(store)
                 if sweep_id and _count_records(store, sweep_id) >= 2:
@@ -143,9 +135,8 @@ class TestCampaignSigkill:
                 child.wait(timeout=30)
 
         # Simulate the torn in-flight line the kill can leave behind.
-        segments = store._segment_paths(sweep_id)
-        assert len(segments) >= 2, "kill did not cross a segment roll"
-        with open(segments[-1], "ab") as handle:
+        (segment,) = store._segment_paths(sweep_id)
+        with open(segment, "ab") as handle:
             handle.write(b'{"index": 9, "spec": {"scenario": "population_ch')
 
         report = store.fsck()
@@ -174,5 +165,6 @@ class TestCampaignSigkill:
         assert resumed["spec_digest"] == reference["spec_digest"]
         assert store.manifest(sweep_id)["status"] == "complete"
         assert store.fsck().ok
-        # The resumed store kept rolling tiny segments the whole way.
-        assert len(store._segment_paths(sweep_id)) > len(segments)
+        # The resume wrote its checkpoints into exactly one new segment.
+        assert store._segment_paths(sweep_id)[0] == segment
+        assert len(store._segment_paths(sweep_id)) == 2

@@ -93,19 +93,18 @@ class TestSweepLandscape:
             assert cell["size"] == 2
             assert isinstance(cell["success_rate"], float)
 
-        # Durable side: the sweep carries per-cell aggregates, the grid
-        # summary, and a complete stamp.
+        # Durable side: the sweep holds the 9 cell outcomes alone, each
+        # carrying its cell's aggregate, and a complete stamp.
         sweep_id = grid["sweep_id"]
         assert store.manifest(sweep_id)["status"] == "complete"
         records = store.records(sweep_id)
-        aggregates = [
-            r for r in records if r.get("kind") == "population-aggregate"
+        assert len(records) == 9
+        assert sorted(r["index"] for r in records) == list(range(9))
+        assert all(r["result"]["aggregate"]["total"] == 2 for r in records)
+        results = {r["index"]: r["result"] for r in records}
+        assert [c["successes"] for c in grid["cells"]] == [
+            results[index]["successes"] for index in range(9)
         ]
-        assert len(aggregates) == 9
-        assert all(r["aggregate"]["total"] == 2 for r in aggregates)
-        grids = [r for r in records if r.get("kind") == "landscape-grid"]
-        assert len(grids) == 1
-        assert grids[0]["cells"] == grid["cells"]
 
         # And the pure reporting layer renders it.
         report = landscape_report(grid)
