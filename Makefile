@@ -16,9 +16,12 @@
 #   make chaos         fault-injection / resilience property suite only
 #                      (the `chaos`-marked tests, which `make test` also runs;
 #                      includes the kill -9 crash-injection harness)
-#   make store-fsck    validate every run store in the repo (experiment
-#                      sweeps under runs/) — scans segments for
-#                      torn/corrupt records; STORE=dir for one
+#   make store-fsck    validate every run store in the repo (runs/ and the
+#                      smoke stores .population_smoke_store and
+#                      .chaos_campaign_store) via `python -m
+#                      repro.experiments fsck` — scans segments for
+#                      torn/corrupt records; fails if any store does;
+#                      STORE=dir for one
 #   make population-smoke  small population landscape end-to-end: a 3×3
 #                      grid of heterogeneous mini-fleets through the
 #                      durable experiment engine, printed as a
@@ -71,9 +74,11 @@ regression:
 
 store-fsck:
 	@if [ -n "$(STORE)" ]; then \
-		$(PYTHON) -m repro.experiments.store fsck "$(STORE)"; \
+		$(PYTHON) -m repro.experiments fsck "$(STORE)"; \
 	else \
-		$(PYTHON) -m repro.experiments.store fsck runs --allow-missing; \
+		status=0; for store in runs .population_smoke_store .chaos_campaign_store; do \
+			$(PYTHON) -m repro.experiments fsck $$store --allow-missing || status=1; \
+		done; exit $$status; \
 	fi
 
 bench: test regression

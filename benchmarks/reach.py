@@ -22,14 +22,14 @@ property's getter and setter).
 The surfaces are the five examples, the 13 paper benchmarks (pytest files
 ``benchmarks/bench_*.py`` other than the delivery microbenchmark), the four
 benchmark-of-record workloads with ``--trace 0`` and ``--trace 1``, the
-landscape and chaos smoke CLIs, and ``store fsck``, ``store report`` and
-``store report ROOT SWEEP_ID`` (one sweep) on the stores those two CLIs
-write.  The CLI stores and all profiles live in a temporary directory that
+landscape and chaos smoke CLIs, and the run-store CLI's ``fsck``,
+``report`` and ``report ROOT SWEEP_ID`` (one sweep; ``python -m
+repro.experiments``) on the stores those two CLIs write.  The CLI stores and all profiles live in a temporary directory that
 is removed on exit.
 
 Not observed: code that runs only in another process the surfaces start.
 That is the process-pool workers of the experiment engine
-(``warm_worker_caches``, ``_execute_chunk``) and the fresh interpreters of
+(``_execute_chunk``) and the fresh interpreters of
 the benchmark's setup probe; their allowlist entries say so.
 
 Takes several minutes; surfaces run two at a time.  The exit status is 1
@@ -217,7 +217,7 @@ def store_readers(scratch: str) -> list:
             ("report SWEEP_ID", ["report", store, *sweeps[:1]]),
         ):
             readers.append(
-                (f"store {label} ({cli})", ["-m", "repro.experiments.store", *args])
+                (f"store {label} ({cli})", ["-m", "repro.experiments", *args])
             )
     return readers
 

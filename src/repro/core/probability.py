@@ -163,9 +163,3 @@ def monte_carlo_table3(
         estimates[m] = (p1, p2)
     return estimates
 
-
-def expected_attempts_until_success(probability: float) -> float:
-    """Expected number of independent attempts before the attack succeeds."""
-    if probability <= 0:
-        return math.inf
-    return 1.0 / probability

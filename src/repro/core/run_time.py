@@ -193,6 +193,14 @@ class RunTimeAttack:
         self.start()
         # Run until the attack resolves (success or timeout).
         self.simulator.run_for(self.max_duration + 2 * self.check_interval)
+        return self.conclude()
+
+    def conclude(self) -> RunTimeAttackResult:
+        """The attack's result; an attack still unresolved is finished as failed.
+
+        Callers that advance the simulator themselves (a fleet runs many
+        attacks on one heap, possibly cut short) read every result here.
+        """
         if self._result is None:
             self._finish(success=False, duration=None)
         return self._result

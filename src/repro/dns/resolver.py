@@ -21,7 +21,7 @@ Resolver behaviours measured in the paper and modelled here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.dns.cache import DNSCache
 from repro.dns.dnssec import ZoneSigningKey, validate_rrset
@@ -76,7 +76,6 @@ class _PendingQuery:
     socket: UDPSocket
     retries_left: int
     timeout_event: object = None
-    local_callback: Optional[Callable[[DNSMessage], None]] = None
 
 
 class RecursiveResolver:
@@ -186,18 +185,14 @@ class RecursiveResolver:
         client_query: DNSMessage,
         client_ip: str,
         client_port: int,
-        local_callback: Optional[Callable[[DNSMessage], None]] = None,
     ) -> None:
         question = client_query.question
         upstream_ip = self.nameserver_for(question.name)
         if upstream_ip is None:
             self.stats.servfail_sent += 1
-            if local_callback is None:
-                self._send_response(
-                    client_query, [], client_ip, client_port, ResponseCode.SERVFAIL
-                )
-            else:
-                local_callback(client_query.make_response(rcode=ResponseCode.SERVFAIL))
+            self._send_response(
+                client_query, [], client_ip, client_port, ResponseCode.SERVFAIL
+            )
             return
 
         txid = int(self._rng.integers(0, 1 << 16))
@@ -212,7 +207,6 @@ class RecursiveResolver:
             txid=txid,
             socket=socket,
             retries_left=self.config.max_retries,
-            local_callback=local_callback,
         )
         socket.on_datagram = lambda payload, ip, port: self._on_upstream_response(
             pending, payload, ip, port
@@ -324,36 +318,9 @@ class RecursiveResolver:
         pending.socket.close()
         if rcode is ResponseCode.SERVFAIL:
             self.stats.servfail_sent += 1
-        if pending.local_callback is not None:
-            pending.local_callback(
-                pending.client_query.make_response(answers=answers, rcode=rcode)
-            )
-            return
         self._send_response(
             pending.client_query, answers, pending.client_ip, pending.client_port, rcode
         )
-
-    # ------------------------------------------------------------ local API
-    def resolve_local(
-        self,
-        name: str,
-        rtype: RRType = RRType.A,
-        callback: Optional[Callable[[DNSMessage], None]] = None,
-    ) -> None:
-        """Resolve a name on behalf of a process running on the resolver host.
-
-        Used by measurement tooling co-located with the resolver; goes
-        through the same cache and upstream path as network clients.
-        """
-        query = DNSMessage.query(name, rtype, txid=int(self._rng.integers(0, 1 << 16)))
-        cached = self.cache.lookup(name, rtype, self.simulator.now)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            if callback is not None:
-                callback(query.make_response(answers=cached))
-            return
-        self.stats.cache_misses += 1
-        self._query_upstream(query, self.host.ip, 0, local_callback=callback or (lambda _: None))
 
     # ------------------------------------------------------------ inspection
     def cached_addresses(self, name: str, rtype: RRType = RRType.A) -> list[str]:

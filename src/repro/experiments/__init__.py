@@ -37,7 +37,6 @@ from repro.experiments.store import (
     repair_segment,
     scan_records,
 )
-from repro.experiments.warmup import warm_worker_caches
 
 __all__ = [
     "ERROR_KINDS",
@@ -56,5 +55,4 @@ __all__ = [
     "repair_segment",
     "scan_records",
     "scenario",
-    "warm_worker_caches",
 ]

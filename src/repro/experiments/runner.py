@@ -149,14 +149,8 @@ def _execute_chunk(specs: tuple[RunSpec, ...]) -> list[RunOutcome]:
     """Run a contiguous slice of the grid in one worker task.
 
     Chunked submission amortises the per-task overhead of the process pool
-    (pickling, dispatch) and — together with the
-    :func:`repro.experiments.warmup.warm_worker_caches` pool initializer —
-    means a worker pays the import/intern/memo warm-up once, not once per
-    scenario.  Top-level, hence picklable.
+    (pickling, dispatch).  Top-level, hence picklable.
     """
-    from repro.experiments.warmup import warm_worker_caches
-
-    warm_worker_caches()
     return [_execute(spec) for spec in specs]
 
 
@@ -215,8 +209,7 @@ class ExperimentRunner:
         Pool sweeps submit the grid in contiguous chunks of
         ``ceil(len(specs) / (4 * workers))`` scenarios — large enough to
         amortise dispatch, small enough to load-balance a heterogeneous
-        grid — each run against that worker's warmed caches (see
-        :mod:`repro.experiments.warmup`).
+        grid.
 
     Runs have no deadline.  SIGINT (``KeyboardInterrupt``) cancels a
     sweep gracefully — the way to stop one that stalls: every finished
@@ -380,11 +373,7 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------- pool engine
     def _make_pool(self) -> ProcessPoolExecutor:
-        from repro.experiments.warmup import warm_worker_caches
-
-        return ProcessPoolExecutor(
-            max_workers=self.max_workers, initializer=warm_worker_caches
-        )
+        return ProcessPoolExecutor(max_workers=self.max_workers)
 
     def _chunk(self, specs: list) -> list[tuple]:
         """Slice the grid into contiguous worker tasks of

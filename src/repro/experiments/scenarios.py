@@ -6,10 +6,12 @@ Every scenario builds its own simulator from its own seed, so a scenario run
 is a pure function of its parameters and reproduces bit-for-bit regardless
 of which process executes it.
 
-The two scenarios shipped here are the ones the ported benchmarks need
-(Table II run-time attack durations and Table III vulnerability
-probabilities); measurement studies and new workloads register theirs with
-the :func:`scenario` decorator.
+Shipped here: one Table II cell (the run-time attack against one client
+model), Table III's probabilities, and the population scenarios (a fleet,
+a landscape cell, a chaos checkpoint).  Table II is a fleet of one: its
+cell runs :func:`~repro.population.fleet.run_fleet` over a single-client
+spec, so single-victim and population results share one code path.  New
+workloads register theirs with the :func:`scenario` decorator.
 """
 
 from __future__ import annotations
@@ -40,62 +42,44 @@ def get_scenario(name: str) -> Callable[..., Any]:
 
 
 # --------------------------------------------------------------------- table2
+#: Table II row label -> client registry model.  The paper's "openntpd"
+#: row is reproduced with the slow SNTP failover behaviour of
+#: systemd-timesyncd.
+TABLE2_MODELS = {
+    "ntpd": "ntpd",
+    "openntpd*": "systemd-timesyncd",
+    "chrony": "chrony",
+}
+
+
 @scenario("table2_runtime_attack")
 def table2_runtime_attack(
-    client: str = "ntpd",
-    attack: str = "P1",
-    seed: int = 5,
-    pool_size: int = 48,
-    warmup_seconds: float = 1500.0,
-    max_duration_hours: float = 3.0,
+    client: str = "ntpd", attack: str = "P1", seed: int = 5
 ) -> dict[str, Any]:
-    """One cell of Table II: run-time attack against one client model.
+    """One cell of Table II: the run-time attack against one client model.
 
-    Mirrors the original ``bench_table2_runtime_attack.run_scenario`` step
-    for step (same construction order, same seed handling) so that a fixed
-    seed yields results bit-identical to the pre-engine benchmark.
+    A fleet of one: the population spec's defaults (pool of 48, 1500 s
+    warm-up, 3 h attack budget) are the paper's lab setup, so the cell is
+    :func:`~repro.population.fleet.run_fleet` over a single-client spec,
+    read back from the fleet document and its one client row.
     """
-    from repro.core.run_time import RunTimeAttack, RunTimeScenario
-    from repro.ntp.clients import ChronyClient, NtpdClient, SystemdTimesyncdClient
-    from repro.testbed import TestbedConfig, build_testbed
+    from repro.population.fleet import run_fleet
+    from repro.population.spec import PopulationSpec
 
-    client_models = {
-        "ntpd": NtpdClient,
-        # The paper's "openntpd" row is reproduced with the slow SNTP
-        # failover behaviour of systemd-timesyncd (see DESIGN.md).
-        "openntpd*": SystemdTimesyncdClient,
-        "chrony": ChronyClient,
-    }
-    if client not in client_models:
+    if client not in TABLE2_MODELS:
         raise ValueError(f"unknown client model {client!r}")
-    scenario_enum = {
-        "P1": RunTimeScenario.P1_KNOWN_SERVERS,
-        "P2": RunTimeScenario.P2_REFID_DISCOVERY,
-    }[attack]
-
-    testbed = build_testbed(TestbedConfig(pool_size=pool_size, seed=seed))
-    victim = testbed.add_client(client_models[client])
-    victim.start()
-    testbed.run_for(warmup_seconds)
-    run_time_attack = RunTimeAttack(
-        testbed.attacker,
-        testbed.simulator,
-        testbed.resolver,
-        victim,
-        scenario=scenario_enum,
-        known_server_list=testbed.pool.addresses,
-        max_duration=3600.0 * max_duration_hours,
-    )
-    result = run_time_attack.run()
+    spec = PopulationSpec(client_mix={TABLE2_MODELS[client]: 1.0}, attack=attack)
+    document = run_fleet(spec, seed)
+    (row,) = document["clients"]
     return {
         "label": client,
-        "scenario": scenario_enum.value,
+        "scenario": document["scenario"],
         "seed": seed,
-        "success": result.success,
-        "minutes": result.attack_duration_minutes,
-        "shift": result.clock_shift_achieved,
-        "events_processed": testbed.simulator.events_processed,
-        "packets_transmitted": testbed.network.packets_transmitted,
+        "success": row["success"],
+        "minutes": row["minutes"],
+        "shift": row["shift"],
+        "events_processed": document["events_processed"],
+        "packets_transmitted": document["packets_transmitted"],
     }
 
 
@@ -147,48 +131,41 @@ def table3_probabilities(
 
 # ----------------------------------------------------------------- population
 @scenario("population_fleet")
-def population_fleet(
-    spec_json: str = "", seed: int = 0, detail_limit: int = 32
-) -> dict[str, Any]:
+def population_fleet(spec_json: str, seed: int = 0) -> dict[str, Any]:
     """One heterogeneous client fleet through the run-time attack.
 
     ``spec_json`` is the canonical serialisation of a
-    :class:`~repro.population.spec.PopulationSpec` (empty = the default
-    single-``ntpd``-equivalent spec); the fleet is generated, simulated on
-    one shared network/heap, and folded into a constant-memory streaming
-    aggregate (see :mod:`repro.population.fleet`).
+    :class:`~repro.population.spec.PopulationSpec`; the fleet is
+    generated, simulated on one shared network/heap, and folded into a
+    constant-memory streaming aggregate (see :mod:`repro.population.fleet`).
     """
     from repro.population.fleet import run_fleet, spec_from_json
-    from repro.population.spec import PopulationSpec
 
-    spec = spec_from_json(spec_json) if spec_json else PopulationSpec()
-    return run_fleet(spec, seed=seed, detail_limit=detail_limit)
+    return run_fleet(spec_from_json(spec_json), seed=seed)
 
 
 @scenario("population_landscape")
 def population_landscape(
-    spec_json: str = "",
+    spec_json: str,
     axis_x: str = "share:ntpd",
     x: float = 0.5,
     axis_y: str = "pool_rate_limit_fraction",
     y: float = 1.0,
     seed: int = 0,
-    detail_limit: int = 0,
 ) -> dict[str, Any]:
     """One cell of a population landscape: base spec + two axis overrides.
 
     The landscape sweep (:func:`repro.population.landscape.sweep_landscape`)
     fans a grid of these through ``run_stored``; keeping the axis values as
     first-class run-spec parameters (instead of burying them in per-cell
-    JSON) makes the grid legible in store manifests and reports.
+    JSON) makes the grid legible in store manifests and reports.  Cells
+    carry no per-client rows.
     """
     from repro.population.fleet import run_fleet, spec_from_json
     from repro.population.landscape import apply_axis
-    from repro.population.spec import PopulationSpec
 
-    base = spec_from_json(spec_json) if spec_json else PopulationSpec()
-    spec = apply_axis(apply_axis(base, axis_x, x), axis_y, y)
-    result = run_fleet(spec, seed=seed, detail_limit=detail_limit)
+    spec = apply_axis(apply_axis(spec_from_json(spec_json), axis_x, x), axis_y, y)
+    result = run_fleet(spec, seed=seed, detail_limit=0)
     result["axis_x"] = axis_x
     result["x"] = x
     result["axis_y"] = axis_y
@@ -198,12 +175,11 @@ def population_landscape(
 
 @scenario("population_chaos")
 def population_chaos(
-    spec_json: str = "",
-    plan_json: str = "",
+    spec_json: str,
+    plan_json: str,
     seed: int = 0,
     until: float = 0.0,
     checkpoint: int = 0,
-    detail_limit: int = 0,
 ) -> dict[str, Any]:
     """One chaos-campaign checkpoint: the fleet simulated over ``[0, until]``.
 
@@ -215,14 +191,11 @@ def population_chaos(
     ``checkpoint`` is the ordinal within the campaign (carried through to
     the stored record; the simulation ignores it).
     """
-    from repro.population.chaos import ChaosPlan, plan_from_json, run_chaos_checkpoint
+    from repro.population.chaos import plan_from_json, run_chaos_checkpoint
     from repro.population.fleet import spec_from_json
-    from repro.population.spec import PopulationSpec
 
-    spec = spec_from_json(spec_json) if spec_json else PopulationSpec()
-    plan = plan_from_json(plan_json) if plan_json else ChaosPlan()
     result = run_chaos_checkpoint(
-        spec, plan, seed=seed, until=until, detail_limit=detail_limit
+        spec_from_json(spec_json), plan_from_json(plan_json), seed=seed, until=until
     )
     result["checkpoint"] = checkpoint
     return result

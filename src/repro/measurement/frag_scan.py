@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.measurement.population import NameserverSpec
 
 #: The MTU steps the paper's CDF (Figure 5) is plotted over.
@@ -140,13 +138,3 @@ def fragment_size_cdf(
     """
     return [(size, report.fraction_fragmenting_to(size)) for size in mtu_steps]
 
-
-def cdf_series(report: FragmentationScanReport) -> tuple[np.ndarray, np.ndarray]:
-    """A dense CDF over fragment sizes, for plotting or numeric comparison."""
-    sizes = np.array(
-        sorted(r.min_fragment_size for r in report.results if r.attackable), dtype=float
-    )
-    if sizes.size == 0:
-        return np.array([]), np.array([])
-    fractions = np.arange(1, sizes.size + 1) / sizes.size
-    return sizes, fractions

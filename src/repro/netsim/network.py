@@ -243,7 +243,7 @@ class Network:
         Like :meth:`set_link_faults`, but built for phased chaos regimes:
         the accumulated :class:`FaultStats` of both directed pairs are
         folded into a retired-counters ledger (so :meth:`fault_stats` and
-        :meth:`pair_fault_stats` keep counting across swaps), and the
+        :meth:`per_pair_fault_stats` keep counting across swaps), and the
         replacement channels draw from fresh *epoch-tagged* named streams
         (``faults:src>dst@N``) instead of restarting — and thereby
         replaying — the pair's original stream.  An empty call retires
@@ -304,17 +304,6 @@ class Network:
         for stats in self._retired_fault_stats.values():
             total.merge(stats)
         for channel in self._fault_channels.values():
-            total.merge(channel.stats)
-        return total
-
-    def pair_fault_stats(self, src: str, dst: str) -> FaultStats:
-        """Accumulated counters for one directed pair (retired + live)."""
-        total = FaultStats()
-        retired = self._retired_fault_stats.get((src, dst))
-        if retired is not None:
-            total.merge(retired)
-        channel = self._fault_channels.get((src, dst))
-        if channel is not None:
             total.merge(channel.stats)
         return total
 

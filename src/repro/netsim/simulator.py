@@ -131,9 +131,10 @@ class Simulator:
     Parameters
     ----------
     seed:
-        Seed for the simulation-wide random generator.  Components that need
-        their own stream should call :meth:`spawn_rng` so their draws do not
-        perturb each other when the topology changes.
+        Seed every component's random stream derives from.  Components
+        call :meth:`spawn_rng` (or :meth:`spawn_named_rng`) for their own
+        stream, so their draws do not perturb each other when the topology
+        changes.
     strict:
         Opt-in invariant guards for the chaos/fault-injection suites.  The
         run loops verify heap monotonicity per pop and the full
@@ -149,7 +150,6 @@ class Simulator:
         "_sequence",
         "_cancelled",
         "_now",
-        "_rng",
         "_seed",
         "_spawned",
         "events_processed",
@@ -165,7 +165,6 @@ class Simulator:
         self._sequence = 0
         self._cancelled = 0
         self._now = 0.0
-        self._rng = np.random.default_rng(seed)
         self._seed = seed
         self._spawned = 0
         self.events_processed = 0
@@ -180,11 +179,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The simulation-wide random number generator."""
-        return self._rng
 
     def spawn_rng(self) -> np.random.Generator:
         """Return an independent random generator derived from the seed.

@@ -66,13 +66,3 @@ class Association:
         """Whether the client should keep polling / selecting this server."""
         return self.state is AssociationState.ACTIVE
 
-    def recent_offset(self, samples: int = 4) -> float | None:
-        """Median of the most recent ``samples`` offsets, if any."""
-        recent = self.offset_samples[-samples:]
-        if not recent:
-            return None
-        ordered = sorted(recent)
-        middle = len(ordered) // 2
-        if len(ordered) % 2 == 1:
-            return ordered[middle]
-        return (ordered[middle - 1] + ordered[middle]) / 2

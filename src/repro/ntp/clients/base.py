@@ -428,12 +428,3 @@ class BaseNTPClient:
         usable = [a.server_ip for a in self._usable_associations() if a.reachable]
         return bool(usable) and all(ip in addresses for ip in usable)
 
-    def describe(self) -> dict:
-        """A summary dictionary used by examples and reports."""
-        return {
-            "client": self.client_name,
-            "associations": len(self._usable_associations()),
-            "clock_error": self.clock_error(),
-            "steps": self.stats.steps_applied,
-            "runtime_dns_lookups": self.stats.runtime_dns_lookups,
-        }

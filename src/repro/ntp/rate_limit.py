@@ -118,9 +118,3 @@ class RateLimiter:
         current = max(0.0, state.score - max(0.0, now - state.last_seen))
         return current > self.burst_tolerance
 
-    def reset(self, source_ip: str | None = None) -> None:
-        """Forget accounting for one source, or for all sources."""
-        if source_ip is None:
-            self.sources.clear()
-        else:
-            self.sources.pop(source_ip, None)

@@ -67,12 +67,6 @@ class NTPTimestamp:
         """The all-zero timestamp used for unset fields (a shared singleton)."""
         return _ZERO
 
-    def __sub__(self, other: "NTPTimestamp") -> float:
-        """Difference between two timestamps in seconds (as a float)."""
-        return (
-            (self.seconds - other.seconds)
-            + (self.fraction - other.fraction) / _FRACTION
-        )
 
 
 _TS_NEW = NTPTimestamp.__new__

@@ -430,7 +430,6 @@ def run_chaos_checkpoint(
     plan: ChaosPlan,
     seed: int,
     until: float = 0.0,
-    detail_limit: int = 0,
 ) -> dict[str, Any]:
     """One pure prefix re-simulation of the campaign: ``[0, until]``.
 
@@ -438,7 +437,8 @@ def run_chaos_checkpoint(
     chaos-free :func:`~repro.population.fleet.run_fleet` when the plan is
     inert).  The result document carries the fleet payload plus the
     chaos surface: ``groups`` (per-group success + fault counters),
-    ``fault_stats``, ``plan_digest``, ``until`` and ``phase``.
+    ``fault_stats``, ``plan_digest``, ``until`` and ``phase``; no
+    per-client rows.
     """
     from repro.population.fleet import run_fleet
 
@@ -446,7 +446,7 @@ def run_chaos_checkpoint(
     document = run_fleet(
         spec,
         seed=seed,
-        detail_limit=detail_limit,
+        detail_limit=0,
         run_until=until if until > 0 else None,
         link_schedules=compilation.schedules or None,
         group_of=compilation.group_of if plan.groups else None,

@@ -9,17 +9,17 @@ into a constant-memory :class:`~repro.population.aggregate.
 StreamingAggregate` instead of per-client payload lists (per-client detail
 rows are attached only for small fleets).
 
-Bit-identity contract: a zero-noise, zero-churn, single-``ntpd`` spec with
-the Table II defaults issues exactly the same simulator/RNG call sequence
-as the ``table2_runtime_attack`` scenario, so the fleet path reproduces the
-golden single-victim results bit-for-bit (pinned by
-``tests/population/test_fleet_golden.py``).
+Table II is a fleet of one: the ``table2_runtime_attack`` scenario runs
+a single-client spec through :func:`run_fleet`, so the single-victim
+golden results (pinned by ``tests/integration/test_determinism.py`` and
+``tests/population/test_fleet_golden.py``) and every fleet share this
+one function.  ``RunTimeAttack.run`` stays the direct reference path the
+determinism suite compares it against, cell for cell.
 
-Client attachment mirrors :meth:`repro.testbed.LabTestbed.add_client` —
-increment-first victim indexing, ``victim-<n>`` host names — but allocates
-addresses arithmetically (``VICTIM_BASE_IP + index``) so fleets larger than
-155 clients get valid dotted quads; the strings are identical in the
-overlapping range.
+Clients attach through :meth:`repro.testbed.LabTestbed.add_client`
+(``victim-<n>`` at ``VICTIM_BASE_IP + n``); the fleet then sets each
+client's access link, fault regime and any chaos schedule on its
+upstream links.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from functools import lru_cache
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.core.run_time import RunTimeAttack, RunTimeScenario
-from repro.netsim.addresses import int_to_ip, ip_to_int
 from repro.netsim.faults import (
     Corruption,
     Duplication,
+    FaultSchedule,
     FaultStats,
     GilbertElliott,
     LatencySpike,
@@ -44,13 +44,7 @@ from repro.ntp.clients import CLIENT_REGISTRY
 from repro.population.aggregate import StreamingAggregate
 from repro.population.generate import ClientManifest, generate_fleet
 from repro.population.spec import FaultRegimeSpec, PopulationSpec
-from repro.testbed import RESOLVER_IP, VICTIM_BASE_IP, LabTestbed, TestbedConfig, build_testbed
-
-_SCENARIOS = {
-    "P1": RunTimeScenario.P1_KNOWN_SERVERS,
-    "P2": RunTimeScenario.P2_REFID_DISCOVERY,
-}
-
+from repro.testbed import RESOLVER_IP, LabTestbed, TestbedConfig, build_testbed
 
 @lru_cache(maxsize=64)
 def spec_from_json(text: str) -> PopulationSpec:
@@ -104,41 +98,44 @@ def _fault_components(regime: FaultRegimeSpec) -> tuple:
 
 
 def _attach_client(
-    testbed: LabTestbed, spec: PopulationSpec, manifest: ClientManifest
+    testbed: LabTestbed,
+    spec: PopulationSpec,
+    manifest: ClientManifest,
+    schedule: Optional[FaultSchedule] = None,
 ) -> Any:
-    """Mirror ``LabTestbed.add_client`` with arithmetic address allocation."""
-    client_class = CLIENT_REGISTRY[manifest.client_type]
-    testbed._next_victim_index += 1
-    index = testbed._next_victim_index
-    ip = int_to_ip(ip_to_int(VICTIM_BASE_IP) + index)
-    host = testbed.network.add_host(f"victim-{index}", ip)
+    """Add one fleet client, then set its upstream links.
 
+    Each link to the resolver and to every pool server gets the client's
+    access-link profile, its static fault regime, and ``schedule`` (a
+    chaos campaign's per-client schedule) composed on top of that regime.
+    """
+    client_class = CLIENT_REGISTRY[manifest.client_type]
     config = None
     if manifest.poll_multiplier != 1.0:
         default = client_class.default_config()
         config = replace(
             default, poll_interval=default.poll_interval * manifest.poll_multiplier
         )
-    client = client_class(
-        host,
-        testbed.simulator,
-        testbed.resolver.ip,
+    client = testbed.add_client(
+        client_class,
         config=config,
         initial_clock_offset=manifest.initial_clock_offset,
     )
-    testbed.clients.append(client)
 
+    network = testbed.network
     profile = spec.link_profile_table()[manifest.link_profile]
+    link = None
     if profile.latency != testbed.config.link_latency or profile.loss:
         link = Link(latency=profile.latency, loss_probability=profile.loss)
-        testbed.network.set_link(ip, RESOLVER_IP, link)
-        for server_ip in testbed.pool.addresses:
-            testbed.network.set_link(ip, server_ip, link)
     components = _fault_components(spec.fault_regime_table()[manifest.fault_regime])
-    if components:
-        testbed.network.set_link_faults(ip, RESOLVER_IP, *components)
-        for server_ip in testbed.pool.addresses:
-            testbed.network.set_link_faults(ip, server_ip, *components)
+    ip = client.host.ip
+    for upstream in (RESOLVER_IP, *testbed.pool.addresses):
+        if link is not None:
+            network.set_link(ip, upstream, link)
+        if components:
+            network.set_link_faults(ip, upstream, *components)
+        if schedule is not None:
+            network.apply_fault_schedule(ip, upstream, schedule, extra=components)
     return client
 
 
@@ -164,7 +161,7 @@ def run_fleet(
 
     * ``run_until`` — absolute simulator-clock cutoff; ``None`` keeps the
       exact original run length (warmup plus the full attack window),
-      which is what the bit-identity contract pins.
+      which is what the Table II cells (fleets of one) run.
     * ``link_schedules`` — ``{client index: FaultSchedule}``; each
       scheduled client's upstream links (resolver plus every pool server)
       get the schedule applied, composed on top of the client's own
@@ -175,7 +172,7 @@ def run_fleet(
       the group's directed link pairs.
     """
     fleet = generate_fleet(spec, seed)
-    scenario_enum = _SCENARIOS[spec.attack]
+    scenario_enum = RunTimeScenario(spec.attack)
     testbed = build_testbed(
         TestbedConfig(
             seed=seed,
@@ -189,19 +186,9 @@ def run_fleet(
 
     clients = []
     for manifest in fleet.clients:
-        client = _attach_client(testbed, spec, manifest)
-        clients.append(client)
         schedule = link_schedules.get(manifest.index) if link_schedules else None
-        if schedule is not None:
-            base = _fault_components(
-                spec.fault_regime_table()[manifest.fault_regime]
-            )
-            ip = client.host.ip
-            testbed.network.apply_fault_schedule(ip, RESOLVER_IP, schedule, extra=base)
-            for server_ip in testbed.pool.addresses:
-                testbed.network.apply_fault_schedule(
-                    ip, server_ip, schedule, extra=base
-                )
+        client = _attach_client(testbed, spec, manifest, schedule)
+        clients.append(client)
         if manifest.join_time == 0.0:
             client.start()
         else:
@@ -254,9 +241,7 @@ def run_fleet(
     group_counts: dict[str, list[int]] = {}
     ip_to_group: dict[str, str] = {}
     for manifest, client, attack in zip(fleet.clients, clients, attacks):
-        if attack._result is None:
-            attack._finish(success=False, duration=None)
-        result = attack._result
+        result = attack.conclude()
         aggregate.fold(
             manifest.client_type,
             result.success,

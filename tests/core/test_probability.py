@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.probability import (
     PAPER_P_RATE,
-    expected_attempts_until_success,
     monte_carlo_scenario1,
     monte_carlo_scenario2,
     probability_scenario1,
@@ -95,14 +94,10 @@ class TestMonteCarlo:
 
 
 class TestExpectedAttempts:
-    def test_reciprocal(self):
-        assert expected_attempts_until_success(0.5) == 2.0
-        assert expected_attempts_until_success(0.0) == math.inf
-
     def test_ntpd_default_needs_a_handful_of_client_instances(self):
         """With P2(6,4) ~= 15%, roughly 1 in 7 default ntpd clients is in a
-        vulnerable state at any time."""
-        attempts = expected_attempts_until_success(probability_scenario2(6, 4))
+        vulnerable state at any time (expected attempts = 1 / P2)."""
+        attempts = 1.0 / probability_scenario2(6, 4)
         assert 6 < attempts < 7
 
 

@@ -211,11 +211,3 @@ class TestInspectionHelpers:
         assert not env.resolver.is_poisoned("pool.ntp.org", {"66.6.6.1"})
         env.resolver.cache.store([a_record("pool.ntp.org", "66.6.6.1", ttl=300)], env.sim.now)
         assert env.resolver.is_poisoned("pool.ntp.org", {"66.6.6.1"})
-
-    def test_resolve_local_uses_cache(self):
-        env = Env()
-        env.resolve("pool.ntp.org")
-        answers = []
-        env.resolver.resolve_local("pool.ntp.org", callback=lambda m: answers.append(m))
-        env.sim.run()
-        assert answers and answers[0].answers

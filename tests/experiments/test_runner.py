@@ -140,9 +140,3 @@ class TestChunkedSubmission:
             # must degrade to serial rather than fail the sweep.
             "serial (process pool unavailable)",
         )
-
-    def test_warm_worker_caches_is_idempotent(self):
-        from repro.experiments.warmup import warm_worker_caches
-
-        warm_worker_caches()
-        warm_worker_caches()  # second call must be a cheap no-op

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -22,7 +24,7 @@ from repro.experiments.store import (
     repair_segment,
     scan_records,
 )
-from repro.experiments.store import main as store_cli
+from repro.experiments.__main__ import main as store_cli
 
 
 @scenario("_test_store_double")
@@ -375,3 +377,20 @@ class TestCli:
         assert store_cli(["report", str(tmp_path), "s"]) == 0
         out = capsys.readouterr().out
         assert "_test_store_double" in out and "status: complete" in out
+
+    def test_module_entry_point_runs_without_runpy_warning(self, tmp_path):
+        self._store_with_sweep(tmp_path)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+        command = ["-W", "default", "-m", "repro.experiments", "fsck", str(tmp_path)]
+        child = subprocess.run(
+            [sys.executable, *command],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert "RuntimeWarning" not in child.stderr
+        assert "ok" in child.stdout

@@ -1,8 +1,7 @@
 """Tests for the nameserver fragmentation scan (Figure 5 / section VII-B)."""
 
-from repro.measurement.frag_scan import FragmentationScan, cdf_series, fragment_size_cdf
+from repro.measurement.frag_scan import FragmentationScan, fragment_size_cdf
 from repro.measurement.population import (
-    NameserverPopulationParameters,
     NameserverSpec,
     generate_nameservers,
     generate_pool_nameservers,
@@ -44,12 +43,6 @@ class TestFigure5:
         assert 0.85 <= cdf[548] <= 0.97
         assert 0.04 <= cdf[292] <= 0.15
         assert cdf[68] < cdf[292] < cdf[548] <= cdf[1276] <= cdf[1500]
-
-    def test_cdf_series_monotone(self):
-        report = FragmentationScan(generate_nameservers(NameserverPopulationParameters(size=2000))).run()
-        sizes, fractions = cdf_series(report)
-        assert list(fractions) == sorted(fractions)
-        assert fractions[-1] == 1.0
 
     def test_signed_fraction_about_one_percent(self):
         report = FragmentationScan(generate_nameservers()).run()

@@ -96,9 +96,11 @@ class TestRunControl:
 
 class TestRandomness:
     def test_same_seed_same_draws(self):
-        first = Simulator(seed=3).rng.integers(0, 1000, size=5).tolist()
-        second = Simulator(seed=3).rng.integers(0, 1000, size=5).tolist()
-        assert first == second
+        def draws(seed):
+            sim = Simulator(seed=seed)
+            return [sim.spawn_rng().integers(0, 1000, size=5).tolist() for _ in range(3)]
+
+        assert draws(3) == draws(3)
 
     def test_spawned_streams_are_independent(self):
         sim = Simulator(seed=3)

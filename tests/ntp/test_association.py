@@ -52,12 +52,3 @@ class TestStateAndSamples:
         assert assoc.is_usable()
         assoc.state = AssociationState.REMOVED
         assert not assoc.is_usable()
-
-    def test_recent_offset_median(self):
-        assoc = Association(server_ip="203.0.113.1")
-        for offset in (0.1, 0.2, 100.0, 0.3):
-            assoc.record_success(offset)
-        assert assoc.recent_offset(samples=4) == (0.2 + 0.3) / 2
-
-    def test_recent_offset_none_without_samples(self):
-        assert Association(server_ip="203.0.113.1").recent_offset() is None

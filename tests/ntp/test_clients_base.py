@@ -3,7 +3,6 @@
 import pytest
 
 from repro.ntp.clients.base import BaseNTPClient, NTPClientConfig
-from repro.ntp.clients.ntpd import NtpdClient
 from repro.testbed import TestbedConfig, build_testbed
 
 
@@ -153,14 +152,6 @@ class TestPanicThreshold:
 
 
 class TestDescribeAndRegistry:
-    def test_describe_reports_key_fields(self, small_testbed):
-        client = small_testbed.add_client(NtpdClient)
-        client.start()
-        small_testbed.run_for(100)
-        summary = client.describe()
-        assert summary["client"] == "ntpd"
-        assert summary["associations"] == len(client.usable_server_ips())
-
     def test_client_registry_contains_all_table1_clients(self):
         from repro.ntp.clients import CLIENT_REGISTRY
 

@@ -38,15 +38,5 @@ class TestWireFormat:
 
 
 class TestArithmetic:
-    def test_difference_in_seconds(self):
-        a = NTPTimestamp.from_unix(1000.0)
-        b = NTPTimestamp.from_unix(1500.25)
-        assert b - a == pytest.approx(500.25, abs=1e-6)
-
-    def test_negative_difference(self):
-        a = NTPTimestamp.from_unix(1000.0)
-        b = NTPTimestamp.from_unix(500.0)
-        assert b - a == pytest.approx(-500.0, abs=1e-6)
-
     def test_ordering(self):
         assert NTPTimestamp.from_unix(1.0) < NTPTimestamp.from_unix(2.0)
