@@ -36,7 +36,9 @@
 #                      the benchmark of record (perfbench/run.py) on one
 #                      workload: table2, fleet, landscape or chaos; prints
 #                      the end-to-end metrics, or the per-layer ones with
-#                      TRACE=1 (see BENCHMARK.json)
+#                      TRACE=1 (see BENCHMARK.json); exits 1 when its last
+#                      line does not read "correct": true
+#                      (benchmarks/perfbench_check.py)
 #   make perfbench-ab REV=<git rev> W=<workload> [PAIRS=n] [SEED=n]
 #                      paired A/B of the benchmark of record: this checkout
 #                      against a local worktree of REV, run in alternating
@@ -50,7 +52,9 @@
 #                      path:qualname per line plus a reason naming the test
 #                      that pins it); prints "N unexplained" and exits 1
 #                      when N > 0, when an entry is stale (its function is
-#                      gone or now reached) or a surface fails
+#                      gone or now reached) or a surface fails (a perfbench
+#                      surface also fails on "correct": false); exits 2,
+#                      reporting nothing, when src/ changed during the probe
 #                      (benchmarks/reach.py, several minutes)
 
 PYTHON ?= python
@@ -97,7 +101,7 @@ perfbench:
 		echo "usage: make perfbench W=table2|fleet|landscape|chaos [SEED=n] [TRACE=1]" >&2; \
 		exit 2; \
 	fi
-	python3 perfbench/run.py --workload $(W) $(if $(SEED),--seed $(SEED)) --trace $(or $(TRACE),0)
+	python3 benchmarks/perfbench_check.py python3 perfbench/run.py --workload $(W) $(if $(SEED),--seed $(SEED)) --trace $(or $(TRACE),0)
 
 perfbench-ab:
 	@if [ -z "$(REV)" ] || [ -z "$(W)" ]; then \

@@ -35,19 +35,28 @@ the benchmark's setup probe; their allowlist entries say so.
 Takes several minutes; surfaces run two at a time.  The exit status is 1
 when any function is unexplained, when an allowlist entry is stale (its
 function no longer exists, or a surface now reaches it), or when a surface
-fails, since its reach would then be incomplete; 0 otherwise.
+fails, since its reach would then be incomplete; 0 otherwise.  A
+benchmark-of-record surface also fails when its last line does not read
+``"correct": true`` (``benchmarks/perfbench_check.py``).  Functions are
+matched by their source lines, so the probe fingerprints ``src/repro`` when
+it starts and when it ends; if the sources changed in between it reports
+nothing and exits 2 ("sources changed while probing; rerun").
 """
 
 from __future__ import annotations
 
 import ast
 import glob
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from perfbench_check import reads_correct  # noqa: E402  (sibling script)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -107,6 +116,16 @@ finally:
     dump()
 sys.exit(status)
 """
+
+
+def source_fingerprint() -> str:
+    """A digest of every ``.py`` file under ``src/repro``, paths included."""
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "**", "*.py"), recursive=True)):
+        digest.update(os.path.relpath(path, PACKAGE).encode())
+        with open(path, "rb") as handle:
+            digest.update(hashlib.sha256(handle.read()).digest())
+    return digest.hexdigest()
 
 
 def defined_functions() -> dict[tuple[str, int, str], tuple[str, int]]:
@@ -223,14 +242,16 @@ def store_readers(scratch: str) -> list:
 
 
 def probe(label: str, command: list, out: str) -> tuple[str, int, list]:
-    """Run one surface under the profiler; its exit status and entered functions."""
+    """Run one surface under the profiler; its exit status and entered
+    functions.  A benchmark-of-record surface whose last line does not read
+    ``"correct": true`` counts as failed (status 1)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.run(
         [sys.executable, "-c", BOOTSTRAP, out, PACKAGE, *command],
         cwd=ROOT,
         env=env,
-        stdout=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
         check=False,
@@ -242,10 +263,14 @@ def probe(label: str, command: list, out: str) -> tuple[str, int, list]:
     status = process.returncode
     if status:
         sys.stderr.write(f"{label}: exit {status}\n{process.stderr[-2000:]}\n")
+    elif label.startswith("perfbench ") and not reads_correct(process.stdout):
+        status = 1
+        sys.stderr.write(f'{label}: last line does not read "correct": true\n')
     return label, status, entered
 
 
 def main() -> int:
+    fingerprint = source_fingerprint()
     functions = defined_functions()
     allow = load_allowlist()
     called: set = set()
@@ -268,6 +293,9 @@ def main() -> int:
                     if status:
                         failed.append(label)
                     called.update(entered)
+    if source_fingerprint() != fingerprint:
+        print("sources changed while probing; rerun")
+        return 2
     never = sorted(key for key in functions if key not in called)
     unexplained = [key for key in never if function_name(key, functions) not in allow]
     defined = {function_name(key, functions) for key in functions}

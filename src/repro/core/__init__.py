@@ -35,18 +35,13 @@ from repro.core.fragment_attack import (
     PoisoningOutcome,
 )
 from repro.core.rate_limit_abuse import AssociationRemover, RemovalCampaign
-from repro.core.server_discovery import (
-    discover_via_pool_enumeration,
-    discover_via_refid_leak,
-    discover_via_config_interface,
-)
+from repro.core.server_discovery import discover_via_refid_leak
 from repro.core.boot_time import BootTimeAttack, BootTimeAttackResult
 from repro.core.run_time import RunTimeAttack, RunTimeAttackResult, RunTimeScenario
 from repro.core.chronos_attack import (
     ChronosAttack,
     ChronosAttackResult,
     max_honest_lookups_tolerated,
-    addresses_needed_to_dominate,
 )
 from repro.core.probability import (
     probability_scenario1,
@@ -70,9 +65,7 @@ __all__ = [
     "PoisoningOutcome",
     "AssociationRemover",
     "RemovalCampaign",
-    "discover_via_pool_enumeration",
     "discover_via_refid_leak",
-    "discover_via_config_interface",
     "BootTimeAttack",
     "BootTimeAttackResult",
     "RunTimeAttack",
@@ -81,7 +74,6 @@ __all__ = [
     "ChronosAttack",
     "ChronosAttackResult",
     "max_honest_lookups_tolerated",
-    "addresses_needed_to_dominate",
     "probability_scenario1",
     "probability_scenario2",
     "required_removals",

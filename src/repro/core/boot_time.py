@@ -7,16 +7,17 @@ legitimately be far off after a cold start.  The attack therefore reduces to
 getting the malicious record into the resolver's cache *before* the client
 boots (or before its next scheduled invocation, for cron-driven ntpdate).
 
-Three ways of lining up the poisoning with the query are modelled:
+Two ways of lining up the poisoning with the query are modelled:
 
 * ``periodic-planting`` — keep a spoofed fragment parked in the resolver's
   defragmentation cache, refreshing it every 30 s, until the client's query
   happens to arrive (the paper's low-volume default: at most
   ``150 s / 30 s = 5`` fragments per TTL window),
-* ``trigger-via-open-resolver`` — make the resolver issue the query itself
-  (any system sharing the resolver can be used; here the resolver is open),
 * ``predicted-query`` — the experiment supplies the boot time, standing in
   for side-channel prediction of the query.
+
+The paper's third way, making a system that shares the resolver issue the
+query, is not modelled: no result depends on it.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class BootTimeAttack:
     nameserver_ip: str
     qname: str = "pool.ntp.org"
     target_mtu: int = 68
-    trigger_via_open_resolver: bool = False
     poisoning_plan_overrides: dict = field(default_factory=dict)
     _poisoner: Optional[DNSFragmentPoisoner] = None
     _outcome: Optional[PoisoningOutcome] = None
@@ -87,12 +87,6 @@ class BootTimeAttack:
             on_finished=self._record_outcome,
         )
         self._poisoner.start()
-        if self.trigger_via_open_resolver:
-            # Give the poisoner a head start to plant its first fragment,
-            # then cause the resolver to fetch the record.
-            self.simulator.schedule(
-                45.0, self._poisoner.trigger_query_via_open_resolver, label="trigger-query"
-            )
         return self._poisoner
 
     def _record_outcome(self, outcome: PoisoningOutcome) -> None:

@@ -58,17 +58,14 @@ def max_addresses_in_response(
     return max(0, (payload_limit - base) // per_record)
 
 
-def addresses_needed_to_dominate(honest_lookups_done: int) -> int:
-    """Minimum attacker addresses for >2/3 control after ``N`` honest lookups."""
-    honest = HONEST_ADDRESSES_PER_LOOKUP * honest_lookups_done
-    # Need attacker / (attacker + honest) >= 2/3  =>  attacker >= 2 * honest.
-    return 2 * honest
-
-
 def max_honest_lookups_tolerated(
     injected_addresses: int = PAPER_MAX_ADDRESSES_PER_RESPONSE,
 ) -> int:
-    """The largest ``N`` for which the attack still succeeds (paper: 11)."""
+    """The largest ``N`` for which the attack still succeeds (paper: 11).
+
+    After ``N`` honest lookups the pool holds ``4N`` honest addresses, and
+    the attacker needs at least 2/3 of the pool: ``injected >= 2 * 4N``.
+    """
     # 2/3 * (injected + 4N) <= injected  =>  N <= injected / 8.
     return math.floor(injected_addresses / (2 * HONEST_ADDRESSES_PER_LOOKUP))
 

@@ -24,10 +24,12 @@ The attack proceeds in five steps, all implemented here:
    and refreshed every ``refresh_interval`` (fragments expire after 30 s on
    Linux), so at most ``ceil(150 / 30) = 5`` fragments per TTL window are
    needed — the "low attack volume" property of section IV-A.
-5. **Wait for (or trigger) the query.**  When the resolver's query reaches
-   the nameserver, the genuine first fragment reassembles with the planted
+5. **Wait for the query.**  When the resolver's query reaches the
+   nameserver, the genuine first fragment reassembles with the planted
    fragment, the UDP checksum verifies, and the resolver caches the
-   attacker's records for ``pool.ntp.org``.
+   attacker's records for ``pool.ntp.org``.  The planted fragment is
+   refreshed until the query comes; the paper's alternative of triggering
+   it through a shared or open resolver is not modelled.
 """
 
 from __future__ import annotations
@@ -109,8 +111,7 @@ class DNSFragmentPoisoner:
         self.plan = plan
         #: Ground-truth success predicate supplied by the experiment harness
         #: (e.g. "is the resolver cache poisoned?").  A real attacker would
-        #: instead verify by querying the resolver, which
-        #: :meth:`verify_via_open_resolver` implements.
+        #: instead verify by querying the resolver.
         self.success_check = success_check
         self.on_finished = on_finished
         self.template_payload: Optional[bytes] = None
@@ -295,39 +296,6 @@ class DNSFragmentPoisoner:
         )
 
     # -------------------------------------------------------------- helpers
-    def trigger_query_via_open_resolver(self) -> None:
-        """Make the resolver fetch the victim domain (if it is an open resolver).
-
-        Models option (2) of section IV-A: another system sharing the
-        resolver (or the resolver being open) issues the query for the
-        attacker, so the attacker does not need to predict when the NTP
-        client will ask.
-        """
-        socket = self.attacker.query_host.bind(0)
-        socket.on_datagram = lambda payload, ip, port: socket.close()
-        query = DNSMessage.query(self.plan.qname, txid=0x0A0A)
-        self.attacker.stats.own_queries_sent += 1
-        socket.sendto(query.encode(), self.plan.resolver_ip, 53)
-
-    def verify_via_open_resolver(self, callback: Callable[[bool], None]) -> None:
-        """Check success the way a real attacker would: ask the resolver."""
-        socket = self.attacker.query_host.bind(0)
-
-        def on_datagram(payload: bytes, src_ip: str, src_port: int) -> None:
-            socket.close()
-            try:
-                response = DNSMessage.decode(payload)
-            except Exception:  # noqa: BLE001 - malformed response means "unknown"
-                callback(False)
-                return
-            addresses = {str(r.data) for r in response.answers if r.rtype is RRType.A}
-            callback(bool(addresses & self.attacker.controlled_addresses))
-
-        socket.on_datagram = on_datagram
-        query = DNSMessage.query(self.plan.qname, txid=0x0B0B)
-        socket.sendto(query.encode(), self.plan.resolver_ip, 53)
-        self.simulator.schedule(5.0, socket.close, label="verify-timeout")
-
     def _check_success(self) -> bool:
         if self.success_check is not None and self.success_check():
             self._finish(True)

@@ -1,18 +1,20 @@
 """Discovering which NTP servers a victim client uses (paper section IV-B2).
 
 The run-time attack must disrupt the victim's *existing* associations, so the
-attacker first needs their addresses.  The paper lists three options, all
-implemented here:
+attacker first needs their addresses.  The paper lists three options:
 
 a. **Pool enumeration** — query the pool DNS zone repeatedly and union the
    results; the whole ``pool.ntp.org`` population is only 2000–3000 servers,
-   few enough to attack all of them (scenario P1 with full knowledge).
+   few enough to attack all of them.  Scenario P1 models its outcome: the
+   attacker is handed the full server list (``known_server_list`` of
+   :class:`repro.core.run_time.RunTimeAttack`).
 b. **Reference-id leak** — if the victim also answers NTP queries (ntpd's
    default), the ``refid`` field of its responses names its current upstream
    server; the attacker learns the associations one at a time as the victim
-   fails over (scenario P2).
+   fails over (scenario P2).  Implemented here.
 c. **Open configuration interface** — some servers still answer mode 6/7
    configuration queries, which reveal every configured upstream at once.
+   No scenario relies on it, and simulated servers do not answer them.
 """
 
 from __future__ import annotations
@@ -20,58 +22,9 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.core.attacker import Attacker
-from repro.dns.message import DNSMessage
-from repro.dns.records import RRType
 from repro.netsim.simulator import Simulator
 from repro.ntp.errors import NTPPacketError
 from repro.ntp.packet import NTPMode, NTPPacket, NTP_PORT
-
-
-def discover_via_pool_enumeration(
-    attacker: Attacker,
-    simulator: Simulator,
-    nameserver_ip: str,
-    query_names: list[str],
-    queries_per_name: int = 8,
-    query_interval: float = 1.0,
-    on_done: Optional[Callable[[set[str]], None]] = None,
-) -> None:
-    """Enumerate pool servers by repeatedly querying the pool nameserver.
-
-    Mirrors the paper's measurement methodology (section VII-A): query each
-    country-zone name several times and take the union of all returned
-    addresses.  ``on_done`` receives the discovered address set.
-    """
-    discovered: set[str] = set()
-    plan = [(name, i) for name in query_names for i in range(queries_per_name)]
-    socket = attacker.query_host.bind(0)
-
-    def on_datagram(payload: bytes, src_ip: str, src_port: int) -> None:
-        if src_ip != nameserver_ip:
-            return
-        try:
-            response = DNSMessage.decode(payload)
-        except Exception:  # noqa: BLE001 - any malformed response is ignored
-            return
-        for record in response.answers:
-            if record.rtype is RRType.A:
-                discovered.add(str(record.data))
-
-    socket.on_datagram = on_datagram
-
-    def send_next(index: int) -> None:
-        if index >= len(plan):
-            socket.close()
-            if on_done is not None:
-                on_done(set(discovered))
-            return
-        name, _ = plan[index]
-        attacker.stats.own_queries_sent += 1
-        query = DNSMessage.query(name, txid=index & 0xFFFF)
-        socket.sendto(query.encode(), nameserver_ip, 53)
-        simulator.schedule(query_interval, lambda: send_next(index + 1))
-
-    send_next(0)
 
 
 def discover_via_refid_leak(
@@ -127,42 +80,3 @@ def discover_via_refid_leak(
 
     probe()
     return stop
-
-
-def discover_via_config_interface(
-    attacker: Attacker,
-    simulator: Simulator,
-    server_ip: str,
-    on_result: Callable[[list[str]], None],
-    timeout: float = 3.0,
-) -> None:
-    """Query an NTP server's (mode 6/7) configuration interface.
-
-    Servers with the interface exposed answer with their configured upstream
-    servers; servers with it closed simply never respond, and ``on_result``
-    is called with an empty list after the timeout.
-    """
-    socket = attacker.query_host.bind(0)
-    state = {"done": False}
-
-    def finish(peers: list[str]) -> None:
-        if state["done"]:
-            return
-        state["done"] = True
-        socket.close()
-        on_result(peers)
-
-    def on_datagram(payload: bytes, src_ip: str, src_port: int) -> None:
-        if src_ip != server_ip:
-            return
-        text = payload.rstrip(b"\x00").decode("ascii", errors="replace")
-        peers = []
-        if text.startswith("peers="):
-            peers = [p for p in text[len("peers=") :].split(",") if p]
-        finish(peers)
-
-    socket.on_datagram = on_datagram
-    attacker.stats.own_queries_sent += 1
-    config_query = NTPPacket(mode=NTPMode.PRIVATE, stratum=0)
-    socket.sendto(config_query.encode(), server_ip, NTP_PORT)
-    simulator.schedule(timeout, lambda: finish([]), label="config-probe-timeout")

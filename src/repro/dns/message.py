@@ -39,8 +39,6 @@ DECODE_CACHE_MAX_ENTRIES = 2048
 #: replayed payloads that differ only in TXID (the poisoning flood, repeated
 #: client queries) share one parse.
 _DECODE_CACHE: dict[bytes, "DNSMessage"] = {}
-#: Conventional maximum size of a UDP DNS response without EDNS0.
-MAX_UDP_PAYLOAD = 512
 #: Typical EDNS0 advertised size; responses beyond this are truncated or fragmented.
 EDNS_UDP_PAYLOAD = 4096
 
@@ -553,19 +551,3 @@ def record_offsets(data: bytes) -> list[RecordOffsets]:
             )
             cursor += 10 + rdlength
     return offsets
-
-
-def max_a_records_in_udp_response(
-    name: str = "pool.ntp.org", payload_limit: int = MAX_UDP_PAYLOAD
-) -> int:
-    """How many A records for ``name`` fit in an unfragmented UDP response.
-
-    The paper states an attacker can fit "up to 89" addresses in a single
-    non-fragmented UDP response to a ``pool.ntp.org`` query (section VI-C).
-    With name compression each additional A record costs 16 bytes (2-byte
-    compression pointer + 10 bytes of fixed fields + 4 bytes of address), so
-    this helper computes the exact bound for any name and payload limit.
-    """
-    base = len(DNSMessage.query(name).encode())
-    per_record = 2 + 10 + 4
-    return max(0, (payload_limit - base) // per_record)

@@ -6,7 +6,9 @@ replaces.  Two properties measured in the paper are parameters here:
 
 * whether the nameserver honours ICMP fragmentation-needed messages (and the
   minimum fragment size it will go down to) is a property of the *host* it
-  runs on (see :class:`repro.netsim.host.OSProfile` and ``min_pmtu``),
+  runs on; every simulated host honours them down to the 68-byte IPv4
+  minimum (see :mod:`repro.netsim.host`), and the measurement package
+  models the servers that do not,
 * whether the zone is DNSSEC-signed (none of the 30 pool nameservers were).
 
 The pool model also reproduces the operational behaviour the attacks exploit:

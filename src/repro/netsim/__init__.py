@@ -3,10 +3,10 @@
 The simulator provides byte-accurate IPv4, UDP and ICMP layers including:
 
 * IPv4 packet encoding/decoding and fragmentation at 8-byte boundaries,
-* per-host IP defragmentation caches with configurable (per operating
-  system) reassembly timeouts and fragment-count limits,
-* IPID assignment policies (globally incrementing, per-destination,
-  random) as observed on real nameserver operating systems,
+* per-host IP defragmentation caches with Linux's reassembly timeout
+  and fragment-count limit,
+* globally incrementing IPIDs, as observed on the vulnerable nameserver
+  operating systems,
 * real ones'-complement UDP checksums computed over the IPv4 pseudo
   header, which is what makes the fragment-replacement attack of the
   paper non-trivial,
@@ -25,13 +25,8 @@ from repro.netsim.checksum import ones_complement_sum, internet_checksum
 from repro.netsim.simulator import Simulator, Event
 from repro.netsim.packet import IPv4Packet, IPProtocol
 from repro.netsim.fragmentation import fragment_packet, reassemble_fragments
-from repro.netsim.defrag import DefragmentationCache, ReassemblyPolicy
-from repro.netsim.ipid import (
-    IPIDAllocator,
-    GlobalCounterIPID,
-    PerDestinationIPID,
-    RandomIPID,
-)
+from repro.netsim.defrag import DefragmentationCache
+from repro.netsim.ipid import GlobalCounterIPID
 from repro.netsim.udp import UDPDatagram, encode_udp, decode_udp, udp_checksum
 from repro.netsim.icmp import ICMPMessage, ICMPType, frag_needed
 from repro.netsim.datapath import DeliveryPipeline, HostDatapath
@@ -65,11 +60,7 @@ __all__ = [
     "fragment_packet",
     "reassemble_fragments",
     "DefragmentationCache",
-    "ReassemblyPolicy",
-    "IPIDAllocator",
     "GlobalCounterIPID",
-    "PerDestinationIPID",
-    "RandomIPID",
     "UDPDatagram",
     "encode_udp",
     "decode_udp",

@@ -214,6 +214,8 @@ class HostDatapath:
             self.stats.udp_checksum_failures += 1
             return
         self.stats.udp_received += 1
+        if checksum and self.verify_checksum and "corrupted" in packet.metadata:
+            self.stats.corrupted_accepted += 1
         socket = self.sockets.get(dst_port)
         handler = None
         if socket is not None and not socket.closed:
@@ -234,6 +236,7 @@ class HostDatapath:
     def _reassemble(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
         """Fragment arrival: honour the drop-fragments profile, reassemble."""
         if self.drops_fragments:
+            self.stats.fragments_filtered += 1
             return None
         return self.defrag.add_fragment(packet, self.simulator._now)
 
@@ -245,6 +248,7 @@ class HostDatapath:
                 self.host._handle_icmp(message, packet.src)
             return
         if (packet.more_fragments or packet.fragment_offset) and self.drops_fragments:
+            self.stats.fragments_filtered += 1
             return
         # Mirrors the defrag bookkeeping of the UDP path; a reassembled
         # non-UDP packet has no deliverable upper layer in this simulator.

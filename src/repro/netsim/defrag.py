@@ -7,32 +7,28 @@ spoofed *second* fragment in the victim resolver's defragmentation cache
 ahead of time; when the genuine first fragment from the nameserver arrives it
 reassembles with the attacker's fragment.
 
-Two properties of real caches matter for the attack and are modelled here:
+Three properties of real caches matter for the attack and are modelled here:
 
 * the reassembly timeout (measured by the authors as 30 s on Linux and
   60–120 s on Windows; RFC 2460 specifies 60 s), which determines how often
-  the attacker must refresh its planted fragment, and
+  the attacker must refresh its planted fragment,
 * the limit on how many fragments with *different IPIDs* a host will hold for
   the same source/destination pair (64 on patched Linux, 100 on Windows),
   which bounds how many candidate IPIDs the attacker can spray when the IPID
-  is not exactly predictable.
+  is not exactly predictable, and
+* overlap resolution: every modelled OS keeps the first copy of a fragment,
+  so a planted fragment wins over the genuine one that arrives later.
+
+Hosts build the cache with its Linux defaults (30 s, 64 buckets).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 from repro.netsim.fragmentation import fragments_complete, reassemble_fragments
 from repro.netsim.packet import IPv4Packet
-
-
-class ReassemblyPolicy(Enum):
-    """How overlapping data is resolved; all modelled OSes keep the first copy."""
-
-    FIRST_WINS = "first-wins"
-    LAST_WINS = "last-wins"
 
 
 @dataclass
@@ -64,20 +60,16 @@ class DefragmentationCache:
     max_pending_per_peer:
         Maximum number of distinct IPID buckets held per (src, dst) pair;
         models the 64/100 fragment limits of patched Linux and Windows.
-    policy:
-        Overlap resolution policy (all real systems we model keep the first
-        received copy of any byte).
+
+    A fragment at an offset the bucket already holds is dropped: the first
+    received copy of any byte wins.
     """
 
     def __init__(
-        self,
-        timeout: float = 30.0,
-        max_pending_per_peer: int = 64,
-        policy: ReassemblyPolicy = ReassemblyPolicy.FIRST_WINS,
+        self, timeout: float = 30.0, max_pending_per_peer: int = 64
     ) -> None:
         self.timeout = timeout
         self.max_pending_per_peer = max_pending_per_peer
-        self.policy = policy
         self.stats = DefragStats()
         self._buckets: dict[tuple, _Bucket] = {}
 
@@ -137,16 +129,10 @@ class DefragmentationCache:
         return None
 
     def _insert(self, bucket: _Bucket, fragment: IPv4Packet) -> None:
-        """Insert a fragment into a bucket honouring the overlap policy."""
-        same_offset = [
-            index
-            for index, existing in enumerate(bucket.fragments)
-            if existing.fragment_offset == fragment.fragment_offset
-        ]
-        if same_offset:
-            if self.policy is ReassemblyPolicy.LAST_WINS:
-                bucket.fragments[same_offset[0]] = fragment
-            # FIRST_WINS: keep the existing copy, drop the newcomer.
+        """Insert a fragment into a bucket; an offset already held keeps its
+        first copy and drops the newcomer."""
+        offset = fragment.fragment_offset
+        if any(existing.fragment_offset == offset for existing in bucket.fragments):
             return
         bucket.fragments.append(fragment)
 

@@ -1,15 +1,17 @@
 """Simulated hosts: the IP/UDP/ICMP stack every component runs on.
 
 A :class:`Host` owns an address, a defragmentation cache, a path-MTU cache,
-an IPID allocator and a set of bound UDP sockets.  A socket send goes
+a global IPID counter and a set of bound UDP sockets.  A socket send goes
 straight to :meth:`repro.netsim.network.Network.send_udp`, which reads the
-host's path MTU, IPID allocator and stats block; the host itself sends
+host's path MTU, IPID counter and stats block; the host itself sends
 only what must be fragmented (:meth:`Host.send_fragmented`) and its ICMP
-messages.  Its behaviour is
-parameterised by an :class:`OSProfile` capturing the operating-system
-differences the paper's attacks care about: reassembly timeouts, fragment
-limits, whether unauthenticated ICMP fragmentation-needed messages are
-honoured, and how IPIDs are assigned.
+messages.  Every host reassembles like Linux (30 s timeout, 64 pending
+fragments per peer, first copy wins), honours unauthenticated ICMP
+fragmentation-needed messages down to the 68-byte IPv4 minimum and
+assigns IPIDs from one global counter: the posture the paper's attacks
+exploit.  Its :class:`OSProfile` holds the two differences a result
+depends on: whether it verifies UDP checksums and whether it drops IP
+fragments.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.netsim.datapath import HostDatapath
-from repro.netsim.defrag import DefragmentationCache, ReassemblyPolicy
+from repro.netsim.defrag import DefragmentationCache
 from repro.netsim.errors import PortInUseError
-from repro.netsim.fragmentation import fragment_packet
+from repro.netsim.fragmentation import MINIMUM_IPV4_MTU, fragment_packet
 from repro.netsim.icmp import ICMPMessage
-from repro.netsim.ipid import GlobalCounterIPID, IPIDAllocator
+from repro.netsim.ipid import GlobalCounterIPID
 from repro.netsim.packet import IPProtocol, IPv4Packet
 from repro.netsim.sockets import DatagramHandler, UDPSocket
 from repro.netsim.udp import UDP_HEADER_LEN, _UDP_HEADER, udp_checksum_arith
@@ -35,19 +37,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
 class OSProfile:
     """Operating-system parameters relevant to the attacks.
 
-    The defaults model an unpatched Linux host; the classmethods provide the
-    profiles the paper measured (section IV-A: 30 s reassembly timeout on
-    Linux, 60–120 s on Windows; section III-2: 64 and 100 pending-fragment
-    limits on patched Linux and Windows respectively).
+    The defaults model a Linux host.  Reassembly (30 s timeout, 64 pending
+    fragments per peer, section IV-A and III-2), ICMP handling and IPID
+    assignment are the same on every host; see the module docstring.
     """
 
     name: str = "linux"
-    reassembly_timeout: float = 30.0
-    max_pending_fragments: int = 64
-    accepts_icmp_frag_needed: bool = True
-    validates_icmp_payload: bool = False
-    min_pmtu: int = 68
-    reassembly_policy: ReassemblyPolicy = ReassemblyPolicy.FIRST_WINS
     verify_udp_checksum: bool = True
     drops_fragments: bool = False
 
@@ -55,34 +50,6 @@ class OSProfile:
     def linux(cls) -> "OSProfile":
         """A patched Linux host (30 s timeout, 64 fragment buckets)."""
         return cls(name="linux")
-
-    @classmethod
-    def windows(cls) -> "OSProfile":
-        """A Windows host (60 s timeout, 100 fragment buckets)."""
-        return cls(
-            name="windows",
-            reassembly_timeout=60.0,
-            max_pending_fragments=100,
-        )
-
-    @classmethod
-    def windows_slow_expiry(cls) -> "OSProfile":
-        """Windows variant with the 120 s upper bound the authors measured."""
-        return cls(
-            name="windows-120",
-            reassembly_timeout=120.0,
-            max_pending_fragments=100,
-        )
-
-    @classmethod
-    def hardened(cls) -> "OSProfile":
-        """A host that ignores unauthenticated PMTUD and validates ICMP payloads."""
-        return cls(
-            name="hardened",
-            accepts_icmp_frag_needed=False,
-            validates_icmp_payload=True,
-            min_pmtu=576,
-        )
 
     @classmethod
     def fragment_filtering(cls) -> "OSProfile":
@@ -109,6 +76,11 @@ class HostStats:
     icmp_received: int = 0
     pmtu_updates: int = 0
     packets_fragmented: int = 0
+    #: IP fragments dropped on arrival by a fragment-filtering profile.
+    fragments_filtered: int = 0
+    #: Corrupted datagrams a checksum verify accepted; strict mode checks
+    #: it stays 0 (see ``Simulator.check_invariants``).
+    corrupted_accepted: int = 0
 
 
 class Host:
@@ -124,7 +96,6 @@ class Host:
         ip: str,
         network: "Network",
         profile: Optional[OSProfile] = None,
-        ipid_allocator: Optional[IPIDAllocator] = None,
         interface_mtu: int = 1500,
     ) -> None:
         if interface_mtu > 0xFFFF:
@@ -138,14 +109,10 @@ class Host:
         #: Cached to avoid the two-attribute chase on every received packet.
         self.simulator = network.simulator
         self.profile = profile or OSProfile.linux()
-        self.ipid_allocator = ipid_allocator or GlobalCounterIPID()
+        self.ipid_allocator = GlobalCounterIPID()
         self.interface_mtu = interface_mtu
         self.stats = HostStats()
-        self.defrag = DefragmentationCache(
-            timeout=self.profile.reassembly_timeout,
-            max_pending_per_peer=self.profile.max_pending_fragments,
-            policy=self.profile.reassembly_policy,
-        )
+        self.defrag = DefragmentationCache()
         self._sockets: dict[int, UDPSocket] = {}
         self._pmtu: dict[str, int] = {}
         self._ephemeral_rng = network.simulator.spawn_rng()
@@ -234,10 +201,8 @@ class Host:
 
     def _handle_icmp(self, message: ICMPMessage, src_ip: str) -> None:
         self.stats.icmp_received += 1
-        if message.is_frag_needed and self.profile.accepts_icmp_frag_needed:
-            if self.profile.validates_icmp_payload and not message.embedded:
-                return
-            mtu = max(message.next_hop_mtu, self.profile.min_pmtu)
+        if message.is_frag_needed:
+            mtu = max(message.next_hop_mtu, MINIMUM_IPV4_MTU)
             # A real ICMP error embeds the offending packet, whose destination
             # tells the host which path the MTU applies to.  The attacker sets
             # "about_destination" to the victim resolver so that responses to

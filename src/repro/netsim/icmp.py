@@ -33,9 +33,8 @@ class ICMPMessage:
 
     ``next_hop_mtu`` is meaningful only for fragmentation-needed messages.
     ``embedded`` optionally carries the first bytes of the offending packet,
-    as real ICMP errors do; hosts that validate the embedded packet can use
-    it to reject off-path forgeries (a countermeasure we model as the
-    ``validates_icmp_payload`` OS profile flag).
+    as real ICMP errors do.  No simulated host validates it: every host
+    honours off-path forgeries, which is what the attack needs.
     """
 
     icmp_type: ICMPType

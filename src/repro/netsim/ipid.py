@@ -1,4 +1,4 @@
-"""IPID assignment policies.
+"""IPID assignment: one global counter per host.
 
 The 16-bit IP identification field groups fragments of the same original
 packet.  Whether an off-path attacker can plant a spoofed fragment that will
@@ -6,32 +6,14 @@ be reassembled with a genuine one depends on how predictable the sender's
 IPID sequence is.  The paper (section III-2) relies on the well-known fact
 that many operating systems assign IPIDs from a *globally incrementing*
 counter, which an attacker can sample by sending its own queries and then
-extrapolate.  Other policies (per-destination counters, purely random IPIDs)
-make prediction harder or impossible, and the measurement package uses them
-to model the non-vulnerable part of the nameserver population.
+extrapolate.  Every simulated host uses that counter; a test that needs
+another start value assigns ``host.ipid_allocator``.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 
-import numpy as np
-
-
-class IPIDAllocator(ABC):
-    """Strategy interface for assigning the IPID of outgoing packets."""
-
-    @abstractmethod
-    def next_ipid(self, dst: str) -> int:
-        """Return the IPID to use for the next packet towards ``dst``."""
-
-    @property
-    @abstractmethod
-    def predictable(self) -> bool:
-        """Whether an off-path observer can usefully extrapolate the sequence."""
-
-
-class GlobalCounterIPID(IPIDAllocator):
+class GlobalCounterIPID:
     """A single counter shared by all destinations (classic Linux/Windows).
 
     This is the vulnerable policy: the attacker queries the nameserver a few
@@ -39,59 +21,10 @@ class GlobalCounterIPID(IPIDAllocator):
     value that will be used for the response to the victim resolver.
     """
 
-    def __init__(self, start: int = 0, increment: int = 1) -> None:
+    def __init__(self, start: int = 0) -> None:
         self._counter = start & 0xFFFF
-        self._increment = increment
 
     def next_ipid(self, dst: str) -> int:
         value = self._counter
-        self._counter = (self._counter + self._increment) & 0xFFFF
+        self._counter = (value + 1) & 0xFFFF
         return value
-
-    @property
-    def predictable(self) -> bool:
-        return True
-
-    @property
-    def current(self) -> int:
-        """The value the next call will return (test/attacker convenience)."""
-        return self._counter
-
-
-class PerDestinationIPID(IPIDAllocator):
-    """A separate counter per destination address.
-
-    Sampling from the attacker's own host reveals nothing about the counter
-    used towards the victim resolver, so the attacker must fall back to
-    spraying many candidate IPIDs (bounded by the victim's fragment-cache
-    limit of 64/100 identical fragments, paper section III-2).
-    """
-
-    def __init__(self, rng: np.random.Generator | None = None) -> None:
-        self._rng = rng or np.random.default_rng(0)
-        self._counters: dict[str, int] = {}
-
-    def next_ipid(self, dst: str) -> int:
-        if dst not in self._counters:
-            self._counters[dst] = int(self._rng.integers(0, 1 << 16))
-        value = self._counters[dst]
-        self._counters[dst] = (value + 1) & 0xFFFF
-        return value
-
-    @property
-    def predictable(self) -> bool:
-        return False
-
-
-class RandomIPID(IPIDAllocator):
-    """Uniformly random IPIDs: prediction is hopeless for the attacker."""
-
-    def __init__(self, rng: np.random.Generator | None = None) -> None:
-        self._rng = rng or np.random.default_rng(0)
-
-    def next_ipid(self, dst: str) -> int:
-        return int(self._rng.integers(0, 1 << 16))
-
-    @property
-    def predictable(self) -> bool:
-        return False

@@ -51,7 +51,6 @@ from repro.netsim.errors import AddressError, NoRouteError, SimulationError
 from repro.netsim.faults import FaultChannel, FaultPlan, FaultStats
 from repro.netsim.fragmentation import MINIMUM_IPV4_MTU
 from repro.netsim.host import Host, OSProfile
-from repro.netsim.ipid import IPIDAllocator
 from repro.netsim.packet import IPV4_HEADER_LEN, IPv4Packet
 from repro.netsim.simulator import Simulator, _BURST
 from repro.netsim.udp import (
@@ -155,6 +154,7 @@ class Network:
         self._rng = simulator.spawn_rng()
         self.packets_transmitted = 0
         self.packets_dropped = 0
+        simulator.networks.append(self)
 
     # ---------------------------------------------------------------- hosts
     def add_host(
@@ -162,7 +162,6 @@ class Network:
         name: str,
         ip: str,
         profile: Optional[OSProfile] = None,
-        ipid_allocator: Optional[IPIDAllocator] = None,
         interface_mtu: int = 1500,
     ) -> Host:
         """Create a host, register it under its IP address, and return it."""
@@ -173,7 +172,6 @@ class Network:
             ip=ip,
             network=self,
             profile=profile,
-            ipid_allocator=ipid_allocator,
             interface_mtu=interface_mtu,
         )
         self._hosts[ip] = host

@@ -65,6 +65,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.netsim.burst import DatagramBatch
+from repro.netsim.datapath import HostDatapath
 from repro.netsim.errors import InvariantViolation, SimulationError
 from repro.perf import STAGES, perf_counter
 
@@ -137,12 +139,13 @@ class Simulator:
         changes.
     strict:
         Opt-in invariant guards for the chaos/fault-injection suites.  The
-        run loops verify heap monotonicity per pop and the full
-        event/cancellation accounting (:meth:`check_invariants`) on every
-        loop exit, raising :class:`~repro.netsim.errors.InvariantViolation`
-        on the first broken conservation law.  Strict runs dispatch through
-        one generic guarded loop — semantics are identical to the fast
-        loops (pinned by the strict-equivalence tests), only slower.
+        run loops verify heap monotonicity per pop and, on every loop exit,
+        the full event/cancellation accounting and the packet laws of the
+        networks built on this simulator (:meth:`check_invariants`),
+        raising :class:`~repro.netsim.errors.InvariantViolation` on the
+        first broken conservation law.  Strict runs dispatch through one
+        generic guarded loop — semantics are identical to the fast loops
+        (pinned by the strict-equivalence tests), only slower.
     """
 
     __slots__ = (
@@ -155,6 +158,7 @@ class Simulator:
         "events_processed",
         "bursts_posted",
         "strict",
+        "networks",
     )
 
     def __init__(self, seed: int = 0, strict: bool = False) -> None:
@@ -174,6 +178,9 @@ class Simulator:
         #: coalescing the run actually achieved.
         self.bursts_posted = 0
         self.strict = strict
+        #: Networks built on this simulator (each adds itself); their
+        #: packet laws are part of :meth:`check_invariants`.
+        self.networks: list = []
 
     @property
     def now(self) -> float:
@@ -317,13 +324,30 @@ class Simulator:
         * **Pending consistency** — :meth:`pending` equals the live count
           and is non-negative.
 
-        Cheap enough to call per assertion in tests but O(heap), so the
-        strict loop runs it on loop exit, not per event.  Raises
+        With networks built on this simulator (they share its heap, so the
+        laws are stated over all of them), it also checks:
+
+        * **Packet conservation** — every packet sent was dropped, still
+          waits in the heap or reached a host, and each duplicate adds
+          one: ``transmitted - dropped + duplicated == delivered +
+          queued``.  Deliveries are read off the hosts' counters: UDP
+          datagrams accepted or rejected, ICMP messages handled, fragments
+          the defragmentation cache took (less the packets reassembled
+          from them, which count as datagrams) and fragments a filtering
+          host dropped.
+        * **Corruption is caught** — every corrupted datagram a verifying
+          host received with a checksum set was a checksum failure: no
+          host counted one as accepted.
+
+        Cheap enough to call per assertion in tests but O(heap + hosts),
+        so the strict loop runs it on loop exit, not per event.  Raises
         :class:`~repro.netsim.errors.InvariantViolation` with the broken
         law spelled out.
         """
         now = self._now
         live = 0
+        deliveries = 0  # queued packets and batched datagrams
+        deliver = HostDatapath.deliver
         for time_, _sequence, target, arg in self._queue:
             if time_ < now:
                 raise InvariantViolation(
@@ -339,8 +363,12 @@ class Simulator:
                         f"queued burst entry with non-positive count {count}"
                     )
                 live += count
+                if target.__class__ is DatagramBatch:
+                    deliveries += count
             else:
                 live += 1
+                if getattr(target, "__func__", None) is deliver:
+                    deliveries += 1
         balance = self.events_processed + self._cancelled + live
         if balance != self._sequence:
             raise InvariantViolation(
@@ -352,6 +380,36 @@ class Simulator:
         if queued != live or queued < 0:
             raise InvariantViolation(
                 f"pending()={queued} disagrees with live heap count {live}"
+            )
+        if not self.networks:
+            return
+        sent = delivered = corrupted_accepted = 0
+        for network in self.networks:
+            sent += (
+                network.packets_transmitted
+                - network.packets_dropped
+                + network.fault_stats().duplicated
+            )
+            for host in network.hosts():
+                stats = host.stats
+                defrag = host.defrag.stats
+                delivered += (
+                    stats.udp_received
+                    + stats.udp_checksum_failures
+                    + stats.icmp_received
+                    + stats.fragments_filtered
+                    + defrag.fragments_received
+                    - defrag.packets_reassembled
+                )
+                corrupted_accepted += stats.corrupted_accepted
+        if sent != delivered + deliveries:
+            raise InvariantViolation(
+                "packets not conserved: transmitted - dropped + duplicated = "
+                f"{sent} != delivered {delivered} + queued {deliveries}"
+            )
+        if corrupted_accepted:
+            raise InvariantViolation(
+                f"{corrupted_accepted} corrupted datagrams passed a checksum verify"
             )
 
     def step(self) -> Optional[Event]:

@@ -39,6 +39,8 @@ class PoolServerSpec:
     address: str
     rate_limiting: bool
     sends_kod: bool
+    #: Ground truth only (``open_config_fraction``): no simulated server
+    #: answers mode 6/7 configuration queries.
     open_config: bool
     country_zone: str
 
@@ -136,15 +138,9 @@ def build_pool_population(
             stratum=2,
             rate_limiting=spec.rate_limiting,
             send_kod=spec.sends_kod,
-            open_config_interface=spec.open_config,
             upstream_server="198.51.100.200",
         )
         population.servers[address] = NTPServer(
             host, simulator, clock=clock, config=config, name=f"pool-{index}"
         )
     return population
-
-
-def country_zone_names(origin: str = "pool.ntp.org") -> list[str]:
-    """The country-zone query names used by the pool scan of section VII-A."""
-    return [f"{zone}.{origin}" for zone in _COUNTRY_ZONES]

@@ -1,17 +1,16 @@
 """NTP servers (honest, rate-limiting, and attacker controlled).
 
 A server binds UDP port 123 on a simulated host and answers mode 3 queries
-with mode 4 responses timestamped by its own clock.  Three behaviours matter
-to the paper and are configurable:
+with mode 4 responses timestamped by its own clock; every other mode,
+ntpd's mode 6/7 configuration queries included, goes unanswered.  Two
+behaviours matter to the paper and are configurable:
 
 * **rate limiting** (with or without Kiss-o'-Death) — abused by the run-time
   attack and surveyed in section VII-A (38 % of pool servers rate limit,
-  33 % send KoD),
+  33 % send KoD), and
 * **the reference-id leak** — a server synchronised to an upstream exposes
   that upstream's IPv4 address in its responses, which is how attack
-  scenario P2 discovers a victim client's associations, and
-* **the remote configuration interface** (ntpd mode 6/7) — 5.3 % of pool
-  servers still answer it; it leaks all configured upstream servers at once.
+  scenario P2 discovers a victim client's associations.
 
 An *attacker* server is simply a server whose clock carries the desired time
 shift (e.g. -500 s): a victim that synchronises to it inherits the shift.
@@ -51,9 +50,8 @@ _RESPOND = RateLimitDecision.RESPOND
 class NTPServerConfig:
     """Behavioural knobs for one NTP server.
 
-    ``stratum``, ``upstream_server``, ``respond_probability`` and
-    ``open_config_interface`` are read per query, so an in-place edit
-    takes effect on the next one.  The limiter fields (``rate_limiting``,
+    ``stratum``, ``upstream_server`` and ``respond_probability`` are read
+    per query, so an in-place edit takes effect on the next one.  The limiter fields (``rate_limiting``,
     ``send_kod``, ``average_interval``, ``burst_tolerance``) configure the
     server's :class:`~repro.ntp.rate_limit.RateLimiter`: assigning a new
     config to :attr:`NTPServer.config` applies them, and after an in-place
@@ -66,7 +64,6 @@ class NTPServerConfig:
     send_kod: bool = True
     average_interval: float = 8.0
     burst_tolerance: float = 100.0
-    open_config_interface: bool = False
     upstream_server: str = ""
     respond_probability: float = 1.0
 
@@ -79,7 +76,6 @@ class NTPServerStats:
     responses_sent: int = 0
     kods_sent: int = 0
     queries_dropped: int = 0
-    config_queries_answered: int = 0
 
 
 class NTPServer:
@@ -183,15 +179,11 @@ class NTPServer:
         random = self._rng.random
         sendto = self.socket.sendto
         send_kod = self._send_kod
-        config_query = self._handle_config_query
 
         def on_packet(payload: bytes, src_ip: str, src_port: int) -> None:
             if len(payload) < NTP_PACKET_LEN:
                 return
-            mode_bits = payload[0] & 0x7
-            if mode_bits != 3:  # NTPMode.CLIENT
-                if mode_bits == 6 or mode_bits == 7:  # CONTROL / PRIVATE
-                    config_query(src_ip, src_port)
+            if payload[0] & 0x7 != 3:  # NTPMode.CLIENT
                 return
             stats.queries_received += 1
             now = simulator._now  # slot read; the property costs a frame here
@@ -228,20 +220,6 @@ class NTPServer:
         self.stats.kods_sent += 1
         kod = NTPPacket.kiss_of_death(NTPPacket.decode(payload), KissCode.RATE)
         self.socket.sendto(kod.encode(), src_ip, src_port)
-
-    def _handle_config_query(self, src_ip: str, src_port: int) -> None:
-        """Answer a mode 6/7 configuration query when the interface is open.
-
-        The response payload is a simple ASCII rendering of the configured
-        upstream servers, mirroring the information content of ``ntpq -c
-        peers`` / mode 7 ``reslist``.
-        """
-        if not self.config.open_config_interface:
-            return
-        self.stats.config_queries_answered += 1
-        upstream = self.config.upstream_server or ""
-        payload = f"peers={upstream}".encode("ascii").ljust(48, b"\x00")
-        self.socket.sendto(payload, src_ip, src_port)
 
     # ----------------------------------------------------------- inspection
     def is_rate_limiting(self, client_ip: str) -> bool:

@@ -218,11 +218,13 @@ def run_fleet(
         for client in clients
     ]
     # Poison once per distinct pool-domain set: clients of the same model
-    # share their domains, and the resolver cache is shared fleet-wide.
+    # share their domains, and the resolver cache is shared fleet-wide.  A
+    # resolver that drops fragments cannot be poisoned this way (section
+    # III's fragment-filtering variant), so nothing is planted into it.
     poisoned: set[frozenset] = set()
     for attack in attacks:
         domains = frozenset(attack.victim.config.pool_domains)
-        if domains not in poisoned:
+        if domains not in poisoned and not spec.resolver.drops_fragments:
             poisoned.add(domains)
             attack.poison_resolver_directly()
     for attack in attacks:

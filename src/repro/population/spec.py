@@ -215,7 +215,13 @@ BUILTIN_FAULT_REGIMES: dict[str, FaultRegimeSpec] = {
 
 @dataclass(frozen=True)
 class ResolverTopology:
-    """Resolver-side posture shared by the whole fleet."""
+    """Resolver-side posture shared by the whole fleet.
+
+    ``drops_fragments`` makes the resolver immune to the fragment attack,
+    so :func:`~repro.population.fleet.run_fleet` plants no poisoned
+    records into it.  ``validates_dnssec`` changes no result: the pool
+    domain is unsigned.
+    """
 
     validates_dnssec: bool = False
     drops_fragments: bool = False

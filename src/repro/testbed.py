@@ -17,7 +17,6 @@ from repro.dns.nameserver import PoolNameserver
 from repro.dns.resolver import RecursiveResolver, ResolverConfig
 from repro.netsim.addresses import int_to_ip, ip_to_int
 from repro.netsim.host import Host, OSProfile
-from repro.netsim.ipid import GlobalCounterIPID
 from repro.netsim.network import Network
 from repro.netsim.simulator import Simulator
 from repro.ntp.chronos.client import ChronosClient, ChronosConfig
@@ -137,9 +136,7 @@ def build_testbed(config: Optional[TestbedConfig] = None) -> LabTestbed:
         rate_limit_fraction=config.pool_rate_limit_fraction,
         base_address=POOL_BASE_IP,
     )
-    nameserver_host = network.add_host(
-        "pool-nameserver", NAMESERVER_IP, ipid_allocator=GlobalCounterIPID()
-    )
+    nameserver_host = network.add_host("pool-nameserver", NAMESERVER_IP)
     pool_nameserver = PoolNameserver(
         nameserver_host,
         pool.addresses,

@@ -42,13 +42,6 @@ class TestBootTimeAttack:
         result = attack.evaluate(victim, observation_period=120)
         assert result.success
 
-    def test_trigger_via_open_resolver_variant(self, predictable_testbed):
-        attack = make_attack(predictable_testbed, trigger_via_open_resolver=True)
-        attack.launch_poisoning()
-        # The trigger fires at t=45, shortly after the second plant round.
-        predictable_testbed.run_for(60)
-        assert predictable_testbed.resolver_poisoned("pool.ntp.org")
-
     def test_openntpd_with_constraint_resists_boot_attack(self, predictable_testbed):
         attack = make_attack(predictable_testbed)
         attack.launch_poisoning()

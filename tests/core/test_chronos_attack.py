@@ -5,7 +5,6 @@ import pytest
 from repro.core.chronos_attack import (
     ChronosAttack,
     PAPER_MAX_ADDRESSES_PER_RESPONSE,
-    addresses_needed_to_dominate,
     attack_windows,
     max_addresses_in_response,
     max_honest_lookups_tolerated,
@@ -26,9 +25,13 @@ class TestAnalyticBounds:
         assert attack_windows(89) == 12
 
     def test_addresses_needed_grows_with_honest_lookups(self):
-        assert addresses_needed_to_dominate(0) == 0
-        assert addresses_needed_to_dominate(11) == 88
-        assert addresses_needed_to_dominate(12) == 96  # > 89: attack impossible
+        # Dominating N honest lookups (4N addresses) takes 2 * 4N addresses.
+        assert max_honest_lookups_tolerated(0) == 0
+        assert max_honest_lookups_tolerated(88) == 11
+        assert max_honest_lookups_tolerated(87) == 10
+        # Twelve lookups need 96 > 89 addresses: the attack is impossible.
+        assert max_honest_lookups_tolerated(96) == 12
+        assert max_honest_lookups_tolerated(max_addresses_in_response()) < 12
 
     def test_fewer_injected_addresses_shrink_the_window(self):
         assert max_honest_lookups_tolerated(40) == 5

@@ -158,25 +158,6 @@ class TestEndToEndPoisoning:
         testbed.run_for(60)
         assert not testbed.resolver_poisoned("pool.ntp.org")
 
-    def test_trigger_query_via_open_resolver(self, predictable_testbed):
-        poisoner, _ = make_poisoner(predictable_testbed)
-        poisoner.start()
-        predictable_testbed.run_for(10)
-        poisoner.trigger_query_via_open_resolver()
-        predictable_testbed.run_for(10)
-        assert predictable_testbed.resolver_poisoned("pool.ntp.org")
-
-    def test_verify_via_open_resolver(self, predictable_testbed):
-        poisoner, _ = make_poisoner(predictable_testbed)
-        poisoner.start()
-        predictable_testbed.run_for(10)
-        poisoner.trigger_query_via_open_resolver()
-        predictable_testbed.run_for(10)
-        verdicts = []
-        poisoner.verify_via_open_resolver(verdicts.append)
-        predictable_testbed.run_for(10)
-        assert verdicts == [True]
-
     def test_poisoned_ttl_override(self, predictable_testbed):
         """With a query name long enough that every answer record (including
         its TTL field) lands in the second fragment, the attacker can also

@@ -1,17 +1,30 @@
 """Tests for IPID sampling and prediction."""
 
+import numpy as np
+
 from repro.core.ipid_prediction import IPIDPredictor
 from repro.dns.nameserver import PoolNameserver
 from repro.netsim.addresses import address_range
-from repro.netsim.ipid import GlobalCounterIPID, RandomIPID
+from repro.netsim.ipid import GlobalCounterIPID
 from repro.netsim.network import Network
 from repro.netsim.simulator import Simulator
+
+
+class UniformRandomIPID:
+    """Uniformly random IPIDs: the negative control no host uses."""
+
+    def __init__(self) -> None:
+        self._rng = np.random.default_rng(0)
+
+    def next_ipid(self, dst: str) -> int:
+        return int(self._rng.integers(0, 1 << 16))
 
 
 def build_env(ipid_allocator=None):
     sim = Simulator(seed=13)
     net = Network(sim)
-    ns_host = net.add_host("ns", "198.51.100.10", ipid_allocator=ipid_allocator or GlobalCounterIPID(start=500))
+    ns_host = net.add_host("ns", "198.51.100.10")
+    ns_host.ipid_allocator = ipid_allocator or GlobalCounterIPID(start=500)
     PoolNameserver(ns_host, address_range("203.0.113.1", 20), rng=sim.spawn_rng())
     attacker_host = net.add_host("attacker", "66.0.0.1")
     return sim, net, ns_host, attacker_host
@@ -36,7 +49,7 @@ class TestPrediction:
         predicted = predictions[0].predicted_next
         # The next packet the nameserver sends (to anyone) uses exactly the
         # predicted IPID, because the counter is global.
-        assert ns_host.ipid_allocator.current == predicted
+        assert ns_host.ipid_allocator.next_ipid("victim-resolver") == predicted
 
     def test_candidate_window_covers_prediction(self):
         sim, net, ns_host, attacker_host = build_env()
@@ -65,7 +78,7 @@ class TestPrediction:
         assert not prediction.predictable
 
     def test_random_ipids_not_marked_predictable(self):
-        sim, net, ns_host, attacker_host = build_env(ipid_allocator=RandomIPID())
+        sim, net, ns_host, attacker_host = build_env(ipid_allocator=UniformRandomIPID())
         predictor = IPIDPredictor(attacker_host, sim, "198.51.100.10")
         predictions = []
         predictor.probe(count=6, on_done=predictions.append)

@@ -1,46 +1,7 @@
-"""Tests for upstream-server discovery (section IV-B2 a/b/c)."""
+"""Tests for upstream-server discovery through the refid leak (section IV-B2b)."""
 
-from repro.core.server_discovery import (
-    discover_via_config_interface,
-    discover_via_pool_enumeration,
-    discover_via_refid_leak,
-)
-from repro.ntp.clients.base import NTPClientConfig
+from repro.core.server_discovery import discover_via_refid_leak
 from repro.ntp.clients.ntpd import NtpdClient
-from repro.ntp.pool import country_zone_names
-from repro.ntp.server import NTPServerConfig
-from repro.testbed import NAMESERVER_IP
-
-
-class TestPoolEnumeration:
-    def test_repeated_queries_discover_most_of_the_pool(self, small_testbed):
-        discovered = []
-        discover_via_pool_enumeration(
-            small_testbed.attacker,
-            small_testbed.simulator,
-            nameserver_ip=NAMESERVER_IP,
-            query_names=country_zone_names(),
-            queries_per_name=8,
-            query_interval=0.5,
-            on_done=discovered.append,
-        )
-        small_testbed.run_for(120)
-        assert discovered
-        # 80 queries x 4 random addresses cover most of the 24-server pool.
-        assert len(discovered[0]) >= len(small_testbed.pool.addresses) * 0.8
-        assert discovered[0] <= set(small_testbed.pool.addresses)
-
-    def test_enumeration_counts_queries(self, small_testbed):
-        before = small_testbed.attacker.stats.own_queries_sent
-        discover_via_pool_enumeration(
-            small_testbed.attacker,
-            small_testbed.simulator,
-            NAMESERVER_IP,
-            ["pool.ntp.org"],
-            queries_per_name=4,
-        )
-        small_testbed.run_for(20)
-        assert small_testbed.attacker.stats.own_queries_sent == before + 4
 
 
 class TestRefidLeak:
@@ -91,27 +52,3 @@ class TestRefidLeak:
         small_testbed.run_for(200)
         stop()
         assert observed == []
-
-
-class TestConfigInterface:
-    def test_open_interface_reveals_upstream(self, small_testbed):
-        target = small_testbed.pool.addresses[0]
-        server = small_testbed.pool.servers[target]
-        server.config.open_config_interface = True
-        server.config.upstream_server = "198.51.100.200"
-        results = []
-        discover_via_config_interface(
-            small_testbed.attacker, small_testbed.simulator, target, results.append
-        )
-        small_testbed.run_for(10)
-        assert results == [["198.51.100.200"]]
-
-    def test_closed_interface_times_out_empty(self, small_testbed):
-        target = small_testbed.pool.addresses[1]
-        small_testbed.pool.servers[target].config.open_config_interface = False
-        results = []
-        discover_via_config_interface(
-            small_testbed.attacker, small_testbed.simulator, target, results.append, timeout=2.0
-        )
-        small_testbed.run_for(10)
-        assert results == [[]]

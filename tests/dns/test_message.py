@@ -7,9 +7,9 @@ from repro.dns.message import (
     DNSHeaderFlags,
     DNSMessage,
     ResponseCode,
-    max_a_records_in_udp_response,
     record_offsets,
 )
+from repro.core.chronos_attack import max_addresses_in_response
 from repro.dns.records import RRType, a_record, ns_record, txt_record
 
 
@@ -122,16 +122,16 @@ class TestRecordOffsets:
 class TestResponseCapacity:
     def test_paper_bound_of_89_addresses(self):
         # With a 1500-byte MTU and an EDNS0 OPT record, 89 A records fit.
-        from repro.core.chronos_attack import max_addresses_in_response
-
         assert max_addresses_in_response() == 89
 
     def test_classic_512_byte_limit(self):
-        assert max_a_records_in_udp_response(payload_limit=512) == 30
+        # A 512-byte payload without EDNS0: the IPv4 and UDP headers make
+        # the MTU 540.
+        assert max_addresses_in_response(mtu=540, edns_opt_size=0) == 30
 
     def test_capacity_monotone_in_payload_limit(self):
-        small = max_a_records_in_udp_response(payload_limit=512)
-        large = max_a_records_in_udp_response(payload_limit=1472)
+        small = max_addresses_in_response(mtu=540, edns_opt_size=0)
+        large = max_addresses_in_response(mtu=1500, edns_opt_size=0)
         assert large > small
 
     def test_large_response_round_trips(self):

@@ -1,6 +1,6 @@
 """Tests for the defragmentation cache — the attack's point of entry."""
 
-from repro.netsim.defrag import DefragmentationCache, ReassemblyPolicy
+from repro.netsim.defrag import DefragmentationCache
 from repro.netsim.fragmentation import fragment_packet
 from repro.netsim.packet import IPProtocol, IPv4Packet
 
@@ -112,22 +112,13 @@ class TestSpoofedFragmentReplacement:
         assert cache.stats.spoofed_fragments_used == 1
 
     def test_first_wins_policy_prefers_planted_fragment(self):
-        cache = DefragmentationCache(policy=ReassemblyPolicy.FIRST_WINS)
+        cache = DefragmentationCache()
         packet, fragments = make_fragments(size=500, mtu=296)
         cache.add_fragment(self._spoofed_second(fragments), now=0.0)
         cache.add_fragment(fragments[1], now=1.0)  # real second fragment later
         result = cache.add_fragment(fragments[0], now=2.0)
         assert result is not None
         assert bytes([0xAA]) in result.payload
-
-    def test_last_wins_policy_prefers_real_fragment(self):
-        cache = DefragmentationCache(policy=ReassemblyPolicy.LAST_WINS)
-        packet, fragments = make_fragments(size=500, mtu=296)
-        cache.add_fragment(self._spoofed_second(fragments), now=0.0)
-        cache.add_fragment(fragments[1], now=1.0)
-        result = cache.add_fragment(fragments[0], now=2.0)
-        assert result is not None
-        assert bytes([0xAA]) not in result.payload
 
     def test_planted_fragments_listing(self):
         cache = DefragmentationCache()

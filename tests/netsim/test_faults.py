@@ -18,6 +18,7 @@ from repro.netsim import (
     GilbertElliott,
     LatencySpike,
     Network,
+    OSProfile,
     Partition,
     ReorderJitter,
     Simulator,
@@ -320,6 +321,43 @@ class TestStrictSimulator:
         simulator.run()
         simulator.events_processed += 1  # tamper with the ledger
         with pytest.raises(InvariantViolation):
+            simulator.check_invariants()
+
+    def _packet_world(self):
+        """A strict world whose sends take every delivery kind: a batched
+        datagram, fragments, a duplicated packet over a faulted link and
+        fragments a filtering host drops."""
+        simulator = Simulator(seed=0, strict=True)
+        network = Network(simulator, default_latency=1.0)
+        source = network.add_host("a", "10.0.0.1").bind(0)
+        network.add_host("b", "10.0.0.2")
+        network.add_host("c", "10.0.0.3", profile=OSProfile.fragment_filtering())
+        network.set_link_faults("10.0.0.1", "10.0.0.3", Duplication(1.0))
+        source.sendto(b"batched", "10.0.0.2", 53)
+        source.sendto(bytes(3000), "10.0.0.2", 53)
+        source.sendto(b"duplicated", "10.0.0.3", 53)
+        source.sendto(bytes(3000), "10.0.0.3", 53)
+        return simulator, network
+
+    def test_packet_laws_hold_in_flight_and_after_delivery(self):
+        simulator, network = self._packet_world()
+        simulator.run(until=0.5)  # every delivery still queued
+        simulator.run()
+        assert network.fault_stats().duplicated == 4  # 1 datagram + 3 fragments
+        assert network.host("10.0.0.3").stats.fragments_filtered == 6
+
+    def test_packet_laws_detect_a_lost_packet(self):
+        simulator, network = self._packet_world()
+        simulator.run()
+        network.packets_transmitted += 1  # a send that neither arrived nor dropped
+        with pytest.raises(InvariantViolation, match="packets not conserved"):
+            simulator.check_invariants()
+
+    def test_packet_laws_detect_accepted_corruption(self):
+        simulator, network = self._packet_world()
+        simulator.run()
+        network.host("10.0.0.2").stats.corrupted_accepted += 1
+        with pytest.raises(InvariantViolation, match="corrupted"):
             simulator.check_invariants()
 
     def test_spawn_named_rng_is_pure_and_does_not_shift_streams(self):

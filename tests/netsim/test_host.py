@@ -111,20 +111,12 @@ class TestPMTUDAndFragmentation:
         sender._handle_icmp(high, "x")
         assert sender.path_mtu("10.0.0.2") == 296
 
-    def test_hardened_profile_ignores_frag_needed(self):
-        sim, net, sender, receiver = build_pair()
-        hardened = net.add_host("hardened", "10.0.0.3", profile=OSProfile.hardened())
-        message = frag_needed(296)
-        message.metadata["about_destination"] = "10.0.0.2"
-        hardened._handle_icmp(message, "x")
-        assert hardened.path_mtu("10.0.0.2") == 1500
-
     def test_mtu_clamped_to_profile_minimum(self):
         sim, net, sender, receiver = build_pair()
         message = frag_needed(40)
         message.metadata["about_destination"] = "10.0.0.2"
         sender._handle_icmp(message, "x")
-        assert sender.path_mtu("10.0.0.2") == sender.profile.min_pmtu
+        assert sender.path_mtu("10.0.0.2") == 68  # the IPv4 minimum MTU
 
     def test_send_icmp_over_network(self):
         sim, net, sender, receiver = build_pair()
@@ -174,14 +166,9 @@ class TestChecksumEnforcement:
 
 class TestProfiles:
     def test_linux_profile_defaults(self):
-        profile = OSProfile.linux()
-        assert profile.reassembly_timeout == 30.0
-        assert profile.max_pending_fragments == 64
-
-    def test_windows_profiles(self):
-        assert OSProfile.windows().reassembly_timeout == 60.0
-        assert OSProfile.windows().max_pending_fragments == 100
-        assert OSProfile.windows_slow_expiry().reassembly_timeout == 120.0
+        sim, net, sender, receiver = build_pair(profile=OSProfile.linux())
+        assert receiver.defrag.timeout == 30.0
+        assert receiver.defrag.max_pending_per_peer == 64
 
     def test_fragment_filtering_profile_drops_fragments(self):
         sim, net, sender, receiver = build_pair(profile=OSProfile.fragment_filtering())

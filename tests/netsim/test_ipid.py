@@ -1,8 +1,6 @@
-"""Tests for IPID allocation policies."""
+"""Tests for the global IPID counter."""
 
-import numpy as np
-
-from repro.netsim.ipid import GlobalCounterIPID, PerDestinationIPID, RandomIPID
+from repro.netsim.ipid import GlobalCounterIPID
 
 
 class TestGlobalCounter:
@@ -17,13 +15,6 @@ class TestGlobalCounter:
         assert allocator.next_ipid("1.1.1.1") == 0xFFFF
         assert allocator.next_ipid("1.1.1.1") == 0
 
-    def test_custom_increment(self):
-        allocator = GlobalCounterIPID(start=0, increment=3)
-        assert [allocator.next_ipid("x") for _ in range(3)] == [0, 3, 6]
-
-    def test_is_predictable(self):
-        assert GlobalCounterIPID().predictable
-
     def test_off_path_sampling_predicts_victim_value(self):
         """The attack's core assumption: sampling from one destination
         predicts the value used for another destination."""
@@ -31,38 +22,3 @@ class TestGlobalCounter:
         observed = [allocator.next_ipid("attacker") for _ in range(3)]
         prediction = observed[-1] + 1
         assert allocator.next_ipid("victim-resolver") == prediction
-
-
-class TestPerDestination:
-    def test_separate_counters_per_destination(self):
-        allocator = PerDestinationIPID(rng=np.random.default_rng(0))
-        a_values = [allocator.next_ipid("a") for _ in range(3)]
-        b_values = [allocator.next_ipid("b") for _ in range(3)]
-        assert a_values[1] == (a_values[0] + 1) & 0xFFFF
-        assert b_values[0] != a_values[0]
-
-    def test_not_predictable(self):
-        assert not PerDestinationIPID().predictable
-
-    def test_sampling_one_destination_reveals_nothing_about_another(self):
-        allocator = PerDestinationIPID(rng=np.random.default_rng(1))
-        for _ in range(10):
-            allocator.next_ipid("attacker")
-        victim_value = allocator.next_ipid("victim")
-        attacker_next = allocator.next_ipid("attacker")
-        assert abs(victim_value - attacker_next) > 1  # independent streams
-
-
-class TestRandom:
-    def test_values_in_range(self):
-        allocator = RandomIPID(rng=np.random.default_rng(2))
-        values = [allocator.next_ipid("x") for _ in range(100)]
-        assert all(0 <= v <= 0xFFFF for v in values)
-
-    def test_not_predictable(self):
-        assert not RandomIPID().predictable
-
-    def test_values_are_spread_out(self):
-        allocator = RandomIPID(rng=np.random.default_rng(3))
-        values = [allocator.next_ipid("x") for _ in range(200)]
-        assert len(set(values)) > 150

@@ -7,7 +7,6 @@ from repro.ntp.pool import (
     PAPER_POOL_SIZE,
     PAPER_RATE_LIMIT_FRACTION,
     build_pool_population,
-    country_zone_names,
 )
 
 
@@ -55,10 +54,3 @@ class TestPopulationGeneration:
 
     def test_paper_pool_size_constant(self):
         assert PAPER_POOL_SIZE == 2432
-
-
-class TestCountryZones:
-    def test_country_zone_names(self):
-        names = country_zone_names()
-        assert "de.pool.ntp.org" in names
-        assert all(name.endswith("pool.ntp.org") for name in names)

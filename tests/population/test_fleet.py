@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.experiments.runner import ExperimentRunner, RunSpec
 from repro.experiments.scenarios import get_scenario
 from repro.population.fleet import run_fleet, spec_from_json
-from repro.population.spec import ChurnSpec, PopulationSpec
+from repro.population.spec import ChurnSpec, PopulationSpec, ResolverTopology
 
 
 def _small_spec(**overrides) -> PopulationSpec:
@@ -51,6 +51,28 @@ class TestRunFleet:
         )
         document = run_fleet(spec, seed=2)
         assert document["aggregate"]["total"] == 6
+
+    def test_fragment_dropping_resolver_defeats_the_attack(self):
+        """The fleet plants poisoned records straight into the resolver
+        cache, standing in for the fragment attack; a resolver that drops
+        fragments is immune to it (section III), so nothing is planted."""
+
+        def spec(resolver: ResolverTopology) -> PopulationSpec:
+            return PopulationSpec(
+                size=4,
+                client_mix={"ntpd": 0.5, "chrony": 0.5},
+                pool_size=16,
+                max_duration_hours=0.35,
+                resolver=resolver,
+            )
+
+        default = run_fleet(spec(ResolverTopology()), seed=3)
+        assert default["successes"] == 3
+        assert default["events_processed"] == 69476
+        assert default["packets_transmitted"] == 35454
+        filtering = run_fleet(spec(ResolverTopology(drops_fragments=True)), seed=3)
+        assert filtering["successes"] == 0
+        assert filtering["aggregate"]["total"] == 4
 
     def test_spec_from_json_memoises(self):
         text = _small_spec().to_json()
