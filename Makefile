@@ -47,12 +47,13 @@
 #   make reach         reach probe: runs every production surface (examples,
 #                      paper benchmarks, perfbench workloads, smoke CLIs,
 #                      store fsck/report) under a profiler and lists each
-#                      src/repro function none of them called that has no
-#                      entry in benchmarks/reach_allow.txt (one
+#                      src/repro function none of them called, and each
+#                      PopulationSpec/ChaosPlan field none of them set, that
+#                      has no entry in benchmarks/reach_allow.txt (one
 #                      path:qualname per line plus a reason naming the test
 #                      that pins it); prints "N unexplained" and exits 1
-#                      when N > 0, when an entry is stale (its function is
-#                      gone or now reached) or a surface fails (a perfbench
+#                      when N > 0, when an entry is stale (its function or
+#                      field is gone, reached or set) or a surface fails (a perfbench
 #                      surface also fails on "correct": false); exits 2,
 #                      reporting nothing, when src/ changed during the probe
 #                      (benchmarks/reach.py, several minutes)

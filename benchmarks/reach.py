@@ -27,14 +27,23 @@ landscape and chaos smoke CLIs, and the run-store CLI's ``fsck``,
 repro.experiments``) on the stores those two CLIs write.  The CLI stores and all profiles live in a temporary directory that
 is removed on exit.
 
+The probe also records which top-level fields of every
+:class:`~repro.population.spec.PopulationSpec` a surface hands to
+``run_fleet`` and every :class:`~repro.population.chaos.ChaosPlan` it
+hands to ``compile_chaos`` differ from the class defaults.  It lists the
+fields no surface sets; each needs an allowlist entry in the same form
+(``src/repro/<path>:<Class>.<field>`` and a reason naming the test that
+pins the field), and an entry for a field a surface now sets is stale.
+
 Not observed: code that runs only in another process the surfaces start.
 That is the process-pool workers of the experiment engine
 (``_execute_chunk``) and the fresh interpreters of
 the benchmark's setup probe; their allowlist entries say so.
 
 Takes several minutes; surfaces run two at a time.  The exit status is 1
-when any function is unexplained, when an allowlist entry is stale (its
-function no longer exists, or a surface now reaches it), or when a surface
+when any function or never-set field is unexplained, when an allowlist
+entry is stale (its function or field no longer exists, or a surface now
+reaches or sets it), or when a surface
 fails, since its reach would then be incomplete; 0 otherwise.  A
 benchmark-of-record surface also fails when its last line does not read
 ``"correct": true`` (``benchmarks/perfbench_check.py``).  Functions are
@@ -71,19 +80,42 @@ PARALLEL = 2
 PERFBENCH_SECONDS = "1"
 #: The microbenchmark is a timing harness, not a paper artefact.
 NOT_A_SURFACE = ("bench_micro_netsim.py",)
+#: The declarative classes whose top-level fields the probe lists; ``RUNS``
+#: in ``BOOTSTRAP`` names the entry point through which a surface runs each.
+SPEC_CLASSES = (
+    ("population/spec.py", "PopulationSpec"),
+    ("population/chaos.py", "ChaosPlan"),
+)
 
 #: Runs ``argv[2]`` (a script path, or ``-m`` and a module) with the
-#: remaining arguments under a profiler and writes the entered code objects
-#: defined under ``src/repro`` to ``argv[1]`` as JSON.
+#: remaining arguments under a profiler and writes to ``argv[1]`` as JSON
+#: the entered code objects defined under ``src/repro`` (``entered``) and
+#: the fields of the specs and plans run that differ from their class
+#: defaults (``set_fields``).
 BOOTSTRAP = r"""
-import json, os, runpy, sys, threading
+import dataclasses, json, os, runpy, sys, threading
 
 out, package = sys.argv[1], sys.argv[2]
+RUNS = {"run_fleet": "spec", "compile_chaos": "plan"}
 seen = set()
+runs = set()
 
 def profile(frame, event, arg):
     if event == "call":
-        seen.add(frame.f_code)
+        code = frame.f_code
+        seen.add(code)
+        if code.co_name in RUNS and code.co_filename.startswith(package):
+            runs.add(frame.f_locals[RUNS[code.co_name]])
+
+def set_fields(spec):
+    cls = type(spec)
+    path = os.path.relpath(sys.modules[cls.__module__].__file__, package)
+    default = cls()
+    return {
+        f"src/repro/{path}:{cls.__name__}.{field.name}"
+        for field in dataclasses.fields(spec)
+        if getattr(spec, field.name) != getattr(default, field.name)
+    }
 
 def dump():
     entered = sorted(
@@ -93,8 +125,9 @@ def dump():
             if code.co_filename.startswith(package)
         }
     )
+    fields = sorted(set().union(*map(set_fields, runs)))
     with open(out, "w") as handle:
-        json.dump(entered, handle)
+        json.dump({"entered": entered, "set_fields": fields}, handle)
 
 if sys.argv[3] == "-m":
     sys.argv = [sys.argv[4]] + sys.argv[5:]
@@ -157,6 +190,23 @@ def defined_functions() -> dict[tuple[str, int, str], tuple[str, int]]:
 
         visit(tree, "")
     return functions
+
+
+def spec_fields() -> set[str]:
+    """Every top-level field of :data:`SPEC_CLASSES`, named like an
+    allowlist entry: ``src/repro/<path>:<Class>.<field>``."""
+    names = set()
+    for path, name in SPEC_CLASSES:
+        with open(os.path.join(PACKAGE, path), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), path)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == name:
+                names.update(
+                    f"src/repro/{path}:{name}.{statement.target.id}"
+                    for statement in node.body
+                    if isinstance(statement, ast.AnnAssign)
+                )
+    return names
 
 
 def load_allowlist(path: str = ALLOW) -> dict[str, str]:
@@ -241,9 +291,10 @@ def store_readers(scratch: str) -> list:
     return readers
 
 
-def probe(label: str, command: list, out: str) -> tuple[str, int, list]:
-    """Run one surface under the profiler; its exit status and entered
-    functions.  A benchmark-of-record surface whose last line does not read
+def probe(label: str, command: list, out: str) -> tuple[str, int, dict]:
+    """Run one surface under the profiler; its exit status and what it
+    reached: ``{"entered": [...], "set_fields": [...]}``.  A
+    benchmark-of-record surface whose last line does not read
     ``"correct": true`` counts as failed (status 1)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -256,24 +307,26 @@ def probe(label: str, command: list, out: str) -> tuple[str, int, list]:
         text=True,
         check=False,
     )
-    entered = []
+    reached = {"entered": [], "set_fields": []}
     if os.path.exists(out):
         with open(out) as handle:
-            entered = [tuple(record) for record in json.load(handle)]
+            reached = json.load(handle)
     status = process.returncode
     if status:
         sys.stderr.write(f"{label}: exit {status}\n{process.stderr[-2000:]}\n")
     elif label.startswith("perfbench ") and not reads_correct(process.stdout):
         status = 1
         sys.stderr.write(f'{label}: last line does not read "correct": true\n')
-    return label, status, entered
+    return label, status, reached
 
 
 def main() -> int:
     fingerprint = source_fingerprint()
     functions = defined_functions()
+    fields = spec_fields()
     allow = load_allowlist()
     called: set = set()
+    set_fields: set = set()
     failed = []
     ran = 0
     with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
@@ -288,11 +341,12 @@ def main() -> int:
                     for index, (label, command) in enumerate(group)
                 ]
                 for job in jobs:
-                    label, status, entered = job.result()
+                    label, status, reached = job.result()
                     print(f"ran {label}: exit {status}", file=sys.stderr)
                     if status:
                         failed.append(label)
-                    called.update(entered)
+                    called.update(tuple(record) for record in reached["entered"])
+                    set_fields.update(reached["set_fields"])
     if source_fingerprint() != fingerprint:
         print("sources changed while probing; rerun")
         return 2
@@ -300,11 +354,16 @@ def main() -> int:
     unexplained = [key for key in never if function_name(key, functions) not in allow]
     defined = {function_name(key, functions) for key in functions}
     unreached = {function_name(key, functions) for key in never}
-    stale = [
-        f"{name}: no such function" if name not in defined else f"{name}: now reached"
-        for name in allow
-        if name not in unreached
-    ]
+    never_set = sorted(fields - set_fields)
+    unexplained_fields = [name for name in never_set if name not in allow]
+    stale = []
+    for name in allow:
+        if name in fields:
+            if name in set_fields:
+                stale.append(f"{name}: now set by a surface")
+        elif name not in unreached:
+            gone = name not in defined
+            stale.append(f"{name}: {'no such function' if gone else 'now reached'}")
     for key in unexplained:
         qualname, lines = functions[key]
         print(f"src/repro/{key[0]}:{key[1]}  {qualname}  ({lines} lines)")
@@ -314,12 +373,15 @@ def main() -> int:
         f"({lines:,} lines) by {ran} surfaces; "
         f"{len(never) - len(unexplained)} of them allowlisted"
     )
+    print(f"{len(never_set)} of {len(fields)} spec and plan fields no surface sets:")
+    for name in never_set:
+        print(f"  {name}{'' if name in allow else '  (unexplained)'}")
     for entry in stale:
         print(f"stale allowlist entry {entry}")
-    print(f"{len(unexplained)} unexplained")
+    print(f"{len(unexplained) + len(unexplained_fields)} unexplained")
     if failed:
         print(f"incomplete: {len(failed)} surfaces failed: {', '.join(failed)}")
-    return 1 if unexplained or stale or failed else 0
+    return 1 if unexplained or unexplained_fields or stale or failed else 0
 
 
 if __name__ == "__main__":

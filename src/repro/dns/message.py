@@ -39,8 +39,6 @@ DECODE_CACHE_MAX_ENTRIES = 2048
 #: replayed payloads that differ only in TXID (the poisoning flood, repeated
 #: client queries) share one parse.
 _DECODE_CACHE: dict[bytes, "DNSMessage"] = {}
-#: Typical EDNS0 advertised size; responses beyond this are truncated or fragmented.
-EDNS_UDP_PAYLOAD = 4096
 
 
 class ResponseCode(IntEnum):

@@ -139,9 +139,10 @@ def population_fleet(spec_json: str, seed: int = 0) -> dict[str, Any]:
     generated, simulated on one shared network/heap, and folded into a
     constant-memory streaming aggregate (see :mod:`repro.population.fleet`).
     """
-    from repro.population.fleet import run_fleet, spec_from_json
+    from repro.population.fleet import run_fleet
+    from repro.population.spec import PopulationSpec
 
-    return run_fleet(spec_from_json(spec_json), seed=seed)
+    return run_fleet(PopulationSpec.from_json(spec_json), seed=seed)
 
 
 @scenario("population_landscape")
@@ -161,10 +162,12 @@ def population_landscape(
     JSON) makes the grid legible in store manifests and reports.  Cells
     carry no per-client rows.
     """
-    from repro.population.fleet import run_fleet, spec_from_json
+    from repro.population.fleet import run_fleet
     from repro.population.landscape import apply_axis
+    from repro.population.spec import PopulationSpec
 
-    spec = apply_axis(apply_axis(spec_from_json(spec_json), axis_x, x), axis_y, y)
+    spec = PopulationSpec.from_json(spec_json)
+    spec = apply_axis(apply_axis(spec, axis_x, x), axis_y, y)
     result = run_fleet(spec, seed=seed, detail_limit=0)
     result["axis_x"] = axis_x
     result["x"] = x
@@ -191,11 +194,14 @@ def population_chaos(
     ``checkpoint`` is the ordinal within the campaign (carried through to
     the stored record; the simulation ignores it).
     """
-    from repro.population.chaos import plan_from_json, run_chaos_checkpoint
-    from repro.population.fleet import spec_from_json
+    from repro.population.chaos import ChaosPlan, run_chaos_checkpoint
+    from repro.population.spec import PopulationSpec
 
     result = run_chaos_checkpoint(
-        spec_from_json(spec_json), plan_from_json(plan_json), seed=seed, until=until
+        PopulationSpec.from_json(spec_json),
+        ChaosPlan.from_json(plan_json),
+        seed=seed,
+        until=until,
     )
     result["checkpoint"] = checkpoint
     return result

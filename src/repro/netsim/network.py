@@ -257,34 +257,27 @@ class Network:
             self._fault_epochs[pair] = self._fault_epochs.get(pair, 0) + 1
         return self.set_link_faults(ip_a, ip_b, *components)
 
-    def apply_fault_schedule(
-        self, ip_a: str, ip_b: str, schedule, extra: tuple = ()
-    ) -> None:
+    def apply_fault_schedule(self, ip_a: str, ip_b: str, schedule) -> None:
         """Attach a :class:`~repro.netsim.faults.FaultSchedule` to a link.
 
         Entries at or before the current instant apply immediately via
         :meth:`set_link_faults`; later entries become simulator events
-        firing :meth:`swap_link_faults` at their absolute times.  ``extra``
-        components (e.g. the client's base fault regime from its
-        population spec) are composed into *every* entry's plan, so a
-        scheduled chaos overlay layers on top of — rather than silently
-        clearing — the link's standing faults.  An inert schedule attaches
-        nothing and schedules nothing: fault-free runs stay bit-identical.
+        firing :meth:`swap_link_faults` at their absolute times.  An inert
+        schedule attaches nothing and schedules nothing: fault-free runs
+        stay bit-identical.
         """
         if schedule.is_inert:
             return
-        extra = tuple(extra)
         now = self.simulator.now
         for time, components in schedule.entries:
-            merged = extra + tuple(components)
             if time <= now:
-                self.set_link_faults(ip_a, ip_b, *merged)
+                self.set_link_faults(ip_a, ip_b, *components)
             else:
                 self.simulator.schedule(
                     time - now,
                     self.swap_link_faults,
                     label="fault-regime-swap",
-                    args=(ip_a, ip_b, *merged),
+                    args=(ip_a, ip_b, *components),
                 )
 
     def fault_channel(self, src: str, dst: str) -> Optional[FaultChannel]:
@@ -479,9 +472,9 @@ class Network:
         Packets addressed to unknown destinations are silently dropped, like
         the real Internet does for unrouted addresses — unless the network
         was built with ``strict_routing=True``, in which case a typed
-        :class:`NoRouteError` is raised.
+        :class:`NoRouteError` is raised before the packet counts as sent,
+        so a caller that catches it keeps the packet laws.
         """
-        self.packets_transmitted += 1
         pipeline = self._pipelines.get((packet.src, packet.dst))
         if pipeline is None:
             pipeline = self._compile_pipeline(packet.src, packet.dst)
@@ -489,8 +482,10 @@ class Network:
         if deliver is None:
             if self.strict_routing:
                 raise NoRouteError(f"no host at {packet.dst}")
+            self.packets_transmitted += 1
             self.packets_dropped += 1
             return
+        self.packets_transmitted += 1
         if pipeline.loss_probability > 0 and self._rng.random() < pipeline.loss_probability:
             self.packets_dropped += 1
             return

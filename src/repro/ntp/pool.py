@@ -42,7 +42,6 @@ class PoolServerSpec:
     #: Ground truth only (``open_config_fraction``): no simulated server
     #: answers mode 6/7 configuration queries.
     open_config: bool
-    country_zone: str
 
 
 @dataclass
@@ -74,10 +73,6 @@ class PoolPopulation:
         if not self.specs:
             return 0.0
         return sum(spec.open_config for spec in self.specs) / len(self.specs)
-
-
-#: Country zones used to label the synthetic servers (shape only).
-_COUNTRY_ZONES = ["de", "us", "fr", "gb", "nl", "jp", "br", "au", "in", "se"]
 
 
 def build_pool_population(
@@ -125,7 +120,6 @@ def build_pool_population(
             rate_limiting=index in limiter_indices,
             sends_kod=index in kod_indices,
             open_config=index in open_config_indices,
-            country_zone=_COUNTRY_ZONES[index % len(_COUNTRY_ZONES)],
         )
         population.specs.append(spec)
         if not instantiate_servers:

@@ -5,15 +5,19 @@ victims experience.  A :class:`ChaosPlan` describes those conditions the
 way :class:`~repro.population.spec.PopulationSpec` describes the fleet —
 declaratively, frozen, canonically serialisable — in three layers:
 
-* **correlation groups** — named client clusters (AS-like failure
-  domains) assigned by a named RNG stream, whose links share every
-  outage;
+* **correlation groups** — a weighted mix of named client clusters
+  (AS-like failure domains), assigned by a named RNG stream like every
+  other mix, whose links share every outage;
 * **phased regimes** — a timeline of named phases, each mapping groups to
   fault regimes; the compiler turns them into per-link
   :class:`~repro.netsim.faults.FaultSchedule` swap sequences (applied and
   retired via :meth:`~repro.netsim.network.Network.swap_link_faults`);
 * **a campaign horizon** — total simulated duration plus checkpoint
   cadence.
+
+Plans share the specs' canonical codec
+(:class:`~repro.population.spec.Declarative`): ``ChaosPlan.from_json``
+is memoised, and ``ChaosPlan.digest`` keys every stored checkpoint.
 
 :func:`compile_chaos` is pure: ``(plan, size, seed)`` maps to per-client
 group labels and per-client schedules, and an empty (or all-clean) plan
@@ -42,20 +46,20 @@ group, end-to-end through the run store.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional
 
 from repro.netsim.faults import FaultSchedule
 from repro.population.generate import _draw_mix
 from repro.population.spec import (
-    BUILTIN_FAULT_REGIMES,
     WINDOWED_FAULT_KINDS,
+    Declarative,
     FaultRegimeSpec,
+    Mix,
     PopulationSpec,
     SpecError,
+    _as_mix,
+    regime_table,
 )
 
 #: The named generation stream assigning clients to correlation groups
@@ -68,29 +72,15 @@ class ChaosError(SpecError):
 
 
 @dataclass(frozen=True)
-class CorrelationGroup:
-    """One named failure domain; clients are assigned by weighted draw."""
-
-    name: str
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ChaosError("correlation group name must not be empty")
-        if self.weight <= 0:
-            raise ChaosError(
-                f"group {self.name!r} weight must be > 0, got {self.weight}"
-            )
-
-
-@dataclass(frozen=True)
-class ChaosPhase:
+class ChaosPhase(Declarative):
     """One regime window: for ``duration`` seconds, groups map to regimes.
 
     ``regimes`` is ``((group, regime), ...)``; groups not listed run clean
     for the phase.  Phase windows tile the campaign timeline back to back
     starting at ``t = 0`` on the simulator clock.
     """
+
+    error = ChaosError
 
     name: str
     duration: float
@@ -117,7 +107,7 @@ class ChaosPhase:
 
 
 @dataclass(frozen=True)
-class CampaignHorizon:
+class CampaignHorizon(Declarative):
     """How long the campaign simulates and how often it checkpoints.
 
     ``duration == 0`` means "the sum of the phase durations"; a positive
@@ -125,6 +115,8 @@ class CampaignHorizon:
     healed).  ``checkpoint_every == 0`` checkpoints at phase boundaries
     only; a positive cadence adds checkpoints at every multiple.
     """
+
+    error = ChaosError
 
     duration: float = 0.0
     checkpoint_every: float = 0.0
@@ -138,35 +130,43 @@ class CampaignHorizon:
 
 
 @dataclass(frozen=True)
-class ChaosPlan:
+class ChaosPlan(Declarative):
     """The full declarative description of one chaos campaign.
 
     Frozen and canonically serialisable (:meth:`to_json`, :meth:`digest`)
     exactly like :class:`~repro.population.spec.PopulationSpec`, so plans
-    ride inside run-spec parameters and key caches.  ``regimes`` reuses
+    ride inside run-spec parameters and key caches.  ``groups`` is a
+    weighted :data:`~repro.population.spec.Mix` of named failure domains
+    (every weight > 0).  ``regimes`` reuses
     :class:`~repro.population.spec.FaultRegimeSpec` — inside a phase the
     windowed kinds interpret ``start`` as an offset into the phase and
     ``duration == 0`` as "the rest of the phase".
     """
 
-    groups: tuple[CorrelationGroup, ...] = ()
+    label = "chaos plan"
+    error = ChaosError
+
+    groups: Mix = ()
     regimes: tuple[FaultRegimeSpec, ...] = ()
     phases: tuple[ChaosPhase, ...] = ()
     horizon: CampaignHorizon = field(default_factory=CampaignHorizon)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "groups", tuple(self.groups))
+        groups = _as_mix(self.groups, "chaos groups", ChaosError) if self.groups else ()
+        object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "regimes", tuple(self.regimes))
         object.__setattr__(self, "phases", tuple(self.phases))
-        for collection, what in ((self.groups, "group"), (self.regimes, "regime")):
+        for name, weight in self.groups:
+            if not name:
+                raise ChaosError("correlation group name must not be empty")
+            if weight <= 0:
+                raise ChaosError(f"group {name!r} weight must be > 0, got {weight}")
+        for collection, what in ((self.regimes, "regime"), (self.phases, "phase")):
             names = [entry.name for entry in collection]
             if len(names) != len(set(names)):
                 raise ChaosError(f"chaos plan declares a {what} name twice")
-        phase_names = [phase.name for phase in self.phases]
-        if len(phase_names) != len(set(phase_names)):
-            raise ChaosError("chaos plan declares a phase name twice")
-        group_names = {group.name for group in self.groups}
-        regime_names = set(self.regime_table())
+        group_names = {name for name, _weight in self.groups}
+        regime_names = set(regime_table(self.regimes))
         for phase in self.phases:
             for group, regime in phase.regimes:
                 if group not in group_names:
@@ -187,12 +187,6 @@ class ChaosPlan:
             )
 
     # --------------------------------------------------------------- lookups
-    def regime_table(self) -> dict[str, FaultRegimeSpec]:
-        """Built-in fault regimes overlaid with the plan's own declarations."""
-        table = dict(BUILTIN_FAULT_REGIMES)
-        table.update({regime.name: regime for regime in self.regimes})
-        return table
-
     def total_duration(self) -> float:
         """The campaign horizon (0 = no timeline: run the natural length)."""
         return self.horizon.duration or sum(
@@ -227,96 +221,6 @@ class ChaosPlan:
                 tick += cadence
         return tuple(sorted(times))
 
-    # --------------------------------------------------------- serialisation
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "groups": [[group.name, group.weight] for group in self.groups],
-            "regimes": [
-                {
-                    "name": r.name,
-                    "kind": r.kind,
-                    "probability": r.probability,
-                    "magnitude": r.magnitude,
-                    "start": r.start,
-                    "duration": r.duration,
-                }
-                for r in self.regimes
-            ],
-            "phases": [
-                {
-                    "name": phase.name,
-                    "duration": phase.duration,
-                    "regimes": [[g, r] for g, r in phase.regimes],
-                }
-                for phase in self.phases
-            ],
-            "horizon": {
-                "duration": self.horizon.duration,
-                "checkpoint_every": self.horizon.checkpoint_every,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, document: Mapping[str, Any]) -> "ChaosPlan":
-        known = {f.name for f in fields(cls)}
-        unknown = set(document) - known
-        if unknown:
-            raise ChaosError(f"unknown chaos plan fields: {sorted(unknown)}")
-        kwargs: dict[str, Any] = {}
-        if "groups" in document:
-            try:
-                kwargs["groups"] = tuple(
-                    CorrelationGroup(str(name), float(weight))
-                    for name, weight in document["groups"]
-                )
-            except (TypeError, ValueError) as exc:
-                raise ChaosError(
-                    f"chaos groups must be (name, weight) pairs: "
-                    f"{document['groups']!r}"
-                ) from exc
-        if "regimes" in document:
-            kwargs["regimes"] = tuple(
-                FaultRegimeSpec(**dict(r)) for r in document["regimes"]
-            )
-        if "phases" in document:
-            kwargs["phases"] = tuple(
-                ChaosPhase(
-                    name=str(p["name"]),
-                    duration=float(p["duration"]),
-                    regimes=tuple(
-                        (g, r) for g, r in p.get("regimes", ())
-                    ),
-                )
-                for p in document["phases"]
-            )
-        if "horizon" in document:
-            kwargs["horizon"] = CampaignHorizon(**dict(document["horizon"]))
-        return cls(**kwargs)
-
-    def to_json(self) -> str:
-        """Canonical JSON (sorted keys) — the form carried in run specs."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChaosPlan":
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ChaosError(f"chaos plan is not valid JSON: {exc}") from exc
-        if not isinstance(document, dict):
-            raise ChaosError("chaos plan JSON must be an object")
-        return cls.from_dict(document)
-
-    def digest(self) -> str:
-        """Content hash of the canonical serialisation (stable across runs)."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:16]
-
-
-@lru_cache(maxsize=64)
-def plan_from_json(text: str) -> ChaosPlan:
-    """Parse (and cache) a canonical plan-JSON string (worker hot path)."""
-    return ChaosPlan.from_json(text)
-
 
 # ------------------------------------------------------------------ compiler
 @dataclass(frozen=True)
@@ -349,8 +253,7 @@ def assign_groups(plan: ChaosPlan, size: int, seed: int) -> tuple[str, ...]:
     """
     if not plan.groups:
         return ("",) * size
-    mix = {group.name: group.weight for group in plan.groups}
-    return tuple(_draw_mix(mix, size, seed, GROUP_STREAM))
+    return tuple(_draw_mix(dict(plan.groups), size, seed, GROUP_STREAM))
 
 
 def _phase_components(
@@ -381,7 +284,7 @@ def _group_schedule(plan: ChaosPlan, group: str) -> Optional[FaultSchedule]:
     through every phase gets **no** schedule — nothing is attached, nothing
     is scheduled, and the run stays bit-identical to a chaos-free fleet.
     """
-    table = plan.regime_table()
+    table = regime_table(plan.regimes)
     entries: list[tuple[float, tuple]] = []
     current: tuple = ()
     cursor = 0.0
@@ -408,9 +311,7 @@ def _group_schedule(plan: ChaosPlan, group: str) -> Optional[FaultSchedule]:
 def compile_chaos(plan: ChaosPlan, size: int, seed: int) -> ChaosCompilation:
     """Pure compile: per-client group labels and per-client fault schedules."""
     group_of = assign_groups(plan, size, seed)
-    by_group = {
-        group.name: _group_schedule(plan, group.name) for group in plan.groups
-    }
+    by_group = {name: _group_schedule(plan, name) for name, _weight in plan.groups}
     schedules = {
         index: by_group[label]
         for index, label in enumerate(group_of)
@@ -578,7 +479,7 @@ def resume_chaos_campaign(
         raise ChaosError(f"sweep {sweep_id!r} has no campaign specs to resume")
     params = specs[0].kwargs()
     spec = PopulationSpec.from_json(params["spec_json"])
-    plan = plan_from_json(params["plan_json"])
+    plan = ChaosPlan.from_json(params["plan_json"])
     seed = int(params.get("seed", 0))
     name = store.manifest(sweep_id).get("name", sweep_id)
     outcomes = runner.resume_stored(store, sweep_id, specs)
@@ -594,10 +495,7 @@ def smoke_plan() -> ChaosPlan:
     storm so the degradation report shows calm → storm → healed.
     """
     return ChaosPlan(
-        groups=(
-            CorrelationGroup("as-east", 0.5),
-            CorrelationGroup("as-west", 0.5),
-        ),
+        groups=(("as-east", 0.5), ("as-west", 0.5)),
         regimes=(FaultRegimeSpec("blackout", kind="partition"),),
         phases=(
             ChaosPhase("calm", 900.0),
@@ -655,12 +553,10 @@ __all__ = [
     "ChaosError",
     "ChaosPhase",
     "ChaosPlan",
-    "CorrelationGroup",
     "GROUP_STREAM",
     "assign_groups",
     "campaign_specs",
     "compile_chaos",
-    "plan_from_json",
     "resume_chaos_campaign",
     "run_chaos_campaign",
     "run_chaos_checkpoint",

@@ -18,14 +18,16 @@ determinism suite compares it against, cell for cell.
 
 Clients attach through :meth:`repro.testbed.LabTestbed.add_client`
 (``victim-<n>`` at ``VICTIM_BASE_IP + n``); the fleet then sets each
-client's access link, fault regime and any chaos schedule on its
-upstream links.
+client's access link on its upstream links and attaches one
+:class:`~repro.netsim.faults.FaultSchedule` to them: the client's static
+fault regime from t=0, composed into every entry of its chaos schedule.
+Run specs carry the spec as canonical JSON;
+:meth:`~repro.population.spec.Declarative.from_json` memoises the parse.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import lru_cache
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.core.run_time import RunTimeAttack, RunTimeScenario
@@ -43,18 +45,8 @@ from repro.netsim.network import Link
 from repro.ntp.clients import CLIENT_REGISTRY
 from repro.population.aggregate import StreamingAggregate
 from repro.population.generate import ClientManifest, generate_fleet
-from repro.population.spec import FaultRegimeSpec, PopulationSpec
+from repro.population.spec import FaultRegimeSpec, PopulationSpec, regime_table
 from repro.testbed import RESOLVER_IP, LabTestbed, TestbedConfig, build_testbed
-
-@lru_cache(maxsize=64)
-def spec_from_json(text: str) -> PopulationSpec:
-    """Parse (and cache) a canonical spec-JSON string.
-
-    Worker processes receive specs as JSON run-spec parameters; every
-    cell of a landscape or campaign chunk carries the same base spec, so
-    the parse is memoised on the exact string.
-    """
-    return PopulationSpec.from_json(text)
 
 
 def _fault_components(regime: FaultRegimeSpec) -> tuple:
@@ -106,8 +98,9 @@ def _attach_client(
     """Add one fleet client, then set its upstream links.
 
     Each link to the resolver and to every pool server gets the client's
-    access-link profile, its static fault regime, and ``schedule`` (a
-    chaos campaign's per-client schedule) composed on top of that regime.
+    access-link profile and one fault schedule: its static fault regime
+    at t=0, composed into every entry of ``schedule`` (a chaos campaign's
+    per-client schedule), so chaos layers on top of the regime.
     """
     client_class = CLIENT_REGISTRY[manifest.client_type]
     config = None
@@ -127,15 +120,18 @@ def _attach_client(
     link = None
     if profile.latency != testbed.config.link_latency or profile.loss:
         link = Link(latency=profile.latency, loss_probability=profile.loss)
-    components = _fault_components(spec.fault_regime_table()[manifest.fault_regime])
+    static = _fault_components(regime_table(spec.fault_regimes)[manifest.fault_regime])
+    chaos = schedule.entries if schedule is not None else ()
+    entries = [(time, static + components) for time, components in chaos]
+    if static and (not entries or entries[0][0] > 0.0):
+        entries.insert(0, (0.0, static))
+    faults = FaultSchedule(entries) if entries else None
     ip = client.host.ip
     for upstream in (RESOLVER_IP, *testbed.pool.addresses):
         if link is not None:
             network.set_link(ip, upstream, link)
-        if components:
-            network.set_link_faults(ip, upstream, *components)
-        if schedule is not None:
-            network.apply_fault_schedule(ip, upstream, schedule, extra=components)
+        if faults is not None:
+            network.apply_fault_schedule(ip, upstream, faults)
     return client
 
 
@@ -308,4 +304,4 @@ def run_fleet(
     return document
 
 
-__all__ = ["run_fleet", "spec_from_json"]
+__all__ = ["run_fleet"]

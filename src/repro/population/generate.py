@@ -91,8 +91,7 @@ def _noise_draws(layer: NoiseLayer, ordinal: int, seed: int, n: int) -> np.ndarr
     if layer.kind == "normal":
         return stream.normal(0.0, layer.scale, size=n)
     # lognormal: returned as exp(N(0, scale)) - 1 so that "no noise" is 0,
-    # matching the additive convention of the other kinds; the poll path
-    # re-centres it multiplicatively below.
+    # matching the additive convention of the other kinds.
     return np.exp(stream.normal(0.0, layer.scale, size=n)) - 1.0
 
 
@@ -132,9 +131,7 @@ def generate_fleet(spec: PopulationSpec, seed: int) -> FleetManifest:
         if layer.scale == 0.0:
             continue
         draws = _noise_draws(layer, ordinal, seed, n)
-        if layer.attribute == "poll_interval":
-            multipliers = np.maximum(0.05, multipliers * (1.0 + draws))
-        elif layer.attribute == "initial_clock_offset":
+        if layer.attribute == "initial_clock_offset":
             offsets = offsets + draws
         else:  # join_time
             join_times = np.maximum(0.0, join_times + draws)

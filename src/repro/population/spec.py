@@ -7,10 +7,14 @@ topology — plus per-attribute noise layers, all frozen and hashable so a
 spec can key caches and ride inside picklable
 :class:`~repro.experiments.runner.RunSpec` parameters (as canonical JSON).
 
-Specs are built in code (or from a plain mapping via
-:meth:`PopulationSpec.from_dict`) and round-trip through
-:meth:`PopulationSpec.to_json` / :meth:`PopulationSpec.from_json`.  The
-default client mix comes from the paper-reported marginals in
+Every spec here, and :class:`~repro.population.chaos.ChaosPlan`, shares
+one codec, :class:`Declarative`: fields become a dict (tuples become
+lists), :meth:`~Declarative.from_dict` rebuilds nested specs from the
+type hints, and :meth:`~Declarative.from_json` is memoised on the exact
+string, so every cell of a landscape or campaign chunk parses its base
+spec once.  The canonical JSON and its :meth:`~Declarative.digest` key
+every stored fleet, landscape cell and chaos checkpoint.  The default
+client mix comes from the paper-reported marginals in
 :mod:`repro.measurement.population` — the documented single source of
 default shares (a cross-check test keeps the per-class
 ``pool_usage_share`` attributes in sync with it).
@@ -24,12 +28,21 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any, Mapping
+from functools import lru_cache
+from typing import (
+    Any,
+    ClassVar,
+    Iterable,
+    Mapping,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from repro.measurement.population import default_client_mix
 
 #: Attributes noise layers may perturb (see :mod:`repro.population.generate`).
-NOISE_ATTRIBUTES = ("poll_interval", "initial_clock_offset", "join_time")
+NOISE_ATTRIBUTES = ("initial_clock_offset", "join_time")
 #: Supported noise distributions.
 NOISE_KINDS = ("uniform", "normal", "lognormal")
 #: Supported fault-regime kinds (mapped onto :mod:`repro.netsim.faults`).
@@ -53,7 +66,7 @@ class SpecError(ValueError):
     """A population spec is internally inconsistent or unloadable."""
 
 
-def _as_mix(value: Any, what: str) -> Mix:
+def _as_mix(value: Any, what: str, error: type[SpecError] = SpecError) -> Mix:
     """Coerce a mapping / pair-sequence into a validated ``Mix`` tuple."""
     if isinstance(value, Mapping):
         pairs = list(value.items())
@@ -61,35 +74,98 @@ def _as_mix(value: Any, what: str) -> Mix:
         try:
             pairs = [(name, weight) for name, weight in value]
         except (TypeError, ValueError) as exc:
-            raise SpecError(
+            raise error(
                 f"{what} must be a mapping or (name, weight) pairs: {value!r}"
             ) from exc
     if not pairs:
-        raise SpecError(f"{what} must not be empty")
+        raise error(f"{what} must not be empty")
     mix = []
     seen = set()
     for name, weight in pairs:
         name = str(name)
         weight = float(weight)
         if name in seen:
-            raise SpecError(f"{what} lists {name!r} twice")
+            raise error(f"{what} lists {name!r} twice")
         if weight < 0:
-            raise SpecError(f"{what} weight for {name!r} is negative: {weight}")
+            raise error(f"{what} weight for {name!r} is negative: {weight}")
         seen.add(name)
         mix.append((name, weight))
     if not any(weight for _, weight in mix):
-        raise SpecError(f"{what} weights sum to zero")
+        raise error(f"{what} weights sum to zero")
     return tuple(mix)
 
 
+def _encode(value: Any) -> Any:
+    if isinstance(value, Declarative):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value
+
+
+def _decode(hint: Any, value: Any) -> Any:
+    """Rebuild the nested specs of one field; pass every other value on to
+    the owning class's ``__post_init__``, which coerces and validates it."""
+    if isinstance(hint, type) and issubclass(hint, Declarative):
+        return hint.from_dict(value)
+    args = get_args(hint)
+    if get_origin(hint) is tuple and args[-1] is Ellipsis:
+        return tuple(_decode(args[0], item) for item in value)
+    return value
+
+
+class Declarative:
+    """The canonical codec of a frozen declarative dataclass.
+
+    Subclasses may set :attr:`label` (the noun in load errors; the class
+    name by default) and :attr:`error` (the exception they raise).
+    """
+
+    label: ClassVar[str] = ""
+    error: ClassVar[type[SpecError]] = SpecError
+
+    def to_dict(self) -> dict[str, Any]:
+        return _encode(self)
+
+    @classmethod
+    def from_dict(cls, document: Mapping[str, Any]):
+        what = cls.label or cls.__name__
+        if not isinstance(document, Mapping):
+            raise cls.error(f"{what} must be an object, got {document!r}")
+        unknown = set(document) - {f.name for f in fields(cls)}
+        if unknown:
+            raise cls.error(f"unknown {what} fields: {sorted(unknown)}")
+        hints = get_type_hints(cls)
+        return cls(
+            **{name: _decode(hints[name], value) for name, value in document.items()}
+        )
+
+    def to_json(self) -> str:
+        """Canonical JSON (sorted keys) — the form carried in run specs."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
+    @classmethod
+    @lru_cache(maxsize=64)
+    def from_json(cls, text: str):
+        """Parse a canonical JSON string, memoised on the exact string."""
+        try:
+            document = json.loads(text)
+        except json.JSONDecodeError as exc:
+            what = cls.label or cls.__name__
+            raise cls.error(f"{what} is not valid JSON: {exc}") from exc
+        return cls.from_dict(document)
+
+    def digest(self) -> str:
+        """Content hash of the canonical serialisation (stable across runs)."""
+        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:16]
+
+
 @dataclass(frozen=True)
-class NoiseLayer:
+class NoiseLayer(Declarative):
     """One seeded perturbation of a generated attribute.
 
-    ``poll_interval`` noise applies multiplicatively (clipped positive);
-    ``initial_clock_offset`` and ``join_time`` noise applies additively
-    (join times clipped at zero).  Layers stack in declaration order, each
-    drawing from its own named stream.
+    Noise applies additively (join times clipped at zero).  Layers stack
+    in declaration order, each drawing from its own named stream.
     """
 
     attribute: str
@@ -111,7 +187,7 @@ class NoiseLayer:
 
 
 @dataclass(frozen=True)
-class ChurnSpec:
+class ChurnSpec(Declarative):
     """Join/leave schedule shape; the all-zero default is a static fleet."""
 
     #: Fraction of clients that boot after t=0 (uniform over ``join_window``).
@@ -135,7 +211,7 @@ class ChurnSpec:
 
 
 @dataclass(frozen=True)
-class LinkProfileSpec:
+class LinkProfileSpec(Declarative):
     """Latency/loss class for a slice of the population's access links."""
 
     name: str
@@ -160,7 +236,7 @@ BUILTIN_LINK_PROFILES: dict[str, LinkProfileSpec] = {
 
 
 @dataclass(frozen=True)
-class FaultRegimeSpec:
+class FaultRegimeSpec(Declarative):
     """Named fault environment mapped onto :mod:`repro.netsim.faults`.
 
     ``clean`` attaches nothing (fault-free fast paths); ``bursty_loss``
@@ -213,8 +289,15 @@ BUILTIN_FAULT_REGIMES: dict[str, FaultRegimeSpec] = {
 }
 
 
+def regime_table(declared: Iterable[FaultRegimeSpec]) -> dict[str, FaultRegimeSpec]:
+    """Built-in fault regimes overlaid with a spec's or plan's declarations."""
+    table = dict(BUILTIN_FAULT_REGIMES)
+    table.update({regime.name: regime for regime in declared})
+    return table
+
+
 @dataclass(frozen=True)
-class ResolverTopology:
+class ResolverTopology(Declarative):
     """Resolver-side posture shared by the whole fleet.
 
     ``drops_fragments`` makes the resolver immune to the fragment attack,
@@ -232,7 +315,7 @@ def _default_client_mix() -> Mix:
 
 
 @dataclass(frozen=True)
-class PopulationSpec:
+class PopulationSpec(Declarative):
     """The full layered description of one simulated client population.
 
     Every field is declarative — a spec never references live simulator
@@ -241,6 +324,8 @@ class PopulationSpec:
     :meth:`digest`).  Generation (:func:`repro.population.generate.
     generate_fleet`) is a pure function of ``(spec, seed)``.
     """
+
+    label = "population spec"
 
     size: int = 1
     #: Client-type market shares over :data:`repro.ntp.clients.
@@ -296,7 +381,7 @@ class PopulationSpec:
         for name, _weight in self.link_mix:
             if name not in profiles:
                 raise SpecError(f"link_mix references undeclared profile {name!r}")
-        regimes = self.fault_regime_table()
+        regimes = regime_table(self.fault_regimes)
         for name, _weight in self.fault_mix:
             if name not in regimes:
                 raise SpecError(f"fault_mix references undeclared regime {name!r}")
@@ -313,101 +398,12 @@ class PopulationSpec:
         table.update({profile.name: profile for profile in self.link_profiles})
         return table
 
-    def fault_regime_table(self) -> dict[str, FaultRegimeSpec]:
-        """Built-in fault regimes overlaid with the spec's own declarations."""
-        table = dict(BUILTIN_FAULT_REGIMES)
-        table.update({regime.name: regime for regime in self.fault_regimes})
-        return table
-
-    # --------------------------------------------------------- serialisation
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "size": self.size,
-            "client_mix": [[name, weight] for name, weight in self.client_mix],
-            "poll_jitter": self.poll_jitter,
-            "churn": {
-                f.name: getattr(self.churn, f.name) for f in fields(self.churn)
-            },
-            "link_mix": [[name, weight] for name, weight in self.link_mix],
-            "link_profiles": [
-                {"name": p.name, "latency": p.latency, "loss": p.loss}
-                for p in self.link_profiles
-            ],
-            "fault_mix": [[name, weight] for name, weight in self.fault_mix],
-            "fault_regimes": [
-                {
-                    "name": r.name,
-                    "kind": r.kind,
-                    "probability": r.probability,
-                    "magnitude": r.magnitude,
-                    "start": r.start,
-                    "duration": r.duration,
-                }
-                for r in self.fault_regimes
-            ],
-            "resolver": {
-                "validates_dnssec": self.resolver.validates_dnssec,
-                "drops_fragments": self.resolver.drops_fragments,
-            },
-            "noise_layers": [
-                {"attribute": n.attribute, "kind": n.kind, "scale": n.scale}
-                for n in self.noise_layers
-            ],
-            "pool_size": self.pool_size,
-            "pool_rate_limit_fraction": self.pool_rate_limit_fraction,
-            "attack": self.attack,
-            "warmup_seconds": self.warmup_seconds,
-            "max_duration_hours": self.max_duration_hours,
-        }
-
-    @classmethod
-    def from_dict(cls, document: Mapping[str, Any]) -> "PopulationSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(document) - known
-        if unknown:
-            raise SpecError(f"unknown population spec fields: {sorted(unknown)}")
-        kwargs: dict[str, Any] = dict(document)
-        if "churn" in kwargs:
-            kwargs["churn"] = ChurnSpec(**dict(kwargs["churn"]))
-        if "link_profiles" in kwargs:
-            kwargs["link_profiles"] = tuple(
-                LinkProfileSpec(**dict(p)) for p in kwargs["link_profiles"]
-            )
-        if "fault_regimes" in kwargs:
-            kwargs["fault_regimes"] = tuple(
-                FaultRegimeSpec(**dict(r)) for r in kwargs["fault_regimes"]
-            )
-        if "resolver" in kwargs:
-            kwargs["resolver"] = ResolverTopology(**dict(kwargs["resolver"]))
-        if "noise_layers" in kwargs:
-            kwargs["noise_layers"] = tuple(
-                NoiseLayer(**dict(n)) for n in kwargs["noise_layers"]
-            )
-        return cls(**kwargs)
-
-    def to_json(self) -> str:
-        """Canonical JSON (sorted keys) — the form carried in run specs."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "PopulationSpec":
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"population spec is not valid JSON: {exc}") from exc
-        if not isinstance(document, dict):
-            raise SpecError("population spec JSON must be an object")
-        return cls.from_dict(document)
-
-    def digest(self) -> str:
-        """Content hash of the canonical serialisation (stable across runs)."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:16]
-
 
 __all__ = [
     "BUILTIN_FAULT_REGIMES",
     "BUILTIN_LINK_PROFILES",
     "ChurnSpec",
+    "Declarative",
     "FAULT_KINDS",
     "WINDOWED_FAULT_KINDS",
     "FaultRegimeSpec",
@@ -419,4 +415,5 @@ __all__ = [
     "PopulationSpec",
     "ResolverTopology",
     "SpecError",
+    "regime_table",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Type
 
-from repro.core.attacker import Attacker, AttackerResources
+from repro.core.attacker import DEFAULT_TIME_SHIFT, Attacker, AttackerResources
 from repro.dns.nameserver import PoolNameserver
 from repro.dns.resolver import RecursiveResolver, ResolverConfig
 from repro.netsim.addresses import int_to_ip, ip_to_int
@@ -46,7 +46,7 @@ class TestbedConfig:
     pool_rotation: str = "random"
     resolver_validates_dnssec: bool = False
     resolver_drops_fragments: bool = False
-    attacker_time_shift: float = -500.0
+    attacker_time_shift: float = DEFAULT_TIME_SHIFT
     attacker_address_pool_size: int = 100
     attacker_ntp_servers: int = 4
     link_latency: float = 0.01

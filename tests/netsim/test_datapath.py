@@ -118,7 +118,8 @@ class TestStrictRouting:
 
     def test_strict_batch_raises_too(self):
         """A spray with an unrouted destination takes the packet fallback,
-        which raises at that datagram after sending the ones before it."""
+        which raises at that datagram after sending the ones before it;
+        the raised datagram does not count as sent."""
         sim, net, _, b = make_net(strict_routing=True)
         received = []
         b.bind(53, lambda payload, ip, port: received.append(payload))
@@ -127,7 +128,20 @@ class TestStrictRouting:
             spray_udp(net, "10.0.0.1", destinations, 4000, 53, b"x", [1, 2, 3])
         sim.run()
         assert received == [b"x"]
-        assert net.packets_transmitted == 2
+        assert net.packets_transmitted == 1
+
+    def test_caught_no_route_keeps_the_packet_laws(self):
+        sim, net, a, b = make_net(strict_routing=True)
+        sim.strict = True
+        received = []
+        b.bind(53, lambda payload, ip, port: received.append(payload))
+        socket = a.bind(0)
+        with pytest.raises(NoRouteError):
+            socket.sendto(b"x", "172.16.0.1", 53)
+        socket.sendto(b"y", "10.0.0.2", 53)
+        sim.run()
+        assert received == [b"y"]
+        assert net.packets_transmitted == 1
 
 
 class TestPipelineCache:

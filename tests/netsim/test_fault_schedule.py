@@ -14,7 +14,6 @@ import pytest
 
 from repro.netsim import (
     Corruption,
-    Duplication,
     FaultSchedule,
     Network,
     Partition,
@@ -130,20 +129,3 @@ class TestApplyFaultSchedule:
         assert network.link_between("10.0.0.1", "10.0.0.2").faults is None
         if before is not None:
             assert len(simulator._heap) == before
-
-    def test_extra_components_compose_into_every_entry(self):
-        simulator, network, received = build()
-        schedule = FaultSchedule([(0.0, (Partition(0.0, 5.0),)), (5.0, ())])
-        network.apply_fault_schedule(
-            "10.0.0.1", "10.0.0.2", schedule, extra=(Duplication(1.0),)
-        )
-        source = network.host("10.0.0.1").bind(0)
-        simulator.schedule(1.0, source.sendto, args=(b"early", "10.0.0.2", 53))
-        simulator.schedule(7.0, source.sendto, args=(b"late", "10.0.0.2", 53))
-        simulator.run()
-        stats = network.fault_stats()
-        # The base duplication rides through both regimes: the partitioned
-        # packet is dropped, the healed one delivers twice.
-        assert stats.dropped_partition == 1
-        assert stats.duplicated == 1
-        assert received == [b"late", b"late"]

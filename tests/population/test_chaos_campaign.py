@@ -13,7 +13,6 @@ from repro.population.chaos import (
     CampaignHorizon,
     ChaosPhase,
     ChaosPlan,
-    CorrelationGroup,
     campaign_specs,
     resume_chaos_campaign,
     run_chaos_campaign,
@@ -33,7 +32,7 @@ def tiny_spec() -> PopulationSpec:
 
 def tiny_plan() -> ChaosPlan:
     return ChaosPlan(
-        groups=(CorrelationGroup("east", 0.5), CorrelationGroup("west", 0.5)),
+        groups=(("east", 0.5), ("west", 0.5)),
         regimes=(FaultRegimeSpec("blackout", kind="partition"),),
         phases=(
             ChaosPhase("calm", 100.0),

@@ -24,7 +24,6 @@ from repro.population.chaos import (
     CampaignHorizon,
     ChaosPhase,
     ChaosPlan,
-    CorrelationGroup,
     resume_chaos_campaign,
     run_chaos_campaign,
 )
@@ -50,7 +49,7 @@ def campaign_spec() -> PopulationSpec:
 
 def campaign_plan() -> ChaosPlan:
     return ChaosPlan(
-        groups=(CorrelationGroup("east", 0.5), CorrelationGroup("west", 0.5)),
+        groups=(("east", 0.5), ("west", 0.5)),
         regimes=(FaultRegimeSpec("blackout", kind="partition"),),
         phases=(
             ChaosPhase("calm", 600.0),

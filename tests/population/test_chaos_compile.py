@@ -7,7 +7,6 @@ from repro.population.chaos import (
     CampaignHorizon,
     ChaosPhase,
     ChaosPlan,
-    CorrelationGroup,
     assign_groups,
     compile_chaos,
 )
@@ -16,7 +15,7 @@ from repro.population.spec import FaultRegimeSpec
 
 def two_group_plan(**horizon) -> ChaosPlan:
     return ChaosPlan(
-        groups=(CorrelationGroup("east", 0.5), CorrelationGroup("west", 0.5)),
+        groups=(("east", 0.5), ("west", 0.5)),
         regimes=(FaultRegimeSpec("blackout", kind="partition"),),
         phases=(
             ChaosPhase("calm", 900.0),
@@ -31,7 +30,7 @@ class TestAssignGroups:
         assert assign_groups(ChaosPlan(), 3, seed=0) == ("", "", "")
 
     def test_single_group_assigns_without_randomness(self):
-        plan = ChaosPlan(groups=(CorrelationGroup("only"),))
+        plan = ChaosPlan(groups=(("only", 1.0),))
         assert assign_groups(plan, 4, seed=0) == ("only",) * 4
         assert assign_groups(plan, 4, seed=99) == ("only",) * 4
 
@@ -59,7 +58,7 @@ class TestCompile:
 
     def test_all_clean_phases_collapse_to_no_schedules(self):
         plan = ChaosPlan(
-            groups=(CorrelationGroup("east"), CorrelationGroup("west")),
+            groups=(("east", 1.0), ("west", 1.0)),
             phases=(ChaosPhase("calm", 100.0), ChaosPhase("still", 100.0)),
         )
         compilation = compile_chaos(plan, 8, seed=0)
@@ -99,7 +98,7 @@ class TestCompile:
 
     def test_windowed_regime_offset_inside_phase(self):
         plan = ChaosPlan(
-            groups=(CorrelationGroup("g"),),
+            groups=(("g", 1.0),),
             regimes=(
                 FaultRegimeSpec(
                     "mid", kind="partition", start=100.0, duration=50.0
@@ -114,7 +113,7 @@ class TestCompile:
 
     def test_probabilistic_regime_persists_until_next_swap(self):
         plan = ChaosPlan(
-            groups=(CorrelationGroup("g"),),
+            groups=(("g", 1.0),),
             regimes=(
                 FaultRegimeSpec(
                     "lossy", kind="bursty_loss", probability=0.2, magnitude=0.5
@@ -133,7 +132,7 @@ class TestCompile:
 
     def test_identical_consecutive_states_do_not_reswap(self):
         plan = ChaosPlan(
-            groups=(CorrelationGroup("g"),),
+            groups=(("g", 1.0),),
             regimes=(
                 FaultRegimeSpec("lossy", kind="jitter", probability=0.3),
             ),

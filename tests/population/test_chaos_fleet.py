@@ -12,6 +12,9 @@ The two acceptance properties of the chaos compiler:
 
 from __future__ import annotations
 
+import hashlib
+import json
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -22,7 +25,6 @@ from repro.population.chaos import (
     CampaignHorizon,
     ChaosPhase,
     ChaosPlan,
-    CorrelationGroup,
     compile_chaos,
     run_chaos_checkpoint,
 )
@@ -66,7 +68,7 @@ class TestInertBitIdentity:
         # the compile collapses to zero schedules and the simulation must
         # match the chaos-free fleet event for event.
         plan = ChaosPlan(
-            groups=(CorrelationGroup("east"), CorrelationGroup("west")),
+            groups=(("east", 1.0), ("west", 1.0)),
             phases=(ChaosPhase("calm", 400.0), ChaosPhase("still", 400.0)),
             horizon=CampaignHorizon(duration=0.0),
         )
@@ -86,7 +88,7 @@ class TestInertBitIdentity:
 
     def test_faulted_plan_actually_fires(self):
         plan = ChaosPlan(
-            groups=(CorrelationGroup("east"),),
+            groups=(("east", 1.0),),
             regimes=(FaultRegimeSpec("blackout", kind="partition"),),
             phases=(
                 ChaosPhase("calm", 400.0),
@@ -103,13 +105,37 @@ class TestInertBitIdentity:
         )
 
 
+class TestStaticRegimeUnderChaos:
+    def test_composes_into_every_entry(self):
+        """Every client's static jitter regime rides through the storm's
+        partition and the heal after it.  The counters and the digest
+        were recorded when the fleet still set the regime and the chaos
+        schedule on each link in two separate steps."""
+        spec = replace(small_spec(), fault_mix={"jittery": 1.0})
+        plan = ChaosPlan(
+            groups=(("east", 1.0),),
+            regimes=(FaultRegimeSpec("blackout", kind="partition"),),
+            phases=(
+                ChaosPhase("calm", 400.0),
+                ChaosPhase("storm", 500.0, regimes=(("east", "blackout"),)),
+            ),
+            horizon=CampaignHorizon(duration=1600.0),
+        )
+        document = run_chaos_checkpoint(spec, plan, seed=3, until=1600.0)
+        assert document["fault_stats"]["dropped_partition"] == 16198
+        assert document["fault_stats"]["reordered"] == 2666
+        text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        assert digest == "489b4e36f1ba1912"
+
+
 @pytest.mark.chaos
 class TestGroupConservation:
     """captured == transmitted − fault_dropped + duplicated, per group."""
 
     def test_conservation_across_scheduled_regimes(self):
         plan = ChaosPlan(
-            groups=(CorrelationGroup("east"), CorrelationGroup("west")),
+            groups=(("east", 1.0), ("west", 1.0)),
             regimes=(
                 FaultRegimeSpec("blackout", kind="partition"),
                 FaultRegimeSpec("echo", kind="duplication", probability=1.0),

@@ -11,16 +11,14 @@ from repro.population.chaos import (
     ChaosError,
     ChaosPhase,
     ChaosPlan,
-    CorrelationGroup,
-    plan_from_json,
     smoke_plan,
 )
-from repro.population.spec import FaultRegimeSpec
+from repro.population.spec import FaultRegimeSpec, regime_table
 
 
 def storm_plan() -> ChaosPlan:
     return ChaosPlan(
-        groups=(CorrelationGroup("east", 0.5), CorrelationGroup("west", 0.5)),
+        groups=(("east", 0.5), ("west", 0.5)),
         regimes=(FaultRegimeSpec("blackout", kind="partition"),),
         phases=(
             ChaosPhase("calm", 900.0),
@@ -33,7 +31,7 @@ def storm_plan() -> ChaosPlan:
 class TestValidation:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ChaosError):
-            ChaosPlan(groups=(CorrelationGroup("a"), CorrelationGroup("a")))
+            ChaosPlan(groups=(("a", 1.0), ("a", 1.0)))
         with pytest.raises(ChaosError):
             ChaosPlan(
                 regimes=(
@@ -51,16 +49,16 @@ class TestValidation:
             )
         with pytest.raises(ChaosError, match="undeclared regime"):
             ChaosPlan(
-                groups=(CorrelationGroup("g"),),
+                groups=(("g", 1.0),),
                 phases=(ChaosPhase("p", 1.0, regimes=(("g", "ghost"),)),),
             )
 
     def test_builtin_regimes_usable_without_declaration(self):
         plan = ChaosPlan(
-            groups=(CorrelationGroup("g"),),
+            groups=(("g", 1.0),),
             phases=(ChaosPhase("p", 10.0, regimes=(("g", "bursty"),)),),
         )
-        assert plan.regime_table()["bursty"].kind == "bursty_loss"
+        assert regime_table(plan.regimes)["bursty"].kind == "bursty_loss"
 
     def test_horizon_must_cover_phases(self):
         with pytest.raises(ChaosError, match="shorter"):
@@ -70,8 +68,12 @@ class TestValidation:
             )
 
     def test_group_and_phase_bounds(self):
-        with pytest.raises(ChaosError):
-            CorrelationGroup("g", weight=0.0)
+        with pytest.raises(ChaosError, match="weight must be > 0"):
+            ChaosPlan(groups=(("g", 0.0), ("h", 1.0)))
+        with pytest.raises(ChaosError, match="must not be empty"):
+            ChaosPlan(groups=(("", 1.0),))
+        with pytest.raises(ChaosError, match="pairs"):
+            ChaosPlan(groups=5)
         with pytest.raises(ChaosError):
             ChaosPhase("p", 0.0)
         with pytest.raises(ChaosError):
@@ -126,7 +128,7 @@ class TestSerialisation:
 
     def test_plan_from_json_memoises(self):
         text = storm_plan().to_json()
-        assert plan_from_json(text) is plan_from_json(text)
+        assert ChaosPlan.from_json(text) is ChaosPlan.from_json(text)
 
     def test_to_dict_is_json_safe(self):
         json.dumps(storm_plan().to_dict())

@@ -25,6 +25,7 @@ from repro.population.spec import (
     FaultRegimeSpec,
     PopulationSpec,
     SpecError,
+    regime_table,
 )
 
 
@@ -84,7 +85,7 @@ class TestExtendedFaultKinds:
         )
         clone = PopulationSpec.from_json(spec.to_json())
         assert clone == spec
-        assert clone.fault_regime_table()["cut"].duration == 9.0
+        assert regime_table(clone.fault_regimes)["cut"].duration == 9.0
 
 
 class TestAggregateFaultCounters:

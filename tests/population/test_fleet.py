@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.experiments.runner import ExperimentRunner, RunSpec
 from repro.experiments.scenarios import get_scenario
-from repro.population.fleet import run_fleet, spec_from_json
+from repro.population.fleet import run_fleet
 from repro.population.spec import ChurnSpec, PopulationSpec, ResolverTopology
 
 
@@ -76,8 +76,8 @@ class TestRunFleet:
 
     def test_spec_from_json_memoises(self):
         text = _small_spec().to_json()
-        assert spec_from_json(text) is spec_from_json(text)
-        assert spec_from_json(text) == PopulationSpec.from_json(text)
+        assert PopulationSpec.from_json(text) is PopulationSpec.from_json(text)
+        assert PopulationSpec.from_json(text) == _small_spec()
 
 
 class TestEngineIntegration:

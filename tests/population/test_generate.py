@@ -24,7 +24,7 @@ class TestDeterminism:
     def test_same_spec_same_seed_is_identical(self):
         spec = _hetero_spec(
             churn=ChurnSpec(late_join_fraction=0.3, leave_fraction=0.2),
-            noise_layers=(NoiseLayer("poll_interval", scale=0.1),),
+            noise_layers=(NoiseLayer("initial_clock_offset", scale=0.1),),
         )
         assert generate_fleet(spec, 3) == generate_fleet(spec, 3)
 
@@ -126,13 +126,3 @@ class TestMixesAndChurn:
         )
         fleet = generate_fleet(spec, 2)
         assert all(c.join_time >= 0.0 for c in fleet.clients)
-
-    def test_poll_noise_clips_positive(self):
-        spec = _hetero_spec(
-            size=300,
-            noise_layers=(
-                NoiseLayer("poll_interval", kind="normal", scale=3.0),
-            ),
-        )
-        fleet = generate_fleet(spec, 2)
-        assert all(c.poll_multiplier >= 0.05 for c in fleet.clients)

@@ -20,6 +20,7 @@ from repro.population.spec import (
     NoiseLayer,
     PopulationSpec,
     SpecError,
+    regime_table,
 )
 
 
@@ -64,9 +65,11 @@ class TestValidation:
         with pytest.raises(SpecError):
             NoiseLayer(attribute="no-such-attribute")
         with pytest.raises(SpecError):
-            NoiseLayer(attribute="poll_interval", kind="cauchy")
+            NoiseLayer(attribute="poll_interval")
         with pytest.raises(SpecError):
-            NoiseLayer(attribute="poll_interval", scale=-1.0)
+            NoiseLayer(attribute="initial_clock_offset", kind="cauchy")
+        with pytest.raises(SpecError):
+            NoiseLayer(attribute="initial_clock_offset", scale=-1.0)
 
     def test_declared_profiles_extend_builtins(self):
         spec = PopulationSpec(
@@ -80,8 +83,8 @@ class TestValidation:
         table = spec.link_profile_table()
         assert set(BUILTIN_LINK_PROFILES) <= set(table)
         assert table["dialup"].latency == 0.2
-        assert "storm" in spec.fault_regime_table()
-        assert set(BUILTIN_FAULT_REGIMES) <= set(spec.fault_regime_table())
+        assert "storm" in regime_table(spec.fault_regimes)
+        assert set(BUILTIN_FAULT_REGIMES) <= set(regime_table(spec.fault_regimes))
 
 
 class TestSerialisation:
@@ -94,7 +97,7 @@ class TestSerialisation:
             link_mix={"default": 0.7, "mobile": 0.3},
             fault_mix={"clean": 0.8, "bursty": 0.2},
             noise_layers=(
-                NoiseLayer("poll_interval", kind="lognormal", scale=0.1),
+                NoiseLayer("initial_clock_offset", kind="lognormal", scale=0.1),
                 NoiseLayer("join_time", kind="normal", scale=30.0),
             ),
             pool_size=16,
