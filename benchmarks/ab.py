@@ -5,8 +5,9 @@ Runs ``perfbench/run.py`` (for the run length ``BENCHMARK.json`` sets) on
 this checkout (A) and on a local ``git worktree`` of REV (B) in
 alternating order — pair 1 runs A first, pair 2 runs B first, and so on —
 so slow drifts of the machine hit both sides alike.  For every metric it
-prints both medians, their ratio, the interquartile range of REV's runs,
-and how many pairs A won::
+prints both medians, their ratio, the median and interquartile range of
+the per-pair ratios (A's run over REV's run in the same pair), the
+interquartile range of REV's runs, and how many pairs A won::
 
     python3 benchmarks/ab.py HEAD~1 --workload fleet --pairs 10
 
@@ -116,7 +117,8 @@ def verdict(a: list[float], b: list[float], higher: bool, bound: float) -> str:
 
 
 def compare(a_runs: list[dict], b_runs: list[dict], declared: dict) -> dict:
-    """Per-metric medians, REV's IQR, A's pair wins and the gate's verdict.
+    """Per-metric medians, the per-pair ratios' median and IQR, REV's IQR,
+    A's pair wins and the gate's verdict.
 
     ``declared`` maps each compared metric to its ``better`` direction and
     ``bound``; run entries it does not name (``cpu_s``) are not compared.
@@ -132,11 +134,19 @@ def compare(a_runs: list[dict], b_runs: list[dict], declared: dict) -> dict:
         a_median, b_median = statistics.median(a), statistics.median(b)
         q1, q3 = quartiles(b)
         iqr = q3 - q1
+        # Each pair's A/B ratio; a pair whose REV value is zero has none.
+        ratios = [x / y for x, y in zip(a, b) if y]
+        pair_median = pair_iqr = None
+        if ratios:
+            r1, r3 = quartiles(ratios)
+            pair_median, pair_iqr = statistics.median(ratios), r3 - r1
         gained = a_median > b_median if higher else a_median < b_median
         report[name] = {
             "a_median": a_median,
             "b_median": b_median,
             "ratio": a_median / b_median if b_median else None,
+            "pair_ratio_median": pair_median,
+            "pair_ratio_iqr": pair_iqr,
             "b_iqr": iqr,
             "wins": wins,
             "pairs": len(a),
@@ -217,9 +227,15 @@ def main(argv: list[str] | None = None) -> int:
     report = compare(a_runs, b_runs, declared)
     for name, row in report.items():
         ratio = "n/a" if row["ratio"] is None else f"x{row['ratio']:.3f}"
+        pairs = (
+            "n/a"
+            if row["pair_ratio_median"] is None
+            else f"x{row['pair_ratio_median']:.3f} IQR {row['pair_ratio_iqr']:.3f}"
+        )
         print(
             f"{name:32s} A {row['a_median']:.4g}  B {row['b_median']:.4g}  "
-            f"{ratio}  B IQR {row['b_iqr']:.3g}  wins {row['wins']}/{row['pairs']}"
+            f"{ratio}  pairs {pairs}  B IQR {row['b_iqr']:.3g}  "
+            f"wins {row['wins']}/{row['pairs']}"
             f"  {row['verdict']}" + ("  GAIN" if row["gain"] else "")
         )
     layers = per_layer(a_traced, b_traced, benchmark["per_layer"])

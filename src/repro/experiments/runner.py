@@ -40,13 +40,19 @@ import logging
 import os
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
 
 from repro.experiments.store import RepairEvent, RunStore, SweepWriter
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
+# The pool is built lazily (``ExperimentRunner._make_pool``): loading it
+# loads multiprocessing, which serial sweeps never need.  Its crash error,
+# ``BrokenProcessPool``, is caught through its base class ``BrokenExecutor``.
 
 #: The typed error taxonomy carried by ``RunOutcome.error_kind``:
 #:
@@ -373,6 +379,8 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------- pool engine
     def _make_pool(self) -> ProcessPoolExecutor:
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(max_workers=self.max_workers)
 
     def _chunk(self, specs: list) -> list[tuple]:
@@ -480,7 +488,7 @@ class _PoolEngine:
         """Submit one chunk; False means the pool is already broken."""
         try:
             future = self.pool.submit(_execute_chunk, tuple(spec for _, spec in chunk))
-        except BrokenProcessPool:
+        except BrokenExecutor:
             self.recovery["worker_crashes"] += 1
             self.quarantine.appendleft(chunk)
             return False
@@ -493,7 +501,7 @@ class _PoolEngine:
         chunk = self.flight.pop(future)
         try:
             outcomes = future.result()
-        except BrokenProcessPool:
+        except BrokenExecutor:
             if flight_size == 1:
                 # It had the pool to itself: definitive culprit.
                 self._fail(chunk, "worker-crash")

@@ -13,7 +13,9 @@ senders fill one:
 * :meth:`repro.netsim.network.Network.send_udp` (the one frame behind
   every socket send) appends a datagram that fits its path MTU to the
   network's open batch while the datagram is due at the batch's instant
-  and takes the next contiguous sequence number;
+  and takes the next contiguous sequence number.  Its checksum is
+  *offloaded* (``None``): nothing on a uniform pair can change the
+  datagram, so the checksum the sender would write always verifies;
 * :meth:`~repro.netsim.network.Network.transmit_spray` (the spoofing round
   of the run-time attack) fills a closed batch of spoofed datagrams from
   its cached plan, every one of them carrying the round's one payload
@@ -24,12 +26,16 @@ travel this way; everything else (fragments, the spray fallback) is a
 packet sent by :meth:`~repro.netsim.network.Network.transmit`.  The drain
 makes one pass per datagram: sweep the host's expired reassembly buckets
 when it holds any, check the UDP length field against the payload, verify
-the RFC 768 checksum from the header fields and the payload's fold when
-the host's profile verifies, bump the host stats, demux, call the handler
-with the payload object itself.  The fold of a payload is memoised on its
-identity, so a spray round folds its shared payload once.  A destination
-with a packet tap installed gets a materialised packet (header packed
-there) through ``pipeline.deliver`` instead.
+a spray datagram's crafted RFC 768 checksum from the header fields and
+the payload's fold when the host's profile verifies (an offloaded one is
+not verified: it cannot fail), bump the host stats, demux, call the
+handler with the payload object itself.  The fold of a payload is
+memoised on its identity, so a spray round folds its shared payload once.
+A destination with a packet tap installed gets a materialised packet
+through ``pipeline.deliver`` instead: its header is packed there, with an
+offloaded checksum computed by
+:func:`~repro.netsim.udp.udp_checksum_arith`, so the tap sees the bytes
+the sender would have written.
 
 Equivalence contract: the drain is *event-for-event* equivalent to the
 per-packet deliveries it replaces — same delivery order, same stats and
@@ -53,7 +59,7 @@ from __future__ import annotations
 
 from repro.netsim.packet import IPv4Packet
 from repro.netsim.sockets import ReceivedDatagram
-from repro.netsim.udp import UDP_HEADER_LEN, _UDP_HEADER
+from repro.netsim.udp import UDP_HEADER_LEN, _UDP_HEADER, udp_checksum_arith
 from repro.perf import STAGES, perf_counter
 
 #: Bound once: the checksum verify runs per datagram.
@@ -73,8 +79,11 @@ class DatagramBatch:
     checksum, payload, ipid)`` per datagram in delivery order: the
     compiled pipeline of the (src, dst) pair, the claimed source, the four
     UDP header fields, the payload object and the IPv4 IPID, read only
-    when a packet is materialised.  It is a list while the batch is open
-    for appends and a one-shot iterator over a spray's plan otherwise;
+    when a packet is materialised.  ``checksum`` is ``None`` for a socket
+    send (offloaded: not verified, computed only for a materialised
+    header) and the crafted field, verified as any packet's, for a spray.
+    ``items`` is a list while the batch is open for appends and a one-shot
+    iterator over a spray's plan otherwise;
     ``count`` is its length.  ``time`` is the delivery instant and ``end``
     the sequence number after the last member while the batch is open,
     ``-1`` once closed.  ``spoofed`` tags the packets materialised from a
@@ -110,9 +119,12 @@ class DatagramBatch:
         ):
             datapath = pipeline.datapath
             if datapath.host.packet_tap is not None:
+                dst = datapath.host.ip
+                if checksum is None:
+                    checksum = udp_checksum_arith(src, dst, src_port, dst_port, payload)
                 packet = IPv4Packet.udp(
                     src,
-                    datapath.host.ip,
+                    dst,
                     _pack_udp_header(src_port, dst_port, length, checksum) + payload,
                     ipid,
                 )
@@ -133,6 +145,7 @@ class DatagramBatch:
             if length != UDP_HEADER_LEN + len(payload):
                 stats.udp_checksum_failures += 1
                 continue
+            # ``None`` (offloaded) and 0 ("not checksummed") skip the verify.
             if checksum and datapath.verify_checksum:
                 # A big integer is congruent to its 16-bit word sum mod
                 # 0xFFFF, so ``fold`` is the payload's word sum reduced

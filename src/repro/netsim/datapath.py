@@ -85,8 +85,10 @@ class DeliveryPipeline:
     the compiled datapath behind
     ``deliver``, and the pair's pseudo-header address word sum plus the
     protocol word, baked once per compiled pair like the latency.  The
-    send path folds it into the RFC 768 checksum and the drain into the
-    verify.  It is set exactly on the pairs that may carry batches:
+    drain folds it into the verify of a spray's crafted checksums; a
+    socket send on such a pair carries no checksum to verify (offloaded,
+    see :mod:`repro.netsim.burst`).  It is set exactly on the pairs that
+    may carry batches:
     ``None`` marks unrouted, lossy and faulted pairs and pairs whose
     claimed source does not parse (``src`` is whatever a spoofer writes),
     which all keep the packet path.  Whether a delivery verifies at all

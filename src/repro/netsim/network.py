@@ -18,10 +18,12 @@ loss probability, the destination host's flat deliver callable and the
 pair's pseudo-header sum.  Every socket send is one
 :meth:`Network.send_udp` frame: it checks the sender's path MTU (a larger
 datagram goes to :meth:`~repro.netsim.host.Host.send_fragmented`), takes
-the sender's IPID, checksums the datagram from that sum and, on a
-*uniform* pair (routed, lossless, fault-free, no capture attached), sends
-it as a structured datagram — its header fields plus the payload object,
-no header bytes: appended to the open
+the sender's IPID and, on a *uniform* pair (routed, lossless, fault-free,
+no capture attached), sends it as a structured datagram — its header
+fields plus the payload object, no header bytes and no checksum (nothing
+on such a pair can change the datagram, so the receiver's verify could
+not fail; the checksum is computed only where a header is materialised):
+appended to the open
 :class:`~repro.netsim.burst.DatagramBatch` when that batch is due at the
 same instant and the datagram takes the next sequence number, else pushed
 as a new batch heap entry.  A spoofing round — one source spraying one
@@ -31,7 +33,8 @@ pipelines once into a plan cached per (src, destinations) and, when the
 plan is uniform, pushes the round as one batch whose datagrams share the
 round's payload object.  Everything else is a
 packet — fragments, sends over lossy or faulted pairs or with a capture
-attached, a non-uniform spray — and every packet send is one
+attached, a non-uniform spray — checksummed when it is built and verified
+at delivery, and every packet send is one
 :meth:`Network.transmit` call with one heap push per delivery.  Whether a
 delivery verifies the UDP checksum is the receiving host's ``OSProfile``
 decision, read at delivery time.
@@ -47,7 +50,12 @@ from typing import Optional
 from repro.netsim.burst import DatagramBatch, MAX_DELIVERY_BURST
 from repro.netsim.capture import PacketCapture
 from repro.netsim.datapath import DeliveryPipeline, UNROUTED_PIPELINE
-from repro.netsim.errors import AddressError, NoRouteError, SimulationError
+from repro.netsim.errors import (
+    AddressError,
+    NoRouteError,
+    PacketError,
+    SimulationError,
+)
 from repro.netsim.faults import FaultChannel, FaultPlan, FaultStats
 from repro.netsim.fragmentation import MINIMUM_IPV4_MTU
 from repro.netsim.host import Host, OSProfile
@@ -60,10 +68,6 @@ from repro.netsim.udp import (
     udp_checksum_arith,
 )
 from repro.perf import STAGES, perf_counter
-
-#: Bound once: the send fold runs per datagram, and the ``int.`` attribute
-#: load is a measurable share of it.
-_from_bytes = int.from_bytes
 
 
 @dataclass(frozen=True)
@@ -403,21 +407,25 @@ class Network:
     ) -> None:
         """Send one UDP datagram from ``host`` (behind :meth:`UDPSocket.sendto`).
 
-        The ports must already be range-checked (``sendto`` does it).  A
+        The ports must already be range-checked (``sendto`` does it; the
+        NTP server's reply sends from its bound port to a received source
+        port).  A
         datagram larger than the host's path MTU towards ``dst`` goes to
         :meth:`Host.send_fragmented`.  One that fits takes the host's next
-        IPID, counts as sent and gets its RFC 768 checksum folded here from
-        the pipeline's pseudo-header sum.  On a uniform pair with no
-        capture attached it travels as its header fields plus ``payload``
-        itself, no header bytes packed: it joins
+        IPID and counts as sent.  On a uniform pair with no capture
+        attached it travels as its header fields plus ``payload`` itself,
+        no header bytes packed and its checksum offloaded: no fault can
+        touch it on the way, so the drain skips the verify, and a tapped
+        destination's materialised header gets the checksum computed
+        there (see :mod:`repro.netsim.burst`).  It joins
         the open :class:`~repro.netsim.burst.DatagramBatch` when that batch
         is due at the same instant and this datagram takes the sequence
         number right after its last member — so no other event can sort
         between them, and delivery order, ``events_processed`` and
         :meth:`~repro.netsim.simulator.Simulator.pending` stay those of one
         entry per datagram — and otherwise opens a new batch heap entry.
-        Anything else builds the packet and takes :meth:`transmit`, exactly
-        as a packet send would.
+        Anything else builds the packet, checksum computed here, and takes
+        :meth:`transmit`, exactly as a packet send would.
         """
         length = UDP_HEADER_LEN + len(payload)
         mtu = host.path_mtu(dst) if host._pmtu else host.interface_mtu
@@ -432,25 +440,18 @@ class Network:
         pipeline = self._pipelines.get((src, dst))
         if pipeline is None:
             pipeline = self._compile_pipeline(src, dst)
-        address_sum = pipeline.address_sum
-        if address_sum is None or self._captures:
+        if pipeline.address_sum is None or self._captures:
             checksum = udp_checksum_arith(src, dst, src_port, dst_port, payload)
             header = _UDP_HEADER.pack(src_port, dst_port, length, checksum)
             self.transmit(IPv4Packet.udp(src, dst, header + payload, ipid))
             return
-        # udp_checksum_arith with the pair's sum baked in: ``folded`` lies
-        # in [0, 0xFFFE], where ``0xFFFF - folded`` is the complement with
-        # both RFC 768 special cases applied.
-        value = _from_bytes(payload, "big")
-        if length & 1:
-            value <<= 8
-        folded = (address_sum + length + length + src_port + dst_port + value) % 0xFFFF
         self.packets_transmitted += 1
         simulator = self.simulator
         sequence = simulator._sequence
         simulator._sequence = sequence + 1
         deliver_at = simulator._now + pipeline.latency
-        item = (pipeline, src, src_port, dst_port, length, 0xFFFF - folded, payload, ipid)
+        # ``None``: the checksum is offloaded (see the docstring).
+        item = (pipeline, src, src_port, dst_port, length, None, payload, ipid)
         batch = self._batch
         if (
             batch is not None
@@ -575,8 +576,14 @@ class Network:
         at delivery.  Anything else is the packet fallback: each datagram
         becomes a packet (header packed per destination) sent by
         :meth:`inject`, so loss draws, fault channels and captures behave
-        exactly as for any other packet.
+        exactly as for any other packet.  Out-of-range ports raise
+        :class:`~repro.netsim.errors.PacketError` on both paths, as
+        ``UDPSocket.sendto`` does, so every datagram a handler receives
+        carries 16-bit ports.
         """
+        if not (0 <= src_port <= 0xFFFF and 0 <= dst_port <= 0xFFFF):
+            bad = src_port if not 0 <= src_port <= 0xFFFF else dst_port
+            raise PacketError(f"UDP port out of range: {bad}")
         if not checksums:
             return
         plan = self._spray_plans.get((src, destinations))

@@ -68,8 +68,11 @@ def udp_checksum_arith(
     word sums are cached, the protocol/length/port words are added
     directly, and only the payload is reduced from bytes.  Byte-for-byte
     equivalence with the seed implementation is pinned by the fast-path
-    property tests.  Deliberately not memoised: sent payloads are fresh
-    and received ones are verified once, so a memo would never hit.
+    property tests.  Deliberately not memoised: it runs on payloads that
+    are fresh (packet-path sends, and the headers a batch drain
+    materialises for a tapped destination, whose socket sends leave the
+    checksum to it) or verified once (packet-path deliveries), so a memo
+    would never hit.
     """
     length = UDP_HEADER_LEN + len(payload)
     return _fold_checksum(

@@ -10,9 +10,10 @@ discover a victim's associations one at a time (paper section IV-B2b).
 Hot-path note: the two packets an attack produces by the hundred thousand
 never become packet objects.  Spoofed mode 3 queries are built by
 :meth:`NTPPacket.client_query_wire`, and servers answer them with the
-splice behind :meth:`NTPPacket.server_response_wire` (a cached header, the
-server timestamp and the query's transmit bytes make the 48 response
-bytes); ``NTPServer``'s compiled handler calls it directly.
+one-pack splice behind :meth:`NTPPacket.server_response_wire` (a cached
+header, the server timestamp and the query's transmit bytes packed into
+the 48 response bytes by one precompiled ``struct``); ``NTPServer``'s
+compiled handler calls it directly.
 Clients discard replies that do not echo a pending poll before decoding
 them.  What is still decoded and encoded (client polls, accepted responses,
 Kiss-o'-Death packets) goes through :meth:`NTPPacket.encode`/
@@ -49,6 +50,10 @@ NTP_PACKET_LEN = 48
 _NTP_WIRE = struct.Struct("!BBbbII4s8I")
 #: Packs the two 32-bit words of one timestamp (see the ``*_wire`` methods).
 _PACK_TIMESTAMP = struct.Struct("!II").pack
+#: Packs a whole mode 4 response in one call: the cached 16-byte prefix,
+#: the reference timestamp, the origin bytes copied from the query, then
+#: the receive and transmit timestamps.
+_PACK_RESPONSE = struct.Struct("!16sII8sIIII").pack
 #: First 40 bytes of every default mode 3 query: leap 0 / version 4 / mode 3,
 #: stratum 0, poll 6, precision -20, zero root delay/dispersion/refid and
 #: zero reference, origin and receive timestamps.
@@ -137,14 +142,15 @@ def _server_response_wire(
     ntp_time = server_time + NTP_UNIX_EPOCH_DELTA
     seconds = int(ntp_time)
     # ``round`` of a float already returns an int.
-    now = _PACK_TIMESTAMP(
-        seconds & 0xFFFFFFFF, round((ntp_time - seconds) * 4294967296.0) % 4294967296
-    )
+    fraction = round((ntp_time - seconds) * 4294967296.0) % 4294967296
+    seconds &= 0xFFFFFFFF
     poll_byte = query_wire[2]
     prefix = _RESPONSE_PREFIXES.get((stratum, reference_id, poll_byte))
     if prefix is None:
         prefix = _server_response_prefix(stratum, reference_id, poll_byte)
-    return prefix + now + query_wire[40:48] + now + now
+    return _PACK_RESPONSE(
+        prefix, seconds, fraction, query_wire[40:48], seconds, fraction, seconds, fraction
+    )
 
 
 @dataclass(slots=True)
@@ -330,8 +336,8 @@ class NTPPacket:
         Byte-identical to ``server_response(decode(query_wire), ...).encode()``
         (pinned by the fast-path property tests) without building either
         packet: the header is cached per (stratum, reference id, poll byte),
-        the server timestamp is packed once for its three slots, and the
-        query's transmit bytes are copied in as the origin timestamp.  The
+        and one pack writes it, the server timestamp in its three slots and
+        the query's transmit bytes as the origin timestamp.  The
         caller guarantees ``query_wire`` is at least 48 bytes long.
         """
         if STAGES.enabled:

@@ -101,7 +101,7 @@ class NTPServer:
         self._rng = simulator.spawn_rng()
         self.socket = host.bind(NTP_PORT)
         #: The per-query handler, compiled once as a closure over the hot
-        #: handles (stats block, simulator, limiter, clock, RNG, socket):
+        #: handles (stats block, simulator, limiter, clock, RNG, send path):
         #: a spoofing flood runs it hundreds of thousands of times per
         #: sweep, and the ``self`` attribute chases are measurable there.
         #: A caller that swaps ``rate_limiter``, ``clock`` or ``_rng``
@@ -160,11 +160,12 @@ class NTPServer:
         Routes on the mode bits alone and never decodes an answered query:
         the response is spliced from the query's bytes by
         :func:`repro.ntp.packet._server_response_wire` right here, and the
-        reply goes straight to the socket — an answered query runs the
-        limiter check, the clock read, the splice and the send, no other
-        frame.  ``config`` is read at answer time (through its backing
-        attribute, no property frame), so edits to it (or a replaced
-        config) take effect on the next query.  The two guard
+        reply goes straight to :meth:`~repro.netsim.network.Network.send_udp`
+        from the server's port — an answered query runs the limiter check,
+        the clock read, the splice and the send, no other frame.
+        ``config`` is read at answer time (through its backing attribute,
+        no property frame), so edits to it (or a replaced config) take
+        effect on the next query.  The two guard
         tests reject exactly the payloads NTPPacket.decode() raises on
         (truncation, invalid mode 0), so the accounting that follows sees
         the same packets it always did and the Kiss-o'-Death decode cannot
@@ -177,7 +178,9 @@ class NTPServer:
         check = self.rate_limiter.check
         clock_time = self.clock.time
         random = self._rng.random
-        sendto = self.socket.sendto
+        host = self.host
+        send_udp = host.network.send_udp
+        port = self.socket.port
         send_kod = self._send_kod
 
         def on_packet(payload: bytes, src_ip: str, src_port: int) -> None:
@@ -211,7 +214,9 @@ class NTPServer:
                 wire = _server_response_wire(
                     payload, server_time, config.stratum, config.upstream_server
                 )
-            sendto(wire, src_ip, src_port)
+            # ``UDPSocket.sendto`` minus its port checks: the server's port
+            # was checked at bind, and every send path checks ``src_port``.
+            send_udp(host, src_ip, port, src_port, wire)
 
         return on_packet
 

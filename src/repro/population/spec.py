@@ -34,6 +34,7 @@ from typing import (
     ClassVar,
     Iterable,
     Mapping,
+    Optional,
     get_args,
     get_origin,
     get_type_hints,
@@ -114,15 +115,47 @@ def _decode(hint: Any, value: Any) -> Any:
     return value
 
 
+@lru_cache(maxsize=None)
+def _float_fields(cls: type) -> tuple[str, ...]:
+    """The fields of a declarative class typed ``float`` or ``Optional[float]``."""
+    hints = get_type_hints(cls)
+    return tuple(
+        f.name for f in fields(cls) if hints[f.name] in (float, Optional[float])
+    )
+
+
 class Declarative:
     """The canonical codec of a frozen declarative dataclass.
 
     Subclasses may set :attr:`label` (the noun in load errors; the class
     name by default) and :attr:`error` (the exception they raise).
+
+    Before a subclass's own ``__post_init__`` validates it, every
+    ``float``-typed field holding an ``int`` is stored as the equal
+    ``float`` (a ``bool`` is left alone): ``300`` and ``300.0`` make equal
+    specs, so they must make one canonical JSON and one digest too.
     """
 
     label: ClassVar[str] = ""
     error: ClassVar[type[SpecError]] = SpecError
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        validate = cls.__dict__.get("__post_init__")
+        if validate is None:
+            return  # inherits the coercion below or a parent's wrapper
+
+        def __post_init__(self) -> None:
+            Declarative.__post_init__(self)
+            validate(self)
+
+        cls.__post_init__ = __post_init__
+
+    def __post_init__(self) -> None:
+        for name in _float_fields(type(self)):
+            value = getattr(self, name)
+            if type(value) is int:
+                object.__setattr__(self, name, float(value))
 
     def to_dict(self) -> dict[str, Any]:
         return _encode(self)

@@ -58,6 +58,24 @@ class TestCompare:
     def test_single_pair_has_zero_iqr(self):
         assert ab.quartiles([2.5]) == (2.5, 2.5)
 
+    def test_per_pair_ratios_report_median_and_iqr(self):
+        """Ratios are taken within each pair: 0.5, 0.8, 1.0, 0.9, 0.6."""
+        a = runs("wall_s", [2.0, 4.0, 3.0, 4.5, 1.8])
+        b = runs("wall_s", [4.0, 5.0, 3.0, 5.0, 3.0])
+        row = ab.compare(a, b, DECLARED)["wall_s"]
+        assert abs(row["pair_ratio_median"] - 0.8) < 1e-9
+        assert abs(row["pair_ratio_iqr"] - (0.9 - 0.6)) < 1e-9
+        assert row["wins"] == 4 and not row["gain"]
+
+    def test_pairs_against_a_zero_rev_value_have_no_ratio(self):
+        a = runs("wall_s", [1.0, 2.0])
+        b = runs("wall_s", [0.0, 4.0])
+        row = ab.compare(a, b, DECLARED)["wall_s"]
+        assert row["pair_ratio_median"] == 0.5 and row["pair_ratio_iqr"] == 0.0
+        row = ab.compare(runs("wall_s", [1.0]), runs("wall_s", [0.0]), DECLARED)
+        assert row["wall_s"]["pair_ratio_median"] is None
+        assert row["wall_s"]["pair_ratio_iqr"] is None
+
 
 class TestGate:
     """``make regression`` fails on any verdict other than ``ok``."""

@@ -5,7 +5,7 @@ import pytest
 
 from repro.netsim.capture import PacketCapture
 from repro.netsim.datapath import UNROUTED_PIPELINE
-from repro.netsim.errors import NetSimError, NoRouteError
+from repro.netsim.errors import NetSimError, NoRouteError, PacketError
 from repro.netsim.host import OSProfile
 from repro.netsim.network import (
     Link,
@@ -229,6 +229,23 @@ class TestBatchedDelivery:
         assert received == [b"ping"] * 8
         assert net.packets_transmitted == 9
         assert net.packets_dropped == 1
+
+    @pytest.mark.parametrize("capture", [False, True])
+    @pytest.mark.parametrize("ports", [(70000, 53), (4000, -1)])
+    def test_out_of_range_ports_raise_on_both_paths(self, capture, ports):
+        """Both paths refuse a port no UDP header can carry, before
+        anything counts as sent."""
+        sim, net, a, b = make_net()
+        if capture:
+            net.attach_capture(PacketCapture())
+        received = []
+        b.bind(53, lambda payload, ip, port: received.append(port))
+        with pytest.raises(PacketError, match="port out of range"):
+            net.transmit_spray(
+                "10.0.0.1", ("10.0.0.2",), *ports, b"ping", [0], [1]
+            )
+        sim.run()
+        assert received == [] and net.packets_transmitted == 0
 
     def test_spray_fallback_marks_spoofed(self):
         sim, net, a, b = make_net()

@@ -8,6 +8,9 @@ names, nesting, list shapes or float formatting fails here first.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Optional
+
 import pytest
 
 from repro.population.chaos import (
@@ -20,6 +23,7 @@ from repro.population.chaos import (
 from repro.population.landscape import smoke_spec
 from repro.population.spec import (
     ChurnSpec,
+    Declarative,
     FaultRegimeSpec,
     LinkProfileSpec,
     NoiseLayer,
@@ -136,3 +140,55 @@ class TestNestedValidation:
     def test_nested_specs_must_be_objects(self):
         with pytest.raises(ChaosError, match="CampaignHorizon must be an object"):
             ChaosPlan.from_dict({"horizon": [1.0, 2.0]})
+
+
+@dataclass(frozen=True)
+class _Window(Declarative):
+    """A declarative class with an optional float field (no spec has one)."""
+
+    start: float = 0.0
+    cutoff: Optional[float] = None
+    count: int = 0
+
+
+class TestEqualSpecsOneDigest:
+    """An ``int`` in a ``float`` field is stored as the equal ``float``."""
+
+    def test_int_and_float_fields_share_a_digest(self):
+        whole = PopulationSpec(warmup_seconds=300)
+        assert whole == PopulationSpec(warmup_seconds=300.0)
+        assert whole.digest() == "26407eda88ff0944"
+        assert isinstance(whole.warmup_seconds, float)
+
+    def test_nested_int_fields_share_a_digest(self):
+        spec = PopulationSpec(churn=ChurnSpec(join_window=300, leave_after=900))
+        assert spec.to_json() == PopulationSpec(
+            churn=ChurnSpec(join_window=300.0, leave_after=900.0)
+        ).to_json()
+        plan = ChaosPlan(
+            groups=(("east", 1),),
+            phases=(ChaosPhase("calm", 300),),
+            horizon=CampaignHorizon(duration=900, checkpoint_every=0),
+        )
+        assert plan.digest() == ChaosPlan(
+            groups=(("east", 1.0),),
+            phases=(ChaosPhase("calm", 300.0),),
+            horizon=CampaignHorizon(duration=900.0, checkpoint_every=0.0),
+        ).digest()
+
+    def test_hand_written_json_with_integers(self):
+        spec_json = FULL_SPEC_JSON.replace(
+            '"warmup_seconds":120.0', '"warmup_seconds":120'
+        ).replace('"join_window":300.0', '"join_window":300')
+        assert spec_json != FULL_SPEC_JSON
+        assert PopulationSpec.from_json(spec_json).to_json() == FULL_SPEC_JSON
+        plan_json = FULL_PLAN_JSON.replace('"duration":300.0', '"duration":300')
+        assert plan_json != FULL_PLAN_JSON
+        assert ChaosPlan.from_json(plan_json).digest() == full_plan().digest()
+
+    def test_optional_floats_coerce_and_other_types_do_not(self):
+        window = _Window(start=1, cutoff=2, count=3)
+        assert window.to_json() == '{"count":3,"cutoff":2.0,"start":1.0}'
+        assert _Window().cutoff is None
+        assert ChurnSpec(late_join_fraction=True).late_join_fraction is True
+        assert PopulationSpec(size=3).size.__class__ is int

@@ -11,6 +11,9 @@ fleet document against the golden constants, also under strict mode.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 import repro.population.fleet
@@ -31,6 +34,37 @@ GOLDEN = {
 
 DEGENERATE = PopulationSpec(size=1, client_mix={"ntpd": 1.0})
 
+#: A fleet whose pool never rate-limits: every spoofed query is answered,
+#: so the run is dominated by datagrams sent from a handler over uniform
+#: pairs — the path that leaves the checksum to the receiver.
+ANSWERED = PopulationSpec(
+    size=4,
+    pool_size=16,
+    pool_rate_limit_fraction=0.0,
+    warmup_seconds=600.0,
+    max_duration_hours=0.25,
+)
+
+#: Recorded while the sender still folded every datagram's checksum and
+#: the drain verified it (seed 3).
+ANSWERED_GOLDEN = {
+    "spec_digest": "8cb284448056f76d",
+    "events_processed": 87667,
+    "packets_transmitted": 58326,
+    "shifts": [
+        -0.011287667774467991,
+        -0.014003876119204506,
+        -0.008555787948580473,
+        -0.009986033140421569,
+    ],
+    "document_digest": "79e901c539d334ad",
+}
+
+
+def _document_digest(document: dict) -> str:
+    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
 
 class TestGoldenBitIdentity:
     def test_degenerate_fleet_matches_golden_constants(self):
@@ -43,6 +77,20 @@ class TestGoldenBitIdentity:
         assert client["shift"] == GOLDEN["shift"]
         assert document["events_processed"] == GOLDEN["events_processed"]
         assert document["packets_transmitted"] == GOLDEN["packets_transmitted"]
+
+
+class TestAnsweredTrafficGolden:
+    def test_answered_fleet_matches_golden_constants(self):
+        document = run_fleet(ANSWERED, seed=3)
+        assert document["spec_digest"] == ANSWERED_GOLDEN["spec_digest"]
+        assert document["events_processed"] == ANSWERED_GOLDEN["events_processed"]
+        assert (
+            document["packets_transmitted"]
+            == ANSWERED_GOLDEN["packets_transmitted"]
+        )
+        shifts = [client["shift"] for client in document["clients"]]
+        assert shifts == ANSWERED_GOLDEN["shifts"]
+        assert _document_digest(document) == ANSWERED_GOLDEN["document_digest"]
 
 
 def _strict_testbeds(monkeypatch) -> list:
@@ -82,3 +130,15 @@ class TestStrictModeBitIdentity:
         strict = run_chaos_checkpoint(smoke_spec(), smoke_plan(), seed=0)
         assert len(built) == 1 and built[0].simulator.strict
         assert strict == plain
+
+    def test_answered_fleet_identical_under_strict_mode(self, monkeypatch):
+        plain = run_fleet(ANSWERED, seed=3)
+        built = _strict_testbeds(monkeypatch)
+        strict = run_fleet(ANSWERED, seed=3)
+        assert len(built) == 1 and built[0].simulator.strict
+        assert strict == plain
+        assert _document_digest(strict) == ANSWERED_GOLDEN["document_digest"]
+        servers = built[0].pool.servers.values()
+        received = sum(server.stats.queries_received for server in servers)
+        answered = sum(server.stats.responses_sent for server in servers)
+        assert answered > received // 2 > 0

@@ -15,10 +15,12 @@ Three pinned equivalences:
 * The drain's structured verify (header fields plus the payload's fold)
   must accept/reject exactly the datagrams the scalar
   ``HostDatapath.deliver`` verify accepts/rejects, byte-for-byte.
-* One batch mixing socket-send datagrams with spray datagrams that share
-  one payload object under valid, corrupted, zero and wrong-length
-  headers must be event-for-event equal to injecting the same packets,
-  with verification switched mid-flight.
+* One batch mixing socket-send datagrams (checksum offloaded, as
+  ``Network.send_udp`` builds them) with spray datagrams that share one
+  payload object under valid, corrupted, zero and wrong-length headers
+  must be event-for-event equal to injecting the same packets, each
+  socket send under its computed checksum, with verification switched
+  mid-flight.
 """
 
 from __future__ import annotations
@@ -36,7 +38,13 @@ from repro.netsim.packet import IPProtocol, IPv4Packet
 from repro.netsim.host import OSProfile
 from repro.netsim.simulator import Simulator
 from repro.netsim.network import Link, Network
-from repro.netsim.udp import UDP_HEADER_LEN, UDPDatagram, _UDP_HEADER, encode_udp
+from repro.netsim.udp import (
+    UDP_HEADER_LEN,
+    UDPDatagram,
+    _UDP_HEADER,
+    encode_udp,
+    udp_checksum_arith,
+)
 
 
 # ------------------------------------------------------------------ sprays
@@ -414,10 +422,10 @@ def mixed_item(network, entry, payloads, ipid: int) -> tuple:
     """One batch item, as the sender of its kind builds it.
 
     ``("send", dst index, payload index)`` is a socket send: its own
-    source, ports and valid checksum over one of the round's payload
-    objects.  ``("spray", dst index, kind)`` is a spray datagram: the
-    spoofed source and the round's shared payload object (``payloads[0]``)
-    under a checksum of ``kind``.
+    source and ports, one of the round's payload objects and an offloaded
+    checksum (``None``).  ``("spray", dst index, kind)`` is a spray
+    datagram: the spoofed source and the round's shared payload object
+    (``payloads[0]``) under a checksum of ``kind``.
     """
     sender, dst_i, arg = entry
     dst = SPRAY_DSTS[dst_i]
@@ -427,7 +435,9 @@ def mixed_item(network, entry, payloads, ipid: int) -> tuple:
         src, src_port, kind, payload = SPRAY_SRC, SPRAY_PORT, arg, payloads[0]
     pipeline = network.pipeline_for(src, dst)
     length = UDP_HEADER_LEN + len(payload) + LENGTH_ERRORS.get(kind, 0)
-    if kind == "zero":
+    if sender == "send":
+        checksum = None
+    elif kind == "zero":
         checksum = 0
     else:
         total = (
@@ -489,11 +499,12 @@ def run_mixed_rounds(rounds, use_batch: bool) -> SprayWorld:
             )
         else:
             for pipeline, src, sport, dport, length, checksum, payload, ip_id in items:
+                dst = pipeline.datapath.host.ip
+                if checksum is None:
+                    checksum = udp_checksum_arith(src, dst, sport, dport, payload)
                 header = _UDP_HEADER.pack(sport, dport, length, checksum)
                 network.inject(
-                    IPv4Packet.udp(
-                        src, pipeline.datapath.host.ip, header + payload, ip_id
-                    ),
+                    IPv4Packet.udp(src, dst, header + payload, ip_id),
                     mark_spoofed=spoofed,
                 )
         for dst_i in flipped:  # verification switched while in flight

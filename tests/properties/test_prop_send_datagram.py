@@ -1,11 +1,12 @@
 """Property tests pinning the batched socket send to the packet path.
 
 ``Network.send_udp`` (the one send frame behind every ``UDPSocket.sendto``)
-checksums a datagram that fits its path MTU from the pipeline's baked
-pseudo-header sum and, on a uniform pair, carries it as header fields
-plus payload in a ``DatagramBatch``.  Two properties pin it:
+carries a datagram that fits its path MTU on a uniform pair as header
+fields plus payload in a ``DatagramBatch``, its checksum offloaded to the
+drain, which computes it only where a header is materialised (a tapped
+destination).  Two properties pin it:
 
-* the checksum it writes equals ``udp_checksum_arith`` — random
+* the checksum a tap sees equals ``udp_checksum_arith`` — random
   addresses, ports and payloads, odd lengths, empty payloads, and payloads
   whose sum folds to zero (transmitted as ``0xFFFF``);
 * it is event-for-event equivalent to the packet path.  Attaching a
